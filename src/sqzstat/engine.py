@@ -16,11 +16,11 @@ row order), so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateEnsembleError, ModelValidationError, SqueezeDomainError
 from .squeeze import SqueezeFamily
@@ -46,6 +46,28 @@ __all__ = [
 
 _ROW_MATCH_ATOL = 1e-9
 _ROW_MATCH_RTOL = 1e-9
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum exp(a), max-shifted with the ties to the max counted apart.
+
+    With top = max(a), m entries equal to top and s the sum of
+    exp(a - top) over the others divided by m, the result is
+    log1p(s) + ln m + top (Blanchard, Higham & Higham, IMA J. Numer.
+    Anal. 41, 2021).  Empty input gives -inf; an infinite or NaN top is
+    returned as is.  Bit-identical to scipy.special.logsumexp on 1-D
+    float input: the other entries are summed in place, in row order."""
+    if a.size == 0:
+        return -math.inf
+    top = a.max()
+    if not math.isfinite(top):
+        return float(top)
+    at_top = a == top
+    m = np.count_nonzero(at_top)
+    e = np.exp(a - top)
+    e[at_top] = 0.0
+    return float(np.log1p(e.sum() / m) + np.log(m) + top)
 
 
 @dataclass(frozen=True)
@@ -89,7 +111,7 @@ class DegeneracySpectrum:
 
     def ln_total_class(self) -> float:
         """ln of the unweighted class total (sum of all degeneracies)."""
-        return float(logsumexp(self.ln_g))
+        return _logsumexp(self.ln_g)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -218,6 +240,7 @@ class ThermoReport:
     def rows(self) -> list[dict]:
         """Per-row projection (the CSV payload)."""
         probs = probabilities(self.table)
+        boltzmann = _boltzmann_factors(self.table.ln_row_class, self.table.ln_g, self.table.excluded)
         out = []
         for r in range(self.table.n_rows):
             row = {}
@@ -227,7 +250,7 @@ class ThermoReport:
             row["ln_class"] = float(self.table.ln_row_class[r])
             row["macro_prob"] = float(probs.macro_probs[r])
             row["config_prob"] = float(probs.config_probs[r])
-            row["boltzmann_factor"] = boltzmann_factor_from_table(self.table, r)
+            row["boltzmann_factor"] = float(boltzmann[r])
             row["excluded"] = bool(self.table.excluded[r])
             out.append(row)
         return out
@@ -254,7 +277,7 @@ def characteristic_class(
     if excluded.all():
         raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
     live = ln_row_class[~excluded]
-    ln_total = float(logsumexp(live))
+    ln_total = _logsumexp(live)
     return ClassTable(
         spectrum=working,
         env=env,
@@ -343,12 +366,7 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     ln_macro = table.ln_row_class - table.ln_total
     macro = np.where(table.excluded, 0.0, np.exp(ln_macro))
     ln_config = ln_macro - table.ln_g
-    config = np.empty_like(macro)
-    for r in range(table.n_rows):
-        if table.excluded[r]:
-            config[r] = 0.0
-        else:
-            config[r] = macro[r] / _linear_count(table.ln_g[r])
+    config = np.where(table.excluded, 0.0, _per_configuration(macro, ln_macro, table.ln_g))
     return ProbabilityTable(
         macro_probs=macro,
         config_probs=config,
@@ -359,17 +377,39 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     )
 
 
-def _linear_count(ln_g: float) -> float:
-    """exp(ln_g), snapped to the exact integer when one is plainly meant.
+def _exp_rows(v: np.ndarray) -> np.ndarray:
+    """math.exp per entry, inf where it would overflow.
 
-    Degeneracies are integer counts; gammaln pipelines return them with
-    ~1 ulp noise.  Snapping keeps divisions by small counts exact."""
-    g = math.exp(ln_g)
-    if g < 2**53:
-        near = round(g)
-        if near > 0 and abs(g - near) <= 1e-9 * near:
-            return float(near)
-    return g
+    math.exp, not np.exp: the two round differently in the last bit on
+    some CPUs, and row quotients have always been taken from math.exp."""
+    over = v > _LN_FLOAT_MAX
+    out = np.fromiter(map(math.exp, np.where(over, 0.0, v)), float, v.size)
+    out[over] = math.inf
+    return out
+
+
+def _per_configuration(num: np.ndarray, ln_num: np.ndarray, ln_g: np.ndarray) -> np.ndarray:
+    """num / g per row, with g = exp(ln_g) the row's degeneracy.
+
+    Degeneracies are integer counts; log-gamma pipelines return them
+    with ~1 ulp noise, so a g below 2**53 within 1e-9 of a positive
+    integer is divided out as that integer (uniform microcanonical
+    distributions come out as literal 1/Omega).  Where num or g leaves
+    the float range the quotient is exp(ln_num - ln_g) instead."""
+    g = _exp_rows(ln_g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = np.round(g)
+        snap = (g < 2.0**53) & (near > 0) & (np.abs(g - near) <= 1e-9 * near)
+        g = np.where(snap, near, g)
+        direct = np.isfinite(num) & np.isfinite(g) & (g > 0)
+        out = np.exp(ln_num - ln_g)
+    out[direct] = num[direct] / g[direct]
+    return out
+
+
+def _boltzmann_factors(ln_row_class: np.ndarray, ln_g: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    factors = _per_configuration(_exp_rows(ln_row_class), ln_row_class, ln_g)
+    return np.where(excluded, 0.0, factors)
 
 
 def generalized_boltzmann_factor(
@@ -390,9 +430,8 @@ def generalized_boltzmann_factor(
 def boltzmann_factor_from_table(table: ClassTable, row: int) -> float:
     if not 0 <= row < table.n_rows:
         raise ModelValidationError(f"row {row} out of range (n_rows={table.n_rows})")
-    if table.excluded[row]:
-        return 0.0
-    return math.exp(table.ln_row_class[row]) / _linear_count(table.ln_g[row])
+    r = slice(row, row + 1)
+    return float(_boltzmann_factors(table.ln_row_class[r], table.ln_g[r], table.excluded[r])[0])
 
 
 def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -> float:
@@ -410,7 +449,7 @@ def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -
         return float(-np.sum(np.exp(lng + ln_p) * ln_p))
     if family.kind == "tsallis":
         q = family.q
-        lse = logsumexp(lng + q * ln_p)
+        lse = _logsumexp(lng + q * ln_p)
         return float(math.expm1(lse) / (1.0 - q))
     raise ModelValidationError("no closed probability-space entropy for custom families")
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ModelValidationError, StepSizeError
 from .squeeze import SqueezeFamily
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 _NEG_CLAMP = 1e-14
-_QUAD_FLOOR = 1e-12  # lower limit for divergent entropy integrands (q >= 2)
+_QUAD_FLOOR = 1e-12  # lower limit of entropy integrals divergent at 0 (q = 2, custom)
 
 
 @dataclass(frozen=True)
@@ -261,11 +260,11 @@ def step(
 def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
     """Configurational entropy -sum_i integral_0^F_i ln h(F) dF.
 
-    Closed forms for the identity family and the power-law family away
-    from q in {1, 2}; adaptive quadrature otherwise, with the lower
-    limit floored at 1e-12 where the integrand is non-integrable at 0
-    (q >= 2: an additive constant per live component, irrelevant to
-    monotonicity).  Components at F = 0 contribute nothing."""
+    Closed forms for the identity and power-law families; adaptive
+    quadrature for custom families.  For q = 2 (ln h(F) = 1 - 1/F,
+    non-integrable at 0) and in the quadrature the lower limit is
+    floored at 1e-12, an additive constant per live component that is
+    irrelevant to monotonicity.  Components at F = 0 contribute nothing."""
     F = state.F
     if np.any(F < 0.0):
         raise ModelValidationError("negative population in kinetic state")
@@ -273,15 +272,17 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(F > 0.0, F * np.log(F) - F, 0.0)
         return float(-term.sum())
-    if family.kind == "tsallis" and family.q != 2.0:
+    if family.kind == "tsallis":
         q = family.q
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(
-                F > 0.0,
-                (np.power(F, 2.0 - q) / (2.0 - q) - F) / (1.0 - q),
-                0.0,
-            )
+            if q == 2.0:
+                term = (F - _QUAD_FLOOR) - np.log(F / _QUAD_FLOOR)
+            else:
+                term = (np.power(F, 2.0 - q) / (2.0 - q) - F) / (1.0 - q)
+            term = np.where(F > 0.0, term, 0.0)
         return float(-term.sum())
+
+    from scipy.integrate import quad  # custom families only: keeps scipy off the import path
 
     def integrand(x: float) -> float:
         return float(family.ln_h_of_linear(np.array([x]))[0])

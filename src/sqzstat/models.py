@@ -7,11 +7,11 @@ N_max) are explicit parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .engine import DegeneracySpectrum
 from .errors import ModelValidationError
@@ -38,8 +38,19 @@ class ModelDescriptor:
     variables: tuple[str, ...]
 
 
-def _ln_choose(n: float, k: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+def _lgamma(v: "float | np.ndarray") -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    try:
+        out = np.fromiter(map(math.lgamma, v.ravel()), float, v.size)
+    except OverflowError:
+        raise ModelValidationError(
+            f"log-degeneracy exceeds the float range (log-gamma of {float(v.max()):g})"
+        ) from None
+    return out.reshape(v.shape)
+
+
+def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
+    return _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
 
 
 def two_level(epsilon: float = 1.0) -> DegeneracySpectrum:

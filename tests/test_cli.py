@@ -57,6 +57,24 @@ def test_compute_rows_table(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_compute_rows_beyond_float_range_are_finite(tmp_path, capsys):
+    # ln g reaches ~1900: exp(ln g) overflows, so the per-row quotients
+    # must be taken in log domain
+    rows_path = tmp_path / "r.csv"
+    code, _, _ = run_cli(
+        ["compute", "--model", "einstein_solid", "--param", "N=1000", "--param", "E_max=2000",
+         "--y", "E=1", "--rows", str(rows_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = rows_path.read_text().strip().splitlines()
+    assert len(lines) == 2002
+    for line in lines[1:]:
+        *numbers, excluded = line.split(",")
+        assert excluded == "False"
+        assert all(math.isfinite(float(v)) for v in numbers)
+
+
 def test_compute_tsallis(capsys):
     code, out, _ = run_cli(
         ["compute", "--model", "two_level", "--y", f"E={math.log(2)}",

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from sqzstat import (
     DegenerateEnsembleError,
@@ -18,7 +20,7 @@ from sqzstat import (
     phi_of,
     probabilities,
 )
-from sqzstat.engine import model_from_json_dict, model_to_json_dict, report_for
+from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict, report_for
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 BETA = math.log(2.0)
@@ -226,6 +228,68 @@ def test_macro_prob_equals_config_prob_times_degeneracy_bg():
     probs = probabilities(table)
     g = np.round(np.exp(spec.ln_g))
     assert np.allclose(probs.macro_probs, probs.config_probs * g, rtol=1e-12, atol=0)
+
+
+def _linear_count_reference(ln_g):
+    g = math.exp(ln_g)
+    if g < 2**53:
+        near = round(g)
+        if near > 0 and abs(g - near) <= 1e-9 * near:
+            return float(near)
+    return g
+
+
+def test_per_configuration_columns_match_per_row_reference():
+    # the scalar per-row loops that the vectorized columns replace; the
+    # arithmetic is unchanged, so equality is bitwise
+    fixtures = [
+        (two_level(1.0), canonical_env()),
+        (einstein_solid(2, 60), EnsembleSpec(fixed_intensive={"E": 1.0})),
+        (einstein_solid(50, 300), EnsembleSpec(fixed_intensive={"E": 0.3})),
+        (spin_half_paramagnet(30), EnsembleSpec(fixed_intensive={"M": 0.3})),
+        (spin_half_paramagnet(10), EnsembleSpec(fixed_extensive={"M": 4.0})),
+        (lattice_gas(37.5, 30), EnsembleSpec(fixed_intensive={"E": 0.7, "N": -0.2})),
+    ]
+    fams = [IDENT, SqueezeFamily.tsallis(0.5), SqueezeFamily.tsallis(1.5), Q2]
+    for spec, env in fixtures:
+        for fam in fams:
+            table = characteristic_class(spec, env, fam)
+            probs = probabilities(table)
+            bf = [row["boltzmann_factor"] for row in report_for(spec, env, fam).rows()]
+            for r in range(table.n_rows):
+                count = _linear_count_reference(table.ln_g[r])
+                if table.excluded[r]:
+                    ref_config = ref_bf = 0.0
+                else:
+                    ref_config = probs.macro_probs[r] / count
+                    ref_bf = math.exp(table.ln_row_class[r]) / count
+                assert probs.config_probs[r] == ref_config
+                assert bf[r] == ref_bf
+                assert generalized_boltzmann_factor(spec, env, fam, r, table=table) == ref_bf
+
+
+@pytest.mark.parametrize("fam", [IDENT, SqueezeFamily.tsallis(1.5)])
+def test_degeneracies_beyond_float_range_give_finite_rows(fam):
+    # ln g reaches ~1900 here; exp(ln g) and exp(ln class) overflow
+    spec = einstein_solid(1000, 2000)
+    assert spec.ln_g.max() > 1000.0
+    env = EnsembleSpec(fixed_intensive={"E": 1.0})
+    report = report_for(spec, env, fam)
+    probs = probabilities(report.table)
+    assert np.all(np.isfinite(probs.config_probs))
+    assert probs.macro_probs.sum() == pytest.approx(1.0, abs=1e-10)
+    live = ~report.table.excluded
+    tiny = np.finfo(float).tiny  # subnormal results carry fewer bits
+    np.testing.assert_allclose(
+        probs.config_probs[live], np.exp(probs.ln_config[live]), rtol=1e-12, atol=tiny
+    )
+    rows = report.rows()
+    bf = np.array([row["boltzmann_factor"] for row in rows])
+    assert all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float))
+    ref = np.exp(report.table.ln_row_class - report.table.ln_g)
+    np.testing.assert_allclose(bf, ref, rtol=1e-12, atol=tiny)
+    if fam.is_identity:
+        np.testing.assert_allclose(bf, np.exp(-spec.x[:, 0]), rtol=1e-9, atol=tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +551,68 @@ def test_model_json_rejects_missing_environment():
     del doc["environment"]["y"]["E"]
     with pytest.raises(ModelValidationError):
         model_from_json_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp kernel
+
+def _mp_logsumexp(a):
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(v))) for v in a)))
+
+
+def _assert_same_as_scipy(a):
+    with np.errstate(all="ignore"):
+        ref = scipy_logsumexp(a)
+    got = _logsumexp(np.asarray(a, dtype=float))
+    assert type(got) is float
+    assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+
+def test_logsumexp_random_arrays_against_mpmath_and_scipy():
+    rng = np.random.default_rng(20210101)
+    eps = np.finfo(float).eps
+    for trial in range(200):
+        n = int(rng.integers(1, 200))
+        spread = 10.0 ** rng.uniform(-3.0, 3.0)
+        a = rng.uniform(-spread, spread, n) + rng.uniform(-1e3, 1e3)
+        if trial % 5 == 0:
+            a = np.round(a)  # integer data: many exact ties
+        got = _logsumexp(a)
+        ref = _mp_logsumexp(a)
+        top = float(a.max())
+        # rounding of the final additions: a fraction of an ulp of their scale
+        assert abs(got - ref) <= 2.0 * eps * (abs(top) + abs(ref - top))
+        _assert_same_as_scipy(a)
+
+
+def test_logsumexp_exact_ties_to_the_max():
+    for a in ([3.0, 3.0, 3.0, 1.0], [0.5] * 7, [-2.0, 5.0, 5.0, -40.0, 5.0]):
+        a = np.array(a)
+        assert _logsumexp(a) == pytest.approx(_mp_logsumexp(a), rel=1e-15)
+        _assert_same_as_scipy(a)
+    assert _logsumexp(np.full(4, 2.0)) == 2.0 + math.log(4.0)
+
+
+def test_logsumexp_single_element_is_exact():
+    for v in (0.0, -745.5, 1e300, 12.25):
+        assert _logsumexp(np.array([v])) == v
+
+
+@pytest.mark.parametrize("a, expected", [
+    ([1.0, math.inf], math.inf),
+    ([math.inf, -math.inf], math.inf),
+    ([-math.inf, -math.inf], -math.inf),
+    ([-math.inf, 0.0], 0.0),
+    ([1.0, math.nan], math.nan),
+    ([math.nan, math.inf], math.nan),
+    ([math.nan, -math.inf], math.nan),
+])
+def test_logsumexp_infinite_and_nan_entries(a, expected):
+    got = _logsumexp(np.array(a))
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    _assert_same_as_scipy(a)
+
+
+def test_logsumexp_empty_is_minus_infinity():
+    assert _logsumexp(np.array([])) == -math.inf

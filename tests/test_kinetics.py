@@ -245,6 +245,20 @@ def test_q2_quadrature_against_high_resolution_oracle():
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
+def test_q2_closed_form_matches_quadrature():
+    # ln h(F) = 1 - 1/F for q = 2, integrated up from the 1e-12 floor
+    fam = SqueezeFamily.tsallis(2.0)
+    F = np.array([0.0, 3e-6, 0.05, 0.7, 1.0, 1.9, 12.0])
+    got = entropy_functional(KineticState(F=F), fam)
+    a = 1e-12
+    oracle = 0.0
+    for f in F[F > 0.0]:
+        # split at 1e-6 so the 1/x wall near the floor is resolved
+        for lo, hi in ((a, min(f, 1e-6)), (min(f, 1e-6), f)):
+            oracle -= quad(lambda x: 1.0 - 1.0 / x, lo, hi, limit=500, epsabs=0.0, epsrel=1e-13)[0]
+    assert got == pytest.approx(oracle, rel=1e-12)
+
+
 def test_entropy_nondecreasing_along_trajectory():
     lat = make_lattice(2)
     net = build_collision_network(lat)

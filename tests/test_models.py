@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from sqzstat import EnsembleSpec, ModelValidationError, SqueezeFamily, observed_mean, probabilities, characteristic_class
-from sqzstat.models import MODELS, build_model, einstein_solid, lattice_gas, spin_half_paramagnet, two_level
+from sqzstat.models import MODELS, _lgamma, _ln_choose, build_model, einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 IDENT = SqueezeFamily.identity()
 
@@ -107,6 +108,29 @@ def test_generator_totals_match_combinatorial_closed_forms():
 def test_lattice_gas_validation():
     with pytest.raises(ModelValidationError):
         lattice_gas(3, N_max=5)
+
+
+def test_lattice_gas_beyond_float_range_is_a_model_error():
+    with pytest.raises(ModelValidationError, match="float range"):
+        lattice_gas(1e306, N_max=1)
+
+
+@pytest.mark.parametrize("n", [1, 10, 257, 1000, 12345, 100_000, 0.5, 37.5, 1234.25, 99_999.5])
+def test_ln_choose_against_mpmath(n):
+    # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) cancels: its error is a
+    # fraction of an ulp of the largest term, not of the result
+    rng = np.random.default_rng(int(n * 4))
+    k = np.unique(np.concatenate([np.arange(min(int(n), 12) + 1), rng.integers(0, int(n) + 1, 60)]))
+    k = k.astype(float)
+    got = _ln_choose(float(n), k)
+    with mpmath.workdps(50):
+        mp_n = mpmath.mpf(n)
+        ref = np.array([
+            float(mpmath.loggamma(mp_n + 1) - mpmath.loggamma(kk + 1) - mpmath.loggamma(mp_n - kk + 1))
+            for kk in k
+        ])
+    scale = np.abs(_lgamma(n + 1.0)) + np.abs(_lgamma(k + 1.0)) + np.abs(_lgamma(n - k + 1.0))
+    assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * np.maximum(scale, 1.0))
 
 
 def test_registry_builds_models():
