@@ -41,12 +41,11 @@ from .fluctuation import moments
 from .inference import EquilibriumDataset, estimate_q, reconstruct_squeeze, superstatistics_forward
 from .kinetics import (
     XI_CHOICES,
+    _trajectory,
     build_collision_network,
     make_lattice,
     random_state,
-    run_trace,
     stability_dt,
-    step,
 )
 from .models import MODELS, build_model
 from .squeeze import SqueezeFamily
@@ -196,8 +195,11 @@ def cmd_fluct(args) -> int:
     if not env.fixed_intensive:
         raise CliError(EXIT_CONFIG, "fluct needs at least one exchanged (--y) variable")
     surface = phi_surface_from_spectrum(spectrum, env, family)
-    theta = report_for(spectrum, env, family).point.entropy_theta
-    rep = moments(surface, env.values(), sorted(env.fixed_intensive), family, theta=theta)
+    point = report_for(spectrum, env, family).point
+    rep = moments(
+        surface, env.values(), sorted(env.fixed_intensive), family,
+        phi0=point.phi, theta=point.entropy_theta,
+    )
     if args.format == "csv":
         lines = ["block,name,value"]
         for n_, v in sorted(rep.variances.items()):
@@ -220,6 +222,10 @@ def cmd_fluct(args) -> int:
 def cmd_kinetics(args) -> int:
     if args.lattice_radius < 1:
         raise CliError(EXIT_CONFIG, "--lattice-radius must be >= 1")
+    if (args.snapshot_every is None) != (args.snapshot_out is None):
+        raise CliError(EXIT_CONFIG, "--snapshot-every and --snapshot-out must be given together")
+    if args.snapshot_every is not None and args.snapshot_every < 1:
+        raise CliError(EXIT_CONFIG, "--snapshot-every must be >= 1")
     family = _family_from_args(args)
     lattice = make_lattice(args.lattice_radius)
     xi = XI_CHOICES[args.xi]
@@ -228,20 +234,13 @@ def cmd_kinetics(args) -> int:
     dt = args.dt if args.dt is not None else stability_dt(state, net, family)
     lines = ["t,S,sum_F,sum_Fv2,max_rhs"]
     snap_rows: list[str] = []
-
-    def snap(s):
-        for v, f in zip(lattice.velocities, s.F):
-            snap_rows.append(f"{s.t:.17g},{int(v[0])},{int(v[1])},{f:.17g}")
-
-    for row in run_trace(state, net, family, dt, steps=args.steps, trace_every=args.trace_every):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    if args.snapshot_every and args.snapshot_out:
-        s = random_state(lattice, seed=args.seed)
-        snap(s)
-        for k in range(1, args.steps + 1):
-            s = step(s, net, family, dt, enforce_bound=False)
-            if k % args.snapshot_every == 0 or k == args.steps:
-                snap(s)
+    for k, s, row in _trajectory(state, net, family, dt, args.steps, args.trace_every):
+        if row is not None:
+            lines.append(",".join(format(v, ".17g") for v in row))
+        if args.snapshot_every and (k % args.snapshot_every == 0 or k == args.steps):
+            for v, f in zip(lattice.velocities, s.F):
+                snap_rows.append(f"{s.t:.17g},{int(v[0])},{int(v[1])},{f:.17g}")
+    if args.snapshot_out is not None:
         Path(args.snapshot_out).write_text("t,vx,vy,F\n" + "\n".join(snap_rows) + "\n")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -362,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", type=float, default=1.0, help="collision kernel weight T")
     p.add_argument("--trace-every", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed for the random initial populations")
-    p.add_argument("--snapshot-every", type=int, help="dump per-velocity snapshots every N steps")
-    p.add_argument("--snapshot-out", help="snapshot CSV path")
+    p.add_argument("--snapshot-every", type=int, help="per-velocity snapshots every N steps (with --snapshot-out)")
+    p.add_argument("--snapshot-out", help="snapshot CSV path (with --snapshot-every)")
     p.add_argument("--squeeze", choices=["identity", "tsallis"])
     p.add_argument("--q", type=float)
     p.add_argument("--out", help="trace CSV path (default: stdout)")

@@ -149,6 +149,9 @@ class EnsembleSpec:
     def __post_init__(self):
         object.__setattr__(self, "fixed_intensive", dict(self.fixed_intensive))
         object.__setattr__(self, "fixed_extensive", dict(self.fixed_extensive))
+        for name, value in {**self.fixed_intensive, **self.fixed_extensive}.items():
+            if not math.isfinite(value):
+                raise ModelValidationError(f"environment value {name}={value!r} is not finite")
         overlap = set(self.fixed_intensive) & set(self.fixed_extensive)
         if overlap:
             raise ModelValidationError(f"variables in both environment sets: {sorted(overlap)}")
@@ -266,18 +269,23 @@ def characteristic_class(
     cols = [working.variable_names.index(n) for n in exchanged]
     x_ex = working.x[:, cols] if cols else np.zeros((working.n_rows, 0))
     y = np.array([env.fixed_intensive[n] for n in exchanged])
-    ln_h_g = family.ln_squeeze_arr(working.ln_g)
-    if not np.all(np.isfinite(ln_h_g)):
-        raise SqueezeDomainError(
-            "squeezed log-degeneracy exceeds the float range "
-            f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"
-        )
-    ln_weight = ln_h_g - (x_ex @ y if cols else 0.0)
-    ln_row_class, excluded = family.ln_unsqueeze_arr(ln_weight)
-    if excluded.all():
-        raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
-    live = ln_row_class[~excluded]
-    ln_total = _logsumexp(live)
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        ln_h_g = family.ln_squeeze_arr(working.ln_g)
+        if not np.all(np.isfinite(ln_h_g)):
+            raise SqueezeDomainError(
+                "squeezed log-degeneracy exceeds the float range "
+                f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"
+            )
+        ln_weight = ln_h_g - (x_ex @ y if cols else 0.0)
+        ln_row_class, excluded = family.ln_unsqueeze_arr(ln_weight)
+        if excluded.all():
+            raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
+        ln_total = _logsumexp(ln_row_class[~excluded])
+        if not math.isfinite(family.ln_squeeze(ln_total)):
+            raise SqueezeDomainError(
+                "squeezed class total exceeds the float range "
+                f"(ln total = {ln_total:g} at {family.label()})"
+            )
     return ClassTable(
         spectrum=working,
         env=env,

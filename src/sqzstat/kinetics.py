@@ -308,20 +308,16 @@ def detailed_balance_residual(
     return float(np.max(np.abs(res)))
 
 
-def run_trace(
+def _trajectory(
     state: KineticState,
     net: CollisionNetwork,
     family: SqueezeFamily,
     dt: float,
     steps: int,
-    trace_every: int = 100,
+    trace_every: int,
 ):
-    """Advance `steps` RK4 steps, yielding trace rows.
-
-    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), emitted at t = 0, at
-    every trace_every-th step, and at the final step.  The step bound is
-    validated once against the initial state; later steps run unchecked
-    (populations only relax, and negativity still raises)."""
+    """(k, state, trace row or None) after k = 0..steps RK4 steps; the
+    rows and the step-bound check are those of run_trace."""
     if steps > 0 and dt > stability_dt(state, net, family):
         raise StepSizeError(
             f"dt={dt:g} above the stability bound {stability_dt(state, net, family):g}"
@@ -338,11 +334,30 @@ def run_trace(
             float(np.max(np.abs(rhs))) if rhs.size else 0.0,
         )
 
-    yield row(state)
+    yield 0, state, row(state)
     for k in range(1, steps + 1):
         state = step(state, net, family, dt, enforce_bound=False)
-        if (trace_every and k % trace_every == 0) or k == steps:
-            yield row(state)
+        traced = (trace_every and k % trace_every == 0) or k == steps
+        yield k, state, row(state) if traced else None
+
+
+def run_trace(
+    state: KineticState,
+    net: CollisionNetwork,
+    family: SqueezeFamily,
+    dt: float,
+    steps: int,
+    trace_every: int = 100,
+):
+    """Advance `steps` RK4 steps, yielding trace rows.
+
+    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), emitted at t = 0, at
+    every trace_every-th step, and at the final step.  The step bound is
+    validated once against the initial state; later steps run unchecked
+    (populations only relax, and negativity still raises)."""
+    for _, _, row in _trajectory(state, net, family, dt, steps, trace_every):
+        if row is not None:
+            yield row
 
 
 def run_to_stationarity(

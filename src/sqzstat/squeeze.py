@@ -6,15 +6,16 @@ family leaves counts untouched; the power-law ("tsallis") family is
 parametrized by an entropic index q and built from the deformed
 logarithm ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
 
-Everything works on ln(count) so that macroscopically large counts are
-never materialized.  Inverse evaluations falling outside the deformed
-exponential domain produce an *excluded* value (zero-size class) with a
-cutoff flag instead of raising.
-
-The scalar squeeze/unsqueeze pair uses compensated (hi + lo) arithmetic
-for the deformed log: near the domain boundary the argument 1 + (1-q)x
-suffers catastrophic cancellation in bare doubles, and the compensation
-keeps forward/inverse roundtrips accurate to a few ulp for all q.
+Everything works on ln(count), so macroscopically large counts are never
+materialized.  Three kernels hold a family's arithmetic: ln_squeeze_arr
+(ln h), ln_unsqueeze_arr (ln H and the mask of *excluded* values, whose
+inverse falls outside the deformed-exponential domain) and
+ln_log_slope_arr (ln f/h).  Each takes a float or an array; every other
+form wraps them, so scalar and array results agree bit for bit.
+Overflow gives inf here and SqueezeDomainError in the engine.  Only the
+roundtrip API (squeeze_log/unsqueeze_log) uses compensated (hi + lo)
+power-law arithmetic, Dekker's (1971) double-length products: it keeps
+roundtrips to a few ulp where 1 + (1-q)x cancels in bare doubles.
 """
 
 from __future__ import annotations
@@ -59,6 +60,50 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     v = s - a
     err = (a - (s - v)) + (b - v)
     return s, err
+
+
+def _tsallis_squeeze_pair(u: float, x_hi: float, x_lo: float) -> tuple[float, float]:
+    """Compensated ln h of the power law, u = 1 - q != 0."""
+    t_hi, t_lo = _two_prod(u, x_hi)
+    t_lo += u * x_lo
+    if t_hi <= -0.5:
+        # cancellation regime: keep e^(u x) - 1 as an exact pair
+        e = math.exp(t_hi) * (1.0 + t_lo)
+        m_hi, m_lo = _two_sum(-1.0, e)
+    else:
+        m_hi = math.expm1(t_hi)
+        m_lo = math.exp(t_hi) * t_lo if math.isfinite(m_hi) else 0.0
+    if not math.isfinite(m_hi):
+        raise SqueezeDomainError(
+            f"ln h overflow: deformed log of exp({x_hi:g}) exceeds float range at q={1.0 - u:g}"
+        )
+    q1 = m_hi / u
+    p_hi, p_lo = _two_prod(q1, u)
+    q2 = (((m_hi - p_hi) - p_lo) + m_lo) / u
+    return _two_sum(q1, q2)
+
+
+def _tsallis_unsqueeze_pair(u: float, y_hi: float, y_lo: float) -> float:
+    """Compensated ln H of the power law, u = 1 - q != 0; -inf when excluded."""
+    p_hi, p_lo = _two_prod(u, y_hi)
+    s_hi, s_lo = _two_sum(1.0, p_hi)
+    bracket = s_hi + (s_lo + (p_lo + u * y_lo))
+    if bracket <= 0.0:
+        return -math.inf
+    return math.log(bracket) / u
+
+
+def _float_or_array(v):
+    # numpy ufuncs take a Python float as it is, far cheaper than a 0-d array
+    return v if type(v) is float else np.asarray(v, dtype=float)
+
+
+def _apply(hook: Callable[[float], float], x, at_zero: float = -math.inf) -> np.ndarray:
+    """A custom hook applied elementwise to a float or an array.  A zero
+    count (ln = -inf) gives ``at_zero`` without a call: h(0) = H(0) = 0."""
+    x = np.asarray(x, dtype=float)
+    out = [at_zero if v == -math.inf else hook(v) for v in x.flat]
+    return np.array(out, dtype=float).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -154,159 +199,81 @@ class SqueezeFamily:
     def is_identity(self) -> bool:
         return self.kind == _IDENTITY or (self.kind == _TSALLIS and self.q == 1.0)
 
-    # -- compensated scalar pair forms (tsallis conditioning fix) -------
+    # -- the three kernels: all of a family's arithmetic ----------------
 
-    def _squeeze_pair(self, x_hi: float, x_lo: float) -> tuple[float, float]:
+    def ln_squeeze_arr(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
+        """ln h(g) from ln g, elementwise; inf where h leaves the float range."""
+        x = _float_or_array(ln_g)
         if self.is_identity:
-            return x_hi, x_lo
-        if self.kind == _CUSTOM:
-            return self.ln_h_hook(x_hi + x_lo), 0.0
-        u = 1.0 - self.q
-        t_hi, t_lo = _two_prod(u, x_hi)
-        t_lo += u * x_lo
-        if t_hi <= -0.5:
-            # cancellation regime: keep e^(u x) - 1 as an exact pair
-            e = math.exp(t_hi) * (1.0 + t_lo)
-            m_hi, m_lo = _two_sum(-1.0, e)
-        else:
-            m_hi = math.expm1(t_hi)
-            m_lo = math.exp(t_hi) * t_lo if math.isfinite(m_hi) else 0.0
-        if not math.isfinite(m_hi):
-            raise SqueezeDomainError(
-                f"ln h overflow: deformed log of exp({x_hi:g}) exceeds float range at q={self.q:g}"
-            )
-        q1 = m_hi / u
-        p_hi, p_lo = _two_prod(q1, u)
-        q2 = (((m_hi - p_hi) - p_lo) + m_lo) / u
-        return _two_sum(q1, q2)
+            return +x  # an array is copied, a float stays a float
+        if self.kind == _TSALLIS:
+            u = 1.0 - self.q
+            return np.expm1(u * x) / u
+        return _apply(self.ln_h_hook, x)
 
-    def _unsqueeze_pair(self, y_hi: float, y_lo: float) -> float:
+    def ln_unsqueeze_arr(self, ln_x: "np.ndarray | float") -> tuple:
+        """(ln H(x) from ln x, excluded mask), elementwise; excluded values
+        are at or below the deformed-exponential cutoff and read -inf."""
+        x = _float_or_array(ln_x)
         if self.is_identity:
-            return y_hi + y_lo
-        if self.kind == _CUSTOM:
-            return self.ln_H_hook(y_hi + y_lo)
-        u = 1.0 - self.q
-        p_hi, p_lo = _two_prod(u, y_hi)
-        s_hi, s_lo = _two_sum(1.0, p_hi)
-        bracket = s_hi + (s_lo + (p_lo + u * y_lo))
-        if bracket <= 0.0:
-            return -math.inf
-        return math.log(bracket) / u
+            return +x, np.zeros(np.shape(x), dtype=bool)
+        if self.kind == _TSALLIS:
+            u = 1.0 - self.q
+            t = u * x
+            excluded = 1.0 + t <= 0.0
+            ln_H = np.log1p(np.where(excluded, 0.0, t)) / u
+            return np.where(excluded, -np.inf, ln_H), excluded
+        out = _apply(self.ln_H_hook, x)
+        return out, ~np.isfinite(out)
 
-    # -- plain scalar forms ---------------------------------------------
+    def ln_log_slope_arr(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
+        """ln of d(ln h)/dx at g = exp(ln_g), i.e. ln(f(g)/h(g)), elementwise."""
+        x = _float_or_array(ln_g)
+        if self.is_identity:
+            return -x
+        if self.kind == _TSALLIS:
+            return -self.q * x
+        f = _apply(self.slope_hook, x, at_zero=math.nan)
+        if np.any(f < 0):
+            raise SqueezeDomainError("slope hook returned a negative derivative")
+        return np.log(f) - _apply(self.ln_h_hook, x)
+
+    # -- wrappers over the kernels ---------------------------------------
 
     def ln_squeeze(self, ln_g: float) -> float:
         """ln h(g) from ln g."""
-        if self.is_identity:
-            return ln_g
-        if self.kind == _TSALLIS:
-            u = 1.0 - self.q
-            return math.expm1(u * ln_g) / u
-        return self.ln_h_hook(ln_g)
+        return float(self.ln_squeeze_arr(ln_g))
 
     def ln_unsqueeze(self, ln_x: float) -> float:
         """ln H(x) from ln x; -inf signals the excluded state."""
-        if self.is_identity:
-            return ln_x
-        if self.kind == _TSALLIS:
-            u = 1.0 - self.q
-            arg = 1.0 + u * ln_x
-            if arg <= 0.0:
-                return -math.inf
-            return math.log1p(u * ln_x) / u
-        return self.ln_H_hook(ln_x)
+        return float(self.ln_unsqueeze_arr(ln_x)[0])
 
     def ln_log_slope(self, ln_g: float) -> float:
         """ln of d(ln h)/dx at g = exp(ln_g), i.e. ln(f(g)/h(g))."""
-        if self.is_identity:
-            return -ln_g
-        if self.kind == _TSALLIS:
-            return -self.q * ln_g
-        f = self.slope_hook(ln_g)
-        if f < 0:
-            raise SqueezeDomainError("slope hook returned a negative derivative")
-        return math.log(f) - self.ln_h_hook(ln_g)
+        return float(self.ln_log_slope_arr(ln_g))
 
     def slope(self, ln_g: float) -> float:
         """f(g) = dh/dx at g = exp(ln_g); inf when not representable."""
-        if self.is_identity:
-            return 1.0
-        if self.kind == _TSALLIS:
-            ln_f = self.ln_squeeze(ln_g) - self.q * ln_g
-            try:
-                return math.exp(ln_f)
-            except OverflowError:
-                return math.inf
-        return self.slope_hook(ln_g)
-
-    # -- vectorized forms used by the ensemble engine -------------------
-
-    def ln_squeeze_arr(self, ln_g: np.ndarray) -> np.ndarray:
-        ln_g = np.asarray(ln_g, dtype=float)
-        if self.is_identity:
-            return ln_g.copy()
-        if self.kind == _TSALLIS:
-            u = 1.0 - self.q
-            with np.errstate(over="ignore"):  # caller checks for inf
-                return np.expm1(u * ln_g) / u
-        return np.array([self.ln_h_hook(v) for v in ln_g])
-
-    def ln_unsqueeze_arr(self, ln_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vector inverse; returns (ln H values, excluded mask)."""
-        ln_x = np.asarray(ln_x, dtype=float)
-        if self.is_identity:
-            return ln_x.copy(), np.zeros(ln_x.shape, dtype=bool)
-        if self.kind == _TSALLIS:
-            u = 1.0 - self.q
-            arg = 1.0 + u * ln_x
-            excluded = arg <= 0.0
-            out = np.full(ln_x.shape, -np.inf)
-            ok = ~excluded
-            out[ok] = np.log1p(u * ln_x[ok]) / u
-            return out, excluded
-        out = np.empty(ln_x.shape)
-        excluded = np.zeros(ln_x.shape, dtype=bool)
-        for i, v in enumerate(ln_x):
-            w = self.ln_H_hook(v)
-            out[i] = w
-            excluded[i] = not math.isfinite(w)
-        return out, excluded
-
-    def ln_log_slope_arr(self, ln_g: np.ndarray) -> np.ndarray:
-        ln_g = np.asarray(ln_g, dtype=float)
-        if self.is_identity:
-            return -ln_g
-        if self.kind == _TSALLIS:
-            return -self.q * ln_g
-        return np.array([self.ln_log_slope(v) for v in ln_g])
+        with np.errstate(over="ignore"):
+            ln_f = self.ln_squeeze(ln_g) + self.ln_log_slope(ln_g)
+        try:
+            return math.exp(ln_f)
+        except OverflowError:
+            return math.inf
 
     def h_of(self, x: np.ndarray) -> np.ndarray:
         """h applied to linear-domain populations (kinetics path); h(0) is
-        the exact limit at zero (0 for q > 1, exp(-1/(1-q)) for q < 1)."""
-        x = np.asarray(x, dtype=float)
+        the exact limit at zero (0 for q > 1, exp(-1/(1-q)) for q < 1, 0
+        for custom families).  The identity returns x exactly, which keeps
+        the collision operator the classical bilinear one."""
         if self.is_identity:
-            return x.copy()
-        with np.errstate(divide="ignore"):
-            ln_x = np.log(x)
-        if self.kind == _TSALLIS:
-            u = 1.0 - self.q
-            return np.exp(np.expm1(u * ln_x) / u)
-        out = np.empty(x.shape)
-        for i, v in enumerate(ln_x):
-            out[i] = 0.0 if v == -math.inf else math.exp(self.ln_h_hook(v))
-        return out
+            return np.array(x, dtype=float)
+        return np.exp(self.ln_h_of_linear(x))
 
     def ln_h_of_linear(self, x: np.ndarray) -> np.ndarray:
         """ln h on linear-domain populations (entropy integrand)."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            ln_x = np.log(x)
-        if self.is_identity:
-            return ln_x
-        if self.kind == _TSALLIS:
-            u = 1.0 - self.q
-            return np.expm1(u * ln_x) / u
-        return np.array([self.ln_h_hook(v) for v in ln_x])
+        with np.errstate(divide="ignore"):  # a zero population has ln x = -inf
+            return self.ln_squeeze_arr(np.log(x))
 
     # -- custom-family validation ----------------------------------------
 
@@ -363,18 +330,21 @@ class SqueezeFamily:
 def squeeze_log(family: SqueezeFamily, ln_g: "LogValue | float") -> LogValue:
     """ln h(g) for g given as ln g."""
     hi, lo = _as_pair(ln_g)
-    out_hi, out_lo = family._squeeze_pair(hi, lo)
-    return LogValue(ln_x=out_hi, ln_x_lo=out_lo)
+    if family.kind == _TSALLIS and not family.is_identity:
+        out_hi, out_lo = _tsallis_squeeze_pair(1.0 - family.q, hi, lo)
+        return LogValue(ln_x=out_hi, ln_x_lo=out_lo)
+    return LogValue(ln_x=family.ln_squeeze(hi + lo))
 
 
 def unsqueeze_log(family: SqueezeFamily, ln_h: "LogValue | float") -> LogValue:
     """ln H(x) for x given as ln x; excluded state when x is at or below
     the deformed-exponential cutoff."""
     hi, lo = _as_pair(ln_h)
-    out = family._unsqueeze_pair(hi, lo)
-    if out == -math.inf:
-        return EXCLUDED
-    return LogValue(ln_x=out)
+    if family.kind == _TSALLIS and not family.is_identity:
+        out = _tsallis_unsqueeze_pair(1.0 - family.q, hi, lo)
+    else:
+        out = family.ln_unsqueeze(hi + lo)
+    return EXCLUDED if out == -math.inf else LogValue(ln_x=out)
 
 
 def squeeze_slope(family: SqueezeFamily, ln_g: "LogValue | float") -> SqueezeSlope:

@@ -1,12 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqzstat
+from sqzstat import SqueezeFamily
 from sqzstat.cli import main
+
+SRC = str(Path(sqzstat.__file__).resolve().parent.parent)
 
 
 def run_cli(args, capsys):
@@ -16,8 +22,10 @@ def run_cli(args, capsys):
 
 
 def run_cli_subprocess(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "sqzstat", *args], capture_output=True, text=True
+        [sys.executable, "-m", "sqzstat", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -129,6 +137,28 @@ def test_degenerate_ensemble_is_numeric_error(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "DegenerateEnsembleError"
 
 
+@pytest.mark.parametrize("n_rows, ln_g", [(8, 1418.1), (2, 1418.0)])
+def test_squeezed_total_overflow_is_numeric_error(tmp_path, capsys, n_rows, ln_g):
+    doc = {
+        "variables": [{"name": "E", "kind": "exchanged"}],
+        "rows": [{"x": [float(r)], "ln_g": ln_g} for r in range(n_rows)],
+        "environment": {"y": {"E": 0.0}, "X": {}},
+        "squeeze": {"family": "tsallis", "q": 0.5},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["compute", "--model", str(path)], capsys)
+    assert (code, out) == (5, "")
+    assert json.loads(err)["error"]["type"] == "SqueezeDomainError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_environment_is_model_error(capsys, value):
+    code, out, err = run_cli(["compute", "--model", "two_level", "--y", f"E={value}"], capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"]["type"] == "ModelValidationError"
+
+
 # ---------------------------------------------------------------------------
 # fluct
 
@@ -182,6 +212,77 @@ def test_kinetics_snapshots(tmp_path, capsys):
     lines = snap.read_text().strip().splitlines()
     assert lines[0] == "t,vx,vy,F"
     assert len(lines) == 1 + 5 * 3  # t=0, step 5, step 10 on the 5-velocity lattice
+
+
+def test_kinetics_one_pass_matches_two_pass_reference(tmp_path, capsys, monkeypatch):
+    # the trace and the snapshots come from one simulation; both must equal
+    # a reference that runs the simulation once for each
+    from sqzstat import kinetics
+    from sqzstat.kinetics import (
+        build_collision_network, collision_rhs, entropy_functional, make_lattice,
+        random_state, stability_dt, step,
+    )
+
+    calls = []
+
+    def counted_step(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    # count steps taken through either module's binding of step
+    monkeypatch.setattr(kinetics, "step", counted_step)
+    monkeypatch.setattr("sqzstat.cli.step", counted_step, raising=False)
+    steps, trace_every, snap_every = 30, 7, 4
+    snap = tmp_path / "snap.csv"
+    code, out, _ = run_cli(
+        ["kinetics", "--lattice-radius", "2", "--steps", str(steps), "--trace-every",
+         str(trace_every), "--snapshot-every", str(snap_every), "--snapshot-out", str(snap),
+         "--squeeze", "tsallis", "--q", "1.5"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == steps
+    fam = SqueezeFamily.tsallis(1.5)
+    lattice = make_lattice(2)
+    net = build_collision_network(lattice, T=1.0, xi=None)
+    s = random_state(lattice, seed=0)
+    dt = stability_dt(s, net, fam)
+
+    def fmt(*vals):
+        return ",".join(format(v, ".17g") for v in vals)
+
+    trace = ["t,S,sum_F,sum_Fv2,max_rhs"]
+    for k in range(steps + 1):
+        if k:
+            s = step(s, net, fam, dt, enforce_bound=False)
+        if k % trace_every == 0 or k == steps:
+            rhs = collision_rhs(s, net, fam)
+            trace.append(fmt(s.t, entropy_functional(s, fam), s.number(), s.energy(lattice),
+                             float(np.max(np.abs(rhs)))))
+    assert out == "\n".join(trace) + "\n"
+    s = random_state(lattice, seed=0)
+    snaps = []
+    for k in range(steps + 1):
+        if k:
+            s = step(s, net, fam, dt, enforce_bound=False)
+        if k % snap_every == 0 or k == steps:
+            snaps += [f"{s.t:.17g},{int(v[0])},{int(v[1])},{f:.17g}"
+                      for v, f in zip(lattice.velocities, s.F)]
+    assert snap.read_text() == "t,vx,vy,F\n" + "\n".join(snaps) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--snapshot-every", "5"], ["--snapshot-out", "SNAP"],
+     ["--snapshot-every", "0", "--snapshot-out", "SNAP"]],
+)
+def test_kinetics_snapshot_flags_go_together(tmp_path, capsys, flags):
+    snap = tmp_path / "snap.csv"
+    flags = [str(snap) if f == "SNAP" else f for f in flags]
+    code, out, err = run_cli(["kinetics", "--lattice-radius", "1", "--steps", "2", *flags], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["code"] == 3
+    assert not snap.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +354,16 @@ def test_sweep_requires_two_steps(capsys):
         capsys,
     )
     assert code == 3
+
+
+def test_sweep_non_finite_range_is_model_error(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--model", "two_level", "--y", "E=1", "--axis", "E", "--range", "nan:1",
+         "--steps", "3"],
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"]["type"] == "ModelValidationError"
 
 
 def test_sweep_unknown_axis(capsys):

@@ -126,6 +126,27 @@ def test_squeezed_count_overflow_is_a_domain_error():
         characteristic_class(spec, env, SqueezeFamily.tsallis(0.2))
 
 
+@pytest.mark.parametrize("n_rows, ln_g", [(8, 1418.1), (2, 1418.0)])
+def test_squeezed_total_overflow_is_a_domain_error(n_rows, ln_g):
+    # at q = 0.5 every row's ln h fits the float range but the total's does
+    # not: an error, never an OverflowError or phi = -inf
+    from sqzstat import SqueezeDomainError
+
+    spec = DegeneracySpectrum(("E",), np.arange(float(n_rows)), np.full(n_rows, ln_g))
+    fam = SqueezeFamily.tsallis(0.5)
+    assert np.all(np.isfinite(fam.ln_squeeze_arr(spec.ln_g)))
+    with pytest.raises(SqueezeDomainError, match="class total"):
+        characteristic_class(spec, EnsembleSpec(fixed_intensive={"E": 0.0}), fam)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_environment_values_are_rejected(value):
+    with pytest.raises(ModelValidationError, match="not finite"):
+        EnsembleSpec(fixed_intensive={"E": value})
+    with pytest.raises(ModelValidationError, match="not finite"):
+        EnsembleSpec(fixed_intensive={"E": 1.0}, fixed_extensive={"N": value})
+
+
 def test_env_validation():
     with pytest.raises(ModelValidationError):
         characteristic_class(two_level(1.0), EnsembleSpec(), IDENT)

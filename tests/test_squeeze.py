@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzstat import SqueezeDomainError, SqueezeFamily, squeeze_log, squeeze_slope, unsqueeze_log
 
@@ -173,6 +175,85 @@ def test_q_one_neighborhood_matches_identity_slope():
         fam = SqueezeFamily.tsallis(q)
         s = squeeze_slope(fam, math.log(3.0))
         assert s.df_dg == pytest.approx(1.0, abs=1e-6)
+
+
+def test_slope_beyond_float_range_is_inf():
+    got = squeeze_slope(SqueezeFamily.tsallis(0.5), 1500.0)
+    assert got.df_dg == math.inf
+    assert got.ln_ratio == -750.0
+
+
+# ---------------------------------------------------------------------------
+# one evaluation path: scalar forms are the array kernels
+
+SQUARE_LAW = SqueezeFamily.custom(
+    ln_h=lambda ln_g: 2.0 * ln_g,
+    ln_H=lambda ln_x: 0.5 * ln_x,
+    slope=lambda ln_g: 2.0 * math.exp(ln_g),
+)
+FAMILIES = st.one_of(
+    st.just(SqueezeFamily.identity()),
+    st.floats(0.05, 4.0).map(SqueezeFamily.tsallis),
+    st.just(SQUARE_LAW),
+)
+LN_G = st.one_of(st.floats(-700.0, 700.0), st.sampled_from([math.inf, -math.inf]))
+
+
+def bits(v):
+    return np.float64(v).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(fam=FAMILIES, values=st.lists(LN_G, min_size=1, max_size=40))
+def test_scalar_forms_equal_the_array_kernels_bitwise(fam, values):
+    arr = np.array(values)
+    with np.errstate(all="ignore"):
+        ln_h = fam.ln_squeeze_arr(arr)
+        ln_H, excluded = fam.ln_unsqueeze_arr(arr)
+        ln_l = fam.ln_log_slope_arr(arr)
+        for i, v in enumerate(values):
+            assert bits(fam.ln_squeeze(v)) == bits(ln_h[i]), (fam.label(), v)
+            assert bits(fam.ln_unsqueeze(v)) == bits(ln_H[i]), (fam.label(), v)
+            assert bits(fam.ln_log_slope(v)) == bits(ln_l[i]), (fam.label(), v)
+    finite = np.isfinite(arr)
+    assert np.array_equal(excluded[finite], ln_H[finite] == -math.inf)
+
+
+@settings(deadline=None, max_examples=500)
+@given(q=st.floats(0.05, 4.0), ln_g=st.floats(-13.8, 13.8))
+def test_roundtrip_property(q, ln_g):
+    fam = SqueezeFamily.tsallis(q)
+    back = unsqueeze_log(fam, squeeze_log(fam, ln_g))
+    if not back.cutoff_flag:
+        assert abs(back.ln_x - ln_g) < 1e-10, (q, ln_g)
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_h_of_zero_is_the_limit_at_zero(q):
+    h0 = SqueezeFamily.tsallis(q).h_of(np.array([0.0, 1.0]))
+    assert h0[1] == 1.0
+    if q < 1.0:
+        assert h0[0] == pytest.approx(math.exp(-1.0 / (1.0 - q)), rel=1e-15)
+    else:
+        assert h0[0] == 0.0
+
+
+def test_h_of_zero_identity_and_custom():
+    assert SqueezeFamily.identity().h_of(np.array([0.0]))[0] == 0.0
+
+    def finite_only(fn):
+        def hook(v):
+            if not math.isfinite(v):
+                raise ValueError(f"hook called at {v!r}")
+            return fn(v)
+        return hook
+
+    fam = SqueezeFamily.custom(
+        ln_h=finite_only(lambda ln_g: 2.0 * ln_g),
+        ln_H=finite_only(lambda ln_x: 0.5 * ln_x),
+        slope=finite_only(lambda ln_g: 2.0 * math.exp(ln_g)),
+    )
+    np.testing.assert_allclose(fam.h_of(np.array([0.0, 3.0])), [0.0, 9.0], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
