@@ -222,6 +222,8 @@ def cmd_fluct(args) -> int:
 def cmd_kinetics(args) -> int:
     if args.lattice_radius < 1:
         raise CliError(EXIT_CONFIG, "--lattice-radius must be >= 1")
+    if min(args.steps, args.trace_every, args.seed) < 0:
+        raise CliError(EXIT_CONFIG, "--steps, --trace-every and --seed must be >= 0")
     if (args.snapshot_every is None) != (args.snapshot_out is None):
         raise CliError(EXIT_CONFIG, "--snapshot-every and --snapshot-out must be given together")
     if args.snapshot_every is not None and args.snapshot_every < 1:

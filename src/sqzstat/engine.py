@@ -102,7 +102,9 @@ class DegeneracySpectrum:
             raise ModelValidationError("all ln_g must be finite")
         if not np.all(np.isfinite(x)):
             raise ModelValidationError("all row values must be finite")
-        if len({tuple(row) for row in x}) != x.shape[0]:
+        # equal rows (0.0 and -0.0 compare equal) are neighbours once sorted
+        s = x[np.lexsort(x.T)] if x.shape[1] else x
+        if (s[1:] == s[:-1]).all(axis=1).any():
             raise ModelValidationError("rows must have distinct variable vectors")
 
     @property

@@ -106,14 +106,13 @@ def stability_matrix(
     phi_surface: PhiSurface,
     point: Mapping[str, float],
     variables: Sequence[str],
-    rel_step: float = _HESS_STEP,
 ) -> np.ndarray:
     """Central-difference Hessian of the surface, symmetrized.
 
     One Richardson refinement (h and h/2) cancels the leading h**2
     error.  An indefinite result triggers a StabilityWarning."""
     names = list(variables)
-    steps = np.array([rel_step * max(1.0, abs(point[n])) for n in names])
+    steps = np.array([_HESS_STEP * max(1.0, abs(point[n])) for n in names])
     h1 = _hessian_once(phi_surface, point, names, steps)
     h2 = _hessian_once(phi_surface, point, names, steps / 2.0)
     H = (4.0 * h2 - h1) / 3.0
@@ -132,7 +131,6 @@ def moments(
     family: SqueezeFamily,
     phi0: float | None = None,
     theta: float | None = None,
-    rel_step: float = _HESS_STEP,
 ) -> FluctuationReport:
     """Variances and covariances of the fluctuating extensive variables.
 
@@ -143,7 +141,7 @@ def moments(
     the quadratic fluctuation formulas assume a macroscopic state, so a
     non-negligible theta draws a StabilityWarning (not an error)."""
     names = tuple(variables)
-    H = stability_matrix(phi_surface, point, names, rel_step=rel_step)
+    H = stability_matrix(phi_surface, point, names)
     C = -H  # extensive covariance matrix in the undeformed case
     if phi0 is None:
         phi0 = phi_surface(dict(point))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,38 +92,36 @@ class CollisionNetwork:
     """Conserving quadruples (i, j | k, l) with kernel weight T and an
     optional symmetric xi factor.
 
-    Each unordered collision is stored once in canonical order
-    (i <= j, k <= l, (i, j) < (k, l)); the rate expression is already
-    symmetric under exchanging the two sides."""
+    The (m, 4) quadruple table is the whole network.  Each unordered
+    collision is stored once in canonical order (i <= j, k <= l,
+    (i, j) < (k, l)); the rate expression is already symmetric under
+    exchanging the two sides.  The RHS gathers populations through the
+    flat index ``quadruples.T.ravel()`` (all i, then j, k, l) and
+    scatters +T * bracket onto i and j and -T * bracket onto k and l
+    through the same index with one ``np.bincount``; memory stays O(m)."""
 
     lattice: VelocityLattice
     quadruples: np.ndarray  # (m, 4) int
     T: np.ndarray  # (m,) positive weights
     xi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    # incidence (n x m): +1 where the velocity gains with positive bracket
-    incidence: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.incidence is None:
-            n, m = self.lattice.n, self.quadruples.shape[0]
-            inc = np.zeros((n, m))
-            cols = np.arange(m)
-            for side, sign in (((0, 1), +1.0), ((2, 3), -1.0)):
-                for c in side:
-                    np.add.at(inc, (self.quadruples[:, c], cols), sign)
-            object.__setattr__(self, "incidence", inc)
 
     @property
     def n_quadruples(self) -> int:
         return self.quadruples.shape[0]
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """Largest number of quadruples any one velocity participates in."""
-        counts = np.zeros(self.lattice.n, dtype=int)
-        for c in range(4):
-            np.add.at(counts, self.quadruples[:, c], 1)
-        return int(counts.max()) if counts.size else 0
+        return int(np.bincount(self.quadruples.ravel(), minlength=self.lattice.n).max())
+
+    @cached_property
+    def _flat_index(self) -> np.ndarray:
+        return self.quadruples.T.ravel()
+
+    @cached_property
+    def _signed_T(self) -> np.ndarray:
+        """(4, m): +T on the i and j rows of the flat index, -T on k and l."""
+        return np.array([[1.0], [1.0], [-1.0], [-1.0]]) * self.T
 
     def with_xi(self, xi) -> "CollisionNetwork":
         return replace(self, xi=xi)
@@ -135,36 +134,28 @@ def build_collision_network(
 ) -> CollisionNetwork:
     """Enumerate all momentum- and energy-conserving quadruples.
 
-    Pairs are grouped by their exact integer (momentum, energy) key; all
-    distinct unordered pairs of pairs within one group collide.  Output
-    ordering is deterministic."""
-    if T <= 0:
-        raise ModelValidationError(f"kernel weight must be positive, got {T!r}")
-    v = lattice.velocities
-    n = lattice.n
-    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            key = (
-                int(v[i, 0] + v[j, 0]),
-                int(v[i, 1] + v[j, 1]),
-                int((v[i] ** 2).sum() + (v[j] ** 2).sum()),
-            )
-            groups.setdefault(key, []).append((i, j))
-    quads = []
-    for key in sorted(groups):
-        pairs = groups[key]
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                (i, j), (k, l) = pairs[a], pairs[b]
-                if {i, j} == {k, l}:
-                    continue
-                quads.append((i, j, k, l))
-    quads_arr = np.array(quads, dtype=int) if quads else np.zeros((0, 4), dtype=int)
+    Pairs i <= j are grouped by their exact integer (momentum, energy)
+    key; all distinct unordered pairs of pairs within one group collide.
+    Groups come in ascending key order, pairs within a group in (i, j)
+    order, so the output ordering is deterministic."""
+    if not 0.0 < T < math.inf:
+        raise ModelValidationError(f"kernel weight must be positive and finite, got {T!r}")
+    v, e = lattice.velocities, lattice.speed_squared
+    i, j = np.triu_indices(lattice.n)
+    keys = np.column_stack((v[i] + v[j], e[i] + e[j]))  # (px, py, E) per pair
+    order = np.lexsort(keys.T[::-1])  # stable: (i, j) order within a key
+    i, j, keys = i[order], j[order], keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    sizes = np.diff(np.r_[starts, i.size])
+    # pair a collides with each later pair b of its own group
+    partners = np.repeat(starts + sizes, sizes) - np.arange(i.size) - 1
+    a = np.repeat(np.arange(i.size), partners)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    quads = np.column_stack((i[a], j[a], i[b], j[b]))
     return CollisionNetwork(
         lattice=lattice,
-        quadruples=quads_arr,
-        T=np.full(quads_arr.shape[0], float(T)),
+        quadruples=quads,
+        T=np.full(quads.shape[0], float(T)),
         xi=xi,
     )
 
@@ -195,15 +186,15 @@ def random_state(lattice: VelocityLattice, seed: int = 0, low: float = 0.2, high
 
 
 def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
-    h = family.h_of(F)
-    q = net.quadruples
-    if q.shape[0] == 0:
-        return np.zeros_like(F)
-    i, j, k, l = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    bracket = h[k] * h[l] - h[i] * h[j]
+    idx = net._flat_index
+    if idx.size == 0:
+        return np.zeros_like(F)  # np.bincount would return integer zeros
+    h = family.h_of(F)[idx].reshape(4, -1)
+    bracket = h[2] * h[3] - h[0] * h[1]
     if net.xi is not None:
-        bracket = bracket * net.xi(F[k], F[i]) * net.xi(F[l], F[j])
-    return net.incidence @ (net.T * bracket)
+        Fq = F[idx].reshape(4, -1)
+        bracket = bracket * net.xi(Fq[2], Fq[0]) * net.xi(Fq[3], Fq[1])
+    return np.bincount(idx, weights=(net._signed_T * bracket).ravel(), minlength=F.size)
 
 
 def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
@@ -233,7 +224,7 @@ def step(
 
     Tiny negative excursions (|F| < 1e-14) are clamped to zero; larger
     negativity or non-finite values raise naming the offending dt."""
-    if dt <= 0:
+    if not dt > 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     if enforce_bound:
         bound = stability_dt(state, net, family)

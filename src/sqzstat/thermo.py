@@ -102,7 +102,6 @@ def conjugates_from_phi(
     phi_surface: PhiSurface,
     split: EnvironmentSplit,
     point: Mapping[str, float],
-    rel_step: float = 1e-5,
 ) -> dict[str, float]:
     """Observed non-environment values by differentiating the surface.
 
@@ -120,7 +119,7 @@ def conjugates_from_phi(
             return phi_surface(vals)
 
         try:
-            return central_derivative(f, base[name], rel_step=rel_step)
+            return central_derivative(f, base[name])
         except KeyError:
             raise
         except Exception as exc:

@@ -285,6 +285,26 @@ def test_kinetics_snapshot_flags_go_together(tmp_path, capsys, flags):
     assert not snap.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (["--kernel", "nan"], 4, "kernel weight"),
+        (["--kernel", "inf"], 4, "kernel weight"),
+        (["--dt", "nan"], 5, "dt must be positive"),
+        (["--steps", "-3"], 3, "--steps"),
+        (["--trace-every", "-1"], 3, "--trace-every"),
+        (["--seed", "-1"], 3, "--seed"),
+    ],
+    ids=["kernel-nan", "kernel-inf", "dt-nan", "steps-negative", "trace-every-negative",
+         "seed-negative"],
+)
+def test_kinetics_bad_inputs_exit_with_documented_codes(capsys, flags, code, message):
+    got, out, err = run_cli(["kinetics", "--lattice-radius", "1", "--steps", "2", *flags], capsys)
+    assert (got, out) == (code, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == code and message in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # infer
 

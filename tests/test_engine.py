@@ -54,6 +54,28 @@ def test_spectrum_validation():
         DegeneracySpectrum(("E",), np.array([[0.0]]), np.array([math.inf]))
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        [[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]],  # signed zeros are one value
+        [[-0.0], [0.0]],
+        # duplicates at the two ends of a longer 2-column table
+        np.vstack([[7.0, -3.0], np.column_stack([np.arange(1000.0), np.arange(1000.0) % 7]), [7.0, -3.0]]),
+    ],
+)
+def test_spectrum_rejects_duplicate_rows(x):
+    x = np.asarray(x, dtype=float)
+    with pytest.raises(ModelValidationError, match="distinct"):
+        DegeneracySpectrum(tuple("EN"[: x.shape[1]]), x, np.zeros(x.shape[0]))
+
+
+def test_spectrum_accepts_many_distinct_rows():
+    k = np.arange(100_000.0)
+    # distinct rows whose columns each repeat values
+    spec = DegeneracySpectrum(("E", "N"), np.column_stack([k // 317, k % 317]), np.zeros(k.size))
+    assert spec.n_rows == 100_000
+
+
 def test_spectrum_total_class_is_logsumexp():
     spec = two_level(1.0)
     assert spec.ln_total_class() == pytest.approx(math.log(2.0), abs=1e-14)

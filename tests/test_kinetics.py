@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from sqzstat import ModelValidationError, SqueezeFamily, StepSizeError
 from sqzstat.kinetics import (
+    CollisionNetwork,
     KineticState,
     build_collision_network,
     collision_rhs,
@@ -22,7 +25,8 @@ IDENT = SqueezeFamily.identity()
 
 
 def reenumerate_quadruples(radius):
-    """Independent O(n**4) oracle over ordered tuples, deduplicated."""
+    """Independent brute-force oracle over ordered velocity triples; the
+    fourth velocity is fixed by momentum, then energy is checked."""
     r2 = radius * radius
     vs = sorted(
         (x, y)
@@ -30,24 +34,46 @@ def reenumerate_quadruples(radius):
         for y in range(-radius, radius + 1)
         if x * x + y * y <= r2
     )
-    n = len(vs)
+    on_lattice = set(vs)
     found = set()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    vi, vj, vk, vl = vs[i], vs[j], vs[k], vs[l]
-                    if (vi[0] + vj[0], vi[1] + vj[1]) != (vk[0] + vl[0], vk[1] + vl[1]):
-                        continue
-                    if vi[0] ** 2 + vi[1] ** 2 + vj[0] ** 2 + vj[1] ** 2 != (
-                        vk[0] ** 2 + vk[1] ** 2 + vl[0] ** 2 + vl[1] ** 2
-                    ):
-                        continue
-                    a, b = tuple(sorted((vi, vj))), tuple(sorted((vk, vl)))
-                    if a == b:
-                        continue
-                    found.add(frozenset((a, b)))
+    for vi in vs:
+        for vj in vs:
+            for vk in vs:
+                vl = (vi[0] + vj[0] - vk[0], vi[1] + vj[1] - vk[1])
+                if vl not in on_lattice:
+                    continue
+                if vi[0] ** 2 + vi[1] ** 2 + vj[0] ** 2 + vj[1] ** 2 != (
+                    vk[0] ** 2 + vk[1] ** 2 + vl[0] ** 2 + vl[1] ** 2
+                ):
+                    continue
+                a, b = tuple(sorted((vi, vj))), tuple(sorted((vk, vl)))
+                if a == b:
+                    continue
+                found.add(frozenset((a, b)))
     return found
+
+
+def network_as_velocity_sets(lat, net):
+    vel = [tuple(int(c) for c in v) for v in lat.velocities]
+    return {
+        frozenset((tuple(sorted((vel[a], vel[b]))), tuple(sorted((vel[c], vel[d])))))
+        for a, b, c, d in net.quadruples
+    }
+
+
+def loop_rhs(F, net, family):
+    """Python-loop oracle: gain +rate on (i, j), loss -rate on (k, l)."""
+    h = family.h_of(F)
+    out = np.zeros(F.size)
+    for (i, j, k, l), T in zip(net.quadruples, net.T):
+        rate = T * (h[k] * h[l] - h[i] * h[j])
+        if net.xi is not None:
+            rate *= net.xi(F[k], F[i]) * net.xi(F[l], F[j])
+        out[i] += rate
+        out[j] += rate
+        out[k] -= rate
+        out[l] -= rate
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +118,54 @@ def test_r2_count_matches_independent_reenumeration():
     net = build_collision_network(lat)
     oracle = reenumerate_quadruples(2)
     assert net.n_quadruples == len(oracle) == 19
-    vel = [tuple(int(c) for c in v) for v in lat.velocities]
-    got = {
-        frozenset((tuple(sorted((vel[a], vel[b]))), tuple(sorted((vel[c], vel[d])))))
-        for a, b, c, d in net.quadruples
-    }
-    assert got == oracle
+    assert network_as_velocity_sets(lat, net) == oracle
+
+
+@pytest.mark.parametrize("radius", [1, 3, 4])
+def test_network_matches_independent_reenumeration(radius):
+    lat = make_lattice(radius)
+    net = build_collision_network(lat)
+    oracle = reenumerate_quadruples(radius)
+    assert net.n_quadruples == len(oracle)
+    assert network_as_velocity_sets(lat, net) == oracle
+
+
+def test_quadruples_are_canonical_and_unique():
+    q = build_collision_network(make_lattice(4)).quadruples
+    assert np.all(q[:, 0] <= q[:, 1]) and np.all(q[:, 2] <= q[:, 3])
+    assert np.all((q[:, 0] < q[:, 2]) | ((q[:, 0] == q[:, 2]) & (q[:, 1] < q[:, 3])))
+    assert len({tuple(row) for row in q}) == q.shape[0]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_degree_matches_a_direct_count(radius):
+    net = build_collision_network(make_lattice(radius))
+    counts = [0] * net.lattice.n
+    for quad in net.quadruples:
+        for v in quad:
+            counts[v] += 1
+    assert net.degree == max(counts)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
+def test_kernel_weight_must_be_positive_and_finite(T):
+    with pytest.raises(ModelValidationError, match="kernel weight"):
+        build_collision_network(make_lattice(1), T=T)
+
+
+def test_network_memory_stays_linear_in_quadruples():
+    # a dense velocities x quadruples matrix alone would be 111 MB here
+    lat = make_lattice(10)
+    tracemalloc.start()
+    try:
+        net = build_collision_network(lat)
+        state = random_state(lat, seed=0)
+        step(state, net, IDENT, stability_dt(state, net, IDENT))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.n_quadruples == 43_667
+    assert peak < 16e6
 
 
 def test_every_quadruple_conserves_exactly():
@@ -153,6 +221,37 @@ def test_single_quadruple_hand_oracle():
     assert rhs[rest] == 0.0
 
 
+@pytest.mark.parametrize(
+    "family, xi",
+    [
+        (IDENT, None),
+        (SqueezeFamily.tsallis(0.5), None),
+        (SqueezeFamily.tsallis(1.5), None),
+        (SqueezeFamily.tsallis(2.0), None),
+        (IDENT, xi_soft),
+        (SqueezeFamily.tsallis(1.5), xi_soft),
+    ],
+)
+def test_rhs_matches_the_loop_oracle(family, xi):
+    for radius in (1, 2, 3, 4):
+        lat = make_lattice(radius)
+        net = build_collision_network(lat, T=0.7, xi=xi)
+        F = random_state(lat, seed=radius).F
+        ref = loop_rhs(F, net, family)
+        got = collision_rhs(KineticState(F=F), net, family)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), radius
+
+
+def test_empty_network_has_zero_rhs():
+    lat = make_lattice(1)
+    net = CollisionNetwork(lat, np.zeros((0, 4), dtype=int), np.zeros(0))
+    state = random_state(lat)
+    rhs = collision_rhs(state, net, IDENT)
+    assert rhs.dtype == float and not rhs.any()
+    assert net.degree == 0
+    assert np.array_equal(step(state, net, IDENT, 0.1).F, state.F)
+
+
 def test_rhs_rejects_negative_population():
     lat = make_lattice(1)
     net = build_collision_network(lat)
@@ -201,6 +300,13 @@ def test_step_rejects_nonpositive_dt():
     net = build_collision_network(lat)
     with pytest.raises(StepSizeError):
         step(KineticState(F=np.ones(lat.n)), net, IDENT, 0.0)
+
+
+def test_step_rejects_nan_dt_before_stepping():
+    lat = make_lattice(1)
+    net = build_collision_network(lat)
+    with pytest.raises(StepSizeError, match="dt must be positive"):
+        step(KineticState(F=np.ones(lat.n)), net, IDENT, float("nan"))
 
 
 # ---------------------------------------------------------------------------
