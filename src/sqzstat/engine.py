@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -333,11 +333,14 @@ def observed_mean(
             raise ModelValidationError(
                 f"observable has {values.shape} values for {table.n_rows} rows"
             )
-    live = ~table.excluded
-    # ln w = ln l(total) - ln l(c_row), with l = d(ln h)/dx
-    ln_l_total = family.ln_log_slope(table.ln_total)
-    ln_w = ln_l_total - family.ln_log_slope_arr(table.ln_row_class[live])
+    live, ln_w = _ln_mean_weights(table)
     return float(np.sum(np.exp(ln_w) * values[live]))
+
+
+def _ln_mean_weights(table: ClassTable) -> tuple[np.ndarray, np.ndarray]:
+    """(live mask, ln w), w = l(total)/l(c_row) on live rows, l = d(ln h)/dx."""
+    live, family = ~table.excluded, table.family
+    return live, family.ln_log_slope(table.ln_total) - family.ln_log_slope_arr(table.ln_row_class[live])
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -352,14 +355,13 @@ def phi_and_entropies(table: ClassTable) -> ThermoPoint:
     not determine).
     """
     env = table.env
-    family = table.family
     phi = table.phi
-    observed: dict[str, float] = {}
+    live, ln_w = _ln_mean_weights(table)
+    w, observed = np.exp(ln_w), {}
     j_val = -phi
-    for name in table.exchanged_names:
-        mean = observed_mean(table.spectrum, env, family, name, table=table)
-        observed[name] = mean
-        j_val += env.fixed_intensive[name] * mean
+    for j, name in enumerate(table.exchanged_names):
+        observed[name] = float(np.sum(w * table.x_exchanged[live, j]))
+        j_val += env.fixed_intensive[name] * observed[name]
     theta = -phi if not env.fixed_extensive else None
     return ThermoPoint(phi=phi, entropy_J=j_val, entropy_theta=theta, observed=observed)
 
@@ -481,27 +483,44 @@ def combine_independent(
     return DegeneracySpectrum(variable_names=names, x=np.hstack([xa, xb]), ln_g=lng)
 
 
-def phi_surface_from_spectrum(
-    spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily
-) -> Callable[[Mapping[str, float]], float]:
-    """Phi as a function of environment values over a fixed spectrum.
+@dataclass(frozen=True)
+class SpectrumSurface:
+    """Phi of a full {pair name: value} mapping over a fixed spectrum,
+    smooth in the intensive values; pinned extensive values select rows,
+    so only support points are meaningful.  One class pass per call."""
 
-    The returned callable accepts a full {pair name: value} mapping and
-    is smooth in the intensive values; pinned extensive values select
-    rows and are only meaningful at spectrum support points.
-    """
+    spectrum: DegeneracySpectrum
+    env: EnsembleSpec
+    family: SqueezeFamily
 
-    intensive = tuple(env.fixed_intensive)
-    extensive = tuple(env.fixed_extensive)
+    def _table(self, values: Mapping[str, float]) -> ClassTable:
+        env = EnsembleSpec({n: values[n] for n in self.env.fixed_intensive},
+                           {n: values[n] for n in self.env.fixed_extensive})
+        return characteristic_class(self.spectrum, env, self.family)
 
-    def surface(values: Mapping[str, float]) -> float:
-        e = EnsembleSpec(
-            fixed_intensive={n: values[n] for n in intensive},
-            fixed_extensive={n: values[n] for n in extensive},
-        )
-        return phi_of(spectrum, e, family)
+    def __call__(self, values: Mapping[str, float]) -> float:
+        return self._table(values).phi
 
-    return surface
+    def gradient(self, point: Mapping[str, float], names: Sequence[str]) -> dict[str, float]:
+        """d phi/d y of exchanged names: the observed means."""
+        observed = phi_and_entropies(self._table(point)).observed
+        return {n: observed[n] for n in names}
+
+    def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
+        """(phi, H), H_ij = d2 phi/dy_i dy_j = -k(T)/(T l(T)) <X_i><X_j> +
+        sum_r w_r k(c_r)/(c_r l(c_r)) X_ri X_rj, with T the class total, c_r
+        the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x."""
+        table, family = self._table(point), self.family
+        live, ln_w = _ln_mean_weights(table)
+        x = table.x_exchanged[live][:, [table.exchanged_names.index(n) for n in names]]
+        ln_c, ln_l_total = table.ln_row_class[live], family.ln_log_slope(table.ln_total)
+        mean = x.T @ np.exp(ln_w)
+        a = -family.slope_elasticity_arr(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
+        b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
+        return table.phi, a * np.outer(mean, mean) + (x * b[:, None]).T @ x
+
+
+phi_surface_from_spectrum = SpectrumSurface  # the public constructor name
 
 
 def report_for(

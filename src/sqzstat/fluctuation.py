@@ -2,9 +2,10 @@
 
 The curvature of the potential in the intensive directions carries the
 fluctuation content: C = -(d2 phi / dy dy) is the covariance matrix of
-the conjugate extensive variables, its inverse G is the stability
-matrix of the extensive-side expansion, and the deformed statistics
-rescale both by 1 + (q - 1) * phi0.
+the conjugate extensive variables, its inverse G the stability matrix of
+the extensive-side expansion, and the deformed statistics rescale both
+by 1 + (q - 1) * phi0.  A spectrum surface gives the curvature as a sum
+over its class table in one pass; other callables are differenced.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class FluctuationReport:
         }
 
 
-def _hessian_once(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str], steps: np.ndarray) -> np.ndarray:
+def _hessian_once(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str], steps: np.ndarray):
     base = dict(point)
     n = len(names)
 
@@ -99,7 +100,23 @@ def _hessian_once(phi_surface: PhiSurface, point: Mapping[str, float], names: Se
                 + at({ni: -hi, nj: -hj})
             ) / (4.0 * hi * hj)
             H[i, j] = H[j, i] = cross
-    return H
+    return f0, H
+
+
+def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
+    """(phi, symmetrized Hessian) at the point; see stability_matrix."""
+    if hasattr(phi_surface, "curvature"):
+        phi, H = phi_surface.curvature(point, names)
+    else:
+        steps = np.array([_HESS_STEP * max(1.0, abs(point[n])) for n in names])
+        phi, h1 = _hessian_once(phi_surface, point, names, steps)
+        H = (4.0 * _hessian_once(phi_surface, point, names, steps / 2.0)[1] - h1) / 3.0
+    H = 0.5 * (H + H.T)
+    eig = np.linalg.eigvalsh(H)
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
+        warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
+    return phi, H
 
 
 def stability_matrix(
@@ -107,21 +124,10 @@ def stability_matrix(
     point: Mapping[str, float],
     variables: Sequence[str],
 ) -> np.ndarray:
-    """Central-difference Hessian of the surface, symmetrized.
-
-    One Richardson refinement (h and h/2) cancels the leading h**2
-    error.  An indefinite result triggers a StabilityWarning."""
-    names = list(variables)
-    steps = np.array([_HESS_STEP * max(1.0, abs(point[n])) for n in names])
-    h1 = _hessian_once(phi_surface, point, names, steps)
-    h2 = _hessian_once(phi_surface, point, names, steps / 2.0)
-    H = (4.0 * h2 - h1) / 3.0
-    H = 0.5 * (H + H.T)
-    eig = np.linalg.eigvalsh(H)
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
-        warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
-    return H
+    """Hessian of the surface, symmetrized: its ``curvature`` (one class
+    pass) if it has one, else central differences with one Richardson
+    refinement (h, h/2).  An indefinite result draws a StabilityWarning."""
+    return _phi_and_hessian(phi_surface, point, list(variables))[1]
 
 
 def moments(
@@ -139,12 +145,15 @@ def moments(
     ensemble (the one in which the fluctuating variables are exchanged).
     Passing the subdivision entropy ``theta`` arms a small-system check:
     the quadratic fluctuation formulas assume a macroscopic state, so a
-    non-negligible theta draws a StabilityWarning (not an error)."""
+    non-negligible theta draws a StabilityWarning (not an error).
+
+    Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
+    as its class c nears the cutoff at 0, as the true curvature does; a
+    live class is at least eps**(1/(1 - q)), so the result stays finite."""
     names = tuple(variables)
-    H = stability_matrix(phi_surface, point, names)
+    phi, H = _phi_and_hessian(phi_surface, point, names)
     C = -H  # extensive covariance matrix in the undeformed case
-    if phi0 is None:
-        phi0 = phi_surface(dict(point))
+    phi0 = phi if phi0 is None else phi0
     if theta is not None and abs(theta) > 0.01 * max(1.0, abs(phi0)):
         warnings.warn(
             f"subdivision entropy {theta:g} is not negligible: "

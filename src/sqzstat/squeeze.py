@@ -238,6 +238,15 @@ class SqueezeFamily:
             raise SqueezeDomainError("slope hook returned a negative derivative")
         return np.log(f) - _apply(self.ln_h_hook, x)
 
+    def slope_elasticity_arr(self, ln_x: "np.ndarray | float") -> "np.ndarray | float":
+        """kappa = d ln(d ln h/dx) / d ln x at x = exp(ln_x): -q for the power
+        law and the identity (q = 1), a central difference in ln x for hooks."""
+        if self.kind != _CUSTOM:
+            return -self.q
+        x = np.asarray(ln_x, dtype=float)
+        step = 1e-5 * np.maximum(1.0, np.abs(x))
+        return (self.ln_log_slope_arr(x + step) - self.ln_log_slope_arr(x - step)) / (2.0 * step)
+
     # -- wrappers over the kernels ---------------------------------------
 
     def ln_squeeze(self, ln_g: float) -> float:

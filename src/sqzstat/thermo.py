@@ -4,8 +4,8 @@ Conventions used throughout the package: every extensive/intensive pair
 is addressed by one name (that of the extensive member).  A pair whose
 extensive value is pinned has an observable conjugate intensive value,
 and vice versa -- so "observed" maps carry exactly one number per pair,
-whose meaning follows from the split.  Surfaces are plain callables
-mapping a full {pair name: value} dict to the dimensionless potential.
+whose meaning follows from the split.  Surfaces are callables mapping a
+full {pair name: value} dict to the dimensionless potential.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def conjugates_from_phi(
 ) -> dict[str, float]:
     """Observed non-environment values by differentiating the surface.
 
-    For a pinned-extensive pair the observed intensive value is
-    -dphi/dX; for a pinned-intensive pair the observed extensive value
-    is +dphi/dy.  Evaluation failures are re-raised naming the variable.
+    For a pinned-extensive pair the observed intensive value is -dphi/dX;
+    for a pinned-intensive pair it is +dphi/dy, the surface's ``gradient``
+    if it has one.  Differencing failures are re-raised naming the variable.
     """
     base = dict(point)
     out: dict[str, float] = {}
@@ -127,6 +127,8 @@ def conjugates_from_phi(
 
     for name in split.fixed_extensive:
         out[name] = -partial(name)
+    if hasattr(phi_surface, "gradient") and split.fixed_intensive:
+        return {**out, **phi_surface.gradient(base, split.fixed_intensive)}
     for name in split.fixed_intensive:
         out[name] = partial(name)
     return out

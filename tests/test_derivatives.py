@@ -1,0 +1,356 @@
+"""Derivatives of phi read from the class table.
+
+A spectrum surface gives the gradient of phi (the observed means) and its
+curvature from one class pass.  These tests pin the pass counts, check
+the q < 1 states where second differences of phi lost the curvature,
+compare phi, the means and the curvature with 50-digit direct sums, and
+cover custom families and the growth of the curvature next to a cutoff
+at q < 1/2."""
+
+import json
+import math
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from sqzstat import (
+    DegeneracySpectrum,
+    EnsembleSpec,
+    SqueezeFamily,
+    conjugates_from_phi,
+    observed_mean,
+    phi_surface_from_spectrum,
+)
+from sqzstat import engine
+from sqzstat.cli import main
+from sqzstat.fluctuation import StabilityWarning, moments, stability_matrix
+from sqzstat.models import einstein_solid, lattice_gas, two_level
+from sqzstat.thermo import central_derivative
+
+IDENT = SqueezeFamily.identity()
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture
+def class_passes(monkeypatch):
+    """Counts characteristic_class calls made through the engine module."""
+    calls = []
+    original = engine.characteristic_class
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "characteristic_class", counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# one class pass per derivative
+
+
+@pytest.mark.parametrize(
+    "spectrum, y",
+    [(two_level(1.0), {"E": 0.7}), (lattice_gas(100), {"E": 0.7, "N": 0.2})],
+    ids=["1var", "2var"],
+)
+def test_moments_take_one_class_pass(class_passes, spectrum, y):
+    env = EnsembleSpec(fixed_intensive=y)
+    surface = phi_surface_from_spectrum(spectrum, env, IDENT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        moments(surface, env.values(), sorted(y), IDENT)
+    assert len(class_passes) == 1
+
+
+def test_conjugates_take_one_class_pass(class_passes):
+    env = EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    surface = phi_surface_from_spectrum(lattice_gas(100), env, IDENT)
+    out = conjugates_from_phi(surface, env.split, env.values())
+    assert len(class_passes) == 1
+    # the conjugates are the observed means, bit for bit
+    for name in ("E", "N"):
+        assert out[name] == observed_mean(lattice_gas(100), env, IDENT, name)
+
+
+def test_cli_fluct_takes_two_class_passes(class_passes, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        code = main(["fluct", "--model", "lattice_gas", "--param", "sites=100",
+                     "--y", "E=0.7", "--y", "N=0.2"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(class_passes) == 2  # the report and the curvature
+
+
+# ---------------------------------------------------------------------------
+# q < 1: the curvature against the differenced exact mean
+
+
+@pytest.mark.parametrize(
+    "spectrum, y, q, name",
+    [
+        (einstein_solid(50, 100), {"E": 0.3}, 0.9, "E"),
+        (lattice_gas(100), {"E": 0.7, "N": 0.2}, 0.9, "N"),
+        (lattice_gas(100), {"E": 0.7, "N": 0.2}, 0.2, "N"),
+        (einstein_solid(5, 40), {"E": 0.5}, 0.2, "E"),
+    ],
+    ids=["einstein50-q0.9", "lattice_gas100-q0.9", "lattice_gas100-q0.2", "einstein5-q0.2"],
+)
+def test_curvature_matches_differenced_mean_below_q_one(spectrum, y, q, name):
+    fam = SqueezeFamily.tsallis(q)
+    env = EnsembleSpec(fixed_intensive=y)
+    names = sorted(y)
+    H = stability_matrix(phi_surface_from_spectrum(spectrum, env, fam), env.values(), names)
+
+    def mean_at(v):
+        return observed_mean(spectrum, EnsembleSpec(fixed_intensive={**y, name: v}), fam, name)
+
+    # a step of 3e-3 resolves these derivatives to ~2e-7 (checked against
+    # 50-digit sums); smaller steps lose digits to the size of phi
+    d_mean = central_derivative(mean_at, y[name], rel_step=3e-3)
+    i = names.index(name)
+    assert H[i, i] == pytest.approx(d_mean, rel=1e-6)
+
+
+def test_cli_fluct_variance_below_q_one(capsys):
+    argv = ["fluct", "--model", "einstein_solid", "--param", "N=50", "--param", "E_max=100",
+            "--y", "E=0.3", "--squeeze", "tsallis", "--q", "0.9"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    spectrum, fam = einstein_solid(50, 100), SqueezeFamily.tsallis(0.9)
+
+    def mean_at(v):
+        return observed_mean(spectrum, EnsembleSpec(fixed_intensive={"E": v}), fam, "E")
+
+    expected = -doc["tsallis_scale"] * central_derivative(mean_at, 0.3, rel_step=3e-3)
+    assert doc["variances"]["E"] == pytest.approx(expected, rel=1e-6)
+    assert round(doc["variances"]["E"], 3) == 78.463
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: 50-digit direct sums
+
+
+def direct_sums(x, ln_g, y, q):
+    """phi, the means and the curvature by direct summation at 50 digits.
+
+    Rows are the q-exponentials c = [1 + u (ln_q g - x.y)]_+^(1/u), u = 1 - q
+    (c = g exp(-x.y) for the identity), T = sum c and P = c/T.  Then
+    phi = -ln_q T, <X> = sum P^q X and
+    d2 phi/dy dy = q T^(q-1) (<X><X>' - sum P^(2q-1) X X').
+    Also returned: ``scale``, the same curvature sum taken over absolute
+    values, and ``cond``, a bound on the relative error of the row classes
+    per unit rounding of the inputs (max over rows of (|ln h g| + |x.y| +
+    1/|u|)/|1 + u (ln h g - x.y)|)."""
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        qm = mpf(q)
+        u = 1 - qm
+        ys = [mpf(float(v)) for v in y]
+        cs, xs, cond = [], [], mpf(1)
+        for xr, lg in zip(x, ln_g):
+            xy = mpmath.fsum(mpf(float(a)) * b for a, b in zip(xr, ys))
+            if q == 1.0:
+                c = mpmath.exp(mpf(float(lg)) - xy)
+                cond = max(cond, abs(mpf(float(lg))) + abs(xy) + 1)
+            else:
+                ln_h = mpmath.expm1(u * mpf(float(lg))) / u
+                arg = 1 + u * (ln_h - xy)
+                cond = max(cond, (abs(ln_h) + abs(xy) + 1 / abs(u)) / abs(arg))
+                if arg <= 0:
+                    continue
+                c = arg ** (1 / u)
+            cs.append(c)
+            xs.append([mpf(float(a)) for a in xr])
+        if not cs:
+            return None
+        T = mpmath.fsum(cs)
+        P = [c / T for c in cs]
+        phi = -mpmath.log(T) if q == 1.0 else -(T**u - 1) / u
+        k = len(ys)
+        mean = [mpmath.fsum(p**qm * xr[i] for p, xr in zip(P, xs)) for i in range(k)]
+        f = qm * T ** (qm - 1)
+
+        def second(i, j, fn):
+            return mpmath.fsum(fn(p ** (2 * qm - 1) * xr[i] * xr[j]) for p, xr in zip(P, xs))
+
+        H = [[f * (mean[i] * mean[j] - second(i, j, lambda v: v)) for j in range(k)] for i in range(k)]
+        scale = [[f * (abs(mean[i] * mean[j]) + second(i, j, abs)) for j in range(k)] for i in range(k)]
+        abs_mean = [mpmath.fsum(p**qm * abs(xr[i]) for p, xr in zip(P, xs)) for i in range(k)]
+        return {
+            "phi": float(phi), "mean": np.array(mean, dtype=float),
+            "H": np.array(H, dtype=float), "scale": np.array(scale, dtype=float),
+            "abs_mean": np.array(abs_mean, dtype=float), "T_u": float(T**u),
+            "cond": float(cond),
+        }
+
+
+def mp_phi(x, ln_g, q):
+    """phi(y) in mpmath, for mpmath.diff."""
+    def phi(*y):
+        u = 1 - mpmath.mpf(q)
+        cs = []
+        for xr, lg in zip(x, ln_g):
+            xy = mpmath.fsum(mpmath.mpf(float(a)) * b for a, b in zip(xr, y))
+            if q == 1.0:
+                cs.append(mpmath.exp(mpmath.mpf(float(lg)) - xy))
+                continue
+            arg = 1 + u * (mpmath.expm1(u * mpmath.mpf(float(lg))) / u - xy)
+            if arg > 0:
+                cs.append(arg ** (1 / u))
+        T = mpmath.fsum(cs)
+        return -mpmath.log(T) if q == 1.0 else -(T**u - 1) / u
+    return phi
+
+
+@pytest.mark.parametrize("q", [1.0, 0.3, 0.9, 1.7])
+def test_oracle_sums_are_the_derivatives_of_its_phi(q):
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 3.0], [3.0, 2.0]])
+    ln_g = np.array([0.0, 1.5, 2.0, 0.7, 3.1])
+    y = np.array([0.4, 0.3])
+    ref = direct_sums(x, ln_g, y, q)
+    with mpmath.workdps(50):
+        f = mp_phi(x, ln_g, q)
+        point = [mpmath.mpf(float(v)) for v in y]
+        grad = [mpmath.diff(f, point, (1, 0)), mpmath.diff(f, point, (0, 1))]
+        hess = [[mpmath.diff(f, point, (2, 0)), mpmath.diff(f, point, (1, 1))],
+                [mpmath.diff(f, point, (1, 1)), mpmath.diff(f, point, (0, 2))]]
+        assert float(f(*point)) == pytest.approx(ref["phi"], rel=1e-15)
+    assert np.allclose(np.array(grad, dtype=float), ref["mean"], rtol=1e-14, atol=0)
+    assert np.allclose(np.array(hess, dtype=float), ref["H"], rtol=1e-14, atol=0)
+
+
+@st.composite
+def spectrum_states(draw):
+    """2-30 distinct rows in one or two variables, ln g in [0, 60], the
+    identity or q in [0.1, 3]; half of the deformed states put one row
+    within 1e-3 of its cutoff."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 30))
+    keys = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * k), min_size=n, max_size=n, unique=True))
+    x = np.array(keys, dtype=float) * draw(st.sampled_from([0.25, 1.0, 3.0]))
+    ln_g = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n)))
+    q = draw(st.one_of(st.just(1.0), st.floats(0.1, 3.0)))
+    y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    r = draw(st.integers(0, n - 1))
+    if q != 1.0 and x[r, 0] != 0.0 and draw(st.booleans()):
+        u = 1.0 - q
+        if u > 0:  # keep the row's ln h(g) moderate, else x.y cancels it
+            ln_g[r] = min(ln_g[r], math.log(1001.0) / u)
+        gap = draw(st.floats(1e-6, 1e-3))
+        ln_h = math.expm1(u * ln_g[r]) / u
+        y[0] = (ln_h + (1.0 - gap) / u - x[r, 1:] @ y[1:]) / x[r, 0]
+    return x, ln_g, q, y
+
+
+@settings(deadline=None, max_examples=150, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(spectrum_states())
+def test_phi_gradient_and_curvature_against_direct_sums(state):
+    x, ln_g, q, y = state
+    ref = direct_sums(x, ln_g, y, q)
+    assume(ref is not None and ref["cond"] * EPS < 1e-8)
+    names = ["A", "B"][: x.shape[1]]
+    spectrum = DegeneracySpectrum(names, x, ln_g)
+    env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
+    fam = IDENT if q == 1.0 else SqueezeFamily.tsallis(q)
+    surface = phi_surface_from_spectrum(spectrum, env, fam)
+    phi, H = surface.curvature(env.values(), names)
+    grad = surface.gradient(env.values(), names)
+    # first-order error bounds: each row class carries a relative error of
+    # about cond * eps, which the means raise to the power q and the
+    # curvature terms to 2q - 1, next to an error of q in ln T
+    err = 64.0 * EPS * ref["cond"]
+    assert phi == surface(env.values())
+    assert abs(phi - ref["phi"]) <= err * (ref["T_u"] + abs(ref["phi"]))
+    for i, n in enumerate(names):
+        assert abs(grad[n] - ref["mean"][i]) <= err * max(1.0, q) * ref["abs_mean"][i]
+    assert np.all(np.abs(H - ref["H"]) <= err * (1.0 + 3.0 * q) * ref["scale"])
+
+
+def test_large_potential_state_against_direct_sums():
+    # q = 0.8 rows with ln g near 50: phi ~ -1e5
+    x = np.arange(12.0)[:, None]
+    ln_g = np.linspace(45.0, 52.0, 12)
+    y = np.array([0.05])
+    ref = direct_sums(x, ln_g, y, 0.8)
+    spectrum = DegeneracySpectrum(["E"], x, ln_g)
+    env = EnsembleSpec(fixed_intensive={"E": 0.05})
+    phi, H = phi_surface_from_spectrum(spectrum, env, SqueezeFamily.tsallis(0.8)).curvature(env.values(), ["E"])
+    assert 1e4 < abs(ref["phi"]) < 1e6
+    assert phi == pytest.approx(ref["phi"], rel=1e-12)
+    assert H[0, 0] == pytest.approx(ref["H"][0, 0], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# custom families and q < 1/2
+
+
+def square_law():
+    """h(x) = x**2: ln h = 2 ln g, ln H = ln x / 2, dh/dx = 2x."""
+    return SqueezeFamily.custom(lambda v: 2.0 * v, lambda v: 0.5 * v, lambda v: 2.0 * math.exp(v))
+
+
+def quadratic():
+    """h(x) = x + x**2, whose log-slope elasticity varies with x."""
+    return SqueezeFamily.custom(
+        lambda v: v + math.log1p(math.exp(v)),
+        lambda w: math.log(2.0) + w - math.log1p(math.sqrt(1.0 + 4.0 * math.exp(w))),
+        lambda v: 1.0 + 2.0 * math.exp(v),
+    )
+
+
+def test_custom_elasticity_against_closed_form():
+    ln_x = np.linspace(-6.0, 6.0, 25)
+    xv = np.exp(ln_x)
+    exact = 2.0 * xv / (1.0 + 2.0 * xv) - 1.0 - xv / (1.0 + xv)
+    assert np.allclose(quadratic().slope_elasticity_arr(ln_x), exact, rtol=0, atol=1e-9)
+    assert np.allclose(square_law().slope_elasticity_arr(ln_x), -1.0, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("family", [square_law, quadratic], ids=["square_law", "quadratic"])
+@pytest.mark.parametrize(
+    "spectrum, y",
+    [(lattice_gas(20), {"E": 0.7, "N": 0.2}), (einstein_solid(2, 60), {"E": 1.0})],
+    ids=["lattice_gas20", "einstein2"],
+)
+def test_custom_family_curvature_against_richardson(family, spectrum, y):
+    fam = family()
+    env = EnsembleSpec(fixed_intensive=y)
+    surface = phi_surface_from_spectrum(spectrum, env, fam)
+    names = sorted(y)
+    H = stability_matrix(surface, env.values(), names)
+    H_fd = stability_matrix(lambda v: surface(v), env.values(), names)  # opaque: differenced
+    assert np.allclose(H, H_fd, rtol=0, atol=1e-7 * np.max(np.abs(H_fd)))
+    grad = conjugates_from_phi(surface, env.split, env.values())
+    grad_fd = conjugates_from_phi(lambda v: surface(v), env.split, env.values())
+    for n in names:
+        assert grad[n] == pytest.approx(grad_fd[n], rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+def test_curvature_near_the_cutoff_below_q_half_is_finite(gap):
+    # two levels at q = 0.2: the upper row's class is gap**(1/u) (u = 0.8)
+    # and its curvature term grows like that class to the power 2q - 1
+    q, u = 0.2, 0.8
+    spectrum = DegeneracySpectrum(["E"], np.array([[0.0], [1.0]]), np.zeros(2))
+    y = (1.0 - gap) / u
+    env = EnsembleSpec(fixed_intensive={"E": y})
+    fam = SqueezeFamily.tsallis(q)
+    surface = phi_surface_from_spectrum(spectrum, env, fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        rep = moments(surface, env.values(), ["E"], fam)
+    assert not engine.characteristic_class(spectrum, env, fam).excluded.any()
+    assert math.isfinite(rep.variances["E"]) and rep.variances["E"] > 0
+    ref = direct_sums(spectrum.x, spectrum.ln_g, np.array([y]), q)
+    err = 64.0 * EPS * ref["cond"] * (1.0 + 3.0 * q) * ref["scale"][0, 0]
+    assert abs(-rep.G_inv[0, 0] - ref["H"][0, 0]) <= err
