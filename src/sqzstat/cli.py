@@ -14,6 +14,7 @@ identical invocations produce bit-identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -126,11 +127,7 @@ def _load_model(args):
         raise CliError(EXIT_CONFIG, f"cannot read model file {source!r}: {exc}") from exc
     spectrum, env, family = model_from_json_dict(doc)
     if y or X:
-        merged_y = dict(env.fixed_intensive)
-        merged_y.update(y)
-        merged_X = dict(env.fixed_extensive)
-        merged_X.update(X)
-        env = EnsembleSpec(fixed_intensive=merged_y, fixed_extensive=merged_X)
+        env = EnsembleSpec({**env.fixed_intensive, **y}, {**env.fixed_extensive, **X})
     family = _family_from_args(args, fallback=family)
     return spectrum, env, family
 
@@ -144,21 +141,17 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _report_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    keys = list(rows[0].keys())
-    lines = [",".join(keys)]
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row[k]
-            if isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv(columns: dict) -> str:
+    """CSV text of {header: column}, the columns equal-length sequences.
+
+    Float cells are written with format(v, ".17g") (round-trip exact),
+    every other cell with str.  Each column's format is chosen once, from
+    its first cell, so a column must not mix floats with other types."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    # format(v, "") is str(v)
+    cells = [map(format, c, itertools.repeat(".17g" if c and isinstance(c[0], float) else ""))
+             for c in cols]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _point_row(report, extra: dict | None = None) -> dict:
@@ -182,9 +175,9 @@ def cmd_compute(args) -> int:
         Path(args.emit_model).write_text(_jsonfmt.dumps(doc, indent=2) + "\n")
     report = report_for(spectrum, env, family)
     if args.rows:
-        Path(args.rows).write_text(_report_csv(report.rows()))
+        Path(args.rows).write_text(_csv(report.columns()))
     if args.format == "csv":
-        _emit(_report_csv([_point_row(report)]), args.out)
+        _emit(_csv({k: [v] for k, v in _point_row(report).items()}), args.out)
     else:
         _emit(_jsonfmt.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
@@ -201,19 +194,15 @@ def cmd_fluct(args) -> int:
         phi0=point.phi, theta=point.entropy_theta,
     )
     if args.format == "csv":
-        lines = ["block,name,value"]
-        for n_, v in sorted(rep.variances.items()):
-            lines.append(f"variance,{n_},{v:.17g}")
-        for n_, v in sorted(rep.intensive_variances.items()):
-            lines.append(f"intensive_variance,{n_},{v:.17g}")
-        for (a, b), v in sorted(rep.covariances.items()):
-            lines.append(f"covariance,{a}:{b},{v:.17g}")
         names = rep.variable_names
+        cells = [("variance", n, v) for n, v in sorted(rep.variances.items())]
+        cells += [("intensive_variance", n, v) for n, v in sorted(rep.intensive_variances.items())]
+        cells += [("covariance", f"{a}:{b}", v) for (a, b), v in sorted(rep.covariances.items())]
         for i, ni in enumerate(names):
             for j, nj in enumerate(names):
-                lines.append(f"G,{ni}:{nj},{rep.G[i, j]:.17g}")
-                lines.append(f"G_inv,{ni}:{nj},{rep.G_inv[i, j]:.17g}")
-        _emit("\n".join(lines) + "\n", args.out)
+                pair = f"{ni}:{nj}"
+                cells += [("G", pair, rep.G[i, j]), ("G_inv", pair, rep.G_inv[i, j])]
+        _emit(_csv(dict(zip(("block", "name", "value"), zip(*cells)))), args.out)
     else:
         _emit(_jsonfmt.dumps(rep.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
@@ -234,17 +223,19 @@ def cmd_kinetics(args) -> int:
     net = build_collision_network(lattice, T=args.kernel, xi=xi)
     state = random_state(lattice, seed=args.seed)
     dt = args.dt if args.dt is not None else stability_dt(state, net, family)
-    lines = ["t,S,sum_F,sum_Fv2,max_rhs"]
-    snap_rows: list[str] = []
+    trace, snaps = [], []
     for k, s, row in _trajectory(state, net, family, dt, args.steps, args.trace_every):
         if row is not None:
-            lines.append(",".join(format(v, ".17g") for v in row))
+            trace.append(row)
         if args.snapshot_every and (k % args.snapshot_every == 0 or k == args.steps):
-            for v, f in zip(lattice.velocities, s.F):
-                snap_rows.append(f"{s.t:.17g},{int(v[0])},{int(v[1])},{f:.17g}")
+            snaps.append(s)
     if args.snapshot_out is not None:
-        Path(args.snapshot_out).write_text("t,vx,vy,F\n" + "\n".join(snap_rows) + "\n")
-    _emit("\n".join(lines) + "\n", args.out)
+        v = lattice.velocities.astype(int)
+        Path(args.snapshot_out).write_text(_csv({
+            "t": np.repeat([s.t for s in snaps], lattice.n), "vx": np.tile(v[:, 0], len(snaps)),
+            "vy": np.tile(v[:, 1], len(snaps)), "F": np.concatenate([s.F for s in snaps]),
+        }))
+    _emit(_csv(dict(zip(("t", "S", "sum_F", "sum_Fv2", "max_rhs"), zip(*trace)))), args.out)
     return EXIT_OK
 
 
@@ -262,11 +253,12 @@ def _read_csv_columns(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np
         )
     a, b = [], []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise CliError(EXIT_CONFIG, f"bad data row {ln!r} in {path!r}")
-        a.append(float(parts[0]))
-        b.append(float(parts[1]))
+        try:
+            u, v = map(float, ln.split(","))  # a wrong cell count is a ValueError too
+        except ValueError:
+            raise CliError(EXIT_CONFIG, f"bad data row {ln!r} in {path!r}") from None
+        a.append(u)
+        b.append(v)
     return np.array(a), np.array(b)
 
 
@@ -283,8 +275,7 @@ def cmd_infer(args) -> int:
         out_doc["power_law"] = est.power_law
         if args.reconstruct:
             grid, ln_h = reconstruct_squeeze(data)
-            lines = ["ln_g,ln_h"] + [f"{x:.17g},{y:.17g}" for x, y in zip(grid, ln_h)]
-            Path(args.reconstruct).write_text("\n".join(lines) + "\n")
+            Path(args.reconstruct).write_text(_csv({"ln_g": grid, "ln_h": ln_h}))
     if args.density:
         beta, f = _read_csv_columns(args.density, ("beta", "f"))
         energies = args.energy or [0.0]
@@ -318,7 +309,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(_jsonfmt.dumps(rows, indent=2) + "\n", args.out)
     else:
-        _emit(_report_csv(rows), args.out)
+        _emit(_csv({k: [row[k] for row in rows] for k in rows[0]}), args.out)
     return EXIT_OK
 
 

@@ -92,9 +92,9 @@ class DegeneracySpectrum:
         object.__setattr__(self, "ln_g", ln_g)
         if x.shape[0] == 0:
             raise ModelValidationError("spectrum needs at least one row")
-        if x.shape[1] != len(self.variable_names):
+        if x.ndim != 2 or x.shape[1] != len(self.variable_names):
             raise ModelValidationError(
-                f"{x.shape[1]} columns for {len(self.variable_names)} variable names"
+                f"row values of shape {x.shape} for {len(self.variable_names)} variable names"
             )
         if ln_g.shape != (x.shape[0],):
             raise ModelValidationError("ln_g length must match the number of rows")
@@ -195,15 +195,17 @@ class ClassTable:
     family: SqueezeFamily
     exchanged_names: tuple[str, ...]
     x_exchanged: np.ndarray
-    ln_g: np.ndarray
-    ln_weight: np.ndarray
     ln_row_class: np.ndarray
     excluded: np.ndarray
     ln_total: float
 
     @property
+    def ln_g(self) -> np.ndarray:
+        return self.spectrum.ln_g
+
+    @property
     def n_rows(self) -> int:
-        return self.ln_g.shape[0]
+        return self.spectrum.n_rows
 
     @property
     def n_excluded(self) -> int:
@@ -216,7 +218,8 @@ class ClassTable:
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Normalized macro (per subclass) and configuration probabilities."""
+    """Normalized macro (per subclass) and configuration probabilities;
+    ``excluded`` and ``ln_g`` are the class table's own arrays."""
 
     macro_probs: np.ndarray
     config_probs: np.ndarray
@@ -232,33 +235,35 @@ class ThermoReport:
 
     point: ThermoPoint
     table: ClassTable
-    environment: dict[str, float]
-    squeeze: dict
 
     def to_json_dict(self) -> dict:
         out = self.point.to_json_dict()
-        out["environment"] = dict(self.environment)
-        out["squeeze"] = dict(self.squeeze)
+        out["environment"] = self.table.env.values()
+        out["squeeze"] = self.table.family.to_config()
         out["excluded_rows"] = int(self.table.n_excluded)
         return out
 
-    def rows(self) -> list[dict]:
-        """Per-row projection (the CSV payload)."""
-        probs = probabilities(self.table)
-        boltzmann = _boltzmann_factors(self.table.ln_row_class, self.table.ln_g, self.table.excluded)
-        out = []
-        for r in range(self.table.n_rows):
-            row = {}
-            for j, name in enumerate(self.table.exchanged_names):
-                row[f"x_{name}"] = float(self.table.x_exchanged[r, j])
-            row["ln_g"] = float(self.table.ln_g[r])
-            row["ln_class"] = float(self.table.ln_row_class[r])
-            row["macro_prob"] = float(probs.macro_probs[r])
-            row["config_prob"] = float(probs.config_probs[r])
-            row["boltzmann_factor"] = float(boltzmann[r])
-            row["excluded"] = bool(self.table.excluded[r])
-            out.append(row)
+    def columns(self) -> dict[str, np.ndarray]:
+        """The per-row table as {column name: array}, in CSV order:
+        ``x_<name>`` per exchanged variable, ``ln_g``, ``ln_class``,
+        ``macro_prob``, ``config_prob``, ``boltzmann_factor`` (0 on
+        excluded rows) and the boolean ``excluded``."""
+        t = self.table
+        probs = probabilities(t)
+        out = {f"x_{n}": t.x_exchanged[:, j] for j, n in enumerate(t.exchanged_names)}
+        out.update(ln_g=t.ln_g, ln_class=t.ln_row_class, macro_prob=probs.macro_probs,
+                   config_prob=probs.config_probs,
+                   boltzmann_factor=_boltzmann_factors(t.ln_row_class, t.ln_g, t.excluded),
+                   excluded=t.excluded)
         return out
+
+    def rows(self) -> list[dict]:
+        """``columns()`` as one dict per row, with Python float and bool
+        cells.  Kept for callers that read cells by row and name, such as
+        the benchmark's large-table checks; on large tables the dicts cost
+        far more than the class pass, so the CLI writes ``columns()``."""
+        cols = self.columns()
+        return [dict(zip(cols, cells)) for cells in zip(*(c.tolist() for c in cols.values()))]
 
 
 def characteristic_class(
@@ -288,18 +293,9 @@ def characteristic_class(
                 "squeezed class total exceeds the float range "
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
-    return ClassTable(
-        spectrum=working,
-        env=env,
-        family=family,
-        exchanged_names=exchanged,
-        x_exchanged=x_ex,
-        ln_g=working.ln_g.copy(),
-        ln_weight=ln_weight,
-        ln_row_class=ln_row_class,
-        excluded=excluded,
-        ln_total=ln_total,
-    )
+    return ClassTable(spectrum=working, env=env, family=family, exchanged_names=exchanged,
+                      x_exchanged=x_ex, ln_row_class=ln_row_class, excluded=excluded,
+                      ln_total=ln_total)
 
 
 def phi_of(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> float:
@@ -384,8 +380,8 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
         config_probs=config,
         ln_macro=ln_macro,
         ln_config=ln_config,
-        excluded=table.excluded.copy(),
-        ln_g=table.ln_g.copy(),
+        excluded=table.excluded,
+        ln_g=table.ln_g,
     )
 
 
@@ -436,10 +432,6 @@ def generalized_boltzmann_factor(
     Identity family: exp(-sum y X) exactly.  Excluded rows give 0.0."""
     if table is None:
         table = characteristic_class(spectrum, env, family)
-    return boltzmann_factor_from_table(table, row)
-
-
-def boltzmann_factor_from_table(table: ClassTable, row: int) -> float:
     if not 0 <= row < table.n_rows:
         raise ModelValidationError(f"row {row} out of range (n_rows={table.n_rows})")
     r = slice(row, row + 1)
@@ -528,13 +520,7 @@ def report_for(
 ) -> ThermoReport:
     """One-stop evaluation used by the CLI."""
     table = characteristic_class(spectrum, env, family)
-    point = phi_and_entropies(table)
-    return ThermoReport(
-        point=point,
-        table=table,
-        environment=env.values(),
-        squeeze=family.to_config(),
-    )
+    return ThermoReport(point=phi_and_entropies(table), table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +554,7 @@ def model_from_json_dict(doc: dict) -> tuple[DegeneracySpectrum, EnsembleSpec, S
         envdoc = doc.get("environment", {})
         y = {k: float(v) for k, v in envdoc.get("y", {}).items()}
         X = {k: float(v) for k, v in envdoc.get("X", {}).items()}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelValidationError(f"malformed model document: {exc}") from exc
     for n in names:
         if kinds[n] not in ("exchanged", "fixed"):

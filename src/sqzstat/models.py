@@ -7,8 +7,8 @@ N_max) are explicit parameters.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,6 @@ from .engine import DegeneracySpectrum
 from .errors import ModelValidationError
 
 __all__ = [
-    "ModelDescriptor",
     "two_level",
     "spin_half_paramagnet",
     "einstein_solid",
@@ -25,17 +24,6 @@ __all__ = [
     "MODELS",
     "build_model",
 ]
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    """CLI-facing description of one generator."""
-
-    name: str
-    builder: Callable[..., DegeneracySpectrum]
-    parameters: tuple[str, ...]
-    defaults: dict
-    variables: tuple[str, ...]
 
 
 def _lgamma(v: "float | np.ndarray") -> np.ndarray:
@@ -111,59 +99,34 @@ def lattice_gas(sites: float, N_max: int | None = None) -> DegeneracySpectrum:
     return DegeneracySpectrum(variable_names=("E", "N"), x=x, ln_g=_ln_choose(float(sites), n))
 
 
-MODELS: dict[str, ModelDescriptor] = {
-    "two_level": ModelDescriptor(
-        name="two_level",
-        builder=two_level,
-        parameters=("epsilon",),
-        defaults={"epsilon": 1.0},
-        variables=("E",),
-    ),
-    "spin_half_paramagnet": ModelDescriptor(
-        name="spin_half_paramagnet",
-        builder=spin_half_paramagnet,
-        parameters=("N",),
-        defaults={},
-        variables=("M",),
-    ),
-    "einstein_solid": ModelDescriptor(
-        name="einstein_solid",
-        builder=einstein_solid,
-        parameters=("N", "E_max"),
-        defaults={"E_max": 100},
-        variables=("E",),
-    ),
-    "lattice_gas": ModelDescriptor(
-        name="lattice_gas",
-        builder=lattice_gas,
-        parameters=("sites", "N_max"),
-        defaults={"N_max": None},
-        variables=("E", "N"),
-    ),
+MODELS: dict[str, Callable[..., DegeneracySpectrum]] = {
+    f.__name__: f for f in (two_level, spin_half_paramagnet, einstein_solid, lattice_gas)
 }
 
 
 def build_model(name: str, params: dict) -> DegeneracySpectrum:
-    """Instantiate a named generator with {parameter: value} arguments."""
+    """Instantiate a named generator with {parameter: value} arguments.
+
+    The parameter names and defaults are the builder's own signature."""
     if name not in MODELS:
         raise ModelValidationError(f"unknown model {name!r}; choices: {sorted(MODELS)}")
-    desc = MODELS[name]
-    unknown = set(params) - set(desc.parameters)
+    signature = inspect.signature(MODELS[name]).parameters
+    unknown = set(params) - set(signature)
     if unknown:
         raise ModelValidationError(f"model {name!r} does not take parameters {sorted(unknown)}")
-    kwargs = dict(desc.defaults)
-    kwargs.update(params)
-    missing = set(desc.parameters) - set(kwargs)
+    missing = {k for k, p in signature.items() if p.default is p.empty} - set(params)
     if missing:
         raise ModelValidationError(f"model {name!r} missing parameters {sorted(missing)}")
-    # integer-like parameters arrive as floats from the CLI
-    clean = {}
-    for key, val in kwargs.items():
-        if key in ("N", "E_max", "N_max") and val is not None:
-            ival = int(round(float(val)))
-            if abs(ival - float(val)) > 1e-9:
-                raise ModelValidationError(f"parameter {key}={val!r} must be an integer")
-            clean[key] = ival
-        else:
-            clean[key] = float(val) if val is not None else None
-    return desc.builder(**clean)
+    kwargs = {}
+    for key, val in params.items():
+        if val is not None:
+            val = float(val)
+            if not math.isfinite(val):
+                raise ModelValidationError(f"parameter {key}={val!r} must be finite")
+            if key in ("N", "E_max", "N_max"):  # integer-like; they arrive as floats from the CLI
+                ival = int(round(val))
+                if abs(ival - val) > 1e-9:
+                    raise ModelValidationError(f"parameter {key}={val!r} must be an integer")
+                val = ival
+        kwargs[key] = val
+    return MODELS[name](**kwargs)

@@ -314,13 +314,19 @@ class SqueezeFamily:
     @staticmethod
     def from_config(cfg: dict) -> "SqueezeFamily":
         """Build from the {"family": ..., "q": ...} JSON fragment."""
+        if not isinstance(cfg, dict):
+            raise SqueezeDomainError(f"squeeze config must be an object, got {cfg!r}")
         name = cfg.get("family", _IDENTITY)
         if name == _IDENTITY:
             return SqueezeFamily.identity()
         if name == _TSALLIS:
             if "q" not in cfg:
                 raise SqueezeDomainError("tsallis squeeze config requires 'q'")
-            return SqueezeFamily.tsallis(float(cfg["q"]))
+            try:
+                q = float(cfg["q"])
+            except (TypeError, ValueError):
+                raise SqueezeDomainError(f"tsallis 'q' must be a number, got {cfg['q']!r}") from None
+            return SqueezeFamily.tsallis(q)
         raise SqueezeDomainError(f"unknown squeeze family {name!r} (custom is code-level only)")
 
     def to_config(self) -> dict:

@@ -420,3 +420,67 @@ def test_help_documents_exit_codes():
     assert r.returncode == 0
     assert "exit codes" in r.stdout
     assert "numerical domain errors" in r.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in documented exit codes, never a traceback
+
+@pytest.mark.parametrize("flag, header", [("--data", "ln_g,ratio"), ("--density", "beta,f")])
+def test_infer_non_numeric_cell_is_config_error(tmp_path, capsys, flag, header):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n0,1\na,b\n")
+    code, out, err = run_cli(["infer", flag, str(path)], capsys)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "CliError" and "bad data row 'a,b'" in error["message"]
+
+
+def _model_doc(**changes):
+    doc = {
+        "variables": [{"name": "E", "kind": "exchanged"}],
+        "rows": [{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": 0.0}],
+        "environment": {"y": {"E": 1.0}, "X": {}},
+        "squeeze": {"family": "tsallis", "q": 1.5},
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, code, error_type",
+    [
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": ["a"], "ln_g": 0.0}]), 4,
+         "ModelValidationError"),
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": "b"}]), 4,
+         "ModelValidationError"),
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [1.0, 2.0], "ln_g": 0.0}]), 4,
+         "ModelValidationError"),
+        (_model_doc(environment={"y": {"E": "c"}, "X": {}}), 4, "ModelValidationError"),
+        (_model_doc(squeeze="tsallis"), 5, "SqueezeDomainError"),
+        (_model_doc(squeeze={"family": "tsallis", "q": "x"}), 5, "SqueezeDomainError"),
+    ],
+    ids=["x-not-a-number", "ln_g-not-a-number", "ragged-x", "y-not-a-number",
+         "squeeze-not-an-object", "q-not-a-number"],
+)
+def test_malformed_model_file_exits_with_documented_code(tmp_path, capsys, doc, code, error_type):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(["compute", "--model", str(path)], capsys)
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize(
+    "model, params, y",
+    [("spin_half_paramagnet", ["N=inf"], "M=1"), ("spin_half_paramagnet", ["N=nan"], "M=1"),
+     ("einstein_solid", ["N=3", "E_max=inf"], "E=1"), ("lattice_gas", ["sites=nan"], "E=1"),
+     ("lattice_gas", ["sites=inf"], "E=1"), ("two_level", ["epsilon=-inf"], "E=1")],
+)
+def test_non_finite_model_parameter_is_model_error(capsys, model, params, y):
+    argv = ["compute", "--model", model, "--y", y]
+    for p in params:
+        argv += ["--param", p]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ModelValidationError" and "must be finite" in error["message"]

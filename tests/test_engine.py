@@ -659,3 +659,58 @@ def test_logsumexp_infinite_and_nan_entries(a, expected):
 
 def test_logsumexp_empty_is_minus_infinity():
     assert _logsumexp(np.array([])) == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# the report's per-row table
+
+@pytest.mark.parametrize(
+    "spec, env, fam",
+    [
+        (einstein_solid(2, 60), EnsembleSpec(fixed_intensive={"E": 1.0}), SqueezeFamily.tsallis(0.5)),
+        (einstein_solid(1000, 2000), EnsembleSpec(fixed_intensive={"E": 1.0}), IDENT),
+        (lattice_gas(37.5, 30), EnsembleSpec(fixed_intensive={"E": 0.7, "N": -0.2}), Q2),
+        (spin_half_paramagnet(10), EnsembleSpec(fixed_extensive={"M": 4.0}), IDENT),
+    ],
+    ids=["excluded-rows", "ln-g-beyond-float-range", "two-columns", "pinned-X"],
+)
+def test_rows_are_the_columns_zipped(spec, env, fam):
+    report = report_for(spec, env, fam)
+    cols = report.columns()
+    table = report.table
+    names = [f"x_{n}" for n in table.exchanged_names]
+    assert list(cols) == names + ["ln_g", "ln_class", "macro_prob", "config_prob",
+                                  "boltzmann_factor", "excluded"]
+    assert all(len(c) == table.n_rows for c in cols.values())
+    rows = report.rows()
+    assert len(rows) == table.n_rows
+    for r, row in enumerate(rows):
+        assert list(row) == list(cols)
+        for name, value in row.items():
+            assert type(value) is (bool if name == "excluded" else float)
+            assert value == cols[name][r]
+    # the class table's own arrays, not copies
+    assert cols["ln_g"] is table.ln_g is table.spectrum.ln_g
+    assert cols["excluded"] is table.excluded is probabilities(table).excluded
+
+
+def test_report_for_custom_family_has_rows_but_no_json_form():
+    from sqzstat import SqueezeDomainError
+
+    square_law = SqueezeFamily.custom(
+        lambda v: 2.0 * v, lambda v: 0.5 * v, lambda v: 2.0 * math.exp(v)
+    )
+    report = report_for(einstein_solid(3, 20), EnsembleSpec(fixed_intensive={"E": 0.8}), square_law)
+    rows = report.rows()
+    assert len(rows) == 21
+    assert all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float))
+    assert math.isfinite(report.point.phi)
+    with pytest.raises(SqueezeDomainError, match="no config form"):
+        report.to_json_dict()
+
+
+def test_report_json_takes_environment_and_squeeze_from_its_table():
+    env = EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    doc = report_for(lattice_gas(10), env, SqueezeFamily.tsallis(1.5)).to_json_dict()
+    assert doc["environment"] == {"E": 0.7, "N": 0.2}
+    assert doc["squeeze"] == {"family": "tsallis", "q": 1.5}

@@ -145,3 +145,25 @@ def test_registry_builds_models():
     with pytest.raises(ModelValidationError):
         build_model("spin_half_paramagnet", {})
     assert set(MODELS) == {"two_level", "spin_half_paramagnet", "einstein_solid", "lattice_gas"}
+
+
+def test_build_model_reads_defaults_from_the_builder_signature():
+    # einstein_solid's E_max defaults to 100 and lattice_gas's N_max to int(sites)
+    assert build_model("einstein_solid", {"N": 3.0}).n_rows == 101
+    assert build_model("einstein_solid", {"N": 3.0, "E_max": 7.0}).n_rows == 8
+    spec = build_model("lattice_gas", {"sites": 12.5})
+    assert spec.n_rows == 13 and spec.column("N")[-1] == 12.0
+    assert build_model("two_level", {}).x[:, 0].tolist() == [0.0, 1.0]
+    with pytest.raises(ModelValidationError, match="does not take parameters"):
+        build_model("einstein_solid", {"N": 3.0, "M": 1.0})
+    with pytest.raises(ModelValidationError, match="missing parameters \\['N'\\]"):
+        build_model("einstein_solid", {"E_max": 10.0})
+    with pytest.raises(ModelValidationError, match="must be an integer"):
+        build_model("einstein_solid", {"N": 2.5})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, key", [("spin_half_paramagnet", "N"), ("lattice_gas", "sites")])
+def test_build_model_rejects_non_finite_parameters(name, key, value):
+    with pytest.raises(ModelValidationError, match="must be finite"):
+        build_model(name, {key: value})
