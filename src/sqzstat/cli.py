@@ -14,6 +14,7 @@ identical invocations produce bit-identical bytes.
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import json
 import logging
@@ -24,13 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _jsonfmt
-from .engine import (
-    EnsembleSpec,
-    model_from_json_dict,
-    model_to_json_dict,
-    phi_surface_from_spectrum,
-    report_for,
-)
 from .errors import (
     DatasetError,
     DegenerateEnsembleError,
@@ -38,18 +32,28 @@ from .errors import (
     SqueezeDomainError,
     StepSizeError,
 )
-from .fluctuation import moments
-from .inference import EquilibriumDataset, estimate_q, reconstruct_squeeze, superstatistics_forward
-from .kinetics import (
-    XI_CHOICES,
-    _trajectory,
-    build_collision_network,
-    make_lattice,
-    random_state,
-    stability_dt,
-)
-from .models import MODELS, build_model
 from .squeeze import SqueezeFamily
+
+# Each subcommand imports the layers it uses, so a process loads only those.
+# The layer names this module has always offered (``cli.report_for`` and the
+# rest) resolve on first access instead.
+_LAYER_NAMES = {
+    "engine": ("EnsembleSpec", "model_from_json_dict", "model_to_json_dict",
+               "phi_surface_from_spectrum", "report_for"),
+    "fluctuation": ("moments",),
+    "inference": ("EquilibriumDataset", "estimate_q", "reconstruct_squeeze", "superstatistics_forward"),
+    "kinetics": ("XI_CHOICES", "build_collision_network", "make_lattice", "random_state",
+                 "stability_dt"),
+    "models": ("MODELS", "build_model"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAYER_OF[name]}", __package__), name)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -103,6 +107,9 @@ def _family_from_args(args, fallback: SqueezeFamily | None = None) -> SqueezeFam
 
 def _load_model(args):
     """Model source resolution: registry name or JSON file, exactly one."""
+    from .engine import EnsembleSpec, model_from_json_dict
+    from .models import MODELS, build_model
+
     source = args.model
     if source is None:
         raise CliError(EXIT_CONFIG, "--model is required")
@@ -154,12 +161,17 @@ def _csv(columns: dict) -> str:
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
+def _points_csv(rows: list[dict]) -> str:
+    """CSV of point rows; an undefined entropy_theta (None) is an empty cell."""
+    return _csv({k: ["" if row[k] is None else row[k] for row in rows] for k in rows[0]})
+
+
 def _point_row(report, extra: dict | None = None) -> dict:
     p = report.point
     row = dict(extra or {})
     row["phi"] = p.phi
     row["entropy_J"] = p.entropy_J
-    row["entropy_theta"] = "" if p.entropy_theta is None else p.entropy_theta
+    row["entropy_theta"] = p.entropy_theta
     for name in sorted(p.observed):
         row[f"observed_{name}"] = p.observed[name]
     return row
@@ -169,6 +181,8 @@ def _point_row(report, extra: dict | None = None) -> dict:
 # subcommands
 
 def cmd_compute(args) -> int:
+    from .engine import model_to_json_dict, report_for
+
     spectrum, env, family = _load_model(args)
     if args.emit_model:
         doc = model_to_json_dict(spectrum, env, family)
@@ -177,13 +191,16 @@ def cmd_compute(args) -> int:
     if args.rows:
         Path(args.rows).write_text(_csv(report.columns()))
     if args.format == "csv":
-        _emit(_csv({k: [v] for k, v in _point_row(report).items()}), args.out)
+        _emit(_points_csv([_point_row(report)]), args.out)
     else:
         _emit(_jsonfmt.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_fluct(args) -> int:
+    from .engine import phi_surface_from_spectrum, report_for
+    from .fluctuation import moments
+
     spectrum, env, family = _load_model(args)
     if not env.fixed_intensive:
         raise CliError(EXIT_CONFIG, "fluct needs at least one exchanged (--y) variable")
@@ -209,6 +226,9 @@ def cmd_fluct(args) -> int:
 
 
 def cmd_kinetics(args) -> int:
+    from .kinetics import (XI_CHOICES, _trajectory, build_collision_network, make_lattice,
+                           random_state, stability_dt)
+
     if args.lattice_radius < 1:
         raise CliError(EXIT_CONFIG, "--lattice-radius must be >= 1")
     if min(args.steps, args.trace_every, args.seed) < 0:
@@ -263,6 +283,8 @@ def _read_csv_columns(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np
 
 
 def cmd_infer(args) -> int:
+    from .inference import EquilibriumDataset, estimate_q, reconstruct_squeeze, superstatistics_forward
+
     out_doc: dict = {}
     if not args.data and not args.density:
         raise CliError(EXIT_CONFIG, "infer needs --data and/or --density")
@@ -285,6 +307,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .engine import EnsembleSpec, report_for
+
     spectrum, env, family = _load_model(args)
     try:
         lo_s, _, hi_s = args.range.partition(":")
@@ -309,7 +333,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(_jsonfmt.dumps(rows, indent=2) + "\n", args.out)
     else:
-        _emit(_csv({k: [row[k] for row in rows] for k in rows[0]}), args.out)
+        _emit(_points_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -350,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice-radius", type=int, default=2)
     p.add_argument("--dt", type=float, help="RK4 step (default: stability bound)")
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--xi", choices=sorted(XI_CHOICES), default="one")
+    # sorted(kinetics.XI_CHOICES), spelled out so that parsing does not import kinetics
+    p.add_argument("--xi", choices=["one", "soft"], default="one")
     p.add_argument("--kernel", type=float, default=1.0, help="collision kernel weight T")
     p.add_argument("--trace-every", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed for the random initial populations")

@@ -16,8 +16,10 @@ row order), so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,6 +112,20 @@ class DegeneracySpectrum:
     @property
     def n_rows(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Degeneracy per row, exp(ln_g), inf beyond the float range.
+
+        Degeneracies are integer counts; log-gamma pipelines return them
+        with ~1 ulp noise, so a g below 2**53 within 1e-9 of a positive
+        integer is that integer (uniform microcanonical distributions come
+        out as literal 1/Omega).  Computed on first use."""
+        g = _exp_rows(self.ln_g)
+        with np.errstate(invalid="ignore"):
+            near = np.round(g)
+            snap = (g < 2.0**53) & (near > 0) & (np.abs(g - near) <= 1e-9 * near)
+        return np.where(snap, near, g)
 
     def ln_total_class(self) -> float:
         """ln of the unweighted class total (sum of all degeneracies)."""
@@ -253,7 +269,7 @@ class ThermoReport:
         out = {f"x_{n}": t.x_exchanged[:, j] for j, n in enumerate(t.exchanged_names)}
         out.update(ln_g=t.ln_g, ln_class=t.ln_row_class, macro_prob=probs.macro_probs,
                    config_prob=probs.config_probs,
-                   boltzmann_factor=_boltzmann_factors(t.ln_row_class, t.ln_g, t.excluded),
+                   boltzmann_factor=_boltzmann_factors(t),
                    excluded=t.excluded)
         return out
 
@@ -374,7 +390,8 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     ln_macro = table.ln_row_class - table.ln_total
     macro = np.where(table.excluded, 0.0, np.exp(ln_macro))
     ln_config = ln_macro - table.ln_g
-    config = np.where(table.excluded, 0.0, _per_configuration(macro, ln_macro, table.ln_g))
+    config = np.where(table.excluded, 0.0,
+                      _per_configuration(macro, ln_macro, table.ln_g, table.spectrum.g))
     return ProbabilityTable(
         macro_probs=macro,
         config_probs=config,
@@ -396,28 +413,22 @@ def _exp_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_configuration(num: np.ndarray, ln_num: np.ndarray, ln_g: np.ndarray) -> np.ndarray:
-    """num / g per row, with g = exp(ln_g) the row's degeneracy.
-
-    Degeneracies are integer counts; log-gamma pipelines return them
-    with ~1 ulp noise, so a g below 2**53 within 1e-9 of a positive
-    integer is divided out as that integer (uniform microcanonical
-    distributions come out as literal 1/Omega).  Where num or g leaves
-    the float range the quotient is exp(ln_num - ln_g) instead."""
-    g = _exp_rows(ln_g)
+def _per_configuration(num: np.ndarray, ln_num: np.ndarray, ln_g: np.ndarray,
+                       g: np.ndarray) -> np.ndarray:
+    """num / g per row, g the snapped degeneracy counts
+    (``DegeneracySpectrum.g``); where num or g leaves the float range the
+    quotient is exp(ln_num - ln_g) instead."""
     with np.errstate(invalid="ignore", over="ignore"):
-        near = np.round(g)
-        snap = (g < 2.0**53) & (near > 0) & (np.abs(g - near) <= 1e-9 * near)
-        g = np.where(snap, near, g)
         direct = np.isfinite(num) & np.isfinite(g) & (g > 0)
         out = np.exp(ln_num - ln_g)
     out[direct] = num[direct] / g[direct]
     return out
 
 
-def _boltzmann_factors(ln_row_class: np.ndarray, ln_g: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    factors = _per_configuration(_exp_rows(ln_row_class), ln_row_class, ln_g)
-    return np.where(excluded, 0.0, factors)
+def _boltzmann_factors(table: ClassTable, rows: slice = slice(None)) -> np.ndarray:
+    ln_c, spectrum = table.ln_row_class[rows], table.spectrum
+    factors = _per_configuration(_exp_rows(ln_c), ln_c, spectrum.ln_g[rows], spectrum.g[rows])
+    return np.where(table.excluded[rows], 0.0, factors)
 
 
 def generalized_boltzmann_factor(
@@ -434,8 +445,7 @@ def generalized_boltzmann_factor(
         table = characteristic_class(spectrum, env, family)
     if not 0 <= row < table.n_rows:
         raise ModelValidationError(f"row {row} out of range (n_rows={table.n_rows})")
-    r = slice(row, row + 1)
-    return float(_boltzmann_factors(table.ln_row_class[r], table.ln_g[r], table.excluded[r])[0])
+    return float(_boltzmann_factors(table, slice(row, row + 1))[0])
 
 
 def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -> float:
@@ -479,16 +489,26 @@ def combine_independent(
 class SpectrumSurface:
     """Phi of a full {pair name: value} mapping over a fixed spectrum,
     smooth in the intensive values; pinned extensive values select rows,
-    so only support points are meaningful.  One class pass per call."""
+    so only support points are meaningful.  One class pass per distinct
+    point: the surface keeps the class table of the last point it
+    evaluated, so phi, ``gradient`` and ``curvature`` there share it (a
+    hit needs every value bit-equal; 0.0 and -0.0 are different points)."""
 
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
     family: SqueezeFamily
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def _table(self, values: Mapping[str, float]) -> ClassTable:
-        env = EnsembleSpec({n: values[n] for n in self.env.fixed_intensive},
-                           {n: values[n] for n in self.env.fixed_extensive})
-        return characteristic_class(self.spectrum, env, self.family)
+        y = [values[n] for n in self.env.fixed_intensive]
+        X = [values[n] for n in self.env.fixed_extensive]
+        key = struct.pack(f"{len(y) + len(X)}d", *y, *X)
+        if self._last[0] != key:
+            env = EnsembleSpec(dict(zip(self.env.fixed_intensive, y)),
+                               dict(zip(self.env.fixed_extensive, X)))
+            table = characteristic_class(self.spectrum, env, self.family)
+            object.__setattr__(self, "_last", (key, table))
+        return self._last[1]
 
     def __call__(self, values: Mapping[str, float]) -> float:
         return self._table(values).phi

@@ -104,7 +104,8 @@ def _hessian_once(phi_surface: PhiSurface, point: Mapping[str, float], names: Se
 
 
 def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
-    """(phi, symmetrized Hessian) at the point; see stability_matrix."""
+    """(phi, symmetrized Hessian H, eigenvalues, eigenvectors of H) at
+    the point, from one eigendecomposition; see stability_matrix."""
     if hasattr(phi_surface, "curvature"):
         phi, H = phi_surface.curvature(point, names)
     else:
@@ -112,11 +113,11 @@ def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names:
         phi, h1 = _hessian_once(phi_surface, point, names, steps)
         H = (4.0 * _hessian_once(phi_surface, point, names, steps / 2.0)[1] - h1) / 3.0
     H = 0.5 * (H + H.T)
-    eig = np.linalg.eigvalsh(H)
+    eig, vec = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(eig))))
     if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
         warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
-    return phi, H
+    return phi, H, eig, vec
 
 
 def stability_matrix(
@@ -147,12 +148,18 @@ def moments(
     the quadratic fluctuation formulas assume a macroscopic state, so a
     non-negligible theta draws a StabilityWarning (not an error).
 
+    One eigendecomposition of the Hessian gives the indefinite check, the
+    condition number max|lambda|/min|lambda| (inf at a zero eigenvalue or
+    an exactly zero row) and G = V diag(1/lambda) V'.  A singular C
+    (cond > 1e8) is inverted as np.linalg.pinv does, dropping the
+    |lambda| <= 1e-15 max|lambda|.
+
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
     live class is at least eps**(1/(1 - q)), so the result stays finite."""
     names = tuple(variables)
-    phi, H = _phi_and_hessian(phi_surface, point, names)
-    C = -H  # extensive covariance matrix in the undeformed case
+    phi, H, eig, vec = _phi_and_hessian(phi_surface, point, names)
+    C, eig = -H, -eig  # extensive covariance matrix in the undeformed case, same eigenvectors
     phi0 = phi if phi0 is None else phi0
     if theta is not None and abs(theta) > 0.01 * max(1.0, abs(phi0)):
         warnings.warn(
@@ -165,18 +172,19 @@ def moments(
     else:
         scale = 1.0
     n = len(names)
-    cond = float(np.linalg.cond(C)) if n else 0.0
+    size = np.abs(eig)
+    # inf at a zero eigenvalue, as np.linalg.cond, or at an exactly zero row
+    # (a flat direction), whose eigenvalue eigh may leave at rounding level
+    flat = size.min() == 0.0 or not C.any(axis=1).all()
+    cond = math.inf if flat else float(size.max() / size.min())
     singular = not math.isfinite(cond) or cond > _SINGULAR_COND
     if singular:
         warnings.warn("covariance matrix is numerically singular", StabilityWarning)
-        G = np.linalg.pinv(C)
-    elif n == 1:
-        G = np.array([[1.0 / C[0, 0]]])
-    else:
-        G = np.linalg.inv(C)
+        eig = np.where(size > 1e-15 * size.max(), eig, math.inf)  # np.linalg.pinv's cutoff
+    G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
     variances = {ni: scale * float(C[i, i]) for i, ni in enumerate(names)}
     intensive = {}
-    flat_scale = max(1.0, float(np.max(np.abs(C)))) if n else 1.0
+    flat_scale = max(1.0, float(np.max(np.abs(C))))
     for i, ni in enumerate(names):
         if singular and abs(C[i, i]) <= _FLAT_TOL * flat_scale:
             intensive[ni] = math.inf

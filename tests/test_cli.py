@@ -305,6 +305,18 @@ def test_kinetics_bad_inputs_exit_with_documented_codes(capsys, flags, code, mes
     assert error["code"] == code and message in error["message"]
 
 
+def test_xi_choices_are_the_kinetics_table():
+    # the parser lists them without importing kinetics
+    import argparse
+
+    from sqzstat import kinetics
+    from sqzstat.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    xi = next(a for a in sub.choices["kinetics"]._actions if a.dest == "xi")
+    assert xi.choices == sorted(kinetics.XI_CHOICES)
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -393,6 +405,27 @@ def test_sweep_unknown_axis(capsys):
         capsys,
     )
     assert code == 3
+
+
+PINNED_SWEEP = ["--model", "lattice_gas", "--param", "sites=10", "--y", "E=0.7", "--X", "N=2"]
+
+
+def test_sweep_json_writes_undefined_theta_as_null_like_compute(capsys):
+    # with N pinned the subdivision entropy is undefined: null in JSON,
+    # an empty cell in CSV
+    sweep = PINNED_SWEEP + ["--axis", "N", "--range", "0:4", "--steps", "2"]
+    code, out, _ = run_cli(["sweep", *sweep], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["N"] for row in rows] == [0.0, 4.0]
+    assert all(row["entropy_theta"] is None for row in rows)
+    code, out, _ = run_cli(["compute", *PINNED_SWEEP], capsys)
+    assert code == 0 and json.loads(out)["entropy_theta"] is None
+    code, out, _ = run_cli(["sweep", *sweep, "--format", "csv"], capsys)
+    assert code == 0
+    header, *lines = out.splitlines()
+    col = header.split(",").index("entropy_theta")
+    assert [ln.split(",")[col] for ln in lines] == ["", ""]
 
 
 # ---------------------------------------------------------------------------

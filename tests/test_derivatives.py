@@ -88,6 +88,61 @@ def test_cli_fluct_takes_two_class_passes(class_passes, capsys):
 
 
 # ---------------------------------------------------------------------------
+# a surface keeps the class table of the last point it evaluated
+
+
+def test_conjugates_then_moments_at_one_point_take_one_class_pass(class_passes):
+    env = EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    surface = phi_surface_from_spectrum(lattice_gas(100), env, IDENT)
+    conjugates_from_phi(surface, env.split, env.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        moments(surface, env.values(), ["E", "N"], IDENT)
+    assert len(class_passes) == 1
+
+
+def surface_bits(surface, point, names):
+    """phi, the gradient and the curvature at one point, as raw bytes."""
+    phi_c, H = surface.curvature(point, names)
+    grad = surface.gradient(point, names)
+    return np.array([surface(point), phi_c, *(grad[n] for n in names)]).tobytes() + H.tobytes()
+
+
+SURFACE_CASES = {
+    "exchanged": (lattice_gas(30), EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2}), ["E", "N"],
+                  ({"E": 0.7, "N": 0.2}, {"E": 0.9, "N": -0.1})),
+    "pinned": (lattice_gas(30), EnsembleSpec({"E": 0.7}, {"N": 3.0}), ["E"],
+               ({"E": 0.7, "N": 3.0}, {"E": 0.7, "N": 4.0})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE_CASES))
+def test_revisited_point_matches_a_fresh_surface(class_passes, case):
+    spectrum, env, names, (a, b) = SURFACE_CASES[case]
+    fam = SqueezeFamily.tsallis(0.7)
+    surface = phi_surface_from_spectrum(spectrum, env, fam)
+    got = [surface_bits(surface, p, names) for p in (a, b, a)]
+    assert len(class_passes) == 3  # one per distinct point in turn
+    for p, bits in zip((a, b, a), got):
+        assert bits == surface_bits(phi_surface_from_spectrum(spectrum, env, fam), p, names)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["exchanged", "pinned"])
+def test_signed_zeros_are_different_points(class_passes, pinned):
+    if pinned:  # N = 0 and N = -0 select the same rows
+        spectrum, env, key = lattice_gas(10), EnsembleSpec({"E": 0.7}, {"N": 0.0}), "N"
+    else:
+        spectrum, env, key = two_level(1.0), EnsembleSpec(fixed_intensive={"E": 0.0}), "E"
+    surface = phi_surface_from_spectrum(spectrum, env, IDENT)
+    point = env.values()
+    for value in (0.0, -0.0, 0.0):
+        surface({**point, key: value})
+    assert len(class_passes) == 3
+    surface({**point, key: 0.0})
+    assert len(class_passes) == 3
+
+
+# ---------------------------------------------------------------------------
 # q < 1: the curvature against the differenced exact mean
 
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sqzstat import (
     DegeneracySpectrum,
@@ -250,3 +252,114 @@ def test_empirical_ladder_variance_matches_curvature():
     draws = rng.choice(spec.column("E"), size=100_000, p=probs.macro_probs)
     emp_var = float(np.var(draws))
     assert abs(emp_var / rep.variances["E"] - 1.0) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# one eigendecomposition against the separate numpy calls it replaces
+
+
+class FixedCurvature:
+    """A surface whose curvature is a given matrix (phi = 0)."""
+
+    def __init__(self, H):
+        self.H = H
+
+    def __call__(self, values):
+        return 0.0
+
+    def curvature(self, point, names):
+        return 0.0, self.H.copy()
+
+
+def rotation(n, angles):
+    """An orthogonal n x n matrix from up to three plane rotations."""
+    Q = np.eye(n)
+    for (i, j), a in zip([(0, 1), (1, 2), (0, 2)], angles):
+        if j < n:
+            R = np.eye(n)
+            R[i, i] = R[j, j] = math.cos(a)
+            R[i, j], R[j, i] = -math.sin(a), math.sin(a)
+            Q = Q @ R
+    return Q
+
+
+@st.composite
+def covariance_matrices(draw):
+    """(kind, C): symmetric 1-3 variable covariance matrices that are
+    positive definite, indefinite, rank-deficient (one zero eigenvalue up
+    to rounding) or with an exactly zero row and column."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["spd", "indefinite", "rank_deficient", "zero_row"]))
+    lam = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    Q = rotation(n, draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3)))
+    if kind == "indefinite":
+        lam[0] = -lam[0]
+    if kind == "rank_deficient":
+        lam[0] = 0.0
+    C = (Q * lam) @ Q.T
+    if kind == "zero_row":
+        i = draw(st.integers(0, n - 1))
+        C[i, :] = C[:, i] = 0.0
+    C = 0.5 * (C + C.T) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return kind, C
+
+
+def reference_moments(C):
+    """The separate numpy calls: eigvalsh for the indefinite check, cond,
+    then pinv when singular, 1/C for one variable and inv otherwise."""
+    n = C.shape[0]
+    eig = np.linalg.eigvalsh(-C)
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    messages = set()
+    if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
+        messages.add("indefinite curvature: state is not a one-sided extremum")
+    cond = float(np.linalg.cond(C))
+    singular = not math.isfinite(cond) or cond > 1e8
+    if singular:
+        messages.add("covariance matrix is numerically singular")
+        G = np.linalg.pinv(C)
+    else:
+        G = np.array([[1.0 / C[0, 0]]]) if n == 1 else np.linalg.inv(C)
+    flat = max(1.0, float(np.max(np.abs(C))))
+    intensive = [math.inf if singular and abs(C[i, i]) <= 1e-8 * flat else float(G[i, i])
+                 for i in range(n)]
+    return G, cond, singular, intensive, messages
+
+
+def moments_of(C):
+    names = [f"x{i}" for i in range(C.shape[0])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = moments(FixedCurvature(-C), dict.fromkeys(names, 0.0), names, IDENT)
+    return rep, {str(w.message) for w in caught}
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(covariance_matrices())
+def test_eigendecomposition_matches_inv_pinv_and_cond(case):
+    kind, C = case
+    G_ref, cond_ref, singular_ref, intensive_ref, messages_ref = reference_moments(C)
+    assume(not 1e6 <= cond_ref <= 1e10)  # away from the 1e8 singularity boundary
+    rep, messages = moments_of(C)
+    np.testing.assert_allclose(rep.G, G_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(G_ref)))
+    if math.isinf(cond_ref):
+        assert math.isinf(rep.condition_number)
+    elif cond_ref < 1e6:
+        assert rep.condition_number == pytest.approx(cond_ref, rel=1e-12)
+    else:  # a rounding-level eigenvalue: both far beyond the boundary
+        assert rep.condition_number > 1e10
+    assert rep.singular == singular_ref
+    intensive = [rep.intensive_variances[n] for n in rep.variable_names]
+    assert intensive == pytest.approx(intensive_ref, rel=1e-12)
+    assert messages == messages_ref
+    if kind == "zero_row":
+        assert rep.singular and math.isinf(rep.condition_number)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.floats(-1e6, 1e6).filter(lambda c: c != 0.0))
+def test_one_variable_stability_is_exactly_the_reciprocal(c):
+    rep, _ = moments_of(np.array([[c]]))
+    assert rep.G[0, 0].hex() == (1.0 / c).hex()
+    assert rep.condition_number == 1.0
+    assert not rep.singular

@@ -1,4 +1,5 @@
-"""Every built-in-family path runs on numpy and the stdlib alone.
+"""Every built-in-family path runs on numpy and the stdlib alone, and
+each subcommand loads only the package layers it uses.
 
 scipy costs about a third of a second to import, several times the
 numerical work of a typical CLI call, so it is imported only by the
@@ -98,3 +99,46 @@ print(json.dumps({"S": s, "before": before, "after": "scipy.integrate" in sys.mo
     expected = -sum(antiderivative(f) - antiderivative(a) for f in (0.5, 2.0))
     assert out["before"] is False and out["after"] is True
     assert out["S"] == pytest.approx(expected, rel=1e-9)
+
+
+RUN_MAIN_LAYERS = """
+import json, sys
+from sqzstat.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "layers": sorted(m for m in sys.modules if m.startswith("sqzstat."))}))
+"""
+
+# subcommand -> (argv, layers it must not load)
+UNUSED_LAYERS = {
+    "compute": (CASES["compute"], {"sqzstat.kinetics", "sqzstat.inference", "sqzstat.fluctuation"}),
+    "sweep": (CASES["sweep"], {"sqzstat.kinetics", "sqzstat.inference", "sqzstat.fluctuation"}),
+    "kinetics": (CASES["kinetics"], {"sqzstat.engine", "sqzstat.models"}),
+    "infer": (["infer", "--data", "ratios.csv", "--reconstruct", "rec.csv", "--density", "density.csv"],
+              {"sqzstat.engine", "sqzstat.kinetics"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNUSED_LAYERS))
+def test_subcommand_loads_only_its_layers(command, tmp_path):
+    argv, unused = UNUSED_LAYERS[command]
+    _write_infer_inputs(tmp_path)
+    out = fresh_python(RUN_MAIN_LAYERS, *argv, cwd=tmp_path)
+    assert out["code"] == 0
+    assert not unused & set(out["layers"])
+
+
+def test_star_import_binds_every_public_name():
+    script = """
+import importlib, json
+import sqzstat
+namespace = {}
+exec("from sqzstat import *", namespace)
+missing = [n for n in sqzstat.__all__ if n not in namespace]
+# each name is its defining module's object, and dir() lists it
+foreign = [n for n in sqzstat.__all__
+           if namespace[n] is not getattr(importlib.import_module(namespace[n].__module__), n)]
+print(json.dumps({"missing": missing, "foreign": foreign, "n": len(sqzstat.__all__),
+                  "undir": sorted(set(sqzstat.__all__) - set(dir(sqzstat)))}))
+"""
+    out = fresh_python(script)
+    assert out == {"missing": [], "foreign": [], "n": len(sqzstat.__all__), "undir": []}
