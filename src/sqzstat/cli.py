@@ -204,12 +204,17 @@ def cmd_fluct(args) -> int:
     spectrum, env, family = _load_model(args)
     if not env.fixed_intensive:
         raise CliError(EXIT_CONFIG, "fluct needs at least one exchanged (--y) variable")
+    report = report_for(spectrum, env, family)  # alive while moments reads its class table
     surface = phi_surface_from_spectrum(spectrum, env, family)
-    point = report_for(spectrum, env, family).point
     rep = moments(
         surface, env.values(), sorted(env.fixed_intensive), family,
-        phi0=point.phi, theta=point.entropy_theta,
+        phi0=report.point.phi, theta=report.point.entropy_theta,
     )
+    # moments gives IEEE values (1/c is inf for a subnormal c); only flat directions print inf
+    values = [rep.tsallis_scale, *rep.G.flat, *rep.G_inv.flat, *rep.variances.values(), *rep.covariances.values(),
+              *(v for v in rep.intensive_variances.values() if not (rep.singular and v == np.inf))]
+    if not np.isfinite(values).all():
+        raise SqueezeDomainError("fluctuation moments exceed the float range")
     if args.format == "csv":
         names = rep.variable_names
         cells = [("variance", n, v) for n, v in sorted(rep.variances.items())]
@@ -323,7 +328,9 @@ def cmd_sweep(args) -> int:
     if not (in_y or in_X):
         raise CliError(EXIT_CONFIG, f"sweep axis {axis!r} is not an environment variable")
     rows = []
-    for value in np.linspace(lo, hi, args.steps):
+    with np.errstate(over="ignore", invalid="ignore"):  # EnsembleSpec rejects a non-finite point
+        grid = np.linspace(lo, hi, args.steps)
+    for value in grid:
         y = dict(env.fixed_intensive)
         X = dict(env.fixed_extensive)
         (y if in_y else X)[axis] = float(value)

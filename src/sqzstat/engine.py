@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -77,12 +78,14 @@ class DegeneracySpectrum:
     """Finite table of microcanonical subclasses.
 
     ``variable_names`` orders the exchanged extensive variables; row r
-    has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``.
+    has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``.  ``_last`` weakly holds
+    the last class table taken over it (a table refers to its spectrum); copies drop it.
     """
 
     variable_names: tuple[str, ...]
     x: np.ndarray
     ln_g: np.ndarray
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -108,6 +111,9 @@ class DegeneracySpectrum:
         s = x[np.lexsort(x.T)] if x.shape[1] else x
         if (s[1:] == s[:-1]).all(axis=1).any():
             raise ModelValidationError("rows must have distinct variable vectors")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_last"}
 
     @property
     def n_rows(self) -> int:
@@ -203,7 +209,7 @@ class ClassTable:
 
     Rows follow the restricted spectrum.  ``ln_row_class`` is -inf on
     excluded rows; ``ln_total`` is the log characteristic class over the
-    surviving rows.
+    surviving rows.  Its mean weights and means are formed once, on first use.
     """
 
     spectrum: DegeneracySpectrum
@@ -230,6 +236,21 @@ class ClassTable:
     @property
     def phi(self) -> float:
         return -self.family.ln_squeeze(self.ln_total)
+
+    @cached_property
+    @np.errstate(over="ignore")  # an ln w below -max float is -inf, a zero weight
+    def mean_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(live mask, ln w, w), w = l(total)/l(c_row) on live rows, l = d(ln h)/dx."""
+        live, family = ~self.excluded, self.family
+        ln_w = family.ln_log_slope(self.ln_total) - family.ln_log_slope_arr(self.ln_row_class[live])
+        return live, ln_w, np.exp(ln_w)
+
+    @cached_property
+    def means(self) -> tuple[float, ...]:
+        """<X_j> = sum_r w_r X_rj in ``exchanged_names`` order (np.sum's reduction, unwrapped)."""
+        live, _, w = self.mean_weights
+        return tuple(float(np.add.reduce(w * self.x_exchanged[live, j]))
+                     for j in range(len(self.exchanged_names)))
 
 
 @dataclass(frozen=True)
@@ -294,7 +315,7 @@ def characteristic_class(
     y = np.array([env.fixed_intensive[n] for n in exchanged])
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
         ln_h_g = family.ln_squeeze_arr(working.ln_g)
-        if not np.all(np.isfinite(ln_h_g)):
+        if not np.isfinite(ln_h_g).all():
             raise SqueezeDomainError(
                 "squeezed log-degeneracy exceeds the float range "
                 f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"
@@ -345,14 +366,8 @@ def observed_mean(
             raise ModelValidationError(
                 f"observable has {values.shape} values for {table.n_rows} rows"
             )
-    live, ln_w = _ln_mean_weights(table)
-    return float(np.sum(np.exp(ln_w) * values[live]))
-
-
-def _ln_mean_weights(table: ClassTable) -> tuple[np.ndarray, np.ndarray]:
-    """(live mask, ln w), w = l(total)/l(c_row) on live rows, l = d(ln h)/dx."""
-    live, family = ~table.excluded, table.family
-    return live, family.ln_log_slope(table.ln_total) - family.ln_log_slope_arr(table.ln_row_class[live])
+    live, _, w = table.mean_weights
+    return float(np.sum(w * values[live]))
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -368,12 +383,10 @@ def phi_and_entropies(table: ClassTable) -> ThermoPoint:
     """
     env = table.env
     phi = table.phi
-    live, ln_w = _ln_mean_weights(table)
-    w, observed = np.exp(ln_w), {}
+    observed = dict(zip(table.exchanged_names, table.means))
     j_val = -phi
-    for j, name in enumerate(table.exchanged_names):
-        observed[name] = float(np.sum(w * table.x_exchanged[live, j]))
-        j_val += env.fixed_intensive[name] * observed[name]
+    for name, mean in observed.items():
+        j_val += env.fixed_intensive[name] * mean
     theta = -phi if not env.fixed_extensive else None
     return ThermoPoint(phi=phi, entropy_J=j_val, entropy_theta=theta, observed=observed)
 
@@ -485,6 +498,19 @@ def combine_independent(
     return DegeneracySpectrum(variable_names=names, x=np.hstack([xa, xb]), ln_g=lng)
 
 
+def _class_table(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> ClassTable:
+    """characteristic_class, or the spectrum's last table while it lives if taken for
+    this family object, the same names in order and bit-equal values (0.0 != -0.0)."""
+    y, X = env.fixed_intensive, env.fixed_extensive
+    key = (tuple(y), tuple(X), struct.pack(f"{len(y) + len(X)}d", *y.values(), *X.values()))
+    last_key, ref = spectrum._last  # one read: the key and the table belong together
+    table = ref() if last_key == key else None
+    if table is None or table.family is not family:
+        table = characteristic_class(spectrum, env, family)
+        object.__setattr__(spectrum, "_last", (key, weakref.ref(table)))
+    return table
+
+
 @dataclass(frozen=True)
 class SpectrumSurface:
     """Phi of a full {pair name: value} mapping over a fixed spectrum,
@@ -492,7 +518,8 @@ class SpectrumSurface:
     so only support points are meaningful.  One class pass per distinct
     point: the surface keeps the class table of the last point it
     evaluated, so phi, ``gradient`` and ``curvature`` there share it (a
-    hit needs every value bit-equal; 0.0 and -0.0 are different points)."""
+    hit needs every value bit-equal; 0.0 and -0.0 are different points).
+    A miss reads the spectrum's last table if it matches (``_class_table``)."""
 
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
@@ -506,8 +533,7 @@ class SpectrumSurface:
         if self._last[0] != key:
             env = EnsembleSpec(dict(zip(self.env.fixed_intensive, y)),
                                dict(zip(self.env.fixed_extensive, X)))
-            table = characteristic_class(self.spectrum, env, self.family)
-            object.__setattr__(self, "_last", (key, table))
+            object.__setattr__(self, "_last", (key, _class_table(self.spectrum, env, self.family)))
         return self._last[1]
 
     def __call__(self, values: Mapping[str, float]) -> float:
@@ -515,21 +541,27 @@ class SpectrumSurface:
 
     def gradient(self, point: Mapping[str, float], names: Sequence[str]) -> dict[str, float]:
         """d phi/d y of exchanged names: the observed means."""
-        observed = phi_and_entropies(self._table(point)).observed
-        return {n: observed[n] for n in names}
+        table = self._table(point)
+        return {n: table.means[table.exchanged_names.index(n)] for n in names}
 
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H_ij = d2 phi/dy_i dy_j = -k(T)/(T l(T)) <X_i><X_j> +
         sum_r w_r k(c_r)/(c_r l(c_r)) X_ri X_rj, with T the class total, c_r
-        the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x."""
+        the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x.  A live
+        row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, family = self._table(point), self.family
-        live, ln_w = _ln_mean_weights(table)
+        live, ln_w, w = table.mean_weights
         x = table.x_exchanged[live][:, [table.exchanged_names.index(n) for n in names]]
         ln_c, ln_l_total = table.ln_row_class[live], family.ln_log_slope(table.ln_total)
-        mean = x.T @ np.exp(ln_w)
+        mean = x.T @ w
         a = -family.slope_elasticity_arr(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
-        b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
-        return table.phi, a * np.outer(mean, mean) + (x * b[:, None]).T @ x
+        with np.errstate(over="ignore", invalid="ignore"):  # 2 ln w may overflow to -inf
+            b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
+            b[ln_c == -np.inf] = 0.0
+            H = a * np.outer(mean, mean) + (x * b[:, None]).T @ x
+        if not np.isfinite(H).all():
+            raise SqueezeDomainError(f"curvature of phi exceeds the float range at {family.label()}")
+        return table.phi, H
 
 
 phi_surface_from_spectrum = SpectrumSurface  # the public constructor name
@@ -538,8 +570,9 @@ phi_surface_from_spectrum = SpectrumSurface  # the public constructor name
 def report_for(
     spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily
 ) -> ThermoReport:
-    """One-stop evaluation used by the CLI."""
-    table = characteristic_class(spectrum, env, family)
+    """One-stop evaluation used by the CLI.  While the report lives, a surface at
+    the same point reads its class table (``_class_table``), with no second pass."""
+    table = _class_table(spectrum, env, family)
     return ThermoReport(point=phi_and_entropies(table), table=table)
 
 

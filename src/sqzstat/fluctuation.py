@@ -167,34 +167,24 @@ def moments(
             "macroscopic fluctuation formulas are approximate here",
             StabilityWarning,
         )
-    if family.kind == "tsallis" and not family.is_identity:
-        scale = 1.0 + (family.q - 1.0) * phi0
-    else:
-        scale = 1.0
-    n = len(names)
+    scale = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
     size = np.abs(eig)
     # inf at a zero eigenvalue, as np.linalg.cond, or at an exactly zero row
     # (a flat direction), whose eigenvalue eigh may leave at rounding level
     flat = size.min() == 0.0 or not C.any(axis=1).all()
-    cond = math.inf if flat else float(size.max() / size.min())
-    singular = not math.isfinite(cond) or cond > _SINGULAR_COND
-    if singular:
-        warnings.warn("covariance matrix is numerically singular", StabilityWarning)
-        eig = np.where(size > 1e-15 * size.max(), eig, math.inf)  # np.linalg.pinv's cutoff
-    G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
+        cond = math.inf if flat else float(size.max() / size.min())
+        singular = not math.isfinite(cond) or cond > _SINGULAR_COND
+        if singular:
+            warnings.warn("covariance matrix is numerically singular", StabilityWarning)
+            eig = np.where(size > 1e-15 * size.max(), eig, math.inf)  # np.linalg.pinv's cutoff
+        G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
     variances = {ni: scale * float(C[i, i]) for i, ni in enumerate(names)}
-    intensive = {}
     flat_scale = max(1.0, float(np.max(np.abs(C))))
-    for i, ni in enumerate(names):
-        if singular and abs(C[i, i]) <= _FLAT_TOL * flat_scale:
-            intensive[ni] = math.inf
-        else:
-            intensive[ni] = scale * float(G[i, i])
-    covariances = {
-        (names[i], names[j]): scale * float(C[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    intensive = {ni: math.inf if singular and abs(C[i, i]) <= _FLAT_TOL * flat_scale
+                 else scale * float(G[i, i]) for i, ni in enumerate(names)}
+    covariances = {(ni, nj): scale * float(C[i, j])
+                   for i, ni in enumerate(names) for j, nj in enumerate(names) if j > i}
     return FluctuationReport(
         variable_names=names,
         G=G,

@@ -7,9 +7,13 @@ compare phi, the means and the curvature with 50-digit direct sums, and
 cover custom families and the growth of the curvature next to a cutoff
 at q < 1/2."""
 
+import copy
+import gc
 import json
 import math
+import pickle
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -77,14 +81,14 @@ def test_conjugates_take_one_class_pass(class_passes):
         assert out[name] == observed_mean(lattice_gas(100), env, IDENT, name)
 
 
-def test_cli_fluct_takes_two_class_passes(class_passes, capsys):
+def test_cli_fluct_takes_one_class_pass(class_passes, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         code = main(["fluct", "--model", "lattice_gas", "--param", "sites=100",
                      "--y", "E=0.7", "--y", "N=0.2"])
     capsys.readouterr()
     assert code == 0
-    assert len(class_passes) == 2  # the report and the curvature
+    assert len(class_passes) == 1  # the report's table serves the curvature
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,65 @@ def test_signed_zeros_are_different_points(class_passes, pinned):
     assert len(class_passes) == 3
     surface({**point, key: 0.0})
     assert len(class_passes) == 3
+
+
+# ---------------------------------------------------------------------------
+# a report and a surface at one point share the spectrum's last class table
+
+
+def test_report_then_surface_derivatives_take_one_class_pass(class_passes):
+    spectrum, env = lattice_gas(30), EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    fam = SqueezeFamily.tsallis(0.7)
+    report = engine.report_for(spectrum, env, fam)
+    surface = phi_surface_from_spectrum(spectrum, env, fam)
+    got = surface_bits(surface, env.values(), ["E", "N"])
+    assert len(class_passes) == 1
+    assert surface._table(env.values()) is report.table
+    assert got == surface_bits(phi_surface_from_spectrum(lattice_gas(30), env, fam),
+                               env.values(), ["E", "N"])
+
+
+@pytest.mark.parametrize("change", ["equal_family", "name_order"])
+def test_shared_table_misses_on_another_family_object_or_name_order(class_passes, change):
+    spectrum, y = lattice_gas(30), {"E": 0.7, "N": 0.2}
+    env, fam = EnsembleSpec(fixed_intensive=y), SqueezeFamily.tsallis(0.7)
+    report = engine.report_for(spectrum, env, fam)
+    if change == "equal_family":
+        other_env, other_fam = env, SqueezeFamily.tsallis(0.7)
+        assert other_fam == fam and other_fam is not fam
+    else:
+        other_env, other_fam = EnsembleSpec(fixed_intensive={"N": 0.2, "E": 0.7}), fam
+    other = engine.report_for(spectrum, other_env, other_fam)
+    assert len(class_passes) == 2
+    assert other.table is not report.table
+    assert other.table.ln_row_class.tobytes() == report.table.ln_row_class.tobytes()
+    assert other.point == report.point
+
+
+def test_report_table_is_freed_without_the_cycle_collector():
+    spectrum, env = two_level(1.0), EnsembleSpec(fixed_intensive={"E": 0.7})
+    gc.disable()
+    try:
+        report = engine.report_for(spectrum, env, IDENT)
+        ref = weakref.ref(report.table)
+        del report
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("clone", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_spectrum_report_and_surface_copy_after_an_evaluation(clone):
+    spectrum, env = lattice_gas(10), EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    report = engine.report_for(spectrum, env, IDENT)
+    surface = phi_surface_from_spectrum(spectrum, env, IDENT)
+    expected = surface_bits(surface, env.values(), ["E", "N"])
+    spectrum2, report2, surface2 = map(clone, (spectrum, report, surface))
+    assert spectrum2._last == (None, None)  # the weak slot is not copied
+    assert spectrum2.ln_g.tobytes() == spectrum.ln_g.tobytes()
+    assert report2.point == report.point
+    assert surface_bits(surface2, env.values(), ["E", "N"]) == expected
 
 
 # ---------------------------------------------------------------------------
