@@ -320,6 +320,8 @@ def cmd_sweep(args) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise CliError(EXIT_CONFIG, f"--range expects lo:hi, got {args.range!r}") from None
+    if not np.isfinite(hi - lo):  # also a nan or inf end: the grid would hold values never given
+        raise ModelValidationError(f"--range {args.range!r} does not span a finite interval")
     if args.steps < 2:
         raise CliError(EXIT_CONFIG, "--steps must be >= 2 for a sweep")
     axis = args.axis
@@ -328,7 +330,7 @@ def cmd_sweep(args) -> int:
     if not (in_y or in_X):
         raise CliError(EXIT_CONFIG, f"sweep axis {axis!r} is not an environment variable")
     rows = []
-    with np.errstate(over="ignore", invalid="ignore"):  # EnsembleSpec rejects a non-finite point
+    with np.errstate(over="ignore"):  # the last point may overflow; linspace then sets it to hi
         grid = np.linspace(lo, hi, args.steps)
     for value in grid:
         y = dict(env.fixed_intensive)

@@ -78,8 +78,9 @@ class DegeneracySpectrum:
     """Finite table of microcanonical subclasses.
 
     ``variable_names`` orders the exchanged extensive variables; row r
-    has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``.  ``_last`` weakly holds
-    the last class table taken over it (a table refers to its spectrum); copies drop it.
+    has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``.  ``_last`` holds the last class
+    table taken over it weakly, because a table refers to its spectrum: a freed report frees
+    its table without waiting for the cycle collector.  Copies drop it.
     """
 
     variable_names: tuple[str, ...]
@@ -209,7 +210,7 @@ class ClassTable:
 
     Rows follow the restricted spectrum.  ``ln_row_class`` is -inf on
     excluded rows; ``ln_total`` is the log characteristic class over the
-    surviving rows.  Its mean weights and means are formed once, on first use.
+    surviving rows.  ``means`` is its one cached value; mean weights are formed per call.
     """
 
     spectrum: DegeneracySpectrum
@@ -237,18 +238,17 @@ class ClassTable:
     def phi(self) -> float:
         return -self.family.ln_squeeze(self.ln_total)
 
-    @cached_property
     @np.errstate(over="ignore")  # an ln w below -max float is -inf, a zero weight
-    def mean_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(live mask, ln w, w), w = l(total)/l(c_row) on live rows, l = d(ln h)/dx."""
+    def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(live mask, ln w), w = l(total)/l(c_row) on live rows, l = d(ln h)/dx; not cached."""
         live, family = ~self.excluded, self.family
-        ln_w = family.ln_log_slope(self.ln_total) - family.ln_log_slope_arr(self.ln_row_class[live])
-        return live, ln_w, np.exp(ln_w)
+        return live, family.ln_log_slope(self.ln_total) - family.ln_log_slope_arr(self.ln_row_class[live])
 
     @cached_property
     def means(self) -> tuple[float, ...]:
         """<X_j> = sum_r w_r X_rj in ``exchanged_names`` order (np.sum's reduction, unwrapped)."""
-        live, _, w = self.mean_weights
+        live, ln_w = self.mean_weights()
+        w = np.exp(ln_w)
         return tuple(float(np.add.reduce(w * self.x_exchanged[live, j]))
                      for j in range(len(self.exchanged_names)))
 
@@ -366,8 +366,8 @@ def observed_mean(
             raise ModelValidationError(
                 f"observable has {values.shape} values for {table.n_rows} rows"
             )
-    live, _, w = table.mean_weights
-    return float(np.sum(w * values[live]))
+    live, ln_w = table.mean_weights()
+    return float(np.sum(np.exp(ln_w) * values[live]))
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -498,15 +498,14 @@ def combine_independent(
     return DegeneracySpectrum(variable_names=names, x=np.hstack([xa, xb]), ln_g=lng)
 
 
-def _class_table(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> ClassTable:
-    """characteristic_class, or the spectrum's last table while it lives if taken for
-    this family object, the same names in order and bit-equal values (0.0 != -0.0)."""
-    y, X = env.fixed_intensive, env.fixed_extensive
+def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily) -> ClassTable:
+    """The one class-table lookup: the spectrum's last table while it lives if taken for this family
+    object, the same y and X names in order and bit-equal values (0.0 != -0.0), else a new pass."""
     key = (tuple(y), tuple(X), struct.pack(f"{len(y) + len(X)}d", *y.values(), *X.values()))
     last_key, ref = spectrum._last  # one read: the key and the table belong together
     table = ref() if last_key == key else None
     if table is None or table.family is not family:
-        table = characteristic_class(spectrum, env, family)
+        table = characteristic_class(spectrum, EnsembleSpec(y, X), family)
         object.__setattr__(spectrum, "_last", (key, weakref.ref(table)))
     return table
 
@@ -515,26 +514,20 @@ def _class_table(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: Squeez
 class SpectrumSurface:
     """Phi of a full {pair name: value} mapping over a fixed spectrum,
     smooth in the intensive values; pinned extensive values select rows,
-    so only support points are meaningful.  One class pass per distinct
-    point: the surface keeps the class table of the last point it
-    evaluated, so phi, ``gradient`` and ``curvature`` there share it (a
-    hit needs every value bit-equal; 0.0 and -0.0 are different points).
-    A miss reads the spectrum's last table if it matches (``_class_table``)."""
+    so only support points are meaningful.  Points are looked up with
+    ``_class_table`` and the last table is held, so phi, ``gradient`` and
+    ``curvature`` at one point share one pass if no other point comes between."""
 
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
     family: SqueezeFamily
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _held: ClassTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def _table(self, values: Mapping[str, float]) -> ClassTable:
-        y = [values[n] for n in self.env.fixed_intensive]
-        X = [values[n] for n in self.env.fixed_extensive]
-        key = struct.pack(f"{len(y) + len(X)}d", *y, *X)
-        if self._last[0] != key:
-            env = EnsembleSpec(dict(zip(self.env.fixed_intensive, y)),
-                               dict(zip(self.env.fixed_extensive, X)))
-            object.__setattr__(self, "_last", (key, _class_table(self.spectrum, env, self.family)))
-        return self._last[1]
+        y = {n: values[n] for n in self.env.fixed_intensive}
+        X = {n: values[n] for n in self.env.fixed_extensive}
+        object.__setattr__(self, "_held", _class_table(self.spectrum, y, X, self.family))
+        return self._held
 
     def __call__(self, values: Mapping[str, float]) -> float:
         return self._table(values).phi
@@ -550,12 +543,12 @@ class SpectrumSurface:
         the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x.  A live
         row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, family = self._table(point), self.family
-        live, ln_w, w = table.mean_weights
+        live, ln_w = table.mean_weights()
         x = table.x_exchanged[live][:, [table.exchanged_names.index(n) for n in names]]
         ln_c, ln_l_total = table.ln_row_class[live], family.ln_log_slope(table.ln_total)
-        mean = x.T @ w
         a = -family.slope_elasticity_arr(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
         with np.errstate(over="ignore", invalid="ignore"):  # 2 ln w may overflow to -inf
+            mean = x.T @ np.exp(ln_w)
             b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
             b[ln_c == -np.inf] = 0.0
             H = a * np.outer(mean, mean) + (x * b[:, None]).T @ x
@@ -572,7 +565,7 @@ def report_for(
 ) -> ThermoReport:
     """One-stop evaluation used by the CLI.  While the report lives, a surface at
     the same point reads its class table (``_class_table``), with no second pass."""
-    table = _class_table(spectrum, env, family)
+    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family)
     return ThermoReport(point=phi_and_entropies(table), table=table)
 
 

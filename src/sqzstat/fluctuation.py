@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .squeeze import SqueezeFamily
-from .thermo import PhiSurface
+from .thermo import PhiSurface, richardson
 
 __all__ = [
     "StabilityWarning",
@@ -75,43 +75,40 @@ class FluctuationReport:
         }
 
 
-def _hessian_once(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str], steps: np.ndarray):
-    base = dict(point)
-    n = len(names)
+def _differenced_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
+    steps = np.array([_HESS_STEP * max(1.0, abs(point[name])) for name in names])
 
     def at(deltas: dict[str, float]) -> float:
-        vals = dict(base)
+        vals = dict(point)
         for k, d in deltas.items():
             vals[k] = vals[k] + d
         return phi_surface(vals)
 
     f0 = at({})
-    H = np.empty((n, n))
-    for i, ni in enumerate(names):
-        hi = steps[i]
-        H[i, i] = (at({ni: hi}) - 2.0 * f0 + at({ni: -hi})) / (hi * hi)
-        for j in range(i + 1, n):
-            nj = names[j]
-            hj = steps[j]
-            cross = (
-                at({ni: hi, nj: hj})
-                - at({ni: hi, nj: -hj})
-                - at({ni: -hi, nj: hj})
-                + at({ni: -hi, nj: -hj})
-            ) / (4.0 * hi * hj)
-            H[i, j] = H[j, i] = cross
-    return f0, H
+
+    def second_differences(scale: float) -> np.ndarray:
+        H = np.empty((len(names), len(names)))
+        for i, ni in enumerate(names):
+            hi = steps[i] * scale
+            H[i, i] = (at({ni: hi}) - 2.0 * f0 + at({ni: -hi})) / (hi * hi)
+            for j, nj in enumerate(names[i + 1:], i + 1):
+                hj = steps[j] * scale
+                H[i, j] = H[j, i] = (
+                    at({ni: hi, nj: hj})
+                    - at({ni: hi, nj: -hj})
+                    - at({ni: -hi, nj: hj})
+                    + at({ni: -hi, nj: -hj})
+                ) / (4.0 * hi * hj)
+        return H
+
+    return f0, richardson(second_differences, 1.0)
 
 
 def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
     """(phi, symmetrized Hessian H, eigenvalues, eigenvectors of H) at
     the point, from one eigendecomposition; see stability_matrix."""
-    if hasattr(phi_surface, "curvature"):
-        phi, H = phi_surface.curvature(point, names)
-    else:
-        steps = np.array([_HESS_STEP * max(1.0, abs(point[n])) for n in names])
-        phi, h1 = _hessian_once(phi_surface, point, names, steps)
-        H = (4.0 * _hessian_once(phi_surface, point, names, steps / 2.0)[1] - h1) / 3.0
+    curvature = getattr(phi_surface, "curvature", None)
+    phi, H = curvature(point, names) if curvature else _differenced_hessian(phi_surface, point, names)
     H = 0.5 * (H + H.T)
     eig, vec = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(eig))))

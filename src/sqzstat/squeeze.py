@@ -121,10 +121,6 @@ class LogValue:
     cutoff_flag: bool = False
     ln_x_lo: float = 0.0
 
-    @property
-    def excluded(self) -> bool:
-        return self.cutoff_flag
-
     def value(self) -> float:
         """Linear-domain value; 0.0 for the excluded state."""
         return 0.0 if self.cutoff_flag else math.exp(self.ln_x)

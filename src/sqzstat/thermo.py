@@ -85,17 +85,17 @@ class ThermoPoint:
         }
 
 
+def richardson(D: Callable, h: float):
+    """One Richardson refinement of a difference quotient D (a float or an
+    array) whose leading error is O(h^2): (4 D(h/2) - D(h)) / 3."""
+    return (4.0 * D(h / 2) - D(h)) / 3.0
+
+
 def central_derivative(
     f: Callable[[float], float], x0: float, rel_step: float = 1e-5
 ) -> float:
-    """Central difference with one Richardson refinement.
-
-    Step h = rel_step * max(1, |x0|); combines D(h) and D(h/2) to cancel
-    the leading error term."""
-    h = rel_step * max(1.0, abs(x0))
-    d1 = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    d2 = (f(x0 + h / 2) - f(x0 - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
+    """Central difference at step h = rel_step * max(1, |x0|), refined by ``richardson``."""
+    return richardson(lambda h: (f(x0 + h) - f(x0 - h)) / (2.0 * h), rel_step * max(1.0, abs(x0)))
 
 
 def conjugates_from_phi(

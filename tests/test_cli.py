@@ -398,6 +398,19 @@ def test_sweep_non_finite_range_is_model_error(capsys):
     assert json.loads(err)["error"]["type"] == "ModelValidationError"
 
 
+def test_sweep_range_beyond_the_float_range_names_the_range(capsys):
+    # both ends are finite, but hi - lo overflows: the grid would hold a nan
+    code, out, err = run_cli(
+        ["sweep", "--model", "two_level", "--y", "E=1", "--axis", "E",
+         "--range=-1.7e308:1.7e308", "--steps", "3"],
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ModelValidationError"
+    assert "-1.7e308:1.7e308" in error["message"]
+
+
 def test_sweep_unknown_axis(capsys):
     code, _, _ = run_cli(
         ["sweep", "--model", "two_level", "--y", "E=0.5", "--axis", "Z",

@@ -12,13 +12,14 @@ import gc
 import json
 import math
 import pickle
+import tracemalloc
 import warnings
 import weakref
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqzstat import (
@@ -203,6 +204,91 @@ def test_spectrum_report_and_surface_copy_after_an_evaluation(clone):
     assert spectrum2.ln_g.tobytes() == spectrum.ln_g.tobytes()
     assert report2.point == report.point
     assert surface_bits(surface2, env.values(), ["E", "N"]) == expected
+
+
+@pytest.mark.parametrize("family", [IDENT, SqueezeFamily.tsallis(1.5)], ids=["identity", "tsallis"])
+def test_live_report_holds_only_its_class_table_fields(family):
+    n = 200_000
+    spectrum = DegeneracySpectrum(("E",), np.arange(n, dtype=float), np.zeros(n))
+    env = EnsembleSpec(fixed_intensive={"E": 1e-5})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = engine.report_for(spectrum, env, family)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = report.table
+    assert not table.excluded.any()  # every row live, so per-live-row arrays would show in full
+    fields = table.ln_row_class.nbytes + table.excluded.nbytes + table.x_exchanged.nbytes
+    assert fields == 17 * n
+    assert held <= fields + 64 * 1024
+
+
+# Interleaved lookups on one spectrum: two environments over a pool of three
+# points each, two of them differing only in the sign of a zero, and three
+# families: two equal but distinct objects and one of another q.
+LOOKUP_ENVS = {
+    "exchanged": (("E", "N"), (), [(0.7, 0.0), (0.7, -0.0), (0.9, 0.2)]),
+    "pinned": (("E",), ("N",), [(0.7, 0.0), (0.7, -0.0), (0.9, 3.0)]),
+}
+LOOKUP_FAMILIES = (SqueezeFamily.tsallis(0.7), SqueezeFamily.tsallis(0.7), SqueezeFamily.tsallis(1.4))
+
+
+def lookup_spectrum():
+    e, n = np.meshgrid(np.arange(5.0), np.arange(4.0))
+    x = np.column_stack([e.ravel(), n.ravel()])
+    return DegeneracySpectrum(("E", "N"), x, 0.3 * x[:, 0] + 0.7 * x[:, 1] + 0.1 * (x[:, 0] % 2))
+
+
+def lookup_surfaces(spectrum):
+    surfaces = {}
+    for name, (y_names, x_names, pool) in LOOKUP_ENVS.items():
+        values = dict(zip(("E", "N"), pool[0]))
+        env = EnsembleSpec({n: values[n] for n in y_names}, {n: values[n] for n in x_names})
+        for i, family in enumerate(LOOKUP_FAMILIES):
+            surfaces[name, i] = phi_surface_from_spectrum(spectrum, env, family)
+    return surfaces
+
+
+def lookup_bits(spectrum, surfaces, reports, op):
+    """One lookup's result as raw bytes; a kept report stays alive in ``reports``."""
+    kind, env_name, family_index, point, keep = op
+    y_names, x_names, pool = LOOKUP_ENVS[env_name]
+    values = dict(zip(("E", "N"), pool[point]))
+    if kind == "report":
+        env = EnsembleSpec({n: values[n] for n in y_names}, {n: values[n] for n in x_names})
+        report = engine.report_for(spectrum, env, LOOKUP_FAMILIES[family_index])
+        if keep:
+            reports.append(report)
+        p = report.point
+        theta = math.nan if p.entropy_theta is None else p.entropy_theta
+        return np.array([p.phi, p.entropy_J, theta, *p.observed.values()]).tobytes()
+    surface = surfaces[env_name, family_index]
+    if kind == "call":
+        return np.float64(surface(values)).tobytes()
+    if kind == "gradient":
+        return np.array(list(surface.gradient(values, y_names).values())).tobytes()
+    phi, H = surface.curvature(values, list(y_names))
+    return np.float64(phi).tobytes() + H.tobytes()
+
+
+LOOKUP_OPS = st.tuples(st.sampled_from(["report", "call", "gradient", "curvature"]),
+                       st.sampled_from(sorted(LOOKUP_ENVS)), st.integers(0, 2), st.integers(0, 2),
+                       st.booleans())
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.lists(LOOKUP_OPS, min_size=1, max_size=12))
+# a surface whose held table is no longer the spectrum's last
+@example([("call", "exchanged", 0, 0, False), ("report", "exchanged", 0, 2, True),
+          ("gradient", "exchanged", 0, 0, False), ("curvature", "exchanged", 0, 0, False)])
+def test_interleaved_lookups_match_a_fresh_spectrum(ops):
+    spectrum, reports = lookup_spectrum(), []
+    surfaces = lookup_surfaces(spectrum)
+    for op in ops:
+        fresh = lookup_spectrum()
+        assert lookup_bits(spectrum, surfaces, reports, op) == lookup_bits(fresh, lookup_surfaces(fresh), [], op)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,138 @@
+"""Check that the CLI gives the same bytes as at a git revision.
+
+    python tools/same_output.py REF
+
+Runs each argv of ``benchmarks/workloads.cli_argvs`` for seeds 1-6, plus a
+fixed list (``fluct`` with one and two variables at q = 1, 0.9 and 0.2 in
+JSON and CSV, a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
+``sweep`` in CSV and JSON, ``kinetics`` with snapshots and ``infer
+--reconstruct``), once on the working tree's ``src`` and once on REF's,
+extracted with ``git archive``.  Each run starts in a fresh directory that
+holds only its input files; the exit code, stdout and every file the run
+writes there are compared byte for byte.  Prints one line per mismatch and
+exits 1 if there is any, else exits 0.  Needs the standard library, local
+git, and the packages the benchmark itself imports.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 7)
+
+Case = tuple[str, list[str], dict[str, bytes]]  # (label, argv, {input file name: bytes})
+
+
+def _ratios_csv(q: float) -> bytes:
+    ln_g = [5.0 * k / 50 for k in range(51)]
+    rows = [f"{g!r},{math.exp((1.0 - q) * g)!r}" for g in ln_g]
+    return ("ln_g,ratio\n" + "\n".join(rows) + "\n").encode()
+
+
+def _fixed_cases() -> list[Case]:
+    one = ["--model", "einstein_solid", "--param", "N=50", "--y", "E=0.3"]
+    two = ["--model", "lattice_gas", "--param", "sites=30", "--y", "E=0.7", "--y", "N=0.2"]
+    pinned = ["--model", "lattice_gas", "--param", "sites=10", "--y", "E=0.7", "--X", "N=2"]
+    cases = []
+    for model, flags in (("1var", one), ("2var", two)):
+        for q in ("1", "0.9", "0.2"):
+            family = [] if q == "1" else ["--squeeze", "tsallis", "--q", q]
+            for fmt in ("json", "csv"):
+                cases.append((f"fluct {model} q={q} {fmt}", ["fluct", *flags, *family, "--format", fmt], {}))
+    sweep = ["sweep", *pinned, "--axis", "N", "--range", "0:4", "--steps", "5"]
+    cases += [
+        ("compute pinned X", ["compute", *pinned], {}),
+        ("fluct pinned X", ["fluct", *pinned, "--squeeze", "tsallis", "--q", "0.9"], {}),
+        ("compute rows emit-model",
+         ["compute", *two, "--squeeze", "tsallis", "--q", "0.9", "--rows", "rows.csv",
+          "--emit-model", "model.json"], {}),
+        ("sweep csv", [*sweep, "--format", "csv"], {}),
+        ("sweep json", sweep, {}),
+        ("sweep q=0.2 json", ["sweep", *two, "--squeeze", "tsallis", "--q", "0.2", "--axis", "E",
+                              "--range", "0.1:2", "--steps", "7"], {}),
+        ("kinetics snapshots",
+         ["kinetics", "--lattice-radius", "2", "--steps", "60", "--trace-every", "10",
+          "--snapshot-every", "20", "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "1.5"], {}),
+        ("infer reconstruct", ["infer", "--data", "ratios.csv", "--reconstruct", "ln_h.csv"],
+         {"ratios.csv": _ratios_csv(1.3)}),
+    ]
+    return cases
+
+
+def _benchmark_cases(scratch: Path) -> list[Case]:
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import cli_argvs  # the benchmark's own argvs, as it runs them
+
+    cases = []
+    for seed in SEEDS:
+        inputs = scratch / f"inputs-{seed}"
+        inputs.mkdir()
+        argvs = cli_argvs(seed, inputs)
+        files = {p.name: p.read_bytes() for p in inputs.iterdir()}
+        prefix = str(inputs) + os.sep
+        for k, argv in enumerate(argvs):
+            cases.append((f"cli_argvs seed {seed} #{k} {argv[0]}", [a.replace(prefix, "") for a in argv], files))
+    return cases
+
+
+def _run(src: Path, workdir: Path, argv: list[str], inputs: dict[str, bytes]) -> tuple:
+    workdir.mkdir(parents=True)
+    for name, data in inputs.items():
+        (workdir / name).write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "sqzstat", *argv], cwd=workdir, env=env,
+                          capture_output=True, timeout=600)
+    written = {str(p.relative_to(workdir)): p.read_bytes() for p in sorted(workdir.rglob("*"))
+               if p.is_file() and inputs.get(p.name) != p.read_bytes()}
+    return proc.returncode, proc.stdout, written
+
+
+def _differences(ref: tuple, tree: tuple) -> list[str]:
+    out = []
+    if ref[0] != tree[0]:
+        out.append(f"exit code {ref[0]} -> {tree[0]}")
+    if ref[1] != tree[1]:
+        out.append("stdout differs")
+    for name in sorted(ref[2].keys() | tree[2].keys()):
+        if ref[2].get(name) != tree[2].get(name):
+            out.append(f"file {name} differs" if name in ref[2] and name in tree[2]
+                       else f"file {name} written by one side only")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/same_output.py REF", file=sys.stderr)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory(prefix="same_output-") as tmp:
+        scratch = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode().strip(), file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(scratch / "ref", filter="data")
+        sides = {"ref": scratch / "ref" / "src", "tree": ROOT / "src"}
+        cases = _fixed_cases() + _benchmark_cases(scratch)
+        mismatches = 0
+        for i, (label, args, inputs) in enumerate(cases):
+            results = [_run(src, scratch / side / f"run-{i}", args, inputs) for side, src in sides.items()]
+            for diff in _differences(*results):
+                mismatches += 1
+                print(f"MISMATCH {label}: {diff}  (argv: {' '.join(args)})")
+        print(f"{len(cases)} argvs against {ref}: {mismatches} mismatch(es)")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
