@@ -16,7 +16,7 @@ _EXPORTS = {
     "errors": ("DatasetError", "DegenerateEnsembleError", "ModelValidationError",
                "SqueezeDomainError", "StepSizeError"),
     "squeeze": ("LogValue", "SqueezeFamily", "squeeze_log", "squeeze_slope", "unsqueeze_log"),
-    "thermo": ("EnvironmentSplit", "ThermoPoint", "VariablePair", "conjugates_from_phi",
+    "thermo": ("EnvironmentSplit", "ThermoPoint", "conjugates_from_phi",
                "euler_residual", "gibbs_duhem_residual"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -144,8 +144,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _csv(columns: dict) -> str:
@@ -198,18 +196,17 @@ def cmd_compute(args) -> int:
 
 
 def cmd_fluct(args) -> int:
-    from .engine import phi_surface_from_spectrum, report_for
+    from .engine import phi_surface_from_spectrum
     from .fluctuation import moments
 
     spectrum, env, family = _load_model(args)
     if not env.fixed_intensive:
         raise CliError(EXIT_CONFIG, "fluct needs at least one exchanged (--y) variable")
-    report = report_for(spectrum, env, family)  # alive while moments reads its class table
     surface = phi_surface_from_spectrum(spectrum, env, family)
-    rep = moments(
-        surface, env.values(), sorted(env.fixed_intensive), family,
-        phi0=report.point.phi, theta=report.point.entropy_theta,
-    )
+    point = env.values()
+    # theta = -phi is defined with no pinned --X (phi_and_entropies); the surface holds the table
+    theta = None if env.fixed_extensive else -surface(point)
+    rep = moments(surface, point, sorted(env.fixed_intensive), family, theta=theta)
     # moments gives IEEE values (1/c is inf for a subnormal c); only flat directions print inf
     values = [rep.tsallis_scale, *rep.G.flat, *rep.G_inv.flat, *rep.variances.values(), *rep.covariances.values(),
               *(v for v in rep.intensive_variances.values() if not (rep.singular and v == np.inf))]
@@ -231,8 +228,8 @@ def cmd_fluct(args) -> int:
 
 
 def cmd_kinetics(args) -> int:
-    from .kinetics import (XI_CHOICES, _trajectory, build_collision_network, make_lattice,
-                           random_state, stability_dt)
+    from .kinetics import (TRACE_COLUMNS, XI_CHOICES, _trajectory, build_collision_network,
+                           make_lattice, random_state, stability_dt)
 
     if args.lattice_radius < 1:
         raise CliError(EXIT_CONFIG, "--lattice-radius must be >= 1")
@@ -260,7 +257,7 @@ def cmd_kinetics(args) -> int:
             "t": np.repeat([s.t for s in snaps], lattice.n), "vx": np.tile(v[:, 0], len(snaps)),
             "vy": np.tile(v[:, 1], len(snaps)), "F": np.concatenate([s.F for s in snaps]),
         }))
-    _emit(_csv(dict(zip(("t", "S", "sum_F", "sum_Fv2", "max_rhs"), zip(*trace)))), args.out)
+    _emit(_csv(dict(zip(TRACE_COLUMNS, zip(*trace)))), args.out)
     return EXIT_OK
 
 
@@ -354,10 +351,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", action="append", metavar="K=V", help="model parameter (repeatable)")
     p.add_argument("--y", action="append", metavar="K=V", help="fixed intensive value (repeatable)")
     p.add_argument("--X", action="append", metavar="K=V", help="fixed extensive value (repeatable)")
+    _add_family_flags(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--squeeze", choices=["identity", "tsallis"], help="statistics family")
     p.add_argument("--q", type=float, help="entropic index for --squeeze tsallis")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random initial populations")
     p.add_argument("--snapshot-every", type=int, help="per-velocity snapshots every N steps (with --snapshot-out)")
     p.add_argument("--snapshot-out", help="snapshot CSV path (with --snapshot-every)")
-    p.add_argument("--squeeze", choices=["identity", "tsallis"])
-    p.add_argument("--q", type=float)
-    p.add_argument("--out", help="trace CSV path (default: stdout)")
+    _add_family_flags(p)
     p.set_defaults(func=cmd_kinetics)
 
     p = sub.add_parser("infer", help="statistics inference from measurement data")
@@ -415,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _ERROR_CODES = [
-    (CliError, None),
-    ((ModelValidationError,), EXIT_MODEL),
+    (ModelValidationError, EXIT_MODEL),
     ((DegenerateEnsembleError, SqueezeDomainError, StepSizeError, DatasetError), EXIT_NUMERIC),
     ((OSError, json.JSONDecodeError), EXIT_CONFIG),
 ]
@@ -431,13 +429,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # map to documented exit codes
-        code = EXIT_CONFIG
-        for classes, mapped in _ERROR_CODES:
-            if isinstance(exc, classes if isinstance(classes, tuple) else (classes,)):
-                code = exc.code if mapped is None else mapped
-                break
-        else:
+    except Exception as exc:  # map to documented exit codes; a CliError carries its own
+        code = exc.code if isinstance(exc, CliError) else next(
+            (mapped for classes, mapped in _ERROR_CODES if isinstance(exc, classes)), None)
+        if code is None:
             raise
         err = {"error": {"code": code, "type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(_jsonfmt.dumps(err) + "\n")

@@ -260,7 +260,6 @@ class ProbabilityTable:
 
     macro_probs: np.ndarray
     config_probs: np.ndarray
-    ln_macro: np.ndarray
     ln_config: np.ndarray
     excluded: np.ndarray
     ln_g: np.ndarray
@@ -308,7 +307,7 @@ def characteristic_class(
 ) -> ClassTable:
     """Squeeze-and-rearrange pass producing the per-row class table."""
     env.validate_against(spectrum)
-    working = spectrum.restrict(env.fixed_extensive) if env.fixed_extensive else spectrum
+    working = spectrum.restrict(env.fixed_extensive)
     exchanged = tuple(n for n in working.variable_names if n in env.fixed_intensive)
     cols = [working.variable_names.index(n) for n in exchanged]
     x_ex = working.x[:, cols] if cols else np.zeros((working.n_rows, 0))
@@ -408,7 +407,6 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     return ProbabilityTable(
         macro_probs=macro,
         config_probs=config,
-        ln_macro=ln_macro,
         ln_config=ln_config,
         excluded=table.excluded,
         ln_g=table.ln_g,

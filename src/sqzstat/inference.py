@@ -58,7 +58,7 @@ class EquilibriumDataset:
             raise DatasetError("need at least two samples")
         if not np.all(np.isfinite(ln_g)) or not np.all(np.isfinite(ratio)):
             raise DatasetError("non-finite sample values")
-        if np.any(np.diff(ln_g) <= 0.0):
+        if np.any(ln_g[1:] <= ln_g[:-1]):  # not np.diff, which may overflow
             raise DatasetError("ln_g must be strictly increasing")
         if np.any(ratio <= 0.0):
             raise DatasetError("ratios must be positive")
@@ -89,7 +89,10 @@ def reconstruct_squeeze(data: EquilibriumDataset) -> tuple[np.ndarray, np.ndarra
     if x[0] > 0.0:
         x = np.concatenate([[0.0], x])
         r = np.concatenate([[r[0]], r])
-    ln_h = np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(x))])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite table raises below
+        ln_h = np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(x))])
+    if not np.isfinite(ln_h).all():
+        raise DatasetError("reconstructed ln h is beyond the float range")
     if data.ln_g[0] > 0.0:
         return x[1:], ln_h[1:]
     return x, ln_h
@@ -108,8 +111,9 @@ def estimate_q(
     if data.n < 3:
         raise DatasetError(f"need at least 3 samples to fit, got {data.n}")
     x = data.ln_g
-    if float(np.ptp(x)) <= 0.0 or float(np.var(x)) == 0.0:
-        raise DatasetError("zero variance in ln_g")
+    with np.errstate(over="ignore"):  # a variance beyond the float range is not zero either
+        if float(np.ptp(x)) <= 0.0 or float(np.var(x)) == 0.0:
+            raise DatasetError("zero variance in ln_g")
     y = np.log(data.ratio)
     design = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -136,14 +140,17 @@ def superstatistics_forward(
     f = np.asarray(density, dtype=float)
     if b.ndim != 1 or b.shape != f.shape or b.size < 2:
         raise DatasetError("grid and density must be matching 1-D arrays with >= 2 points")
-    if np.any(np.diff(b) <= 0.0):
+    if np.any(b[1:] <= b[:-1]):  # not np.diff, which may overflow
         raise DatasetError("beta grid must be strictly increasing")
     if np.any(f < 0.0):
         raise DatasetError("density must be nonnegative")
-    norm = float(np.trapezoid(f, b))
-    if abs(norm - 1.0) > norm_tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
+        norm = float(np.trapezoid(f, b))
+        weighted = float(np.trapezoid(f * np.exp(-b * energy), b))
+    if not abs(norm - 1.0) <= norm_tol:  # a nan in the grid or the density gives a nan norm
         raise DatasetError(f"density is not normalized: trapezoid integral = {norm!r}")
-    weighted = float(np.trapezoid(f * np.exp(-b * energy), b))
+    if not np.isfinite(weighted):
+        raise DatasetError(f"mixing integral at energy {energy!r} is beyond the float range")
     return weighted / norm
 
 

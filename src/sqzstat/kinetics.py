@@ -43,12 +43,14 @@ __all__ = [
     "detailed_balance_residual",
     "stability_dt",
     "random_state",
+    "TRACE_COLUMNS",
     "XI_CHOICES",
     "xi_soft",
 ]
 
 _NEG_CLAMP = 1e-14
 _QUAD_FLOOR = 1e-12  # lower limit of entropy integrals divergent at 0 (q = 2, custom)
+TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run_trace row
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,16 @@ def build_collision_network(
 
 @dataclass(frozen=True)
 class KineticState:
-    """One-body populations on the lattice at time t."""
+    """One-body populations on the lattice at time t; a negative entry is
+    rejected here, so every function taking a state may assume F >= 0."""
 
     F: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
+        if np.any(self.F < 0.0):
+            raise ModelValidationError("negative population in kinetic state")
 
     def number(self) -> float:
         return float(self.F.sum())
@@ -198,19 +203,28 @@ def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> 
 
 
 def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
-    """Time derivative of the populations; F must be nonnegative."""
-    if np.any(state.F < 0.0):
-        raise ModelValidationError("negative population in kinetic state")
-    return _rhs_from_F(state.F, net, family)
+    """Time derivative of the populations; a rate beyond the float range raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        rhs = _rhs_from_F(state.F, net, family)
+    if not np.isfinite(rhs).all():
+        raise StepSizeError(f"collision rate beyond the float range at t={state.t:g}")
+    return rhs
 
 
 def stability_dt(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> float:
     """Step bound 0.1 / (max T * max h(F) * quadruple degree)."""
     if net.n_quadruples == 0:
         return math.inf
-    h_max = float(np.max(family.h_of(state.F)))
+    with np.errstate(over="ignore"):  # an h beyond the float range gives the bound 0
+        h_max = float(np.max(family.h_of(state.F)))
     denom = float(np.max(net.T)) * max(h_max, 1e-30) * max(net.degree, 1)
-    return 0.1 / denom
+    return 0.1 / denom if denom > 0.0 else math.inf  # a subnormal T may underflow
+
+
+def _check_bound(state: KineticState, net: CollisionNetwork, family: SqueezeFamily, dt: float) -> None:
+    bound = stability_dt(state, net, family)
+    if dt > bound:
+        raise StepSizeError(f"dt={dt:g} above the stability bound {bound:g}")
 
 
 def step(
@@ -227,17 +241,14 @@ def step(
     if not dt > 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     if enforce_bound:
-        bound = stability_dt(state, net, family)
-        if dt > bound:
-            raise StepSizeError(f"dt={dt:g} above the stability bound {bound:g}")
+        _check_bound(state, net, family, dt)
     F = state.F
-    if np.any(F < 0.0):
-        raise ModelValidationError("negative population in kinetic state")
-    k1 = _rhs_from_F(F, net, family)
-    k2 = _rhs_from_F(np.maximum(F + 0.5 * dt * k1, 0.0), net, family)
-    k3 = _rhs_from_F(np.maximum(F + 0.5 * dt * k2, 0.0), net, family)
-    k4 = _rhs_from_F(np.maximum(F + dt * k3, 0.0), net, family)
-    new_F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        k1 = _rhs_from_F(F, net, family)
+        k2 = _rhs_from_F(np.maximum(F + 0.5 * dt * k1, 0.0), net, family)
+        k3 = _rhs_from_F(np.maximum(F + 0.5 * dt * k2, 0.0), net, family)
+        k4 = _rhs_from_F(np.maximum(F + dt * k3, 0.0), net, family)
+        new_F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(new_F)):
         raise StepSizeError(f"non-finite population after a step with dt={dt:g}")
     low = new_F.min()
@@ -257,8 +268,6 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
     floored at 1e-12, an additive constant per live component that is
     irrelevant to monotonicity.  Components at F = 0 contribute nothing."""
     F = state.F
-    if np.any(F < 0.0):
-        raise ModelValidationError("negative population in kinetic state")
     if family.is_identity:
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(F > 0.0, F * np.log(F) - F, 0.0)
@@ -309,10 +318,8 @@ def _trajectory(
 ):
     """(k, state, trace row or None) after k = 0..steps RK4 steps; the
     rows and the step-bound check are those of run_trace."""
-    if steps > 0 and dt > stability_dt(state, net, family):
-        raise StepSizeError(
-            f"dt={dt:g} above the stability bound {stability_dt(state, net, family):g}"
-        )
+    if steps > 0:
+        _check_bound(state, net, family, dt)
     lattice = net.lattice
 
     def row(s: KineticState):
@@ -342,10 +349,11 @@ def run_trace(
 ):
     """Advance `steps` RK4 steps, yielding trace rows.
 
-    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), emitted at t = 0, at
-    every trace_every-th step, and at the final step.  The step bound is
-    validated once against the initial state; later steps run unchecked
-    (populations only relax, and negativity still raises)."""
+    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), the TRACE_COLUMNS,
+    emitted at t = 0, at every trace_every-th step, and at the final
+    step.  The step bound is validated once against the initial state;
+    later steps run unchecked (populations only relax, and negativity
+    still raises)."""
     for _, _, row in _trajectory(state, net, family, dt, steps, trace_every):
         if row is not None:
             yield row
@@ -362,8 +370,7 @@ def run_to_stationarity(
     """Step until the collision rate drops below tol in the sup norm.
 
     The step bound is validated once against the initial state."""
-    if dt > stability_dt(state, net, family):
-        raise StepSizeError(f"dt={dt:g} above the stability bound at the initial state")
+    _check_bound(state, net, family, dt)
     for _ in range(max_steps):
         if float(np.max(np.abs(collision_rhs(state, net, family)))) < tol:
             return state

@@ -257,15 +257,6 @@ class SqueezeFamily:
         """ln of d(ln h)/dx at g = exp(ln_g), i.e. ln(f(g)/h(g))."""
         return float(self.ln_log_slope_arr(ln_g))
 
-    def slope(self, ln_g: float) -> float:
-        """f(g) = dh/dx at g = exp(ln_g); inf when not representable."""
-        with np.errstate(over="ignore"):
-            ln_f = self.ln_squeeze(ln_g) + self.ln_log_slope(ln_g)
-        try:
-            return math.exp(ln_f)
-        except OverflowError:
-            return math.inf
-
     def h_of(self, x: np.ndarray) -> np.ndarray:
         """h applied to linear-domain populations (kinetics path); h(0) is
         the exact limit at zero (0 for q > 1, exp(-1/(1-q)) for q < 1, 0
@@ -277,7 +268,7 @@ class SqueezeFamily:
 
     def ln_h_of_linear(self, x: np.ndarray) -> np.ndarray:
         """ln h on linear-domain populations (entropy integrand)."""
-        with np.errstate(divide="ignore"):  # a zero population has ln x = -inf
+        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; ln h may overflow to +-inf
             return self.ln_squeeze_arr(np.log(x))
 
     # -- custom-family validation ----------------------------------------
@@ -359,6 +350,14 @@ def unsqueeze_log(family: SqueezeFamily, ln_h: "LogValue | float") -> LogValue:
 
 
 def squeeze_slope(family: SqueezeFamily, ln_g: "LogValue | float") -> SqueezeSlope:
-    """Slope pair (dh/dx, ln of d(ln h)/dx) at g = exp(ln_g)."""
+    """Slope pair (dh/dx, ln of d(ln h)/dx) at g = exp(ln_g); dh/dx is
+    inf when not representable."""
     hi, _ = _as_pair(ln_g)
-    return SqueezeSlope(df_dg=family.slope(hi), ln_ratio=family.ln_log_slope(hi))
+    with np.errstate(over="ignore"):
+        ln_h = family.ln_squeeze(hi)
+    ln_ratio = family.ln_log_slope(hi)
+    try:
+        df_dg = math.exp(ln_h + ln_ratio)
+    except OverflowError:
+        df_dg = math.inf
+    return SqueezeSlope(df_dg=df_dg, ln_ratio=ln_ratio)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
-    "VariablePair",
     "EnvironmentSplit",
     "ThermoPoint",
     "central_derivative",
@@ -24,16 +23,6 @@ __all__ = [
 ]
 
 PhiSurface = Callable[[Mapping[str, float]], float]
-
-
-@dataclass(frozen=True)
-class VariablePair:
-    """One conjugate pair: extensive value X and intensive value y (the
-    conjugate divided by kT, so the product y*X is dimensionless)."""
-
-    name: str
-    extensive_value: float
-    intensive_value: float
 
 
 @dataclass(frozen=True)
@@ -57,10 +46,6 @@ class EnvironmentSplit:
     @property
     def all_names(self) -> tuple[str, ...]:
         return self.fixed_extensive + self.fixed_intensive
-
-    @property
-    def isolated(self) -> bool:
-        return not self.fixed_intensive
 
 
 @dataclass(frozen=True)

@@ -530,3 +530,77 @@ def test_non_finite_model_parameter_is_model_error(capsys, model, params, y):
     assert (code, out) == (4, "")
     error = json.loads(err)["error"]
     assert error["type"] == "ModelValidationError" and "must be finite" in error["message"]
+
+
+# ---------------------------------------------------------------------------
+# each CliError path exits 3 with one JSON error line
+
+TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--model", "two_level", "--y", "E"], "--y expects name=value, got 'E'"),
+        (["compute", "--model", "two_level", "--y", "E=abc"], "--y E: 'abc' is not a number"),
+        (["compute", "--y", "E=0.5"], "--model is required"),
+        (["compute", "--model", "no_such_model"], "neither a known model nor an existing file"),
+        (["compute", "--model", "MODEL", "--param", "N=3"], "--param applies only to named models"),
+        (["compute", "--model", "DIR"], "cannot read model file"),
+        (["compute", "--model", "BAD_JSON"], "cannot read model file"),
+        (["infer", "--data", "MISSING"], "does not exist"),
+        (["infer", "--data", "EMPTY"], "is empty"),
+        (["infer"], "infer needs --data and/or --density"),
+        (["sweep", *TWO_LEVEL, "--axis", "E", "--range", "1-2", "--steps", "3"],
+         "--range expects lo:hi, got '1-2'"),
+        (["kinetics", "--lattice-radius", "0"], "--lattice-radius must be >= 1"),
+    ],
+    ids=["y-without-equals", "y-not-a-number", "no-model", "unknown-model", "param-with-file",
+         "unreadable-file", "file-not-json", "missing-data", "empty-data", "infer-without-input",
+         "range-without-colon", "radius-zero"],
+)
+def test_cli_error_paths_exit_3_with_one_json_line(tmp_path, capsys, argv, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc()))
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "empty.csv").write_text("\n")
+    paths = {"MODEL": model, "DIR": tmp_path, "BAD_JSON": tmp_path / "bad.json",
+             "MISSING": tmp_path / "missing.csv", "EMPTY": tmp_path / "empty.csv"}
+    code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
+    assert (code, out) == (3, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert (error["code"], error["type"]) == (3, "CliError") and message in error["message"]
+
+
+def _write_density(path):
+    path.write_text("beta,f\n" + "".join(f"{b:.17g},1.0\n" for b in np.linspace(0.5, 1.5, 101)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", *TWO_LEVEL],
+    ["compute", *TWO_LEVEL, "--format", "csv"],
+    ["fluct", *TWO_LEVEL],
+    ["fluct", *TWO_LEVEL, "--format", "csv"],
+    ["sweep", *TWO_LEVEL, "--axis", "E", "--range", "0:1", "--steps", "3"],
+    ["kinetics", "--lattice-radius", "1", "--steps", "3"],
+    ["infer", "--density", "DENSITY", "--energy", "0.5"],
+], ids=["compute", "compute-csv", "fluct", "fluct-csv", "sweep", "kinetics", "infer"])
+@pytest.mark.filterwarnings("ignore::sqzstat.fluctuation.StabilityWarning")
+def test_out_writes_the_bytes_stdout_would_get(tmp_path, capsys, argv):
+    _write_density(tmp_path / "density.csv")
+    argv = [str(tmp_path / "density.csv") if a == "DENSITY" else a for a in argv]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    out = tmp_path / "out.txt"
+    assert run_cli([*argv, "--out", str(out)], capsys) == (0, "", "")
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_threshold_default_is_the_inference_constant():
+    # the parser restates it so that parsing does not import inference
+    from sqzstat import inference
+    from sqzstat.cli import build_parser
+
+    args = build_parser().parse_args(["infer"])
+    assert args.threshold == inference.POWER_LAW_RESIDUAL_THRESHOLD

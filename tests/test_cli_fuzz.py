@@ -2,11 +2,14 @@
 
 Hypothesis draws ``compute``, ``fluct`` and ``sweep`` argvs over the four
 built-in models: extreme and signed-zero y values, a pinned ``--X N``,
-q from 0 to 10 and out-of-range model parameters.  Every argv must end
+q from 0 to 10 and out-of-range model parameters.  ``kinetics`` argvs
+draw the radius, steps, dt (0, negative, nan and above the bound among
+them), kernel, xi and q; ``infer`` argvs draw CSV files, malformed,
+non-increasing, negative and nan cells among them.  Every argv must end
 in a documented exit code with no exception and no RuntimeWarning, and a
-successful run must print parseable output with no nan; the only inf is
-the condition number and the intensive variances of a singular
-fluctuation report.  The draws are derandomized, so the suite is
+successful run must print (and write) parseable output with no nan; the
+only inf is the condition number and the intensive variances of a
+singular fluctuation report.  The draws are derandomized, so the suite is
 reproducible.  The argvs that first showed a fault are pinned below."""
 
 import contextlib
@@ -16,6 +19,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +96,67 @@ def argvs(draw, command):
     return argv
 
 
+DT = st.one_of(st.none(), st.floats(1e-6, 1.0),  # the bound is ~1e-2 at radius 2
+               st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, 1e300]))
+
+
+@st.composite
+def kinetics_argvs(draw):
+    argv = ["kinetics", "--lattice-radius", str(draw(st.integers(1, 3))),
+            "--steps", str(draw(st.integers(0, 50))), "--trace-every", str(draw(st.integers(0, 20))),
+            "--xi", draw(st.sampled_from(["one", "soft"])), "--seed", str(draw(st.integers(0, 2**32))),
+            *draw(family_flags())]
+    for flag, value in (("--dt", draw(DT)), ("--kernel", draw(st.one_of(st.none(), POSITIVE)))):
+        if value is not None:
+            argv += [flag, repr(value)]
+    return argv
+
+
+CELLS = st.one_of(FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def csv_text(draw, header, first, second):
+    """An infer CSV: sorted ``first`` and ``second`` cells, or any cells;
+    now and then a malformed line (before the header, too)."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        a = sorted(draw(st.lists(first, min_size=n, max_size=n)))
+        b = draw(st.lists(second, min_size=n, max_size=n))
+        if header == "beta,f":  # rescaled to unit trapezoid norm where that is finite
+            with np.errstate(all="ignore"):
+                norm = float(np.trapezoid(b, a)) if n > 1 else 0.0
+            if math.isfinite(norm) and norm > 0.0:
+                b = [v / norm for v in b]
+    else:
+        a, b = (draw(st.lists(CELLS, min_size=n, max_size=n)) for _ in range(2))
+    lines = [header, *(f"{u!r},{v!r}" for u, v in zip(a, b))]
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["x", "1,2,3", "1,", ""])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def infer_argvs(draw):
+    """(argv with DIR for the input directory, {file name: text})."""
+    argv, files = ["infer"], {}
+    modes = draw(st.sampled_from([("data",), ("density",), ("data", "density")]))
+    if "data" in modes:
+        ln_g = st.floats(0.0, 50.0) | st.floats(0.0, 1.7e308)
+        files["data.csv"] = draw(csv_text("ln_g,ratio", ln_g, POSITIVE))
+        argv += ["--data", "DIR/data.csv"]
+        if draw(st.booleans()):
+            argv += ["--reconstruct", "DIR/rec.csv"]
+        if draw(st.booleans()):
+            argv += ["--threshold", repr(draw(FLOATS))]
+    if "density" in modes:
+        files["density.csv"] = draw(csv_text("beta,f", FLOATS, POSITIVE))
+        argv += ["--density", "DIR/density.csv"]
+        for energy in draw(st.lists(FLOATS, max_size=3)):
+            argv += ["--energy", repr(energy)]
+    return argv, files
+
+
 def run(argv):
     """(exit code, stdout, stderr, RuntimeWarnings) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -133,7 +198,8 @@ def output_problems(argv, out) -> list[str]:
     """Cells of a successful run's stdout that are nan, or inf outside the
     flat directions of a singular fluctuation report."""
     command, problems = argv[0], []
-    if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if command != "kinetics" and fmt == "json":
         doc = json.loads(out)
         singular = command == "fluct" and doc["singular"] is True
         for path, value in _leaves(doc):
@@ -171,6 +237,33 @@ def test_drawn_argvs_end_cleanly(command):
     @given(argvs(command))
     def one(argv):
         check(argv)
+
+    one()
+
+
+def test_drawn_kinetics_argvs_end_cleanly():
+    @FUZZ
+    @given(kinetics_argvs())
+    def one(argv):
+        check(argv)
+
+    one()
+
+
+def test_drawn_infer_argvs_end_cleanly(tmp_path):
+    @FUZZ
+    @given(infer_argvs())
+    def one(drawn):
+        argv, files = drawn
+        argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+        for name in ("data.csv", "density.csv", "rec.csv"):
+            (tmp_path / name).unlink(missing_ok=True)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, _ = check(argv)
+        rec = tmp_path / "rec.csv"
+        if code == 0 and rec.exists():
+            assert not output_problems(["compute", "--format", "csv"], rec.read_text()), argv
 
     one()
 
@@ -219,3 +312,40 @@ def test_moments_beyond_the_float_range_are_a_domain_error(argv):
 ], ids=["mean-weight", "linspace"])
 def test_exact_limits_beyond_the_float_range_warn_nothing(argv):
     assert check(argv)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    # T * bracket beyond the float range: the trace printed max_rhs = inf
+    ["kinetics", "--lattice-radius", "2", "--steps", "0", "--kernel", "2.810093564820167e+307"],
+    # the RK4 stage sum overflowed: the right error, after a RuntimeWarning
+    ["kinetics", "--lattice-radius", "1", "--steps", "1", "--kernel", "3.6770965865313517e+307"],
+    # a subnormal kernel weight gives the bound dt = inf: nan stages, each warned
+    ["kinetics", "--lattice-radius", "1", "--steps", "1", "--kernel", "5e-324"],
+], ids=["rate-inf", "stage-overflow", "dt-inf"])
+def test_kinetics_beyond_the_float_range_is_a_step_error(argv):
+    code, out, err, runtime = run(argv)
+    assert (code, out, runtime) == (5, "", [])
+    assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == "StepSizeError"
+
+
+@pytest.mark.parametrize("flag, text, extra, code", [
+    # a nan beta passed every comparison: B printed nan
+    ("--density", "beta,f\n0.0,0.0\n1.0,0.0\nnan,0.0\n0.0,0.0\n", [], 5),
+    # the trapezoid norm overflowed: the right error, after a RuntimeWarning
+    ("--density", "beta,f\n0.0,0.0\n10.0,1.797693134862316e+307\n", [], 5),
+    # exp(-beta E) overflowed: B printed inf
+    ("--density", "beta,f\n-1000.0,1.0\n-999.0,1.0\n", ["--energy", "1"], 5),
+    # the cumulative trapezoid overflowed: the reconstructed table held inf
+    ("--data", "ln_g,ratio\n0.0,1.0\n0.5,1.0\n1.0,5.674061770759722e+306\n27.0,8.045230386435792e+306\n",
+     ["--reconstruct", "REC"], 5),
+    # np.var overflowed on a finite grid: the right answer, after a RuntimeWarning
+    ("--data", "ln_g,ratio\n0.0,1.0\n1.0,1.0\n2.0,1.0\n1.5482003035190317e+154,1.0\n", [], 0),
+    # np.diff overflowed before the negative-count check
+    ("--data", "ln_g,ratio\n-1e308,1\n1e308,1\n", [], 5),
+], ids=["nan-beta", "norm-overflow", "factor-overflow", "reconstruct-overflow", "variance-overflow",
+        "diff-overflow"])
+def test_infer_beyond_the_float_range_ends_cleanly(tmp_path, flag, text, extra, code):
+    data, rec = tmp_path / "data.csv", tmp_path / "rec.csv"
+    data.write_text(text)
+    assert check(["infer", flag, str(data), *(str(rec) if a == "REC" else a for a in extra)])[0] == code
+    assert not rec.exists()

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +309,70 @@ def test_step_rejects_nan_dt_before_stepping():
     net = build_collision_network(lat)
     with pytest.raises(StepSizeError, match="dt must be positive"):
         step(KineticState(F=np.ones(lat.n)), net, IDENT, float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# each rule raised by its one owner
+
+def test_negative_population_is_rejected_at_construction():
+    with pytest.raises(ModelValidationError, match="negative population"):
+        KineticState(F=np.array([1.0, -5e-324, 0.5]))
+    assert KineticState(F=np.array([0.0, -0.0, 1.0])).number() == 1.0
+
+
+def _above_the_bound():
+    lat = make_lattice(2)
+    net = build_collision_network(lat)
+    state = random_state(lat, seed=1)
+    bound = stability_dt(state, net, IDENT)
+    return state, net, 10.0 * bound, bound
+
+
+@pytest.mark.parametrize("run", [
+    lambda state, net, dt: step(state, net, IDENT, dt),
+    lambda state, net, dt: list(run_trace(state, net, IDENT, dt, 3)),
+    lambda state, net, dt: run_to_stationarity(state, net, IDENT, dt),
+], ids=["step", "run_trace", "run_to_stationarity"])
+def test_one_step_bound_message_names_dt_and_the_bound(run):
+    state, net, dt, bound = _above_the_bound()
+    with pytest.raises(StepSizeError) as raised:
+        run(state, net, dt)
+    assert str(raised.value) == f"dt={dt:g} above the stability bound {bound:g}"
+
+
+def test_run_to_stationarity_raises_when_max_steps_run_out():
+    state, net, _, bound = _above_the_bound()
+    with pytest.raises(StepSizeError, match="no stationary state within 3 steps"):
+        run_to_stationarity(state, net, IDENT, bound, max_steps=3)
+
+
+@pytest.mark.parametrize("factor", [1e3, 1e10, 1e100, 1e300])
+def test_unchecked_step_far_above_the_bound_raises_without_warning(factor):
+    state, net, _, bound = _above_the_bound()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError, match="went negative|non-finite"):
+            step(state, net, IDENT, factor * bound, enforce_bound=False)
+
+
+@pytest.mark.parametrize("q, F0, bound", [(10.0, 1e-40, 0.1), (0.5, 1e300, 0.0)])
+def test_h_beyond_the_float_range_takes_its_limit_without_warning(q, F0, bound):
+    # ln h overflows to -inf (h = 0) for q > 1 near F = 0, to +inf (h = inf) for q < 1
+    lat = make_lattice(1)
+    net = build_collision_network(lat)
+    state = KineticState(F=np.array([F0, 1.0, 1.0, 1.0, 1.0]))
+    family = SqueezeFamily.tsallis(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stability_dt(state, net, family) == bound
+        assert detailed_balance_residual(state, net, family) == 0.0
+
+
+def test_bound_of_a_subnormal_kernel_weight_is_inf():
+    # T * max h * degree underflows to 0: the bound was a ZeroDivisionError
+    lat = make_lattice(1)
+    net = build_collision_network(lat, T=5e-324)
+    assert stability_dt(KineticState(F=np.full(lat.n, 1e-3)), net, IDENT) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from sqzstat import (
     EnvironmentSplit,
     SqueezeFamily,
     ThermoPoint,
-    VariablePair,
     characteristic_class,
     conjugates_from_phi,
     euler_residual,
@@ -210,13 +209,6 @@ def test_legendre_decompositions_agree():
 def test_split_validation():
     with pytest.raises(ValueError):
         EnvironmentSplit(fixed_extensive=("E",), fixed_intensive=("E",))
-
-
-def test_variable_pair_record():
-    pair = VariablePair(name="E", extensive_value=0.4, intensive_value=0.7)
-    assert pair.extensive_value * pair.intensive_value == pytest.approx(0.28)
-    with pytest.raises(Exception):
-        pair.name = "V"  # frozen
 
 
 def test_first_order_homogeneity_of_macroscopic_phi():
