@@ -14,7 +14,6 @@ identical invocations produce bit-identical bytes.
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import json
 import logging
@@ -34,25 +33,14 @@ from .errors import (
 )
 from .squeeze import SqueezeFamily
 
-# Each subcommand imports the layers it uses, so a process loads only those.
-# The layer names this module has always offered (``cli.report_for`` and the
-# rest) resolve on first access instead.
-_LAYER_NAMES = {
-    "engine": ("EnsembleSpec", "model_from_json_dict", "model_to_json_dict",
-               "phi_surface_from_spectrum", "report_for"),
-    "fluctuation": ("moments",),
-    "inference": ("EquilibriumDataset", "estimate_q", "reconstruct_squeeze", "superstatistics_forward"),
-    "kinetics": ("XI_CHOICES", "build_collision_network", "make_lattice", "random_state",
-                 "stability_dt"),
-    "models": ("MODELS", "build_model"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
-
 
 def __getattr__(name: str):
-    if name not in _LAYER_OF:
+    """The package's re-exports (``cli.report_for`` and the rest), resolved through it on first
+    access; each subcommand imports the layers it uses, so a process loads only those."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAYER_OF[name]}", __package__), name)
+    return getattr(package, name)
 
 
 EXIT_OK = 0
@@ -203,10 +191,7 @@ def cmd_fluct(args) -> int:
     if not env.fixed_intensive:
         raise CliError(EXIT_CONFIG, "fluct needs at least one exchanged (--y) variable")
     surface = phi_surface_from_spectrum(spectrum, env, family)
-    point = env.values()
-    # theta = -phi is defined with no pinned --X (phi_and_entropies); the surface holds the table
-    theta = None if env.fixed_extensive else -surface(point)
-    rep = moments(surface, point, sorted(env.fixed_intensive), family, theta=theta)
+    rep = moments(surface, env.values(), sorted(env.fixed_intensive), family)
     # moments gives IEEE values (1/c is inf for a subnormal c); only flat directions print inf
     values = [rep.tsallis_scale, *rep.G.flat, *rep.G_inv.flat, *rep.variances.values(), *rep.covariances.values(),
               *(v for v in rep.intensive_variances.values() if not (rep.singular and v == np.inf))]
@@ -284,6 +269,12 @@ def _read_csv_columns(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np
     return np.array(a), np.array(b)
 
 
+def _energy_key(e: float) -> str:
+    """format(e, "g") where it reads back as e, else repr(e): distinct energies get distinct keys."""
+    short = format(e, "g")
+    return short if float(short) == e else repr(e)
+
+
 def cmd_infer(args) -> int:
     from .inference import EquilibriumDataset, estimate_q, reconstruct_squeeze, superstatistics_forward
 
@@ -303,7 +294,7 @@ def cmd_infer(args) -> int:
     if args.density:
         beta, f = _read_csv_columns(args.density, ("beta", "f"))
         energies = args.energy or [0.0]
-        out_doc["B"] = {format(e, "g"): superstatistics_forward(beta, f, e) for e in energies}
+        out_doc["B"] = {_energy_key(e): superstatistics_forward(beta, f, e) for e in energies}
     _emit(_jsonfmt.dumps(out_doc, indent=2) + "\n", args.out)
     return EXIT_OK
 

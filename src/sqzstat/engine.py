@@ -244,13 +244,16 @@ class ClassTable:
         live, family = ~self.excluded, self.family
         return live, family.ln_log_slope(self.ln_total) - family.ln_log_slope_arr(self.ln_row_class[live])
 
-    @cached_property
-    def means(self) -> tuple[float, ...]:
-        """<X_j> = sum_r w_r X_rj in ``exchanged_names`` order (np.sum's reduction, unwrapped)."""
+    def mean_of(self, *columns: np.ndarray) -> tuple[float, ...]:
+        """sum_r w_r v_r over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
         live, ln_w = self.mean_weights()
         w = np.exp(ln_w)
-        return tuple(float(np.add.reduce(w * self.x_exchanged[live, j]))
-                     for j in range(len(self.exchanged_names)))
+        return tuple(float(np.add.reduce(w * v[live])) for v in columns)
+
+    @cached_property
+    def means(self) -> tuple[float, ...]:
+        """<X_j> in ``exchanged_names`` order."""
+        return self.mean_of(*self.x_exchanged.T)
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ def characteristic_class(
 
 def phi_of(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> float:
     """Dimensionless characteristic potential of the ensemble."""
-    return characteristic_class(spectrum, env, family).phi
+    return _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family).phi
 
 
 def observed_mean(
@@ -344,7 +347,6 @@ def observed_mean(
     env: EnsembleSpec,
     family: SqueezeFamily,
     observable: "str | np.ndarray | Sequence[float]",
-    table: ClassTable | None = None,
 ) -> float:
     """Weighted mean of a per-row observable.
 
@@ -355,8 +357,7 @@ def observed_mean(
     probabilities (plain ensemble average); for the power-law family to
     P_row**q.
     """
-    if table is None:
-        table = characteristic_class(spectrum, env, family)
+    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family)
     if isinstance(observable, str):
         values = table.spectrum.column(observable)
     else:
@@ -365,8 +366,7 @@ def observed_mean(
             raise ModelValidationError(
                 f"observable has {values.shape} values for {table.n_rows} rows"
             )
-    live, ln_w = table.mean_weights()
-    return float(np.sum(np.exp(ln_w) * values[live]))
+    return table.mean_of(values)[0]
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -397,8 +397,6 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     exactly, so uniform microcanonical distributions come out as literal
     1/Omega.
     """
-    if table.excluded.all():
-        raise DegenerateEnsembleError("no live rows to normalize")
     ln_macro = table.ln_row_class - table.ln_total
     macro = np.where(table.excluded, 0.0, np.exp(ln_macro))
     ln_config = ln_macro - table.ln_g
@@ -447,13 +445,11 @@ def generalized_boltzmann_factor(
     env: EnsembleSpec,
     family: SqueezeFamily,
     row: int,
-    table: ClassTable | None = None,
 ) -> float:
     """Ratio of the row's squeezed class to its bare degeneracy.
 
     Identity family: exp(-sum y X) exactly.  Excluded rows give 0.0."""
-    if table is None:
-        table = characteristic_class(spectrum, env, family)
+    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family)
     if not 0 <= row < table.n_rows:
         raise ModelValidationError(f"row {row} out of range (n_rows={table.n_rows})")
     return float(_boltzmann_factors(table, slice(row, row + 1))[0])
@@ -479,16 +475,12 @@ def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -
     raise ModelValidationError("no closed probability-space entropy for custom families")
 
 
-def combine_independent(
-    a: DegeneracySpectrum, b: DegeneracySpectrum, prefix: tuple[str, str] = ("A.", "B.")
-) -> DegeneracySpectrum:
+def combine_independent(a: DegeneracySpectrum, b: DegeneracySpectrum) -> DegeneracySpectrum:
     """Product spectrum of two independent systems.
 
-    Variable names are prefixed to stay distinct; degeneracies multiply
-    (log-add) over the cartesian product of subclasses."""
-    names = tuple(prefix[0] + n for n in a.variable_names) + tuple(
-        prefix[1] + n for n in b.variable_names
-    )
+    Variable names are prefixed "A." and "B." to stay distinct; degeneracies
+    multiply (log-add) over the cartesian product of subclasses."""
+    names = tuple("A." + n for n in a.variable_names) + tuple("B." + n for n in b.variable_names)
     na, nb = a.n_rows, b.n_rows
     xa = np.repeat(a.x, nb, axis=0)
     xb = np.tile(b.x, (na, 1))

@@ -29,10 +29,9 @@ __all__ = [
 ]
 
 _HESS_STEP = 5e-4  # second differences need a larger step than gradients
-# finite-difference curvatures carry ~8 meaningful digits, so condition
-# numbers beyond this are indistinguishable from exact singularity
-_SINGULAR_COND = 1e8
-_FLAT_TOL = 1e-8
+# finite-difference curvatures carry ~8 meaningful digits: a relative size below this is zero,
+# so condition numbers beyond its inverse are indistinguishable from exact singularity
+_REL_TOL = 1e-8
 
 
 class StabilityWarning(UserWarning):
@@ -112,7 +111,7 @@ def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names:
     H = 0.5 * (H + H.T)
     eig, vec = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
+    if np.any(eig > _REL_TOL * scale) and np.any(eig < -_REL_TOL * scale):
         warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
     return phi, H, eig, vec
 
@@ -133,14 +132,13 @@ def moments(
     point: Mapping[str, float],
     variables: Sequence[str],
     family: SqueezeFamily,
-    phi0: float | None = None,
     theta: float | None = None,
 ) -> FluctuationReport:
     """Variances and covariances of the fluctuating extensive variables.
 
     ``variables`` are the intensive environment names conjugate to the
-    fluctuating set; ``phi0`` defaults to the potential of this very
-    ensemble (the one in which the fluctuating variables are exchanged).
+    fluctuating set; ``phi0`` is the surface's phi at the point, the
+    potential of the ensemble in which the fluctuating variables are exchanged.
     Passing the subdivision entropy ``theta`` arms a small-system check:
     the quadratic fluctuation formulas assume a macroscopic state, so a
     non-negligible theta draws a StabilityWarning (not an error).
@@ -155,9 +153,8 @@ def moments(
     as its class c nears the cutoff at 0, as the true curvature does; a
     live class is at least eps**(1/(1 - q)), so the result stays finite."""
     names = tuple(variables)
-    phi, H, eig, vec = _phi_and_hessian(phi_surface, point, names)
+    phi0, H, eig, vec = _phi_and_hessian(phi_surface, point, names)
     C, eig = -H, -eig  # extensive covariance matrix in the undeformed case, same eigenvectors
-    phi0 = phi if phi0 is None else phi0
     if theta is not None and abs(theta) > 0.01 * max(1.0, abs(phi0)):
         warnings.warn(
             f"subdivision entropy {theta:g} is not negligible: "
@@ -171,14 +168,14 @@ def moments(
     flat = size.min() == 0.0 or not C.any(axis=1).all()
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
         cond = math.inf if flat else float(size.max() / size.min())
-        singular = not math.isfinite(cond) or cond > _SINGULAR_COND
+        singular = not math.isfinite(cond) or cond > 1 / _REL_TOL
         if singular:
             warnings.warn("covariance matrix is numerically singular", StabilityWarning)
             eig = np.where(size > 1e-15 * size.max(), eig, math.inf)  # np.linalg.pinv's cutoff
         G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
     variances = {ni: scale * float(C[i, i]) for i, ni in enumerate(names)}
     flat_scale = max(1.0, float(np.max(np.abs(C))))
-    intensive = {ni: math.inf if singular and abs(C[i, i]) <= _FLAT_TOL * flat_scale
+    intensive = {ni: math.inf if singular and abs(C[i, i]) <= _REL_TOL * flat_scale
                  else scale * float(G[i, i]) for i, ni in enumerate(names)}
     covariances = {(ni, nj): scale * float(C[i, j])
                    for i, ni in enumerate(names) for j, nj in enumerate(names) if j > i}

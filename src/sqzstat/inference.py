@@ -127,14 +127,13 @@ def superstatistics_forward(
     beta_grid: "np.ndarray | list[float]",
     density: "np.ndarray | list[float]",
     energy: float,
-    norm_tol: float = 1e-6,
 ) -> float:
     """Mixing-density average of the ordinary Boltzmann factor.
 
     Trapezoid quadrature of density(b) * exp(-b * energy) over the
     grid, normalized by the density's own trapezoid norm (so the value
     at energy = 0 is exactly one).  The density must already be
-    normalized to within norm_tol or the call fails reporting the
+    normalized to within 1e-6 or the call fails reporting the
     integral."""
     b = np.asarray(beta_grid, dtype=float)
     f = np.asarray(density, dtype=float)
@@ -147,7 +146,7 @@ def superstatistics_forward(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
         norm = float(np.trapezoid(f, b))
         weighted = float(np.trapezoid(f * np.exp(-b * energy), b))
-    if not abs(norm - 1.0) <= norm_tol:  # a nan in the grid or the density gives a nan norm
+    if not abs(norm - 1.0) <= 1e-6:  # a nan in the grid or the density gives a nan norm
         raise DatasetError(f"density is not normalized: trapezoid integral = {norm!r}")
     if not np.isfinite(weighted):
         raise DatasetError(f"mixing integral at energy {energy!r} is beyond the float range")

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelValidationError, StepSizeError
+from .errors import ModelValidationError, SqueezeDomainError, StepSizeError
 from .squeeze import SqueezeFamily
 
 __all__ = [
@@ -185,9 +185,9 @@ class KineticState:
         return float(self.F @ lattice.speed_squared)
 
 
-def random_state(lattice: VelocityLattice, seed: int = 0, low: float = 0.2, high: float = 1.8) -> KineticState:
+def random_state(lattice: VelocityLattice, seed: int = 0) -> KineticState:
     rng = np.random.default_rng(seed)
-    return KineticState(F=rng.uniform(low, high, size=lattice.n), t=0.0)
+    return KineticState(F=rng.uniform(0.2, 1.8, size=lattice.n), t=0.0)
 
 
 def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
@@ -266,21 +266,21 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
     quadrature for custom families.  For q = 2 (ln h(F) = 1 - 1/F,
     non-integrable at 0) and in the quadrature the lower limit is
     floored at 1e-12, an additive constant per live component that is
-    irrelevant to monotonicity.  Components at F = 0 contribute nothing."""
-    F = state.F
-    if family.is_identity:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(F > 0.0, F * np.log(F) - F, 0.0)
-        return float(-term.sum())
-    if family.kind == "tsallis":
-        q = family.q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if q == 2.0:
+    irrelevant to monotonicity.  Components at F = 0 contribute nothing.
+    A closed form beyond the float range raises SqueezeDomainError."""
+    F, q = state.F, family.q
+    if family.is_identity or family.kind == "tsallis":
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite raises below
+            if family.is_identity:
+                term = F * np.log(F) - F
+            elif q == 2.0:
                 term = (F - _QUAD_FLOOR) - np.log(F / _QUAD_FLOOR)
             else:
                 term = (np.power(F, 2.0 - q) / (2.0 - q) - F) / (1.0 - q)
-            term = np.where(F > 0.0, term, 0.0)
-        return float(-term.sum())
+            total = -np.where(F > 0.0, term, 0.0).sum()
+        if not math.isfinite(total):
+            raise SqueezeDomainError(f"entropy functional beyond the float range at q={q:g}")
+        return float(total)
 
     from scipy.integrate import quad  # custom families only: keeps scipy off the import path
 

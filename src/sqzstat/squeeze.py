@@ -185,10 +185,9 @@ class SqueezeFamily:
         ln_h: Callable[[float], float],
         ln_H: Callable[[float], float],
         slope: Callable[[float], float],
-        probe_ln_g: "np.ndarray | None" = None,
     ) -> "SqueezeFamily":
         fam = SqueezeFamily(kind=_CUSTOM, q=math.nan, ln_h_hook=ln_h, ln_H_hook=ln_H, slope_hook=slope)
-        fam._probe(probe_ln_g)
+        fam._probe()
         return fam
 
     @property
@@ -273,11 +272,10 @@ class SqueezeFamily:
 
     # -- custom-family validation ----------------------------------------
 
-    def _probe(self, probe_ln_g: "np.ndarray | None") -> None:
+    def _probe(self) -> None:
         if None in (self.ln_h_hook, self.ln_H_hook, self.slope_hook):
             raise SqueezeDomainError("custom families must supply all three hooks")
-        grid = probe_ln_g if probe_ln_g is not None else np.linspace(-3.0, 3.0, 13)
-        for ln_g in grid:
+        for ln_g in np.linspace(-3.0, 3.0, 13):
             ln_h = self.ln_h_hook(ln_g)
             back = self.ln_H_hook(ln_h)
             if not math.isfinite(back) or abs(back - ln_g) > 1e-8 * max(1.0, abs(ln_g)):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,30 @@ def test_emit_model_roundtrip(tmp_path, capsys):
     assert out1 == out2  # re-ingest reproduces identical results
 
 
+def test_y_flag_overrides_the_model_file(tmp_path, capsys):
+    doc = {
+        "variables": [{"name": "E", "kind": "exchanged"}],
+        "rows": [{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": 0.0}],
+        "environment": {"y": {"E": 1.0}, "X": {}},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["compute", "--model", str(path), "--y", "E=0.5"], capsys)
+    assert code == 0
+    got = json.loads(out)
+    assert got["environment"] == {"E": 0.5}
+    assert got["phi"] == pytest.approx(-math.log1p(math.exp(-0.5)), rel=1e-15)
+
+
+def test_cli_resolves_the_package_exports_only():
+    import sqzstat.cli
+    from sqzstat import engine
+
+    assert sqzstat.cli.report_for is engine.report_for
+    with pytest.raises(AttributeError, match="'sqzstat.cli' has no attribute 'no_such_name'"):
+        sqzstat.cli.no_such_name
+
+
 def test_missing_q_is_config_error(capsys):
     code, _, err = run_cli(
         ["compute", "--model", "two_level", "--y", "E=1", "--squeeze", "tsallis"], capsys
@@ -163,18 +188,38 @@ def test_non_finite_environment_is_model_error(capsys, value):
 # fluct
 
 def test_fluct_two_level(capsys):
-    # a single two-level system is far from macroscopic, so the size
-    # diagnostic is expected to fire alongside the correct numbers
-    from sqzstat.fluctuation import StabilityWarning
-
-    with pytest.warns(StabilityWarning, match="subdivision entropy"):
+    # the CLI has no subdivision entropy apart from phi itself (theta = -phi
+    # with no pinned --X), so it arms no size check: comparing phi with
+    # itself would say nothing about the size of the system
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out, _ = run_cli(
             ["fluct", "--model", "two_level", "--y", f"E={math.log(2)}"], capsys
         )
+    assert not [w for w in caught if "subdivision entropy" in str(w.message)]
     assert code == 0
     doc = json.loads(out)
     assert doc["variances"]["E"] == pytest.approx(2.0 / 9.0, abs=1e-8)
     assert doc["variances"]["E"] * doc["intensive_variances"]["E"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_fluct_of_a_macroscopic_state_warns_nothing(capsys):
+    # 50 oscillators: no StabilityWarning, and stdout is the library's report
+    from sqzstat import EnsembleSpec, phi_surface_from_spectrum
+    from sqzstat._jsonfmt import dumps
+    from sqzstat.fluctuation import StabilityWarning, moments
+    from sqzstat.models import build_model
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StabilityWarning)
+        code, out, err = run_cli(
+            ["fluct", "--model", "einstein_solid", "--param", "N=50", "--y", "E=0.3"], capsys
+        )
+        spectrum, env = build_model("einstein_solid", {"N": 50.0}), EnsembleSpec({"E": 0.3})
+        ident = SqueezeFamily.identity()
+        rep = moments(phi_surface_from_spectrum(spectrum, env, ident), {"E": 0.3}, ["E"], ident)
+    assert (code, err) == (0, "")
+    assert out == dumps(rep.to_json_dict(), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +399,20 @@ def test_infer_density_quadrature(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["B"]["0"] == 1.0
     assert doc["B"]["2"] == pytest.approx(math.exp(-2.0), abs=1e-4)
+
+
+def test_infer_density_keeps_energies_that_agree_to_six_digits(tmp_path, capsys):
+    from sqzstat.inference import superstatistics_forward
+
+    path = tmp_path / "density.csv"
+    _write_density(path)
+    code, out, _ = run_cli(["infer", "--density", str(path), "--energy", "0.1",
+                            "--energy", "0.1000001", "--energy", "2.5"], capsys)
+    assert code == 0
+    beta = np.linspace(0.5, 1.5, 101)
+    f = np.ones_like(beta)
+    assert json.loads(out)["B"] == {e: superstatistics_forward(beta, f, float(e))
+                                    for e in ("0.1", "0.1000001", "2.5")}
 
 
 def test_infer_bad_header_is_config_error(tmp_path, capsys):

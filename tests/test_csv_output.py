@@ -100,7 +100,7 @@ def test_compute_rows_and_point_csv(tmp_path, capsys, model, params, y, X, q):
     rows = [
         [float(v) for v in table.x_exchanged[r]]
         + [float(table.ln_g[r]), float(table.ln_row_class[r]), float(probs.macro_probs[r]),
-           float(probs.config_probs[r]), generalized_boltzmann_factor(spec, env, fam, r, table=table),
+           float(probs.config_probs[r]), generalized_boltzmann_factor(spec, env, fam, r),
            bool(table.excluded[r])]
         for r in range(table.n_rows)
     ]
@@ -153,7 +153,7 @@ def test_fluct_csv(capsys, model, params, y, q):
     spec, env, fam = build_model(model, params), EnsembleSpec(y), family(q)
     point = report_for(spec, env, fam).point
     rep = moments(phi_surface_from_spectrum(spec, env, fam), env.values(), sorted(y), fam,
-                  phi0=point.phi, theta=point.entropy_theta)
+                  theta=point.entropy_theta)
     lines = ["block,name,value"]
     lines += [f"variance,{n},{v:.17g}" for n, v in sorted(rep.variances.items())]
     lines += [f"intensive_variance,{n},{v:.17g}" for n, v in sorted(rep.intensive_variances.items())]

@@ -308,7 +308,7 @@ def test_per_configuration_columns_match_per_row_reference():
                     ref_bf = math.exp(table.ln_row_class[r]) / count
                 assert probs.config_probs[r] == ref_config
                 assert bf[r] == ref_bf
-                assert generalized_boltzmann_factor(spec, env, fam, r, table=table) == ref_bf
+                assert generalized_boltzmann_factor(spec, env, fam, r) == ref_bf
 
 
 @pytest.mark.parametrize("fam", [IDENT, SqueezeFamily.tsallis(1.5)])
@@ -347,8 +347,7 @@ def test_boltzmann_factor_identity():
 
 
 def test_boltzmann_factor_tsallis_q2():
-    table = characteristic_class(two_level(1.0), canonical_env(), Q2)
-    b = generalized_boltzmann_factor(two_level(1.0), canonical_env(), Q2, 1, table=table)
+    b = generalized_boltzmann_factor(two_level(1.0), canonical_env(), Q2, 1)
     assert b == pytest.approx(1.0 / (1.0 + math.log(2.0)), rel=1e-12)
 
 

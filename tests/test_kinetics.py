@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sqzstat import ModelValidationError, SqueezeFamily, StepSizeError
+from sqzstat import ModelValidationError, SqueezeDomainError, SqueezeFamily, StepSizeError
 from sqzstat.kinetics import (
     CollisionNetwork,
     KineticState,
@@ -387,6 +387,16 @@ def test_zero_population_has_zero_entropy():
     state = KineticState(F=np.zeros(5))
     for fam in (IDENT, SqueezeFamily.tsallis(1.5), SqueezeFamily.tsallis(2.0)):
         assert entropy_functional(state, fam) == 0.0
+
+
+@pytest.mark.parametrize("q, F", [(10.0, 1e-40), (0.5, 1e300), (1.0, 1e307)])
+def test_entropy_beyond_the_float_range_is_a_domain_error(q, F):
+    # F**(2 - q) (or F ln F) overflows: an error naming q, not -inf and a RuntimeWarning
+    state = KineticState(F=np.array([1.0, F, 0.5, 1.5, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SqueezeDomainError, match=f"q={q:g}"):
+            entropy_functional(state, SqueezeFamily.tsallis(q))
 
 
 def test_tsallis_closed_form_matches_quadrature():

@@ -183,6 +183,13 @@ def test_slope_beyond_float_range_is_inf():
     assert got.ln_ratio == -750.0
 
 
+def test_slope_with_finite_ln_h_beyond_float_range_is_inf():
+    # ln h = 2 (e^6 - 1) ~ 805 is finite; only exp(ln h + ln f/h) overflows
+    got = squeeze_slope(SqueezeFamily.tsallis(0.5), 12.0)
+    assert got.df_dg == math.inf
+    assert got.ln_ratio == -6.0
+
+
 # ---------------------------------------------------------------------------
 # one evaluation path: scalar forms are the array kernels
 
@@ -304,6 +311,13 @@ def test_config_roundtrip():
     assert fam.kind == "tsallis" and fam.q == 1.5
     assert SqueezeFamily.from_config(fam.to_config()).q == 1.5
     assert SqueezeFamily.from_config({"family": "identity"}).is_identity
+
+
+def test_non_finite_or_missing_q_is_a_domain_error():
+    with pytest.raises(SqueezeDomainError, match="finite"):
+        SqueezeFamily.tsallis(math.nan)
+    with pytest.raises(SqueezeDomainError, match="requires 'q'"):
+        SqueezeFamily.from_config({"family": "tsallis"})
 
 
 def test_config_rejects_unknown_family():

@@ -72,6 +72,13 @@ def test_failure_names_the_variable():
         conjugates_from_phi(surface, split, {"E": 0.7})
 
 
+def test_point_without_a_name_is_a_key_error():
+    # a missing name is the caller's mistake, not a failure of the surface
+    split = EnvironmentSplit(fixed_intensive=("E",))
+    with pytest.raises(KeyError, match="'E'"):
+        conjugates_from_phi(lambda vals: 0.0, split, {})
+
+
 def test_central_derivative_richardson_accuracy():
     assert central_derivative(math.exp, 1.0) == pytest.approx(math.e, rel=1e-10)
     assert central_derivative(lambda x: x**3, 2.0) == pytest.approx(12.0, rel=1e-10)

@@ -5,8 +5,10 @@
 Runs each argv of ``benchmarks/workloads.cli_argvs`` for seeds 1-6, plus a
 fixed list (``fluct`` with one and two variables at q = 1, 0.9 and 0.2 in
 JSON and CSV, a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
-``sweep`` in CSV and JSON, ``kinetics`` with snapshots and ``infer
---reconstruct``), once on the working tree's ``src`` and once on REF's,
+``sweep`` in CSV and JSON, ``kinetics`` with snapshots, ``infer
+--reconstruct``, and a 3-variable model file with a non-singular
+covariance through ``fluct`` and ``compute --rows``), once on the working
+tree's ``src`` and once on REF's,
 extracted with ``git archive``.  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
 writes there are compared byte for byte.  Prints one line per mismatch and
@@ -17,6 +19,8 @@ git, and the packages the benchmark itself imports.
 from __future__ import annotations
 
 import io
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -35,6 +39,14 @@ def _ratios_csv(q: float) -> bytes:
     ln_g = [5.0 * k / 50 for k in range(51)]
     rows = [f"{g!r},{math.exp((1.0 - q) * g)!r}" for g in ln_g]
     return ("ln_g,ratio\n" + "\n".join(rows) + "\n").encode()
+
+
+def _three_variable_model() -> bytes:
+    """Model file over a, b, c in 0..3 with coupled degeneracies: C is 3x3 and non-singular."""
+    rows = [{"x": [float(a), float(b), float(c)], "ln_g": 0.25 * (a * b + b * c) + 0.5 * c}
+            for a, b, c in itertools.product(range(4), repeat=3)]
+    return json.dumps({"variables": [{"name": n, "kind": "exchanged"} for n in "abc"], "rows": rows,
+                       "environment": {"y": {"a": 0.4, "b": 0.7, "c": 0.2}, "X": {}}}).encode()
 
 
 def _fixed_cases() -> list[Case]:
@@ -63,6 +75,13 @@ def _fixed_cases() -> list[Case]:
           "--snapshot-every", "20", "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "1.5"], {}),
         ("infer reconstruct", ["infer", "--data", "ratios.csv", "--reconstruct", "ln_h.csv"],
          {"ratios.csv": _ratios_csv(1.3)}),
+    ]
+    three = {"model3.json": _three_variable_model()}
+    for fmt in ("json", "csv"):
+        cases.append((f"fluct 3var {fmt}", ["fluct", "--model", "model3.json", "--format", fmt], three))
+    cases += [
+        ("fluct 3var q=0.9 json", ["fluct", "--model", "model3.json", "--squeeze", "tsallis", "--q", "0.9"], three),
+        ("compute 3var rows", ["compute", "--model", "model3.json", "--rows", "rows.csv"], three),
     ]
     return cases
 
