@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -47,8 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 3
 EXIT_MODEL = 4
 EXIT_NUMERIC = 5
-
-_log = logging.getLogger("sqzstat")
 
 EPILOG = """\
 exit codes:
@@ -412,10 +409,10 @@ _ERROR_CODES = [
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("SQZSTAT_LOG", "quiet"), logging.WARNING
-    )
-    logging.basicConfig(level=level, stream=sys.stderr)
+    if (level := os.environ.get("SQZSTAT_LOG")) in ("info", "debug"):  # only these load logging
+        import logging
+
+        logging.basicConfig(level=level.upper(), stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

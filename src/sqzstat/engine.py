@@ -60,17 +60,18 @@ def _logsumexp(a: np.ndarray) -> float:
     log1p(s) + ln m + top (Blanchard, Higham & Higham, IMA J. Numer.
     Anal. 41, 2021).  Empty input gives -inf; an infinite or NaN top is
     returned as is.  Bit-identical to scipy.special.logsumexp on 1-D
-    float input: the other entries are summed in place, in row order."""
+    float input: the other entries are summed in place, in row order.
+    Reductions are ufunc calls; np.log takes m as a float, faster than an int."""
     if a.size == 0:
         return -math.inf
-    top = a.max()
+    top = np.maximum.reduce(a)
     if not math.isfinite(top):
         return float(top)
     at_top = a == top
     m = np.count_nonzero(at_top)
     e = np.exp(a - top)
     e[at_top] = 0.0
-    return float(np.log1p(e.sum() / m) + np.log(m) + top)
+    return float(np.log1p(np.add.reduce(e) / m) + np.log(float(m)) + top)
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,10 @@ class DegeneracySpectrum:
     """Finite table of microcanonical subclasses.
 
     ``variable_names`` orders the exchanged extensive variables; row r
-    has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``.  ``_last`` holds the last class
-    table taken over it weakly, because a table refers to its spectrum: a freed report frees
-    its table without waiting for the cycle collector.  Copies drop it.
+    has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``; x is column-major, the layout whose
+    ``x @ y`` the class pass rounds as it always has.  ``_last`` holds the last class table
+    taken over it weakly, because a table refers to its spectrum: a freed report frees its
+    table without waiting for the cycle collector.  Copies drop it.
     """
 
     variable_names: tuple[str, ...]
@@ -89,7 +91,7 @@ class DegeneracySpectrum:
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = np.asarray(self.x, dtype=float, order="F")
         if x.ndim == 1:
             x = x[:, None]
         ln_g = np.asarray(self.ln_g, dtype=float)
@@ -133,6 +135,11 @@ class DegeneracySpectrum:
             near = np.round(g)
             snap = (g < 2.0**53) & (near > 0) & (np.abs(g - near) <= 1e-9 * near)
         return np.where(snap, near, g)
+
+    @cached_property
+    def _g_divides(self) -> np.ndarray:
+        """Rows whose g is a finite positive float, so a quotient by it is a plain division."""
+        return np.isfinite(self.g) & (self.g > 0)
 
     def ln_total_class(self) -> float:
         """ln of the unweighted class total (sum of all degeneracies)."""
@@ -181,7 +188,7 @@ class EnsembleSpec:
         if overlap:
             raise ModelValidationError(f"variables in both environment sets: {sorted(overlap)}")
 
-    @property
+    @cached_property
     def split(self) -> EnvironmentSplit:
         return EnvironmentSplit(
             fixed_extensive=tuple(self.fixed_extensive),
@@ -216,11 +223,17 @@ class ClassTable:
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
     family: SqueezeFamily
-    exchanged_names: tuple[str, ...]
-    x_exchanged: np.ndarray
     ln_row_class: np.ndarray
     excluded: np.ndarray
     ln_total: float
+
+    @property
+    def exchanged_names(self) -> tuple[str, ...]:
+        return self.spectrum.variable_names
+
+    @property
+    def x_exchanged(self) -> np.ndarray:
+        return self.spectrum.x
 
     @property
     def ln_g(self) -> np.ndarray:
@@ -310,11 +323,8 @@ def characteristic_class(
 ) -> ClassTable:
     """Squeeze-and-rearrange pass producing the per-row class table."""
     env.validate_against(spectrum)
-    working = spectrum.restrict(env.fixed_extensive)
-    exchanged = tuple(n for n in working.variable_names if n in env.fixed_intensive)
-    cols = [working.variable_names.index(n) for n in exchanged]
-    x_ex = working.x[:, cols] if cols else np.zeros((working.n_rows, 0))
-    y = np.array([env.fixed_intensive[n] for n in exchanged])
+    working = spectrum.restrict(env.fixed_extensive)  # its columns are the exchanged variables
+    y = np.array([env.fixed_intensive[n] for n in working.variable_names])
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
         ln_h_g = family.ln_squeeze_arr(working.ln_g)
         if not np.isfinite(ln_h_g).all():
@@ -322,7 +332,7 @@ def characteristic_class(
                 "squeezed log-degeneracy exceeds the float range "
                 f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"
             )
-        ln_weight = ln_h_g - (x_ex @ y if cols else 0.0)
+        ln_weight = ln_h_g - (working.x @ y if y.size else 0.0)
         ln_row_class, excluded = family.ln_unsqueeze_arr(ln_weight)
         if excluded.all():
             raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
@@ -332,9 +342,8 @@ def characteristic_class(
                 "squeezed class total exceeds the float range "
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
-    return ClassTable(spectrum=working, env=env, family=family, exchanged_names=exchanged,
-                      x_exchanged=x_ex, ln_row_class=ln_row_class, excluded=excluded,
-                      ln_total=ln_total)
+    return ClassTable(spectrum=working, env=env, family=family, ln_row_class=ln_row_class,
+                      excluded=excluded, ln_total=ln_total)
 
 
 def phi_of(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> float:
@@ -400,8 +409,7 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     ln_macro = table.ln_row_class - table.ln_total
     macro = np.where(table.excluded, 0.0, np.exp(ln_macro))
     ln_config = ln_macro - table.ln_g
-    config = np.where(table.excluded, 0.0,
-                      _per_configuration(macro, ln_macro, table.ln_g, table.spectrum.g))
+    config = np.where(table.excluded, 0.0, _per_configuration(macro, ln_config, table.spectrum))
     return ProbabilityTable(
         macro_probs=macro,
         config_probs=config,
@@ -422,21 +430,21 @@ def _exp_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_configuration(num: np.ndarray, ln_num: np.ndarray, ln_g: np.ndarray,
-                       g: np.ndarray) -> np.ndarray:
-    """num / g per row, g the snapped degeneracy counts
+def _per_configuration(num: np.ndarray, ln_quotient: np.ndarray, spectrum: DegeneracySpectrum,
+                       rows: slice = slice(None)) -> np.ndarray:
+    """num / g over the rows, g the snapped degeneracy counts
     (``DegeneracySpectrum.g``); where num or g leaves the float range the
-    quotient is exp(ln_num - ln_g) instead."""
+    quotient is exp(ln_quotient), ln_quotient = ln num - ln g, which the caller
+    forms once.  Whether g divides does not depend on y, so the spectrum keeps
+    that mask; the division is np.divide's, masked, so the quotients keep their bits."""
     with np.errstate(invalid="ignore", over="ignore"):
-        direct = np.isfinite(num) & np.isfinite(g) & (g > 0)
-        out = np.exp(ln_num - ln_g)
-    out[direct] = num[direct] / g[direct]
-    return out
+        out = np.exp(ln_quotient)
+    return np.divide(num, spectrum.g[rows], out=out, where=np.isfinite(num) & spectrum._g_divides[rows])
 
 
 def _boltzmann_factors(table: ClassTable, rows: slice = slice(None)) -> np.ndarray:
     ln_c, spectrum = table.ln_row_class[rows], table.spectrum
-    factors = _per_configuration(_exp_rows(ln_c), ln_c, spectrum.ln_g[rows], spectrum.g[rows])
+    factors = _per_configuration(_exp_rows(ln_c), ln_c - spectrum.ln_g[rows], spectrum, rows)
     return np.where(table.excluded[rows], 0.0, factors)
 
 
@@ -534,14 +542,15 @@ class SpectrumSurface:
         row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, family = self._table(point), self.family
         live, ln_w = table.mean_weights()
-        x = table.x_exchanged[live][:, [table.exchanged_names.index(n) for n in names]]
+        cols = [table.exchanged_names.index(n) for n in names]
+        xt = table.x_exchanged.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
         ln_c, ln_l_total = table.ln_row_class[live], family.ln_log_slope(table.ln_total)
         a = -family.slope_elasticity_arr(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
         with np.errstate(over="ignore", invalid="ignore"):  # 2 ln w may overflow to -inf
-            mean = x.T @ np.exp(ln_w)
+            mean = xt @ np.exp(ln_w)
             b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
             b[ln_c == -np.inf] = 0.0
-            H = a * np.outer(mean, mean) + (x * b[:, None]).T @ x
+            H = a * (mean[:, None] * mean) + (xt * b) @ xt.T
         if not np.isfinite(H).all():
             raise SqueezeDomainError(f"curvature of phi exceeds the float range at {family.label()}")
         return table.phi, H

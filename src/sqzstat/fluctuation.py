@@ -110,8 +110,9 @@ def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names:
     phi, H = curvature(point, names) if curvature else _differenced_hessian(phi_surface, point, names)
     H = 0.5 * (H + H.T)
     eig, vec = np.linalg.eigh(H)
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(eig > _REL_TOL * scale) and np.any(eig < -_REL_TOL * scale):
+    lam = eig.tolist()
+    scale = max(1.0, *map(abs, lam))
+    if any(v > _REL_TOL * scale for v in lam) and any(v < -_REL_TOL * scale for v in lam):
         warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
     return phi, H, eig, vec
 
@@ -147,7 +148,9 @@ def moments(
     condition number max|lambda|/min|lambda| (inf at a zero eigenvalue or
     an exactly zero row) and G = V diag(1/lambda) V'.  A singular C
     (cond > 1e8) is inverted as np.linalg.pinv does, dropping the
-    |lambda| <= 1e-15 max|lambda|.
+    |lambda| <= 1e-15 max|lambda|.  The n x n bookkeeping after the eigh runs on
+    Python floats (``tolist``): n is 1 to 3 in practice, where a numpy call costs more
+    than its arithmetic, and floats round as the arrays did, so results keep their bits.
 
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
@@ -162,22 +165,23 @@ def moments(
             StabilityWarning,
         )
     scale = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
-    size = np.abs(eig)
+    lam, c = eig.tolist(), C.tolist()
+    size = [abs(v) for v in lam]
+    top, bottom = max(size), min(size)
     # inf at a zero eigenvalue, as np.linalg.cond, or at an exactly zero row
     # (a flat direction), whose eigenvalue eigh may leave at rounding level
-    flat = size.min() == 0.0 or not C.any(axis=1).all()
+    cond = math.inf if bottom == 0.0 or not all(map(any, c)) else top / bottom  # inf beyond float range
+    singular = not math.isfinite(cond) or cond > 1 / _REL_TOL
+    if singular:
+        warnings.warn("covariance matrix is numerically singular", StabilityWarning)
+        eig = [v if s > 1e-15 * top else math.inf for v, s in zip(lam, size)]  # np.linalg.pinv's cutoff
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
-        cond = math.inf if flat else float(size.max() / size.min())
-        singular = not math.isfinite(cond) or cond > 1 / _REL_TOL
-        if singular:
-            warnings.warn("covariance matrix is numerically singular", StabilityWarning)
-            eig = np.where(size > 1e-15 * size.max(), eig, math.inf)  # np.linalg.pinv's cutoff
         G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
-    variances = {ni: scale * float(C[i, i]) for i, ni in enumerate(names)}
-    flat_scale = max(1.0, float(np.max(np.abs(C))))
-    intensive = {ni: math.inf if singular and abs(C[i, i]) <= _REL_TOL * flat_scale
-                 else scale * float(G[i, i]) for i, ni in enumerate(names)}
-    covariances = {(ni, nj): scale * float(C[i, j])
+    g = G.tolist()
+    zero = _REL_TOL * max(1.0, float(np.max(np.abs(C)))) if singular else -math.inf  # a flat row's size
+    variances = {ni: scale * c[i][i] for i, ni in enumerate(names)}
+    intensive = {ni: math.inf if abs(c[i][i]) <= zero else scale * g[i][i] for i, ni in enumerate(names)}
+    covariances = {(ni, nj): scale * c[i][j]
                    for i, ni in enumerate(names) for j, nj in enumerate(names) if j > i}
     return FluctuationReport(
         variable_names=names,

@@ -215,7 +215,7 @@ class SqueezeFamily:
         if self.kind == _TSALLIS:
             u = 1.0 - self.q
             t = u * x
-            excluded = 1.0 + t <= 0.0
+            excluded = t <= -1.0  # 1 + t <= 0, as 1 + t is exact near t = -1
             ln_H = np.log1p(np.where(excluded, 0.0, t)) / u
             return np.where(excluded, -np.inf, ln_H), excluded
         out = _apply(self.ln_H_hook, x)

@@ -5,11 +5,12 @@ built-in models: extreme and signed-zero y values, a pinned ``--X N``,
 q from 0 to 10 and out-of-range model parameters.  ``kinetics`` argvs
 draw the radius, steps, dt (0, negative, nan and above the bound among
 them), kernel, xi and q; ``infer`` argvs draw CSV files, malformed,
-non-increasing, negative and nan cells among them.  Every argv must end
-in a documented exit code with no exception and no RuntimeWarning, and a
-successful run must print (and write) parseable output with no nan; the
-only inf is the condition number and the intensive variances of a
-singular fluctuation report.  The draws are derandomized, so the suite is
+non-increasing, negative and nan cells among them; 3-variable model files
+reach the 3x3 fluctuation path.  Every argv must end in a documented exit
+code with no exception and no RuntimeWarning, and a successful run must
+print (and write) parseable output with no nan; the only inf is the
+condition number and the intensive variances of a singular fluctuation
+report.  The draws are derandomized, so the suite is
 reproducible.  The argvs that first showed a fault are pinned below."""
 
 import contextlib
@@ -264,6 +265,46 @@ def test_drawn_infer_argvs_end_cleanly(tmp_path):
         rec = tmp_path / "rec.csv"
         if code == 0 and rec.exists():
             assert not output_problems(["compute", "--format", "csv"], rec.read_text()), argv
+
+    one()
+
+
+@st.composite
+def three_variable_models(draw):
+    """(model document, flags): a, b and c on a 2-4 point grid each, ln g
+    coupling all three, moderate y and q, so C is 3x3 and non-singular."""
+    axes = [np.arange(draw(st.integers(2, 4))) * draw(st.floats(0.5, 2.0)) for _ in "abc"]
+    coef = draw(st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6))
+    rows = [{"x": [a, b, c], "ln_g": float(coef[0] * a * b + coef[1] * b * c + coef[2] * a * c
+                                          + coef[3] * a + coef[4] * b + coef[5] * c)}
+            for a in axes[0].tolist() for b in axes[1].tolist() for c in axes[2].tolist()]
+    y = {n: draw(st.floats(-0.5, 0.5)) for n in "abc"}
+    doc = {"variables": [{"name": n, "kind": "exchanged"} for n in "abc"], "rows": rows,
+           "environment": {"y": y, "X": {}}}
+    q = draw(st.one_of(st.just(1.0), st.floats(0.8, 1.25)))
+    family = [] if q == 1.0 else ["--squeeze", "tsallis", "--q", repr(q)]
+    if family and draw(st.booleans()):  # the file's own squeeze entry instead of the flags
+        doc["squeeze"], family = {"family": "tsallis", "q": q}, []
+    return doc, [*family, "--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+def test_drawn_three_variable_model_files_end_cleanly(tmp_path):
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(three_variable_models())
+    def one(drawn):
+        doc, flags = drawn
+        path = tmp_path / "model3.json"
+        path.write_text(json.dumps(doc))
+        outs = {}
+        for command in ("fluct", "compute"):
+            code, outs[command] = check([command, "--model", str(path), *flags])
+            assert code == 0
+        if flags[-1] == "json":
+            report = json.loads(outs["fluct"])
+            assert report["singular"] is False and len(report["G"]) == 3
+        else:  # no inf: the intensive variances of a non-singular C are finite
+            rows = list(csv.reader(io.StringIO(outs["fluct"])))[1:]
+            assert sum(r[0] == "G" for r in rows) == 9 and all(math.isfinite(float(r[2])) for r in rows)
 
     one()
 

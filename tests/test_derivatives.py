@@ -3,9 +3,9 @@
 A spectrum surface gives the gradient of phi (the observed means) and its
 curvature from one class pass.  These tests pin the pass counts, check
 the q < 1 states where second differences of phi lost the curvature,
-compare phi, the means and the curvature with 50-digit direct sums, and
-cover custom families and the growth of the curvature next to a cutoff
-at q < 1/2."""
+compare phi, the means, the curvature, the probabilities and the entropy
+with 50-digit direct sums, and cover custom families and the growth of
+the curvature next to a cutoff at q < 1/2."""
 
 import copy
 import gc
@@ -351,15 +351,16 @@ def direct_sums(x, ln_g, y, q):
     phi = -ln_q T, <X> = sum P^q X and
     d2 phi/dy dy = q T^(q-1) (<X><X>' - sum P^(2q-1) X X').
     Also returned: ``scale``, the same curvature sum taken over absolute
-    values, and ``cond``, a bound on the relative error of the row classes
+    values, ``cond``, a bound on the relative error of the row classes
     per unit rounding of the inputs (max over rows of (|ln h g| + |x.y| +
-    1/|u|)/|1 + u (ln h g - x.y)|)."""
+    1/|u|)/|1 + u (ln h g - x.y)|), and ``P``, the row probabilities as
+    50-digit values in row order, 0 on rows beyond the cutoff."""
     with mpmath.workdps(50):
         mpf = mpmath.mpf
         qm = mpf(q)
         u = 1 - qm
         ys = [mpf(float(v)) for v in y]
-        cs, xs, cond = [], [], mpf(1)
+        cs, xs, cond, row_c = [], [], mpf(1), []
         for xr, lg in zip(x, ln_g):
             xy = mpmath.fsum(mpf(float(a)) * b for a, b in zip(xr, ys))
             if q == 1.0:
@@ -368,11 +369,13 @@ def direct_sums(x, ln_g, y, q):
             else:
                 ln_h = mpmath.expm1(u * mpf(float(lg))) / u
                 arg = 1 + u * (ln_h - xy)
-                cond = max(cond, (abs(ln_h) + abs(xy) + 1 / abs(u)) / abs(arg))
+                cond = max(cond, (abs(ln_h) + abs(xy) + 1 / abs(u)) / abs(arg) if arg else mpmath.inf)
                 if arg <= 0:
+                    row_c.append(mpf(0))
                     continue
                 c = arg ** (1 / u)
             cs.append(c)
+            row_c.append(c)
             xs.append([mpf(float(a)) for a in xr])
         if not cs:
             return None
@@ -393,7 +396,7 @@ def direct_sums(x, ln_g, y, q):
             "phi": float(phi), "mean": np.array(mean, dtype=float),
             "H": np.array(H, dtype=float), "scale": np.array(scale, dtype=float),
             "abs_mean": np.array(abs_mean, dtype=float), "T_u": float(T**u),
-            "cond": float(cond),
+            "cond": float(cond), "P": [c / T for c in row_c],
         }
 
 
@@ -478,6 +481,43 @@ def test_phi_gradient_and_curvature_against_direct_sums(state):
     for i, n in enumerate(names):
         assert abs(grad[n] - ref["mean"][i]) <= err * max(1.0, q) * ref["abs_mean"][i]
     assert np.all(np.abs(H - ref["H"]) <= err * (1.0 + 3.0 * q) * ref["scale"])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(spectrum_states())
+def test_probabilities_and_entropy_against_direct_sums(state):
+    x, ln_g, q, y = state
+    ref = direct_sums(x, ln_g, y, q)
+    assume(ref is not None and ref["cond"] * EPS < 1e-8)
+    names = ["A", "B"][: x.shape[1]]
+    spectrum = DegeneracySpectrum(names, x, ln_g)
+    env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
+    fam = IDENT if q == 1.0 else SqueezeFamily.tsallis(q)
+    probs = engine.probabilities(engine.report_for(spectrum, env, fam).table)
+    # each row class carries a relative error of about cond * eps (as above), and so
+    # does each probability; config probabilities divide by the spectrum's counts g
+    # (exp(ln g), snapped to an integer within 1e-9), the entropy sums over ln p = ln P - ln g
+    err, tiny = 64.0 * EPS * ref["cond"], np.finfo(float).tiny
+    with mpmath.workdps(50):
+        P = ref["P"]
+        config = [p / mpmath.mpf(float(g)) for p, g in zip(P, spectrum.g)]
+        lgs = [mpmath.mpf(float(lg)) for lg in ln_g]
+        rows = [(p, mpmath.log(p) - lg, lg) for p, lg in zip(P, lgs) if p]  # (P, ln p, ln g) of live rows
+        if q == 1.0:
+            S = -mpmath.fsum(p * lp for p, lp, _ in rows)
+            S_scale = mpmath.fsum(p * (abs(lp) + 1) for p, lp, _ in rows)
+        else:
+            terms = [mpmath.exp(lg + q * lp) for _, lp, lg in rows]  # g p**q
+            S = (mpmath.fsum(terms) - 1) / (1 - q)
+            S_scale = mpmath.fsum(t * (lg + q * abs(lp) + 1 + q) for t, (_, lp, lg) in zip(terms, rows))
+            S_scale = S_scale / abs(1 - q) + abs(S)  # and the rounding of expm1 and of the quotient
+        P, config = np.array(P, dtype=float), np.array(config, dtype=float)
+        S, S_scale = float(S), float(S_scale)
+    assert probs.excluded.tolist() == [not p for p in ref["P"]]
+    assert np.all(np.abs(probs.macro_probs - P) <= err * P + tiny)
+    assert np.all(np.abs(probs.config_probs - config) <= err * config + tiny)
+    assert abs(engine.entropy_from_probabilities(probs, fam) - S) <= err * S_scale
 
 
 def test_large_potential_state_against_direct_sums():

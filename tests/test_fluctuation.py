@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -259,16 +260,16 @@ def test_empirical_ladder_variance_matches_curvature():
 
 
 class FixedCurvature:
-    """A surface whose curvature is a given matrix (phi = 0)."""
+    """A surface whose curvature is a given matrix, at a given phi (0 by default)."""
 
-    def __init__(self, H):
-        self.H = H
+    def __init__(self, H, phi=0.0):
+        self.H, self.phi = H, phi
 
     def __call__(self, values):
-        return 0.0
+        return self.phi
 
     def curvature(self, point, names):
-        return 0.0, self.H.copy()
+        return self.phi, self.H.copy()
 
 
 def rotation(n, angles):
@@ -363,3 +364,74 @@ def test_one_variable_stability_is_exactly_the_reciprocal(c):
     assert rep.G[0, 0].hex() == (1.0 / c).hex()
     assert rep.condition_number == 1.0
     assert not rep.singular
+
+
+# ---------------------------------------------------------------------------
+# the float bookkeeping of moments against the ndarray bookkeeping it replaces
+
+
+def ndarray_moments(H, phi0, family):
+    """moments' n x n bookkeeping on ndarrays, after its one eigh, as numpy
+    calls on the eigenvalues and on C: (report fields, warning messages)."""
+    messages = set()
+    H = 0.5 * (H + H.T)
+    eig, vec = np.linalg.eigh(H)
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
+        messages.add("indefinite curvature: state is not a one-sided extremum")
+    C, eig = -H, -eig
+    scale = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
+    size = np.abs(eig)
+    flat = size.min() == 0.0 or not C.any(axis=1).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = math.inf if flat else float(size.max() / size.min())
+        singular = not math.isfinite(cond) or cond > 1e8
+        if singular:
+            messages.add("covariance matrix is numerically singular")
+            eig = np.where(size > 1e-15 * size.max(), eig, math.inf)
+        G = (vec / eig) @ vec.T
+    n = H.shape[0]
+    variances = [scale * float(C[i, i]) for i in range(n)]
+    flat_scale = max(1.0, float(np.max(np.abs(C))))
+    intensive = [math.inf if singular and abs(C[i, i]) <= 1e-8 * flat_scale
+                 else scale * float(G[i, i]) for i in range(n)]
+    covariances = [scale * float(C[i, j]) for i in range(n) for j in range(i + 1, n)]
+    return (G, C, variances, intensive, covariances, cond, singular), messages
+
+
+@st.composite
+def subnormal_covariances(draw):
+    """("subnormal", C): a diagonal C with one subnormal (or underflowing) eigenvalue."""
+    n = draw(st.integers(1, 3))
+    lam = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    lam[draw(st.integers(0, n - 1))] = draw(st.sampled_from([5e-324, 1e-320, 1e-310, 2e-308]))
+    return "subnormal", np.diag(lam) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+
+
+def bits(v):
+    if isinstance(v, np.ndarray):
+        return v.shape, v.tobytes()
+    return struct.pack("d", v) if isinstance(v, float) else v
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(st.one_of(covariance_matrices(), subnormal_covariances()),
+       st.sampled_from([(0.0, IDENT), (0.7, SqueezeFamily.tsallis(1.5)), (-2.5, SqueezeFamily.tsallis(0.4))]))
+def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
+    _, C = case
+    phi0, family = at
+    names = [f"x{i}" for i in range(C.shape[0])]
+    expected, messages_ref = ndarray_moments(-C, phi0, family)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = moments(FixedCurvature(-C, phi0), dict.fromkeys(names, 0.0), names, family)
+    assert {str(w.message) for w in caught} == messages_ref
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    got = (rep.G, rep.G_inv, [rep.variances[n] for n in names],
+           [rep.intensive_variances[n] for n in names], [rep.covariances[p] for p in pairs],
+           rep.condition_number, rep.singular)
+    for g, e in zip(got, expected):
+        if isinstance(g, list):
+            assert [bits(v) for v in g] == [bits(v) for v in e]
+        else:
+            assert bits(g) == bits(e)

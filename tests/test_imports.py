@@ -28,8 +28,10 @@ print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.spli
 """
 
 
-def fresh_python(script, *args, cwd=None):
-    env = dict(os.environ)
+def fresh_python(script, *args, cwd=None, log=None):
+    env = {k: v for k, v in os.environ.items() if k != "SQZSTAT_LOG"}
+    if log is not None:
+        env["SQZSTAT_LOG"] = log
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=120)
@@ -142,3 +144,18 @@ print(json.dumps({"missing": missing, "foreign": foreign, "n": len(sqzstat.__all
 """
     out = fresh_python(script)
     assert out == {"missing": [], "foreign": [], "n": len(sqzstat.__all__), "undir": []}
+
+
+RUN_MAIN_LOGGING = """
+import json, sys
+from sqzstat.cli import main
+code = main(sys.argv[1:])
+logging = sys.modules.get("logging")
+print(json.dumps({"code": code, "root_level": logging and logging.getLogger().level}))
+"""
+
+
+@pytest.mark.parametrize("log, root_level", [(None, None), ("quiet", None), ("info", 20), ("debug", 10)])
+def test_logging_loads_only_for_a_verbose_setting(log, root_level, tmp_path):
+    out = fresh_python(RUN_MAIN_LOGGING, *CASES["compute"], cwd=tmp_path, log=log)
+    assert out == {"code": 0, "root_level": root_level}
