@@ -215,9 +215,9 @@ class EnsembleSpec:
 class ClassTable:
     """Per-subclass squeezed classes for one ensemble evaluation.
 
-    Rows follow the restricted spectrum.  ``ln_row_class`` is -inf on
-    excluded rows; ``ln_total`` is the log characteristic class over the
-    surviving rows.  ``means`` is its one cached value; mean weights are formed per call.
+    Rows follow the restricted spectrum.  ``ln_row_class`` is -inf on excluded rows; ``ln_total``
+    is the log characteristic class over the surviving rows.  Cached floats: ``phi``,
+    ``ln_l_total`` (ln of l = d(ln h)/dx at the total) and ``means``; mean weights are per call.
     """
 
     spectrum: DegeneracySpectrum
@@ -247,19 +247,24 @@ class ClassTable:
     def n_excluded(self) -> int:
         return int(self.excluded.sum())
 
-    @property
+    @cached_property
     def phi(self) -> float:
         return -self.family.ln_squeeze(self.ln_total)
 
-    @np.errstate(over="ignore")  # an ln w below -max float is -inf, a zero weight
-    def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(live mask, ln w), w = l(total)/l(c_row) on live rows, l = d(ln h)/dx; not cached."""
-        live, family = ~self.excluded, self.family
-        return live, family.ln_log_slope(self.ln_total) - family.ln_log_slope_arr(self.ln_row_class[live])
+    @cached_property
+    def ln_l_total(self) -> float:
+        return self.family.ln_log_slope(self.ln_total)
+
+    def mean_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(live mask, live ln c, ln w), w = l(total)/l(c_row); ln w may overflow to -inf, a zero weight."""
+        live = ~self.excluded
+        ln_c = self.ln_row_class[live]
+        return live, ln_c, self.ln_l_total - self.family.ln_log_slope_arr(ln_c)
 
     def mean_of(self, *columns: np.ndarray) -> tuple[float, ...]:
         """sum_r w_r v_r over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
-        live, ln_w = self.mean_weights()
+        with np.errstate(over="ignore"):
+            live, _, ln_w = self.mean_weights()
         w = np.exp(ln_w)
         return tuple(float(np.add.reduce(w * v[live])) for v in columns)
 
@@ -337,18 +342,18 @@ def characteristic_class(
         if excluded.all():
             raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
         ln_total = _logsumexp(ln_row_class[~excluded])
-        if not math.isfinite(family.ln_squeeze(ln_total)):
+        table = ClassTable(working, env, family, ln_row_class, excluded, ln_total)
+        if not math.isfinite(table.phi):
             raise SqueezeDomainError(
                 "squeezed class total exceeds the float range "
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
-    return ClassTable(spectrum=working, env=env, family=family, ln_row_class=ln_row_class,
-                      excluded=excluded, ln_total=ln_total)
+    return table
 
 
 def phi_of(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> float:
     """Dimensionless characteristic potential of the ensemble."""
-    return _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family).phi
+    return _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env).phi
 
 
 def observed_mean(
@@ -366,7 +371,7 @@ def observed_mean(
     probabilities (plain ensemble average); for the power-law family to
     P_row**q.
     """
-    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family)
+    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
     if isinstance(observable, str):
         values = table.spectrum.column(observable)
     else:
@@ -404,12 +409,12 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
 
     Degeneracies that are exactly representable integers are divided out
     exactly, so uniform microcanonical distributions come out as literal
-    1/Omega.
+    1/Omega.  Excluded rows read ln c = -inf, so 0; macro is finite, so g alone decides the quotient.
     """
     ln_macro = table.ln_row_class - table.ln_total
-    macro = np.where(table.excluded, 0.0, np.exp(ln_macro))
+    macro = np.exp(ln_macro)
     ln_config = ln_macro - table.ln_g
-    config = np.where(table.excluded, 0.0, _per_configuration(macro, ln_config, table.spectrum))
+    config = _per_configuration(macro, ln_config, table.spectrum.g, table.spectrum._g_divides)
     return ProbabilityTable(
         macro_probs=macro,
         config_probs=config,
@@ -430,22 +435,20 @@ def _exp_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_configuration(num: np.ndarray, ln_quotient: np.ndarray, spectrum: DegeneracySpectrum,
-                       rows: slice = slice(None)) -> np.ndarray:
-    """num / g over the rows, g the snapped degeneracy counts
-    (``DegeneracySpectrum.g``); where num or g leaves the float range the
-    quotient is exp(ln_quotient), ln_quotient = ln num - ln g, which the caller
-    forms once.  Whether g divides does not depend on y, so the spectrum keeps
-    that mask; the division is np.divide's, masked, so the quotients keep their bits."""
+def _per_configuration(num: np.ndarray, ln_quotient: np.ndarray, g: np.ndarray, divides: np.ndarray):
+    """num / g, g the snapped degeneracy counts (``DegeneracySpectrum.g``), on the
+    rows where ``divides`` (num and g finite, g > 0), else exp(ln_quotient), which
+    the caller forms once; np.divide, masked, so the quotients keep their bits."""
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.exp(ln_quotient)
-    return np.divide(num, spectrum.g[rows], out=out, where=np.isfinite(num) & spectrum._g_divides[rows])
+    return np.divide(num, g, out=out, where=divides)
 
 
 def _boltzmann_factors(table: ClassTable, rows: slice = slice(None)) -> np.ndarray:
     ln_c, spectrum = table.ln_row_class[rows], table.spectrum
-    factors = _per_configuration(_exp_rows(ln_c), ln_c - spectrum.ln_g[rows], spectrum, rows)
-    return np.where(table.excluded[rows], 0.0, factors)
+    num = _exp_rows(ln_c)
+    return _per_configuration(num, ln_c - spectrum.ln_g[rows], spectrum.g[rows],
+                              np.isfinite(num) & spectrum._g_divides[rows])
 
 
 def generalized_boltzmann_factor(
@@ -456,8 +459,10 @@ def generalized_boltzmann_factor(
 ) -> float:
     """Ratio of the row's squeezed class to its bare degeneracy.
 
-    Identity family: exp(-sum y X) exactly.  Excluded rows give 0.0."""
-    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family)
+    Identity family: exp(-sum y X) exactly.  Excluded rows give 0.0.  A loop over
+    rows pays one class pass per row unless the caller holds a report at this point,
+    whose ``columns()`` has the whole ``boltzmann_factor`` column."""
+    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
     if not 0 <= row < table.n_rows:
         raise ModelValidationError(f"row {row} out of range (n_rows={table.n_rows})")
     return float(_boltzmann_factors(table, slice(row, row + 1))[0])
@@ -496,14 +501,16 @@ def combine_independent(a: DegeneracySpectrum, b: DegeneracySpectrum) -> Degener
     return DegeneracySpectrum(variable_names=names, x=np.hstack([xa, xb]), ln_g=lng)
 
 
-def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily) -> ClassTable:
+def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily,
+                 env: EnsembleSpec | None = None) -> ClassTable:
     """The one class-table lookup: the spectrum's last table while it lives if taken for this family
-    object, the same y and X names in order and bit-equal values (0.0 != -0.0), else a new pass."""
+    object, the same y and X names in order and bit-equal values (0.0 != -0.0), else a new pass,
+    over ``env`` if the caller holds the EnsembleSpec of these y and X."""
     key = (tuple(y), tuple(X), struct.pack(f"{len(y) + len(X)}d", *y.values(), *X.values()))
     last_key, ref = spectrum._last  # one read: the key and the table belong together
     table = ref() if last_key == key else None
     if table is None or table.family is not family:
-        table = characteristic_class(spectrum, EnsembleSpec(y, X), family)
+        table = characteristic_class(spectrum, EnsembleSpec(y, X) if env is None else env, family)
         object.__setattr__(spectrum, "_last", (key, weakref.ref(table)))
     return table
 
@@ -541,12 +548,12 @@ class SpectrumSurface:
         the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x.  A live
         row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, family = self._table(point), self.family
-        live, ln_w = table.mean_weights()
         cols = [table.exchanged_names.index(n) for n in names]
-        xt = table.x_exchanged.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
-        ln_c, ln_l_total = table.ln_row_class[live], family.ln_log_slope(table.ln_total)
+        ln_l_total = table.ln_l_total
         a = -family.slope_elasticity_arr(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
-        with np.errstate(over="ignore", invalid="ignore"):  # 2 ln w may overflow to -inf
+        with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
+            live, ln_c, ln_w = table.mean_weights()
+            xt = table.x_exchanged.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
             mean = xt @ np.exp(ln_w)
             b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
             b[ln_c == -np.inf] = 0.0
@@ -564,7 +571,7 @@ def report_for(
 ) -> ThermoReport:
     """One-stop evaluation used by the CLI.  While the report lives, a surface at
     the same point reads its class table (``_class_table``), with no second pass."""
-    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family)
+    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
     return ThermoReport(point=phi_and_entropies(table), table=table)
 
 

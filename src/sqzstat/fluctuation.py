@@ -105,11 +105,13 @@ def _differenced_hessian(phi_surface: PhiSurface, point: Mapping[str, float], na
 
 def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
     """(phi, symmetrized Hessian H, eigenvalues, eigenvectors of H) at
-    the point, from one eigendecomposition; see stability_matrix."""
+    the point, from one eigendecomposition; see stability_matrix.  A 1 x 1 H is its
+    own: the entry and the eigenvector 1.0, as LAPACK's dsyevd returns them for
+    n = 1 (NaN, inf, -0.0 and subnormals included), with no eigh call."""
     curvature = getattr(phi_surface, "curvature", None)
     phi, H = curvature(point, names) if curvature else _differenced_hessian(phi_surface, point, names)
     H = 0.5 * (H + H.T)
-    eig, vec = np.linalg.eigh(H)
+    eig, vec = (H[0], np.ones((1, 1))) if H.shape == (1, 1) else np.linalg.eigh(H)
     lam = eig.tolist()
     scale = max(1.0, *map(abs, lam))
     if any(v > _REL_TOL * scale for v in lam) and any(v < -_REL_TOL * scale for v in lam):
@@ -146,7 +148,8 @@ def moments(
 
     One eigendecomposition of the Hessian gives the indefinite check, the
     condition number max|lambda|/min|lambda| (inf at a zero eigenvalue or
-    an exactly zero row) and G = V diag(1/lambda) V'.  A singular C
+    an exactly zero row) and G = V diag(1/lambda) V'; for one variable it is
+    the entry itself and V = 1, with no eigh call.  A singular C
     (cond > 1e8) is inverted as np.linalg.pinv does, dropping the
     |lambda| <= 1e-15 max|lambda|.  The n x n bookkeeping after the eigh runs on
     Python floats (``tolist``): n is 1 to 3 in practice, where a numpy call costs more

@@ -219,7 +219,8 @@ class SqueezeFamily:
             ln_H = np.log1p(np.where(excluded, 0.0, t)) / u
             return np.where(excluded, -np.inf, ln_H), excluded
         out = _apply(self.ln_H_hook, x)
-        return out, ~np.isfinite(out)
+        excluded = ~np.isfinite(out)
+        return np.where(excluded, -np.inf, out), excluded
 
     def ln_log_slope_arr(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
         """ln of d(ln h)/dx at g = exp(ln_g), i.e. ln(f(g)/h(g)), elementwise."""

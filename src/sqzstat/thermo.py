@@ -94,6 +94,9 @@ def conjugates_from_phi(
     for a pinned-intensive pair it is +dphi/dy, the surface's ``gradient``
     if it has one.  Differencing failures are re-raised naming the variable.
     """
+    gradient = getattr(phi_surface, "gradient", None)
+    if gradient and split.fixed_intensive and not split.fixed_extensive:
+        return gradient(point, split.fixed_intensive)
     base = dict(point)
     out: dict[str, float] = {}
 
@@ -112,8 +115,8 @@ def conjugates_from_phi(
 
     for name in split.fixed_extensive:
         out[name] = -partial(name)
-    if hasattr(phi_surface, "gradient") and split.fixed_intensive:
-        return {**out, **phi_surface.gradient(base, split.fixed_intensive)}
+    if gradient and split.fixed_intensive:
+        return {**out, **gradient(base, split.fixed_intensive)}
     for name in split.fixed_intensive:
         out[name] = partial(name)
     return out

@@ -8,6 +8,7 @@ with 50-digit direct sums, and cover custom families and the growth of
 the curvature next to a cutoff at q < 1/2."""
 
 import copy
+import dataclasses
 import gc
 import json
 import math
@@ -223,6 +224,18 @@ def test_live_report_holds_only_its_class_table_fields(family):
     fields = table.ln_row_class.nbytes + table.excluded.nbytes + table.x_exchanged.nbytes
     assert fields == 17 * n
     assert held <= fields + 64 * 1024
+
+
+def test_class_table_caches_floats_only_and_is_taken_over_the_callers_spec():
+    spectrum, env = lattice_gas(20), EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    report = engine.report_for(spectrum, env, SqueezeFamily.tsallis(0.7))
+    table = report.table
+    assert table.env is env
+    phi_surface_from_spectrum(spectrum, env, table.family).curvature(env.values(), ["E", "N"])
+    cached = {k: v for k, v in vars(table).items() if k not in {f.name for f in dataclasses.fields(table)}}
+    assert sorted(cached) == ["ln_l_total", "means", "phi"]
+    assert type(cached["phi"]) is type(cached["ln_l_total"]) is float
+    assert all(type(v) is float for v in cached["means"])
 
 
 # Interleaved lookups on one spectrum: two environments over a pool of three
@@ -598,3 +611,66 @@ def test_curvature_near_the_cutoff_below_q_half_is_finite(gap):
     ref = direct_sums(spectrum.x, spectrum.ln_g, np.array([y]), q)
     err = 64.0 * EPS * ref["cond"] * (1.0 + 3.0 * q) * ref["scale"][0, 0]
     assert abs(-rep.G_inv[0, 0] - ref["H"][0, 0]) <= err
+
+
+def tsallis_hooks(q):
+    """The power law of index q as custom hooks; ln H reads NaN past the cutoff, as a hook may."""
+    u = 1.0 - q
+
+    def ln_H(w):
+        t = u * w
+        return math.log1p(t) / u if t > -1.0 else math.nan
+
+    return SqueezeFamily.custom(lambda v: math.expm1(u * v) / u, ln_H,
+                                lambda v: math.exp(math.expm1(u * v) / u - q * v))
+
+
+def test_custom_family_excluded_rows_read_minus_inf_as_the_power_law():
+    # ln u = E here, so at q = 1.5 the rows with E >= 2 are past the cutoff
+    spectrum = DegeneracySpectrum(("E",), np.arange(6.0), np.zeros(6))
+    env = EnsembleSpec(fixed_intensive={"E": -1.0})
+    hooks, power = (engine.report_for(spectrum, env, fam).columns()
+                    for fam in (tsallis_hooks(1.5), SqueezeFamily.tsallis(1.5)))
+    assert hooks["excluded"].tolist() == power["excluded"].tolist() == [False, False, True, True, True, True]
+    assert hooks["ln_class"][2:].tolist() == power["ln_class"][2:].tolist() == [-math.inf] * 4
+    for name in ("ln_class", "macro_prob", "config_prob", "boltzmann_factor"):
+        np.testing.assert_allclose(hooks[name], power[name], rtol=1e-14, atol=0)
+        assert hooks[name][2:].tolist() == [-math.inf if name == "ln_class" else 0.0] * 4
+
+
+def where_probabilities(table):
+    """(macro, config, ln config, Boltzmann factor) per row as formed while excluded
+    rows were set to 0 with np.where; the reference for the forms without it."""
+    s, excluded = table.spectrum, table.excluded
+    ln_macro = table.ln_row_class - table.ln_total
+    macro = np.where(excluded, 0.0, np.exp(ln_macro))
+    ln_config = ln_macro - table.ln_g
+    num = engine._exp_rows(table.ln_row_class)
+    with np.errstate(invalid="ignore", over="ignore"):
+        config, bf = np.exp(ln_config), np.exp(table.ln_row_class - s.ln_g)
+    np.divide(macro, s.g, out=config, where=np.isfinite(macro) & s._g_divides)
+    np.divide(num, s.g, out=bf, where=np.isfinite(num) & s._g_divides)
+    return macro, np.where(excluded, 0.0, config), ln_config, np.where(excluded, 0.0, bf)
+
+
+WHERE_FAMILIES = (IDENT, *map(SqueezeFamily.tsallis, (0.2, 0.5, 1.5, 2.0)), tsallis_hooks(1.5))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(spectrum_states(), st.sampled_from(WHERE_FAMILIES))
+def test_probabilities_keep_their_bits_without_where(state, fam):
+    x, ln_g, _, y = state
+    names = ["A", "B"][: x.shape[1]]
+    spectrum = DegeneracySpectrum(names, x, ln_g)
+    env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the hooks' slope underflows far below 1
+            report = engine.report_for(spectrum, env, fam)
+    except (engine.DegenerateEnsembleError, engine.SqueezeDomainError, RuntimeWarning):
+        assume(False)
+    probs = engine.probabilities(report.table)
+    got = (probs.macro_probs, probs.config_probs, probs.ln_config, report.columns()["boltzmann_factor"])
+    for g, ref in zip(got, where_probabilities(report.table)):
+        assert g.tobytes() == ref.tobytes()

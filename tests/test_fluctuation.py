@@ -435,3 +435,73 @@ def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
             assert [bits(v) for v in g] == [bits(v) for v in e]
         else:
             assert bits(g) == bits(e)
+
+
+# ---------------------------------------------------------------------------
+# a 1 x 1 curvature is its own eigendecomposition: no eigh call
+
+
+def eigh_route_moments(H, phi0, family):
+    """moments as formed while every H, 1 x 1 included, went through np.linalg.eigh."""
+    H = 0.5 * (H + H.T)
+    eig, vec = np.linalg.eigh(H)
+    lam = eig.tolist()
+    scale = max(1.0, *map(abs, lam))
+    if any(v > 1e-8 * scale for v in lam) and any(v < -1e-8 * scale for v in lam):
+        warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
+    C, eig = -H, -eig
+    ts = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
+    lam, c = eig.tolist(), C.tolist()
+    size = [abs(v) for v in lam]
+    top, bottom = max(size), min(size)
+    cond = math.inf if bottom == 0.0 or not all(map(any, c)) else top / bottom
+    singular = not math.isfinite(cond) or cond > 1e8
+    if singular:
+        warnings.warn("covariance matrix is numerically singular", StabilityWarning)
+        eig = [v if s > 1e-15 * top else math.inf for v, s in zip(lam, size)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = (vec / eig) @ vec.T
+    zero = 1e-8 * max(1.0, float(np.max(np.abs(C)))) if singular else -math.inf
+    intensive = math.inf if abs(c[0][0]) <= zero else ts * G.tolist()[0][0]
+    return G, C, [ts * c[0][0]], [intensive], [], cond, singular
+
+
+ONE_BY_ONE_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                       -2.2e-308, 1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 1e-9, -3.5e7]
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(st.one_of(st.sampled_from(ONE_BY_ONE_SPECIALS), st.floats(allow_nan=True, allow_infinity=True)),
+       st.sampled_from([(0.0, IDENT), (0.7, SqueezeFamily.tsallis(1.5)), (-2.5, SqueezeFamily.tsallis(0.4))]))
+def test_one_variable_moments_are_bit_identical_to_the_eigh_route(h, at):
+    phi0, family = at
+    H = np.array([[h]])
+
+    def record(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run()
+        return out, {(w.category, str(w.message)) for w in caught}
+
+    expected, warned_ref = record(lambda: eigh_route_moments(H.copy(), phi0, family))
+    rep, warned = record(lambda: moments(FixedCurvature(H, phi0), {"x": 0.0}, ["x"], family))
+    assert warned == warned_ref
+    got = (rep.G, rep.G_inv, [rep.variances["x"]], [rep.intensive_variances["x"]],
+           list(rep.covariances.values()), rep.condition_number, rep.singular)
+    for g, e in zip(got, expected):
+        if isinstance(g, list):
+            assert [bits(v) for v in g] == [bits(v) for v in e]
+        else:
+            assert bits(g) == bits(e)
+
+
+def test_one_variable_moments_make_no_eigh_call(monkeypatch):
+    def no_eigh(H):
+        raise AssertionError("eigh called for a 1 x 1 curvature")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    surface, env = two_level_surface()
+    rep = moments(surface, env.values(), ["E"], IDENT)
+    assert rep.variances["E"] == pytest.approx(2.0 / 9.0, abs=1e-12)
+    with pytest.raises(AssertionError, match="eigh called"):
+        stability_matrix(FixedCurvature(np.eye(2)), {"a": 0.0, "b": 0.0}, ["a", "b"])
