@@ -15,7 +15,7 @@ _EXPORTS = {
                "phi_surface_from_spectrum", "probabilities", "report_for"),
     "errors": ("DatasetError", "DegenerateEnsembleError", "ModelValidationError",
                "SqueezeDomainError", "StepSizeError"),
-    "squeeze": ("LogValue", "SqueezeFamily", "squeeze_log", "squeeze_slope", "unsqueeze_log"),
+    "squeeze": ("LogValue", "SqueezeFamily", "squeeze_log", "unsqueeze_log"),
     "thermo": ("EnvironmentSplit", "ThermoPoint", "conjugates_from_phi",
                "euler_residual", "gibbs_duhem_residual"),
 }

@@ -210,8 +210,8 @@ def cmd_fluct(args) -> int:
 
 
 def cmd_kinetics(args) -> int:
-    from .kinetics import (TRACE_COLUMNS, XI_CHOICES, _trajectory, build_collision_network,
-                           make_lattice, random_state, stability_dt)
+    from .kinetics import (TRACE_COLUMNS, XI_CHOICES, build_collision_network, make_lattice,
+                           random_state, run_trace, stability_dt)
 
     if args.lattice_radius < 1:
         raise CliError(EXIT_CONFIG, "--lattice-radius must be >= 1")
@@ -228,7 +228,7 @@ def cmd_kinetics(args) -> int:
     state = random_state(lattice, seed=args.seed)
     dt = args.dt if args.dt is not None else stability_dt(state, net, family)
     trace, snaps = [], []
-    for k, s, row in _trajectory(state, net, family, dt, args.steps, args.trace_every):
+    for k, s, row in run_trace(state, net, family, dt, args.steps, args.trace_every):
         if row is not None:
             trace.append(row)
         if args.snapshot_every and (k % args.snapshot_every == 0 or k == args.steps):

@@ -4,8 +4,8 @@ The curvature of the potential in the intensive directions carries the
 fluctuation content: C = -(d2 phi / dy dy) is the covariance matrix of
 the conjugate extensive variables, its inverse G the stability matrix of
 the extensive-side expansion, and the deformed statistics rescale both
-by 1 + (q - 1) * phi0.  A spectrum surface gives the curvature as a sum
-over its class table in one pass; other callables are differenced.
+by 1 + (q - 1) * phi0.  The surface gives the curvature as a sum over
+its class table in one pass.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .squeeze import SqueezeFamily
-from .thermo import PhiSurface, richardson
+
+if TYPE_CHECKING:
+    from .engine import SpectrumSurface
 
 __all__ = [
     "StabilityWarning",
@@ -28,15 +30,14 @@ __all__ = [
     "einstein_log_probability",
 ]
 
-_HESS_STEP = 5e-4  # second differences need a larger step than gradients
-# finite-difference curvatures carry ~8 meaningful digits: a relative size below this is zero,
-# so condition numbers beyond its inverse are indistinguishable from exact singularity
+# relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
+# check (against max(1, max|lambda|)), `singular` (cond > 1 / _REL_TOL) and a flat row's size
 _REL_TOL = 1e-8
 
 
 class StabilityWarning(UserWarning):
-    """Raised (as a warning) when a Hessian is indefinite or a state
-    looks outside the macroscopic fluctuation regime."""
+    """Raised (as a warning) when a Hessian is indefinite or the
+    covariance matrix is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -74,42 +75,12 @@ class FluctuationReport:
         }
 
 
-def _differenced_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
-    steps = np.array([_HESS_STEP * max(1.0, abs(point[name])) for name in names])
-
-    def at(deltas: dict[str, float]) -> float:
-        vals = dict(point)
-        for k, d in deltas.items():
-            vals[k] = vals[k] + d
-        return phi_surface(vals)
-
-    f0 = at({})
-
-    def second_differences(scale: float) -> np.ndarray:
-        H = np.empty((len(names), len(names)))
-        for i, ni in enumerate(names):
-            hi = steps[i] * scale
-            H[i, i] = (at({ni: hi}) - 2.0 * f0 + at({ni: -hi})) / (hi * hi)
-            for j, nj in enumerate(names[i + 1:], i + 1):
-                hj = steps[j] * scale
-                H[i, j] = H[j, i] = (
-                    at({ni: hi, nj: hj})
-                    - at({ni: hi, nj: -hj})
-                    - at({ni: -hi, nj: hj})
-                    + at({ni: -hi, nj: -hj})
-                ) / (4.0 * hi * hj)
-        return H
-
-    return f0, richardson(second_differences, 1.0)
-
-
-def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names: Sequence[str]):
+def _phi_and_hessian(phi_surface: SpectrumSurface, point: Mapping[str, float], names: Sequence[str]):
     """(phi, symmetrized Hessian H, eigenvalues, eigenvectors of H) at
     the point, from one eigendecomposition; see stability_matrix.  A 1 x 1 H is its
     own: the entry and the eigenvector 1.0, as LAPACK's dsyevd returns them for
     n = 1 (NaN, inf, -0.0 and subnormals included), with no eigh call."""
-    curvature = getattr(phi_surface, "curvature", None)
-    phi, H = curvature(point, names) if curvature else _differenced_hessian(phi_surface, point, names)
+    phi, H = phi_surface.curvature(point, names)
     H = 0.5 * (H + H.T)
     eig, vec = (H[0], np.ones((1, 1))) if H.shape == (1, 1) else np.linalg.eigh(H)
     lam = eig.tolist()
@@ -120,31 +91,26 @@ def _phi_and_hessian(phi_surface: PhiSurface, point: Mapping[str, float], names:
 
 
 def stability_matrix(
-    phi_surface: PhiSurface,
+    phi_surface: SpectrumSurface,
     point: Mapping[str, float],
     variables: Sequence[str],
 ) -> np.ndarray:
-    """Hessian of the surface, symmetrized: its ``curvature`` (one class
-    pass) if it has one, else central differences with one Richardson
-    refinement (h, h/2).  An indefinite result draws a StabilityWarning."""
+    """Hessian of the surface, symmetrized: its ``curvature``, one class
+    pass.  An indefinite result draws a StabilityWarning."""
     return _phi_and_hessian(phi_surface, point, list(variables))[1]
 
 
 def moments(
-    phi_surface: PhiSurface,
+    phi_surface: SpectrumSurface,
     point: Mapping[str, float],
     variables: Sequence[str],
     family: SqueezeFamily,
-    theta: float | None = None,
 ) -> FluctuationReport:
     """Variances and covariances of the fluctuating extensive variables.
 
     ``variables`` are the intensive environment names conjugate to the
     fluctuating set; ``phi0`` is the surface's phi at the point, the
     potential of the ensemble in which the fluctuating variables are exchanged.
-    Passing the subdivision entropy ``theta`` arms a small-system check:
-    the quadratic fluctuation formulas assume a macroscopic state, so a
-    non-negligible theta draws a StabilityWarning (not an error).
 
     One eigendecomposition of the Hessian gives the indefinite check, the
     condition number max|lambda|/min|lambda| (inf at a zero eigenvalue or
@@ -161,12 +127,6 @@ def moments(
     names = tuple(variables)
     phi0, H, eig, vec = _phi_and_hessian(phi_surface, point, names)
     C, eig = -H, -eig  # extensive covariance matrix in the undeformed case, same eigenvectors
-    if theta is not None and abs(theta) > 0.01 * max(1.0, abs(phi0)):
-        warnings.warn(
-            f"subdivision entropy {theta:g} is not negligible: "
-            "macroscopic fluctuation formulas are approximate here",
-            StabilityWarning,
-        )
     scale = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
     lam, c = eig.tolist(), C.tolist()
     size = [abs(v) for v in lam]

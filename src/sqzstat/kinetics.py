@@ -308,16 +308,22 @@ def detailed_balance_residual(
     return float(np.max(np.abs(res)))
 
 
-def _trajectory(
+def run_trace(
     state: KineticState,
     net: CollisionNetwork,
     family: SqueezeFamily,
     dt: float,
     steps: int,
-    trace_every: int,
+    trace_every: int = 100,
 ):
-    """(k, state, trace row or None) after k = 0..steps RK4 steps; the
-    rows and the step-bound check are those of run_trace."""
+    """Advance `steps` RK4 steps, yielding (k, state, row or None) after
+    k = 0..steps steps.
+
+    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), the TRACE_COLUMNS, given
+    at k = 0, at every trace_every-th step and at the final step; other
+    steps yield None.  The step bound is validated once against the
+    initial state; later steps run unchecked (populations only relax, and
+    negativity still raises)."""
     if steps > 0:
         _check_bound(state, net, family, dt)
     lattice = net.lattice
@@ -337,26 +343,6 @@ def _trajectory(
         state = step(state, net, family, dt, enforce_bound=False)
         traced = (trace_every and k % trace_every == 0) or k == steps
         yield k, state, row(state) if traced else None
-
-
-def run_trace(
-    state: KineticState,
-    net: CollisionNetwork,
-    family: SqueezeFamily,
-    dt: float,
-    steps: int,
-    trace_every: int = 100,
-):
-    """Advance `steps` RK4 steps, yielding trace rows.
-
-    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), the TRACE_COLUMNS,
-    emitted at t = 0, at every trace_every-th step, and at the final
-    step.  The step bound is validated once against the initial state;
-    later steps run unchecked (populations only relax, and negativity
-    still raises)."""
-    for _, _, row in _trajectory(state, net, family, dt, steps, trace_every):
-        if row is not None:
-            yield row
 
 
 def run_to_stationarity(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -31,11 +31,9 @@ from .errors import SqueezeDomainError
 __all__ = [
     "LogValue",
     "SqueezeFamily",
-    "SqueezeSlope",
     "EXCLUDED",
     "squeeze_log",
     "unsqueeze_log",
-    "squeeze_slope",
 ]
 
 _IDENTITY = "identity"
@@ -127,17 +125,6 @@ class LogValue:
 
 
 EXCLUDED = LogValue(ln_x=-math.inf, cutoff_flag=True)
-
-
-class SqueezeSlope(NamedTuple):
-    """Slope data at one point.
-
-    df_dg: the derivative dh/dx itself (inf when not representable).
-    ln_ratio: ln of the logarithmic slope f/h = d(ln h)/dx, always finite.
-    """
-
-    df_dg: float
-    ln_ratio: float
 
 
 def _as_pair(x: "LogValue | float") -> tuple[float, float]:
@@ -347,16 +334,3 @@ def unsqueeze_log(family: SqueezeFamily, ln_h: "LogValue | float") -> LogValue:
         out = family.ln_unsqueeze(hi + lo)
     return EXCLUDED if out == -math.inf else LogValue(ln_x=out)
 
-
-def squeeze_slope(family: SqueezeFamily, ln_g: "LogValue | float") -> SqueezeSlope:
-    """Slope pair (dh/dx, ln of d(ln h)/dx) at g = exp(ln_g); dh/dx is
-    inf when not representable."""
-    hi, _ = _as_pair(ln_g)
-    with np.errstate(over="ignore"):
-        ln_h = family.ln_squeeze(hi)
-    ln_ratio = family.ln_log_slope(hi)
-    try:
-        df_dg = math.exp(ln_h + ln_ratio)
-    except OverflowError:
-        df_dg = math.inf
-    return SqueezeSlope(df_dg=df_dg, ln_ratio=ln_ratio)

@@ -4,25 +4,26 @@ Conventions used throughout the package: every extensive/intensive pair
 is addressed by one name (that of the extensive member).  A pair whose
 extensive value is pinned has an observable conjugate intensive value,
 and vice versa -- so "observed" maps carry exactly one number per pair,
-whose meaning follows from the split.  Surfaces are callables mapping a
-full {pair name: value} dict to the dimensionless potential.
+whose meaning follows from the split.  A surface
+(``phi_surface_from_spectrum``) maps a full {pair name: value} dict to
+the dimensionless potential and reads its derivatives from the class table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .engine import SpectrumSurface
 
 __all__ = [
     "EnvironmentSplit",
     "ThermoPoint",
-    "central_derivative",
     "conjugates_from_phi",
     "euler_residual",
     "gibbs_duhem_residual",
 ]
-
-PhiSurface = Callable[[Mapping[str, float]], float]
 
 
 @dataclass(frozen=True)
@@ -70,56 +71,19 @@ class ThermoPoint:
         }
 
 
-def richardson(D: Callable, h: float):
-    """One Richardson refinement of a difference quotient D (a float or an
-    array) whose leading error is O(h^2): (4 D(h/2) - D(h)) / 3."""
-    return (4.0 * D(h / 2) - D(h)) / 3.0
-
-
-def central_derivative(
-    f: Callable[[float], float], x0: float, rel_step: float = 1e-5
-) -> float:
-    """Central difference at step h = rel_step * max(1, |x0|), refined by ``richardson``."""
-    return richardson(lambda h: (f(x0 + h) - f(x0 - h)) / (2.0 * h), rel_step * max(1.0, abs(x0)))
-
-
 def conjugates_from_phi(
-    phi_surface: PhiSurface,
+    phi_surface: SpectrumSurface,
     split: EnvironmentSplit,
     point: Mapping[str, float],
 ) -> dict[str, float]:
-    """Observed non-environment values by differentiating the surface.
-
-    For a pinned-extensive pair the observed intensive value is -dphi/dX;
-    for a pinned-intensive pair it is +dphi/dy, the surface's ``gradient``
-    if it has one.  Differencing failures are re-raised naming the variable.
-    """
-    gradient = getattr(phi_surface, "gradient", None)
-    if gradient and split.fixed_intensive and not split.fixed_extensive:
-        return gradient(point, split.fixed_intensive)
-    base = dict(point)
-    out: dict[str, float] = {}
-
-    def partial(name: str) -> float:
-        def f(v: float) -> float:
-            vals = dict(base)
-            vals[name] = v
-            return phi_surface(vals)
-
-        try:
-            return central_derivative(f, base[name])
-        except KeyError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"phi surface failed while differentiating {name!r}: {exc}") from exc
-
-    for name in split.fixed_extensive:
-        out[name] = -partial(name)
-    if gradient and split.fixed_intensive:
-        return {**out, **gradient(base, split.fixed_intensive)}
-    for name in split.fixed_intensive:
-        out[name] = partial(name)
-    return out
+    """Observed values +dphi/dy of the pinned-intensive pairs: the surface's
+    ``gradient``, read from its class table.  A pinned-extensive pair has no
+    derivative there, so a split that pins any raises ValueError naming them."""
+    if split.fixed_extensive:
+        raise ValueError(
+            f"conjugates need exchanged variables only; pinned extensively: {list(split.fixed_extensive)}"
+        )
+    return phi_surface.gradient(point, split.fixed_intensive)
 
 
 def euler_residual(

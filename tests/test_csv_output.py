@@ -147,13 +147,12 @@ def test_sweep_csv(capsys, model, params, y, X, q, axis, lo, hi, steps):
     ],
     ids=["two-variables", "tsallis"],
 )
-@pytest.mark.filterwarnings("ignore::sqzstat.fluctuation.StabilityWarning")
+# the lattice gas's energy column is identically zero: a flat direction, so C is singular
+@pytest.mark.filterwarnings("ignore:covariance matrix is numerically singular")
 def test_fluct_csv(capsys, model, params, y, q):
     out = run(["fluct", *model_argv(model, params, y, {}, q), "--format", "csv"], capsys)
     spec, env, fam = build_model(model, params), EnsembleSpec(y), family(q)
-    point = report_for(spec, env, fam).point
-    rep = moments(phi_surface_from_spectrum(spec, env, fam), env.values(), sorted(y), fam,
-                  theta=point.entropy_theta)
+    rep = moments(phi_surface_from_spectrum(spec, env, fam), env.values(), sorted(y), fam)
     lines = ["block,name,value"]
     lines += [f"variance,{n},{v:.17g}" for n, v in sorted(rep.variances.items())]
     lines += [f"intensive_variance,{n},{v:.17g}" for n, v in sorted(rep.intensive_variances.items())]

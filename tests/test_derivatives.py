@@ -35,7 +35,8 @@ from sqzstat import engine
 from sqzstat.cli import main
 from sqzstat.fluctuation import StabilityWarning, moments, stability_matrix
 from sqzstat.models import einstein_solid, lattice_gas, two_level
-from sqzstat.thermo import central_derivative
+
+from differencing import central_derivative, conjugates, hessian, mp_phi
 
 IDENT = SqueezeFamily.identity()
 EPS = np.finfo(float).eps
@@ -413,24 +414,6 @@ def direct_sums(x, ln_g, y, q):
         }
 
 
-def mp_phi(x, ln_g, q):
-    """phi(y) in mpmath, for mpmath.diff."""
-    def phi(*y):
-        u = 1 - mpmath.mpf(q)
-        cs = []
-        for xr, lg in zip(x, ln_g):
-            xy = mpmath.fsum(mpmath.mpf(float(a)) * b for a, b in zip(xr, y))
-            if q == 1.0:
-                cs.append(mpmath.exp(mpmath.mpf(float(lg)) - xy))
-                continue
-            arg = 1 + u * (mpmath.expm1(u * mpmath.mpf(float(lg))) / u - xy)
-            if arg > 0:
-                cs.append(arg ** (1 / u))
-        T = mpmath.fsum(cs)
-        return -mpmath.log(T) if q == 1.0 else -(T**u - 1) / u
-    return phi
-
-
 @pytest.mark.parametrize("q", [1.0, 0.3, 0.9, 1.7])
 def test_oracle_sums_are_the_derivatives_of_its_phi(q):
     x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 3.0], [3.0, 2.0]])
@@ -585,10 +568,10 @@ def test_custom_family_curvature_against_richardson(family, spectrum, y):
     surface = phi_surface_from_spectrum(spectrum, env, fam)
     names = sorted(y)
     H = stability_matrix(surface, env.values(), names)
-    H_fd = stability_matrix(lambda v: surface(v), env.values(), names)  # opaque: differenced
+    H_fd = hessian(surface, env.values(), names)  # differences of phi alone
     assert np.allclose(H, H_fd, rtol=0, atol=1e-7 * np.max(np.abs(H_fd)))
     grad = conjugates_from_phi(surface, env.split, env.values())
-    grad_fd = conjugates_from_phi(lambda v: surface(v), env.split, env.values())
+    grad_fd = conjugates(surface, env.split, env.values())
     for n in names:
         assert grad[n] == pytest.approx(grad_fd[n], rel=1e-8, abs=1e-10)
 

@@ -23,6 +23,8 @@ from sqzstat import (
 from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict, report_for
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
+from differencing import central_derivative
+
 BETA = math.log(2.0)
 IDENT = SqueezeFamily.identity()
 Q2 = SqueezeFamily.tsallis(2.0)
@@ -383,8 +385,6 @@ def test_observed_mean_microcanonical_norm():
 
 
 def fd_phi_derivative(spec, env, fam, name):
-    from sqzstat.thermo import central_derivative
-
     y0 = env.fixed_intensive[name]
 
     def phi_at(y):

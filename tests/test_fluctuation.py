@@ -23,7 +23,8 @@ from sqzstat.fluctuation import (
     stability_matrix,
 )
 from sqzstat.models import einstein_solid, spin_half_paramagnet, two_level
-from sqzstat.thermo import central_derivative
+
+from differencing import central_derivative
 
 IDENT = SqueezeFamily.identity()
 BETA = math.log(2.0)
@@ -68,11 +69,8 @@ def test_flat_direction_gives_zero_row_and_column():
 
 
 def test_indefinite_hessian_warns():
-    def saddle(vals):
-        return vals["a"] ** 2 - vals["b"] ** 2
-
-    with pytest.warns(StabilityWarning):
-        stability_matrix(saddle, {"a": 0.0, "b": 0.0}, ["a", "b"])
+    with pytest.warns(StabilityWarning, match="indefinite"):
+        stability_matrix(FixedCurvature(np.diag([2.0, -2.0])), {"a": 0.0, "b": 0.0}, ["a", "b"])
 
 
 def correlated_spectrum():
@@ -150,15 +148,6 @@ def test_q_one_scale_is_exactly_one():
     surface, _ = two_level_surface()
     rep = moments(surface, {"E": BETA}, ["E"], fam)
     assert rep.tsallis_scale == 1.0
-
-
-def test_small_system_theta_draws_size_warning():
-    surface, _ = two_level_surface()
-    with pytest.warns(StabilityWarning, match="subdivision entropy"):
-        moments(surface, {"E": BETA}, ["E"], IDENT, theta=0.4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", StabilityWarning)
-        moments(surface, {"E": BETA}, ["E"], IDENT, theta=1e-6)
 
 
 def test_moment_matrices_are_construction_level_inverses():

@@ -498,7 +498,7 @@ def test_trace_rows():
     net = build_collision_network(lat)
     state = random_state(lat, seed=4)
     dt = stability_dt(state, net, IDENT)
-    rows = list(run_trace(state, net, IDENT, dt, steps=10, trace_every=5))
+    rows = [row for _, _, row in run_trace(state, net, IDENT, dt, steps=10, trace_every=5) if row]
     assert len(rows) == 3  # t = 0, step 5, step 10
     t, S, num, en, max_rhs = rows[0]
     assert t == 0.0 and num == pytest.approx(state.number())
@@ -509,6 +509,6 @@ def test_trace_steps_zero_reports_initial_state_only():
     lat = make_lattice(2)
     net = build_collision_network(lat)
     state = random_state(lat, seed=4)
-    rows = list(run_trace(state, net, IDENT, 1e-3, steps=0, trace_every=5))
+    rows = [row for _, _, row in run_trace(state, net, IDENT, 1e-3, steps=0, trace_every=5) if row]
     assert len(rows) == 1
     assert rows[0][0] == 0.0

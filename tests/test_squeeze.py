@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqzstat import SqueezeDomainError, SqueezeFamily, squeeze_log, squeeze_slope, unsqueeze_log
+from sqzstat import SqueezeDomainError, SqueezeFamily, squeeze_log, unsqueeze_log
 
 Q_GRID = [0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0]
 
@@ -86,7 +86,14 @@ def test_unsqueeze_rejects_excluded_input():
 
 
 # ---------------------------------------------------------------------------
-# squeeze_slope
+# slope dh/dx = exp(ln h + ln(f/h)), from the log-domain kernels
+
+
+def slope(fam, ln_g):
+    """dh/dx at g = exp(ln_g); inf when not representable."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(fam.ln_squeeze(ln_g) + fam.ln_log_slope(ln_g)))
+
 
 def fd_slope_oracle(fam, g, rel_step=1e-6):
     """Central finite difference of h at g (linear domain)."""
@@ -98,28 +105,26 @@ def fd_slope_oracle(fam, g, rel_step=1e-6):
 
 def test_slope_tsallis_q2_g2():
     fam = SqueezeFamily.tsallis(2.0)
-    got = squeeze_slope(fam, math.log(2.0))
     # logarithmic slope d(ln h)/dg = g**-q = 0.25
-    assert math.exp(got.ln_ratio) == pytest.approx(0.25, rel=1e-12)
+    assert math.exp(fam.ln_log_slope(math.log(2.0))) == pytest.approx(0.25, rel=1e-12)
     # the derivative itself, against the finite-difference oracle
-    assert got.df_dg == pytest.approx(fd_slope_oracle(fam, 2.0), rel=1e-6)
+    assert slope(fam, math.log(2.0)) == pytest.approx(fd_slope_oracle(fam, 2.0), rel=1e-6)
 
 
 def test_slope_identity_is_one():
     fam = SqueezeFamily.identity()
     for ln_g in (-3.0, 0.0, 4.2):
-        got = squeeze_slope(fam, ln_g)
-        assert got.df_dg == 1.0
-        assert math.exp(got.ln_ratio) == pytest.approx(math.exp(-ln_g), rel=1e-12)
+        assert slope(fam, ln_g) == 1.0
+        assert math.exp(fam.ln_log_slope(ln_g)) == pytest.approx(math.exp(-ln_g), rel=1e-12)
 
 
 def test_slope_tsallis_q1_identity_branch():
     # dedicated q = 1 branch: dh/dg = 1 exactly, log slope = 1/g
     fam = SqueezeFamily.tsallis(1.0)
-    got = squeeze_slope(fam, math.log(3.0))
-    assert got.df_dg == 1.0
-    assert math.exp(got.ln_ratio) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert got.df_dg == pytest.approx(fd_slope_oracle(fam, 3.0), rel=1e-6)
+    got = slope(fam, math.log(3.0))
+    assert got == 1.0
+    assert math.exp(fam.ln_log_slope(math.log(3.0))) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert got == pytest.approx(fd_slope_oracle(fam, 3.0), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def test_slope_matches_finite_difference(q):
         hp = math.exp(fam.ln_squeeze(math.log(g + d)))
         hm = math.exp(fam.ln_squeeze(math.log(g - d)))
         fd = (hp - hm) / (2.0 * d)
-        got = squeeze_slope(fam, math.log(g)).df_dg
+        got = slope(fam, math.log(g))
         assert got == pytest.approx(fd, rel=1e-5), (q, g)
 
 
@@ -173,21 +178,21 @@ def test_q_to_one_continuity(q):
 def test_q_one_neighborhood_matches_identity_slope():
     for q in (1.0 - 1e-8, 1.0 + 1e-8):
         fam = SqueezeFamily.tsallis(q)
-        s = squeeze_slope(fam, math.log(3.0))
-        assert s.df_dg == pytest.approx(1.0, abs=1e-6)
+        assert slope(fam, math.log(3.0)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_slope_beyond_float_range_is_inf():
-    got = squeeze_slope(SqueezeFamily.tsallis(0.5), 1500.0)
-    assert got.df_dg == math.inf
-    assert got.ln_ratio == -750.0
+    # ln h overflows to inf; the log slope ln(f/h) stays finite
+    fam = SqueezeFamily.tsallis(0.5)
+    assert slope(fam, 1500.0) == math.inf
+    assert fam.ln_log_slope(1500.0) == -750.0
 
 
 def test_slope_with_finite_ln_h_beyond_float_range_is_inf():
     # ln h = 2 (e^6 - 1) ~ 805 is finite; only exp(ln h + ln f/h) overflows
-    got = squeeze_slope(SqueezeFamily.tsallis(0.5), 12.0)
-    assert got.df_dg == math.inf
-    assert got.ln_ratio == -6.0
+    fam = SqueezeFamily.tsallis(0.5)
+    assert slope(fam, 12.0) == math.inf
+    assert fam.ln_log_slope(12.0) == -6.0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,7 @@ def test_custom_family_square_law():
     assert out.ln_x == pytest.approx(2.0 * math.log(3.0), rel=1e-12)
     back = unsqueeze_log(fam, out)
     assert back.ln_x == pytest.approx(math.log(3.0), rel=1e-12)
-    assert squeeze_slope(fam, math.log(3.0)).df_dg == pytest.approx(6.0, rel=1e-12)
+    assert slope(fam, math.log(3.0)) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_custom_family_rejects_bad_inverse():

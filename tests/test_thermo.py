@@ -16,7 +16,8 @@ from sqzstat import (
     phi_surface_from_spectrum,
 )
 from sqzstat.models import lattice_gas, two_level
-from sqzstat.thermo import central_derivative
+
+from differencing import central_derivative, conjugates
 
 IDENT = SqueezeFamily.identity()
 
@@ -37,12 +38,6 @@ def test_canonical_two_level_mean_energy():
     assert out["E"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
-def test_constant_surface_has_zero_derivative():
-    split = EnvironmentSplit(fixed_intensive=("dummy",))
-    out = conjugates_from_phi(lambda vals: -math.log(4.0), split, {"dummy": 1.0})
-    assert out["dummy"] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_macroscopic_lattice_gas_phi_is_minus_mean_number():
     # dilute regime: phi = -sites ln(1 + e**-nu) ~ -<N> (ideal-gas equation
     # of state; exact only as e**-nu -> 0)
@@ -56,30 +51,24 @@ def test_macroscopic_lattice_gas_phi_is_minus_mean_number():
     split = EnvironmentSplit(fixed_extensive=("sites",), fixed_intensive=("E", "N"))
     point = {"sites": sites, "E": 1.0, "N": nu}
     phi = surface(point)
-    out = conjugates_from_phi(surface, split, {**point})
+    out = conjugates(surface, split, point)
     mean_n = out["N"]
     assert abs(phi + mean_n) / mean_n < 0.01
 
 
-def test_failure_names_the_variable():
-    def surface(vals):
-        if vals["E"] > 0.7:
-            raise FloatingPointError("boom")
-        return 0.0
-
-    split = EnvironmentSplit(fixed_intensive=("E",))
-    with pytest.raises(RuntimeError, match="'E'"):
-        conjugates_from_phi(surface, split, {"E": 0.7})
-
-
-def test_point_without_a_name_is_a_key_error():
-    # a missing name is the caller's mistake, not a failure of the surface
-    split = EnvironmentSplit(fixed_intensive=("E",))
-    with pytest.raises(KeyError, match="'E'"):
-        conjugates_from_phi(lambda vals: 0.0, split, {})
+def test_pinned_extensive_pair_is_named_in_the_error():
+    # the class table differentiates in exchanged variables only
+    env = EnsembleSpec({"E": 0.7}, {"N": 3.0})
+    surface = phi_surface_from_spectrum(lattice_gas(30), env, IDENT)
+    with pytest.raises(ValueError, match=r"pinned extensively: \['N'\]"):
+        conjugates_from_phi(surface, env.split, env.values())
+    split = EnvironmentSplit(fixed_extensive=("sites", "N"), fixed_intensive=("E",))
+    with pytest.raises(ValueError, match=r"\['sites', 'N'\]"):
+        conjugates_from_phi(surface, split, {"sites": 30.0, "N": 3.0, "E": 0.7})
 
 
 def test_central_derivative_richardson_accuracy():
+    # the test-side differencer is itself an oracle: it keeps its own check
     assert central_derivative(math.exp, 1.0) == pytest.approx(math.e, rel=1e-10)
     assert central_derivative(lambda x: x**3, 2.0) == pytest.approx(12.0, rel=1e-10)
 
@@ -104,7 +93,7 @@ def test_macroscopic_lattice_gas_theta_vanishes():
         # dropped near-full rows carry negligible weight at this nu
         surface = make_surface(sites - 2)
         point = {"sites": float(sites), "E": 1.0, "N": 0.4}
-        observed = conjugates_from_phi(surface, split, point)
+        observed = conjugates(surface, split, point)
         tp = ThermoPoint(phi=surface(point), entropy_J=0.0, entropy_theta=None, observed=observed)
         theta = euler_residual(tp, split, point)
         ratios.append(abs(theta) / sites)
