@@ -380,6 +380,8 @@ def observed_mean(
             raise ModelValidationError(
                 f"observable has {values.shape} values for {table.n_rows} rows"
             )
+        if not np.all(np.isfinite(values)):
+            raise ModelValidationError("all observable values must be finite")
     return table.mean_of(values)[0]
 
 

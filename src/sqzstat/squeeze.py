@@ -1,17 +1,18 @@
 """Squeezing-function families evaluated in log domain.
 
-A family is the triple (h, H, f): a positive deformation h applied to
-class counts, its inverse H, and the slope f = dh/dx.  The identity
-family leaves counts untouched; the power-law ("tsallis") family is
-parametrized by an entropic index q and built from the deformed
-logarithm ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
+A family is a positive deformation h applied to class counts, with its
+inverse H and its log-slope l = d(ln h)/dx.  The identity family leaves
+counts untouched; the power-law ("tsallis") family is parametrized by an
+entropic index q and built from the deformed logarithm
+ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
 
 Everything works on ln(count), so macroscopically large counts are never
 materialized.  Three kernels hold a family's arithmetic: ln_squeeze_arr
 (ln h), ln_unsqueeze_arr (ln H and the mask of *excluded* values, whose
 inverse falls outside the deformed-exponential domain) and
-ln_log_slope_arr (ln f/h).  Each takes a float or an array; every other
-form wraps them, so scalar and array results agree bit for bit.
+ln_log_slope_arr (ln l).  A custom family supplies one hook per kernel,
+each from a log to a log.  Each kernel takes a float or an array; every
+other form wraps them, so scalar and array results agree bit for bit.
 Overflow gives inf here and SqueezeDomainError in the engine.  Only the
 roundtrip API (squeeze_log/unsqueeze_log) uses compensated (hi + lo)
 power-law arithmetic, Dekker's (1971) double-length products: it keeps
@@ -143,19 +144,20 @@ def _as_pair(x: "LogValue | float") -> tuple[float, float]:
 class SqueezeFamily:
     """Immutable deformation family; safe to share across workers.
 
-    Build with ``identity()``, ``tsallis(q)`` or ``custom(...)``.  q = 1
-    is a dedicated identity branch, never a numerical limit.  Custom
-    families must supply all three hooks (ln h, ln H, dh/dx, each taking
-    or producing logs of counts); the constructor probes them on a grid
-    and rejects triples that fail the inverse roundtrip or whose slope
-    disagrees with a finite difference of h.
+    Build with ``identity()``, ``tsallis(q)`` or ``custom(ln_h, ln_H,
+    ln_log_slope)``.  q = 1 is a dedicated identity branch, never a
+    numerical limit.  A custom family's hooks work in log domain: ln h(g)
+    and ln l(g), l = d(ln h)/dx, from ln g; ln H(x) from ln x (-inf or NaN
+    where x is excluded).  The constructor probes them on ln g in [-3, 3]
+    and rejects a non-finite value, a failed inverse roundtrip and an ln l
+    that disagrees with a central difference of ln h.
     """
 
     kind: str
     q: float = 1.0
     ln_h_hook: Callable[[float], float] | None = None
     ln_H_hook: Callable[[float], float] | None = None
-    slope_hook: Callable[[float], float] | None = None
+    ln_log_slope_hook: Callable[[float], float] | None = None
 
     @staticmethod
     def identity() -> "SqueezeFamily":
@@ -171,9 +173,9 @@ class SqueezeFamily:
     def custom(
         ln_h: Callable[[float], float],
         ln_H: Callable[[float], float],
-        slope: Callable[[float], float],
+        ln_log_slope: Callable[[float], float],
     ) -> "SqueezeFamily":
-        fam = SqueezeFamily(kind=_CUSTOM, q=math.nan, ln_h_hook=ln_h, ln_H_hook=ln_H, slope_hook=slope)
+        fam = SqueezeFamily(_CUSTOM, math.nan, ln_h, ln_H, ln_log_slope)
         fam._probe()
         return fam
 
@@ -210,16 +212,13 @@ class SqueezeFamily:
         return np.where(excluded, -np.inf, out), excluded
 
     def ln_log_slope_arr(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
-        """ln of d(ln h)/dx at g = exp(ln_g), i.e. ln(f(g)/h(g)), elementwise."""
+        """ln l(g) from ln g, l = d(ln h)/dx, elementwise."""
         x = _float_or_array(ln_g)
         if self.is_identity:
             return -x
         if self.kind == _TSALLIS:
             return -self.q * x
-        f = _apply(self.slope_hook, x, at_zero=math.nan)
-        if np.any(f < 0):
-            raise SqueezeDomainError("slope hook returned a negative derivative")
-        return np.log(f) - _apply(self.ln_h_hook, x)
+        return _apply(self.ln_log_slope_hook, x, at_zero=math.inf)  # ln h -> -inf at g = 0: l is unbounded
 
     def slope_elasticity_arr(self, ln_x: "np.ndarray | float") -> "np.ndarray | float":
         """kappa = d ln(d ln h/dx) / d ln x at x = exp(ln_x): -q for the power
@@ -241,7 +240,7 @@ class SqueezeFamily:
         return float(self.ln_unsqueeze_arr(ln_x)[0])
 
     def ln_log_slope(self, ln_g: float) -> float:
-        """ln of d(ln h)/dx at g = exp(ln_g), i.e. ln(f(g)/h(g))."""
+        """ln l(g) from ln g, l = d(ln h)/dx."""
         return float(self.ln_log_slope_arr(ln_g))
 
     def h_of(self, x: np.ndarray) -> np.ndarray:
@@ -261,25 +260,23 @@ class SqueezeFamily:
     # -- custom-family validation ----------------------------------------
 
     def _probe(self) -> None:
-        if None in (self.ln_h_hook, self.ln_H_hook, self.slope_hook):
+        if None in (self.ln_h_hook, self.ln_H_hook, self.ln_log_slope_hook):
             raise SqueezeDomainError("custom families must supply all three hooks")
         for ln_g in np.linspace(-3.0, 3.0, 13):
-            ln_h = self.ln_h_hook(ln_g)
-            back = self.ln_H_hook(ln_h)
-            if not math.isfinite(back) or abs(back - ln_g) > 1e-8 * max(1.0, abs(ln_g)):
-                raise SqueezeDomainError(f"custom hooks fail the inverse roundtrip at ln_g={ln_g:g}")
-            f = self.slope_hook(ln_g)
-            if f < 0:
-                raise SqueezeDomainError(f"custom slope negative at ln_g={ln_g:g}")
             step = 1e-6 * max(1.0, abs(ln_g))
-            num = (math.exp(self.ln_h_hook(ln_g + step)) - math.exp(self.ln_h_hook(ln_g - step))) / (
-                2.0 * step * math.exp(ln_g)
-            )
-            scale = max(abs(f), abs(num), 1e-12)
-            if abs(f - num) / scale > 1e-4:
+            ln_h, below, above = (self.ln_h_hook(v) for v in (ln_g, ln_g - step, ln_g + step))
+            back, ln_l = self.ln_H_hook(ln_h), self.ln_log_slope_hook(ln_g)
+            if not all(map(math.isfinite, (ln_h, below, above, back, ln_l))):
+                raise SqueezeDomainError(f"custom hooks give a non-finite value at ln_g={ln_g:g}")
+            if abs(back - ln_g) > 1e-8 * max(1.0, abs(ln_g)):
+                raise SqueezeDomainError(f"custom hooks fail the inverse roundtrip at ln_g={ln_g:g}")
+            # g l(g) = d ln h / d ln g, compared in log domain
+            dln_h = (above - below) / (2.0 * step)
+            ln_fd = math.log(dln_h) if dln_h > 0.0 else -math.inf
+            if abs(ln_g + ln_l - ln_fd) > 1e-4:
                 raise SqueezeDomainError(
-                    f"custom slope inconsistent with dh/dg at ln_g={ln_g:g}: "
-                    f"hook {f:g} vs finite difference {num:g}"
+                    f"custom ln_log_slope inconsistent with d ln h/d ln g at ln_g={ln_g:g}: "
+                    f"ln(g l) {ln_g + ln_l:g} from the hook vs {ln_fd:g} from a central difference of ln h"
                 )
 
     # -- config ------------------------------------------------------------

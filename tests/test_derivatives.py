@@ -37,6 +37,7 @@ from sqzstat.fluctuation import StabilityWarning, moments, stability_matrix
 from sqzstat.models import einstein_solid, lattice_gas, two_level
 
 from differencing import central_derivative, conjugates, hessian, mp_phi
+from families import power_law, quadratic, square_law
 
 IDENT = SqueezeFamily.identity()
 EPS = np.finfo(float).eps
@@ -534,20 +535,6 @@ def test_large_potential_state_against_direct_sums():
 # custom families and q < 1/2
 
 
-def square_law():
-    """h(x) = x**2: ln h = 2 ln g, ln H = ln x / 2, dh/dx = 2x."""
-    return SqueezeFamily.custom(lambda v: 2.0 * v, lambda v: 0.5 * v, lambda v: 2.0 * math.exp(v))
-
-
-def quadratic():
-    """h(x) = x + x**2, whose log-slope elasticity varies with x."""
-    return SqueezeFamily.custom(
-        lambda v: v + math.log1p(math.exp(v)),
-        lambda w: math.log(2.0) + w - math.log1p(math.sqrt(1.0 + 4.0 * math.exp(w))),
-        lambda v: 1.0 + 2.0 * math.exp(v),
-    )
-
-
 def test_custom_elasticity_against_closed_form():
     ln_x = np.linspace(-6.0, 6.0, 25)
     xv = np.exp(ln_x)
@@ -596,29 +583,44 @@ def test_curvature_near_the_cutoff_below_q_half_is_finite(gap):
     assert abs(-rep.G_inv[0, 0] - ref["H"][0, 0]) <= err
 
 
-def tsallis_hooks(q):
-    """The power law of index q as custom hooks; ln H reads NaN past the cutoff, as a hook may."""
-    u = 1.0 - q
-
-    def ln_H(w):
-        t = u * w
-        return math.log1p(t) / u if t > -1.0 else math.nan
-
-    return SqueezeFamily.custom(lambda v: math.expm1(u * v) / u, ln_H,
-                                lambda v: math.exp(math.expm1(u * v) / u - q * v))
-
-
 def test_custom_family_excluded_rows_read_minus_inf_as_the_power_law():
     # ln u = E here, so at q = 1.5 the rows with E >= 2 are past the cutoff
     spectrum = DegeneracySpectrum(("E",), np.arange(6.0), np.zeros(6))
     env = EnsembleSpec(fixed_intensive={"E": -1.0})
     hooks, power = (engine.report_for(spectrum, env, fam).columns()
-                    for fam in (tsallis_hooks(1.5), SqueezeFamily.tsallis(1.5)))
+                    for fam in (power_law(1.5), SqueezeFamily.tsallis(1.5)))
     assert hooks["excluded"].tolist() == power["excluded"].tolist() == [False, False, True, True, True, True]
     assert hooks["ln_class"][2:].tolist() == power["ln_class"][2:].tolist() == [-math.inf] * 4
     for name in ("ln_class", "macro_prob", "config_prob", "boltzmann_factor"):
         np.testing.assert_allclose(hooks[name], power[name], rtol=1e-14, atol=0)
         assert hooks[name][2:].tolist() == [-math.inf if name == "ln_class" else 0.0] * 4
+
+
+def power_law_outcome(spectrum, env, fam):
+    """(<E>, J, phi) of one report, or the class of the domain error it raised."""
+    try:
+        report = engine.report_for(spectrum, env, fam)
+    except (engine.DegenerateEnsembleError, engine.SqueezeDomainError) as exc:
+        return type(exc)
+    return report.table.means[0], report.point.entropy_J, report.point.phi
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(q=st.floats(0.05, 4.0).filter(lambda q: q != 1.0), y=st.floats(-1e3, 1e3),
+       ln_g=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=6), step=st.sampled_from([0.25, 1.0, 3.0]))
+@example(q=1.5, y=500.0, ln_g=[0.0, 0.0, 0.0], step=1.0)  # <E> = 7.914e-08: the hooks' slope once underflowed
+def test_power_law_hooks_agree_with_the_power_law(q, y, ln_g, step):
+    spectrum = DegeneracySpectrum(("E",), step * np.arange(len(ln_g))[:, None], np.array(ln_g))
+    env = EnsembleSpec(fixed_intensive={"E": y})
+    hooks, power = (power_law_outcome(spectrum, env, fam) for fam in (power_law(q), SqueezeFamily.tsallis(q)))
+    if isinstance(power, type):
+        assert hooks is power
+        return
+    (mean, J, _), (mean_ref, J_ref, phi_ref) = hooks, power
+    # the hooks' ln h differs from the kernel's by an ulp (math.expm1 vs np.expm1); over 11k
+    # drawn states the means agreed to 1.1e-13 relative and J to 3.7e-15 of |y <E>| + |phi|
+    assert abs(mean - mean_ref) <= 1e-12 * abs(mean_ref)
+    assert abs(J - J_ref) <= 4e-14 * (abs(y * mean_ref) + abs(phi_ref))
 
 
 def where_probabilities(table):
@@ -636,7 +638,7 @@ def where_probabilities(table):
     return macro, np.where(excluded, 0.0, config), ln_config, np.where(excluded, 0.0, bf)
 
 
-WHERE_FAMILIES = (IDENT, *map(SqueezeFamily.tsallis, (0.2, 0.5, 1.5, 2.0)), tsallis_hooks(1.5))
+WHERE_FAMILIES = (IDENT, *map(SqueezeFamily.tsallis, (0.2, 0.5, 1.5, 2.0)), power_law(1.5))
 
 
 @settings(deadline=None, max_examples=200, derandomize=True,
@@ -648,10 +650,8 @@ def test_probabilities_keep_their_bits_without_where(state, fam):
     spectrum = DegeneracySpectrum(names, x, ln_g)
     env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # the hooks' slope underflows far below 1
-            report = engine.report_for(spectrum, env, fam)
-    except (engine.DegenerateEnsembleError, engine.SqueezeDomainError, RuntimeWarning):
+        report = engine.report_for(spectrum, env, fam)
+    except (engine.DegenerateEnsembleError, engine.SqueezeDomainError):
         assume(False)
     probs = engine.probabilities(report.table)
     got = (probs.macro_probs, probs.config_probs, probs.ln_config, report.columns()["boltzmann_factor"])

@@ -24,6 +24,7 @@ from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict,
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 from differencing import central_derivative
+from families import square_law
 
 BETA = math.log(2.0)
 IDENT = SqueezeFamily.identity()
@@ -298,9 +299,10 @@ def test_per_configuration_columns_match_per_row_reference():
     fams = [IDENT, SqueezeFamily.tsallis(0.5), SqueezeFamily.tsallis(1.5), Q2]
     for spec, env in fixtures:
         for fam in fams:
-            table = characteristic_class(spec, env, fam)
+            report = report_for(spec, env, fam)  # alive, so each query below reads its table
+            table = report.table
             probs = probabilities(table)
-            bf = [row["boltzmann_factor"] for row in report_for(spec, env, fam).rows()]
+            bf = [row["boltzmann_factor"] for row in report.rows()]
             for r in range(table.n_rows):
                 count = _linear_count_reference(table.ln_g[r])
                 if table.excluded[r]:
@@ -382,6 +384,15 @@ def test_observed_mean_microcanonical_norm():
     for fam in (IDENT, Q2, SqueezeFamily.tsallis(0.5)):
         ones = np.array([1.0])
         assert observed_mean(spec, env, fam, ones) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observed_mean_rejects_a_non_finite_observable(bad):
+    env = EnsembleSpec(fixed_intensive={"E": 0.5})
+    with pytest.raises(ModelValidationError, match="observable values must be finite"):
+        observed_mean(two_level(1.0), env, IDENT, [bad, 1.0])
+    with pytest.raises(ModelValidationError, match="observable has"):
+        observed_mean(two_level(1.0), env, IDENT, [1.0])
 
 
 def fd_phi_derivative(spec, env, fam, name):
@@ -696,10 +707,7 @@ def test_rows_are_the_columns_zipped(spec, env, fam):
 def test_report_for_custom_family_has_rows_but_no_json_form():
     from sqzstat import SqueezeDomainError
 
-    square_law = SqueezeFamily.custom(
-        lambda v: 2.0 * v, lambda v: 0.5 * v, lambda v: 2.0 * math.exp(v)
-    )
-    report = report_for(einstein_solid(3, 20), EnsembleSpec(fixed_intensive={"E": 0.8}), square_law)
+    report = report_for(einstein_solid(3, 20), EnsembleSpec(fixed_intensive={"E": 0.8}), square_law())
     rows = report.rows()
     assert len(rows) == 21
     assert all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float))

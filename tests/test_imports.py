@@ -82,17 +82,16 @@ def test_infer_does_not_import_scipy(mode, tmp_path):
 def test_custom_family_entropy_imports_quadrature_on_demand():
     # h(g) = g**2: ln h(F) = 2 ln F, integrated from the 1e-12 floor
     script = """
-import json, math, sys
+import json, sys
 import numpy as np
-from sqzstat import SqueezeFamily
+sys.path.insert(0, sys.argv[1])
+from families import square_law
 from sqzstat.kinetics import KineticState, entropy_functional
-fam = SqueezeFamily.custom(ln_h=lambda v: 2.0 * v, ln_H=lambda v: 0.5 * v,
-                           slope=lambda v: 2.0 * math.exp(v))
 before = "scipy" in sys.modules
-s = entropy_functional(KineticState(F=np.array([0.0, 0.5, 2.0])), fam)
+s = entropy_functional(KineticState(F=np.array([0.0, 0.5, 2.0])), square_law())
 print(json.dumps({"S": s, "before": before, "after": "scipy.integrate" in sys.modules}))
 """
-    out = fresh_python(script)
+    out = fresh_python(script, str(Path(__file__).resolve().parent))
     a = 1e-12
 
     def antiderivative(x):

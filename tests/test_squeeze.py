@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqzstat import SqueezeDomainError, SqueezeFamily, squeeze_log, unsqueeze_log
+from sqzstat import (
+    DegeneracySpectrum,
+    EnsembleSpec,
+    SqueezeDomainError,
+    SqueezeFamily,
+    report_for,
+    squeeze_log,
+    unsqueeze_log,
+)
+
+from families import SQUARE_LAW_HOOKS, square_law
 
 Q_GRID = [0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0]
 
@@ -198,15 +208,10 @@ def test_slope_with_finite_ln_h_beyond_float_range_is_inf():
 # ---------------------------------------------------------------------------
 # one evaluation path: scalar forms are the array kernels
 
-SQUARE_LAW = SqueezeFamily.custom(
-    ln_h=lambda ln_g: 2.0 * ln_g,
-    ln_H=lambda ln_x: 0.5 * ln_x,
-    slope=lambda ln_g: 2.0 * math.exp(ln_g),
-)
 FAMILIES = st.one_of(
     st.just(SqueezeFamily.identity()),
     st.floats(0.05, 4.0).map(SqueezeFamily.tsallis),
-    st.just(SQUARE_LAW),
+    st.just(square_law()),
 )
 LN_G = st.one_of(st.floats(-700.0, 700.0), st.sampled_from([math.inf, -math.inf]))
 
@@ -260,11 +265,7 @@ def test_h_of_zero_identity_and_custom():
             return fn(v)
         return hook
 
-    fam = SqueezeFamily.custom(
-        ln_h=finite_only(lambda ln_g: 2.0 * ln_g),
-        ln_H=finite_only(lambda ln_x: 0.5 * ln_x),
-        slope=finite_only(lambda ln_g: 2.0 * math.exp(ln_g)),
-    )
+    fam = SqueezeFamily.custom(*map(finite_only, SQUARE_LAW_HOOKS))
     np.testing.assert_allclose(fam.h_of(np.array([0.0, 3.0])), [0.0, 9.0], rtol=1e-14)
 
 
@@ -272,12 +273,8 @@ def test_h_of_zero_identity_and_custom():
 # custom families
 
 def test_custom_family_square_law():
-    # h(g) = g**2, H(x) = sqrt(x), f(g) = 2 g
-    fam = SqueezeFamily.custom(
-        ln_h=lambda ln_g: 2.0 * ln_g,
-        ln_H=lambda ln_x: 0.5 * ln_x,
-        slope=lambda ln_g: 2.0 * math.exp(ln_g),
-    )
+    # h(g) = g**2, H(x) = sqrt(x), dh/dx = 2 g
+    fam = square_law()
     out = squeeze_log(fam, math.log(3.0))
     assert out.ln_x == pytest.approx(2.0 * math.log(3.0), rel=1e-12)
     back = unsqueeze_log(fam, out)
@@ -286,26 +283,53 @@ def test_custom_family_square_law():
 
 
 def test_custom_family_rejects_bad_inverse():
+    ln_h, _, ln_l = SQUARE_LAW_HOOKS
     with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.custom(
-            ln_h=lambda ln_g: 2.0 * ln_g,
-            ln_H=lambda ln_x: ln_x,  # not the inverse
-            slope=lambda ln_g: 2.0 * math.exp(ln_g),
-        )
+        SqueezeFamily.custom(ln_h, lambda ln_x: ln_x, ln_l)  # not the inverse
 
 
 def test_custom_family_rejects_bad_slope():
+    ln_h, ln_H, _ = SQUARE_LAW_HOOKS
     with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.custom(
-            ln_h=lambda ln_g: 2.0 * ln_g,
-            ln_H=lambda ln_x: 0.5 * ln_x,
-            slope=lambda ln_g: 1.0,  # inconsistent with h
-        )
+        SqueezeFamily.custom(ln_h, ln_H, lambda ln_g: 1.0)  # inconsistent with h
+
+
+def test_custom_family_rejects_the_linear_slope_contract():
+    # dh/dx = 2 g returned where ln(d ln h/dx) = ln 2 - ln g is due
+    ln_h, ln_H, _ = SQUARE_LAW_HOOKS
+    with pytest.raises(SqueezeDomainError, match="inconsistent with d ln h/d ln g"):
+        SqueezeFamily.custom(ln_h, ln_H, lambda ln_g: 2.0 * math.exp(ln_g))
+    with pytest.raises(TypeError, match="slope"):
+        SqueezeFamily.custom(ln_h=ln_h, ln_H=ln_H, slope=lambda ln_g: 2.0 * math.exp(ln_g))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("hook", range(3))
+def test_custom_family_rejects_a_non_finite_hook_value(hook, bad):
+    # one grid point, ln g = 0.5, reads ``bad`` from one hook; the rest is the square law
+    hooks = list(SQUARE_LAW_HOOKS)
+    ok = hooks[hook]
+    at = 1.0 if hook == 1 else 0.5  # ln H is called at ln h = 2 ln g
+    hooks[hook] = lambda v: bad if v == at else ok(v)
+    with pytest.raises(SqueezeDomainError, match="non-finite value at ln_g=0.5"):
+        SqueezeFamily.custom(*hooks)
+
+
+def test_steep_custom_family_builds_and_gives_finite_results():
+    # h = g**1000: ln h reaches 3000 on the probe grid, far beyond exp's range
+    fam = SqueezeFamily.custom(lambda v: 1000.0 * v, lambda w: w / 1000.0,
+                               lambda v: math.log(1000.0) - v)
+    spectrum = DegeneracySpectrum(("E",), np.arange(4.0)[:, None], np.log([1.0, 3.0, 6.0, 10.0]))
+    report = report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), fam)
+    cols = report.columns()
+    assert math.isfinite(report.point.phi) and math.isfinite(report.point.entropy_J)
+    assert all(np.isfinite(cols[name]).all() for name in ("ln_class", "macro_prob", "boltzmann_factor"))
+    assert 0.0 < report.point.observed["E"] < 3.0
 
 
 def test_custom_family_requires_all_hooks():
     with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.custom(ln_h=lambda v: v, ln_H=lambda v: v, slope=None)
+        SqueezeFamily.custom(ln_h=lambda v: v, ln_H=lambda v: v, ln_log_slope=None)
 
 
 # ---------------------------------------------------------------------------
