@@ -1,11 +1,11 @@
-"""Stability matrix, Gaussian fluctuation formulas and second moments.
+"""Second moments and the Gaussian fluctuation density.
 
 The curvature of the potential in the intensive directions carries the
 fluctuation content: C = -(d2 phi / dy dy) is the covariance matrix of
-the conjugate extensive variables, its inverse G the stability matrix of
-the extensive-side expansion, and the deformed statistics rescale both
-by 1 + (q - 1) * phi0.  The surface gives the curvature as a sum over
-its class table in one pass.
+the conjugate extensive variables, and its inverse G is the stability
+matrix of the extensive-side expansion; the deformed statistics rescale
+both by 1 + (q - 1) * phi0.  ``moments`` reads the curvature from the
+surface's class table in one pass and reports C (``G_inv``) and G.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "StabilityWarning",
     "FluctuationReport",
-    "stability_matrix",
     "moments",
     "einstein_log_probability",
 ]
@@ -75,31 +74,6 @@ class FluctuationReport:
         }
 
 
-def _phi_and_hessian(phi_surface: SpectrumSurface, point: Mapping[str, float], names: Sequence[str]):
-    """(phi, symmetrized Hessian H, eigenvalues, eigenvectors of H) at
-    the point, from one eigendecomposition; see stability_matrix.  A 1 x 1 H is its
-    own: the entry and the eigenvector 1.0, as LAPACK's dsyevd returns them for
-    n = 1 (NaN, inf, -0.0 and subnormals included), with no eigh call."""
-    phi, H = phi_surface.curvature(point, names)
-    H = 0.5 * (H + H.T)
-    eig, vec = (H[0], np.ones((1, 1))) if H.shape == (1, 1) else np.linalg.eigh(H)
-    lam = eig.tolist()
-    scale = max(1.0, *map(abs, lam))
-    if any(v > _REL_TOL * scale for v in lam) and any(v < -_REL_TOL * scale for v in lam):
-        warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
-    return phi, H, eig, vec
-
-
-def stability_matrix(
-    phi_surface: SpectrumSurface,
-    point: Mapping[str, float],
-    variables: Sequence[str],
-) -> np.ndarray:
-    """Hessian of the surface, symmetrized: its ``curvature``, one class
-    pass.  An indefinite result draws a StabilityWarning."""
-    return _phi_and_hessian(phi_surface, point, list(variables))[1]
-
-
 def moments(
     phi_surface: SpectrumSurface,
     point: Mapping[str, float],
@@ -112,10 +86,11 @@ def moments(
     fluctuating set; ``phi0`` is the surface's phi at the point, the
     potential of the ensemble in which the fluctuating variables are exchanged.
 
-    One eigendecomposition of the Hessian gives the indefinite check, the
-    condition number max|lambda|/min|lambda| (inf at a zero eigenvalue or
-    an exactly zero row) and G = V diag(1/lambda) V'; for one variable it is
-    the entry itself and V = 1, with no eigh call.  A singular C
+    One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
+    of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf
+    at a zero eigenvalue or an exactly zero row) and G = V diag(1/lambda) V'; for one
+    variable it is the entry itself and V = 1, as LAPACK's dsyevd returns them for n = 1
+    (NaN, inf, -0.0 and subnormals included), with no eigh call.  A singular C
     (cond > 1e8) is inverted as np.linalg.pinv does, dropping the
     |lambda| <= 1e-15 max|lambda|.  The n x n bookkeeping after the eigh runs on
     Python floats (``tolist``): n is 1 to 3 in practice, where a numpy call costs more
@@ -125,12 +100,17 @@ def moments(
     as its class c nears the cutoff at 0, as the true curvature does; a
     live class is at least eps**(1/(1 - q)), so the result stays finite."""
     names = tuple(variables)
-    phi0, H, eig, vec = _phi_and_hessian(phi_surface, point, names)
+    phi0, H = phi_surface.curvature(point, names)
+    H = 0.5 * (H + H.T)
+    eig, vec = (H[0], np.ones((1, 1))) if H.shape == (1, 1) else np.linalg.eigh(H)
     C, eig = -H, -eig  # extensive covariance matrix in the undeformed case, same eigenvectors
     scale = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
     lam, c = eig.tolist(), C.tolist()
     size = [abs(v) for v in lam]
     top, bottom = max(size), min(size)
+    tol = _REL_TOL * max(1.0, *size)
+    if any(v > tol for v in lam) and any(v < -tol for v in lam):
+        warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
     # inf at a zero eigenvalue, as np.linalg.cond, or at an exactly zero row
     # (a flat direction), whose eigenvalue eigh may leave at rounding level
     cond = math.inf if bottom == 0.0 or not all(map(any, c)) else top / bottom  # inf beyond float range

@@ -7,9 +7,10 @@ function of the complex one.  Integrating that ratio over ln(count)
 reconstructs ln h pointwise; under a power-law ansatz the entropic
 index follows from a straight-line fit in log-log space.
 
-The forward mixing integral over a distribution of thermal parameters
-(the generalized Boltzmann-factor quadrature) is also provided; the
-inverse extraction of the mixing density is ill-posed and out of scope.
+The ratio data are the caller's.  The forward mixing integral over a
+distribution of thermal parameters (the generalized Boltzmann-factor
+quadrature) is also provided; the inverse extraction of the mixing
+density is ill-posed and out of scope.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DatasetError
-from .squeeze import SqueezeFamily
 
 __all__ = [
     "EquilibriumDataset",
@@ -28,7 +28,6 @@ __all__ = [
     "reconstruct_squeeze",
     "estimate_q",
     "superstatistics_forward",
-    "synthetic_ratio_dataset",
 ]
 
 POWER_LAW_RESIDUAL_THRESHOLD = 1e-6  # noiseless synthetic regime default
@@ -152,16 +151,3 @@ def superstatistics_forward(
         raise DatasetError(f"mixing integral at energy {energy!r} is beyond the float range")
     return weighted / norm
 
-
-def synthetic_ratio_dataset(
-    family: SqueezeFamily, ln_g_max: float = 5.0, n: int = 201
-) -> EquilibriumDataset:
-    """Noiseless equilibrium sweep generated from an implemented family.
-
-    The ratio equals the logarithmic slope d(ln h)/d(ln g) evaluated on
-    a uniform ln-count grid (the complex system swept against an
-    undeformed reference)."""
-    x = np.linspace(0.0, ln_g_max, n)
-    # d(ln h)/d(ln g) = g * (f/h)(g)
-    ratio = np.exp(x + family.ln_log_slope_arr(x))
-    return EquilibriumDataset(ln_g=x, ratio=ratio)

@@ -70,7 +70,10 @@ def _tsallis_squeeze_pair(u: float, x_hi: float, x_lo: float) -> tuple[float, fl
         e = math.exp(t_hi) * (1.0 + t_lo)
         m_hi, m_lo = _two_sum(-1.0, e)
     else:
-        m_hi = math.expm1(t_hi)
+        try:
+            m_hi = math.expm1(t_hi)
+        except OverflowError:  # math raises where the result leaves the float range
+            m_hi = math.inf
         m_lo = math.exp(t_hi) * t_lo if math.isfinite(m_hi) else 0.0
     if not math.isfinite(m_hi):
         raise SqueezeDomainError(
@@ -97,11 +100,19 @@ def _float_or_array(v):
     return v if type(v) is float else np.asarray(v, dtype=float)
 
 
+def _call(hook: Callable[[float], float], v: float) -> float:
+    """hook(v); a math error in the hook (overflow, a domain error) is a SqueezeDomainError naming v."""
+    try:
+        return hook(v)
+    except (ArithmeticError, ValueError) as exc:
+        raise SqueezeDomainError(f"custom hook fails at {float(v)!r}: {exc}") from exc
+
+
 def _apply(hook: Callable[[float], float], x, at_zero: float = -math.inf) -> np.ndarray:
     """A custom hook applied elementwise to a float or an array.  A zero
     count (ln = -inf) gives ``at_zero`` without a call: h(0) = H(0) = 0."""
     x = np.asarray(x, dtype=float)
-    out = [at_zero if v == -math.inf else hook(v) for v in x.flat]
+    out = [at_zero if v == -math.inf else _call(hook, v) for v in x.flat]
     return np.array(out, dtype=float).reshape(x.shape)
 
 
@@ -264,8 +275,8 @@ class SqueezeFamily:
             raise SqueezeDomainError("custom families must supply all three hooks")
         for ln_g in np.linspace(-3.0, 3.0, 13):
             step = 1e-6 * max(1.0, abs(ln_g))
-            ln_h, below, above = (self.ln_h_hook(v) for v in (ln_g, ln_g - step, ln_g + step))
-            back, ln_l = self.ln_H_hook(ln_h), self.ln_log_slope_hook(ln_g)
+            ln_h, below, above = (_call(self.ln_h_hook, v) for v in (ln_g, ln_g - step, ln_g + step))
+            back, ln_l = _call(self.ln_H_hook, ln_h), _call(self.ln_log_slope_hook, ln_g)
             if not all(map(math.isfinite, (ln_h, below, above, back, ln_l))):
                 raise SqueezeDomainError(f"custom hooks give a non-finite value at ln_g={ln_g:g}")
             if abs(back - ln_g) > 1e-8 * max(1.0, abs(ln_g)):

@@ -27,7 +27,6 @@ from sqzstat.inference import (
     estimate_q,
     reconstruct_squeeze,
     superstatistics_forward,
-    synthetic_ratio_dataset,
 )
 from sqzstat.kinetics import (
     build_collision_network,
@@ -43,6 +42,7 @@ from sqzstat.kinetics import (
 )
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
+from families import ratio_dataset
 from differencing import central_derivative, mp_phi
 
 IDENT = SqueezeFamily.identity()
@@ -260,13 +260,11 @@ def test_criterion_10_maxwell_boltzmann_and_xi_independence():
 def test_criterion_11_zeroth_law_inference():
     with criterion(11, "planted index recovered to 1e-3; reconstruction error contracts ~4x"):
         for q in (0.5, 1.0, 1.5, 2.0):
-            fam = SqueezeFamily.tsallis(q)
-            est = estimate_q(synthetic_ratio_dataset(fam, ln_g_max=5.0, n=201))
+            est = estimate_q(ratio_dataset(q, ln_g_max=5.0, n=201))
             assert abs(est.q - q) < 1e-3, q
 
         def sup_err(q, n):
-            fam = SqueezeFamily.tsallis(q)
-            grid, ln_h = reconstruct_squeeze(synthetic_ratio_dataset(fam, ln_g_max=4.0, n=n))
+            grid, ln_h = reconstruct_squeeze(ratio_dataset(q, ln_g_max=4.0, n=n))
             exact = (np.exp((1.0 - q) * grid) - 1.0) / (1.0 - q)
             return float(np.max(np.abs(ln_h - exact)))
 
@@ -274,8 +272,7 @@ def test_criterion_11_zeroth_law_inference():
             ratio = sup_err(q, 101) / sup_err(q, 201)
             assert 3.0 < ratio < 5.0, q
         # exactly flat integrand at q = 1: trapezoid is exact at any grid
-        fam = SqueezeFamily.tsallis(1.0)
-        grid, ln_h = reconstruct_squeeze(synthetic_ratio_dataset(fam, ln_g_max=4.0, n=101))
+        grid, ln_h = reconstruct_squeeze(ratio_dataset(1.0, ln_g_max=4.0, n=101))
         assert float(np.max(np.abs(ln_h - grid))) < 1e-12
 
 

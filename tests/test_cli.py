@@ -527,6 +527,27 @@ def test_help_documents_exit_codes():
     assert "numerical domain errors" in r.stdout
 
 
+def test_an_unmapped_exception_propagates_out_of_main(monkeypatch):
+    # only the documented error classes become exit codes; anything else is a bug, raised as is
+    import sqzstat.cli
+
+    def broken(args):
+        raise RuntimeError("not a documented error")
+
+    monkeypatch.setattr(sqzstat.cli, "cmd_compute", broken)
+    with pytest.raises(RuntimeError, match="not a documented error"):
+        main(["compute", "--model", "two_level", "--y", "E=0.7"])
+
+
+def test_json_writer_specials():
+    from sqzstat._jsonfmt import dumps
+
+    assert dumps({"a": [], "b": math.nan, "c": [math.inf, -math.inf]}) == \
+        '{"a": [], "b": "nan", "c": ["inf", "-inf"]}'
+    with pytest.raises(TypeError, match="cannot serialize <class 'complex'>"):
+        dumps({"z": 1j})
+
+
 # ---------------------------------------------------------------------------
 # malformed inputs end in documented exit codes, never a traceback
 

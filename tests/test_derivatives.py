@@ -3,12 +3,14 @@
 A spectrum surface gives the gradient of phi (the observed means) and its
 curvature from one class pass.  These tests pin the pass counts, check
 the q < 1 states where second differences of phi lost the curvature,
-compare phi, the means, the curvature, the probabilities and the entropy
-with 50-digit direct sums, and cover custom families and the growth of
-the curvature next to a cutoff at q < 1/2."""
+compare phi, the means, the curvature, the probabilities, the entropies,
+the Boltzmann factors and a product spectrum with 50-digit direct sums,
+and cover custom families and the growth of the curvature next to a
+cutoff at q < 1/2."""
 
 import copy
 import dataclasses
+import fractions
 import gc
 import json
 import math
@@ -27,13 +29,14 @@ from sqzstat import (
     DegeneracySpectrum,
     EnsembleSpec,
     SqueezeFamily,
+    combine_independent,
     conjugates_from_phi,
     observed_mean,
     phi_surface_from_spectrum,
 )
 from sqzstat import engine
 from sqzstat.cli import main
-from sqzstat.fluctuation import StabilityWarning, moments, stability_matrix
+from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, lattice_gas, two_level
 
 from differencing import central_derivative, conjugates, hessian, mp_phi
@@ -324,7 +327,7 @@ def test_curvature_matches_differenced_mean_below_q_one(spectrum, y, q, name):
     fam = SqueezeFamily.tsallis(q)
     env = EnsembleSpec(fixed_intensive=y)
     names = sorted(y)
-    H = stability_matrix(phi_surface_from_spectrum(spectrum, env, fam), env.values(), names)
+    H = phi_surface_from_spectrum(spectrum, env, fam).curvature(env.values(), names)[1]
 
     def mean_at(v):
         return observed_mean(spectrum, EnsembleSpec(fixed_intensive={**y, name: v}), fam, name)
@@ -368,8 +371,8 @@ def direct_sums(x, ln_g, y, q):
     Also returned: ``scale``, the same curvature sum taken over absolute
     values, ``cond``, a bound on the relative error of the row classes
     per unit rounding of the inputs (max over rows of (|ln h g| + |x.y| +
-    1/|u|)/|1 + u (ln h g - x.y)|), and ``P``, the row probabilities as
-    50-digit values in row order, 0 on rows beyond the cutoff."""
+    1/|u|)/|1 + u (ln h g - x.y)|), and ``c`` and ``P``, the row classes and
+    probabilities as 50-digit values in row order, 0 on rows beyond the cutoff."""
     with mpmath.workdps(50):
         mpf = mpmath.mpf
         qm = mpf(q)
@@ -411,7 +414,7 @@ def direct_sums(x, ln_g, y, q):
             "phi": float(phi), "mean": np.array(mean, dtype=float),
             "H": np.array(H, dtype=float), "scale": np.array(scale, dtype=float),
             "abs_mean": np.array(abs_mean, dtype=float), "T_u": float(T**u),
-            "cond": float(cond), "P": [c / T for c in row_c],
+            "cond": float(cond), "c": row_c, "P": [c / T for c in row_c],
         }
 
 
@@ -517,6 +520,69 @@ def test_probabilities_and_entropy_against_direct_sums(state):
     assert abs(engine.entropy_from_probabilities(probs, fam) - S) <= err * S_scale
 
 
+def entropy_J_scale(ref, y, q):
+    """The size against which J = y.<X> - phi is rounded: phi's and each y_i <X_i>'s."""
+    return ref["T_u"] + abs(ref["phi"]) + max(1.0, q) * float(np.abs(y) @ ref["abs_mean"])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(spectrum_states())
+def test_boltzmann_factors_and_entropies_against_direct_sums(state):
+    x, ln_g, q, y = state
+    ref = direct_sums(x, ln_g, y, q)
+    assume(ref is not None and ref["cond"] * EPS < 1e-8)
+    names = ["A", "B"][: x.shape[1]]
+    spectrum = DegeneracySpectrum(names, x, ln_g)
+    env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
+    fam = IDENT if q == 1.0 else SqueezeFamily.tsallis(q)
+    point = engine.report_for(spectrum, env, fam).point  # the report is not kept: each factor takes a pass
+    # a row class carries a relative error of about cond * eps (as above), and so does its
+    # quotient by the count g; J = y.<X> - phi carries those of the means and of phi.
+    # Over 600 drawn states the errors reached 21 (factors) and 17 (J, theta) cond * eps
+    err, tiny = 64.0 * EPS * ref["cond"], np.finfo(float).tiny
+    with mpmath.workdps(50):
+        factors = [float(c / mpmath.mpf(float(g))) for c, g in zip(ref["c"], spectrum.g)]
+    for row, f in enumerate(factors):
+        assert abs(engine.generalized_boltzmann_factor(spectrum, env, fam, row) - f) <= err * f + tiny
+    J = float(y @ ref["mean"]) - ref["phi"]
+    assert abs(point.entropy_J - J) <= err * entropy_J_scale(ref, y, q)
+    assert point.entropy_theta == -point.phi  # no pinned variable: theta is -phi
+    assert abs(point.entropy_theta + ref["phi"]) <= err * (ref["T_u"] + abs(ref["phi"]))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(spectrum_states(), spectrum_states())
+def test_product_spectrum_against_direct_sums(a, b):
+    # the first system's q; the second keeps its first 6 rows, so that the product has at most 180
+    (xa, ln_ga, q, ya), (xb, ln_gb, _, yb) = a, (b[0][:6], b[1][:6], b[2], b[3])
+    sa, sb = (DegeneracySpectrum(["A", "B"][: x.shape[1]], x, lg) for x, lg in ((xa, ln_ga), (xb, ln_gb)))
+    ab = combine_independent(sa, sb)
+    # every pair of rows once, x side by side, ln g the correctly rounded sum
+    expected = {(*ra, *rb): float(fractions.Fraction(ga) + fractions.Fraction(gb))
+                for ra, ga in zip(xa.tolist(), ln_ga.tolist()) for rb, gb in zip(xb.tolist(), ln_gb.tolist())}
+    assert dict(zip(map(tuple, ab.x.tolist()), ab.ln_g.tolist())) == expected
+    assert ab.n_rows == len(expected)
+    y = np.concatenate([ya, yb])
+    ref = direct_sums(ab.x, ab.ln_g, y, q)
+    assume(ref is not None and ref["cond"] * EPS < 1e-8)
+    env = EnsembleSpec(fixed_intensive=dict(zip(ab.variable_names, map(float, y))))
+    point = engine.report_for(ab, env, IDENT if q == 1.0 else SqueezeFamily.tsallis(q)).point
+    # over 200 drawn pairs the errors reached 8.2 cond * eps against the direct sums,
+    # and 1.4 against the sums of the two systems
+    err = 32.0 * EPS * ref["cond"]
+    assert abs(point.phi - ref["phi"]) <= err * (ref["T_u"] + abs(ref["phi"]))
+    means = np.array([point.observed[n] for n in ab.variable_names])
+    assert np.all(np.abs(means - ref["mean"]) <= err * max(1.0, q) * ref["abs_mean"])
+    assert abs(point.entropy_J - (float(y @ ref["mean"]) - ref["phi"])) <= err * entropy_J_scale(ref, y, q)
+    if q == 1.0:  # independence: phi adds and each system keeps its own means
+        parts, err = [direct_sums(xa, ln_ga, ya, 1.0), direct_sums(xb, ln_gb, yb, 1.0)], err / 4.0
+        assert abs(point.phi - sum(r["phi"] for r in parts)) <= err * (2.0 + sum(abs(r["phi"]) for r in parts))
+        part_mean = np.concatenate([r["mean"] for r in parts])
+        assert np.all(np.abs(means - part_mean) <= err * np.concatenate([r["abs_mean"] for r in parts]))
+
+
 def test_large_potential_state_against_direct_sums():
     # q = 0.8 rows with ln g near 50: phi ~ -1e5
     x = np.arange(12.0)[:, None]
@@ -554,7 +620,7 @@ def test_custom_family_curvature_against_richardson(family, spectrum, y):
     env = EnsembleSpec(fixed_intensive=y)
     surface = phi_surface_from_spectrum(spectrum, env, fam)
     names = sorted(y)
-    H = stability_matrix(surface, env.values(), names)
+    H = surface.curvature(env.values(), names)[1]
     H_fd = hessian(surface, env.values(), names)  # differences of phi alone
     assert np.allclose(H, H_fd, rtol=0, atol=1e-7 * np.max(np.abs(H_fd)))
     grad = conjugates_from_phi(surface, env.split, env.values())

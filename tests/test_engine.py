@@ -55,6 +55,17 @@ def test_spectrum_validation():
         DegeneracySpectrum(("E",), np.array([[0.0], [0.0]]), np.array([0.0, 0.0]))
     with pytest.raises(ModelValidationError):
         DegeneracySpectrum(("E",), np.array([[0.0]]), np.array([math.inf]))
+    with pytest.raises(ModelValidationError, match=r"row values of shape \(2, 2\) for 1 variable names"):
+        DegeneracySpectrum(("E",), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ModelValidationError, match="ln_g length"):
+        DegeneracySpectrum(("E",), np.array([[0.0], [1.0]]), np.zeros(3))
+    with pytest.raises(ModelValidationError, match="row values must be finite"):
+        DegeneracySpectrum(("E",), np.array([[0.0], [math.nan]]), np.zeros(2))
+
+
+def test_column_of_an_unknown_name_is_rejected():
+    with pytest.raises(ModelValidationError, match="no variable 'V'"):
+        two_level(1.0).column("V")
 
 
 @pytest.mark.parametrize(
@@ -179,6 +190,8 @@ def test_env_validation():
         characteristic_class(
             two_level(1.0), EnsembleSpec(fixed_intensive={"E": 1.0, "V": 2.0}), IDENT
         )
+    with pytest.raises(ModelValidationError, match=r"both environment sets: \['E'\]"):
+        EnsembleSpec(fixed_intensive={"E": 1.0}, fixed_extensive={"E": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +355,12 @@ def test_degeneracies_beyond_float_range_give_finite_rows(fam):
 # ---------------------------------------------------------------------------
 # generalized boltzmann factor
 
+@pytest.mark.parametrize("row", [-1, 2])
+def test_boltzmann_factor_rejects_a_row_out_of_range(row):
+    with pytest.raises(ModelValidationError, match=f"row {row} out of range \\(n_rows=2\\)"):
+        generalized_boltzmann_factor(two_level(1.0), canonical_env(), IDENT, row)
+
+
 def test_boltzmann_factor_identity():
     spec = DegeneracySpectrum(("E",), np.array([[0.7]]), np.array([0.0]))
     env = EnsembleSpec(fixed_intensive={"E": 1.0})
@@ -450,6 +469,13 @@ def test_uniform_tsallis_entropy():
     probs = probabilities(table)
     s = entropy_from_probabilities(probs, Q2)
     assert s == pytest.approx(0.5, abs=1e-12)
+
+
+def test_probability_entropy_has_no_custom_form():
+    fam = square_law()
+    probs = probabilities(characteristic_class(two_level(1.0), canonical_env(), fam))
+    with pytest.raises(ModelValidationError, match="custom families"):
+        entropy_from_probabilities(probs, fam)
 
 
 def test_entropy_equivalence_bg():
@@ -603,6 +629,16 @@ def test_model_json_rejects_missing_environment():
     doc = model_to_json_dict(spec, canonical_env(), IDENT)
     del doc["environment"]["y"]["E"]
     with pytest.raises(ModelValidationError):
+        model_from_json_dict(doc)
+
+
+def test_model_json_rejects_an_unknown_kind_and_a_fixed_variable_without_x():
+    doc = model_to_json_dict(two_level(1.0), canonical_env(), IDENT)
+    doc["variables"][0]["kind"] = "open"
+    with pytest.raises(ModelValidationError, match="unknown kind 'open'"):
+        model_from_json_dict(doc)
+    doc["variables"][0]["kind"] = "fixed"
+    with pytest.raises(ModelValidationError, match="fixed variable 'E' missing an X value"):
         model_from_json_dict(doc)
 
 

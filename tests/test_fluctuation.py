@@ -20,7 +20,6 @@ from sqzstat.fluctuation import (
     StabilityWarning,
     einstein_log_probability,
     moments,
-    stability_matrix,
 )
 from sqzstat.models import einstein_solid, spin_half_paramagnet, two_level
 
@@ -45,11 +44,11 @@ def distribution_variance(spec, env, fam, name):
 
 
 # ---------------------------------------------------------------------------
-# stability_matrix
+# the Hessian H = -C: the curvature as moments symmetrizes it, or as the surface gives it
 
 def test_two_level_curvature_is_minus_energy_variance():
     surface, env = two_level_surface()
-    H = stability_matrix(surface, {"E": BETA}, ["E"])
+    H = -moments(surface, {"E": BETA}, ["E"], IDENT).G_inv
     var = distribution_variance(two_level(1.0), env, IDENT, "E")
     assert var == pytest.approx(2.0 / 9.0, abs=1e-12)  # direct-oracle check
     assert H[0, 0] == pytest.approx(-var, abs=1e-9)
@@ -62,7 +61,7 @@ def test_flat_direction_gives_zero_row_and_column():
     )
     env = EnsembleSpec(fixed_intensive={"E": 0.4, "M": 0.3})
     surface = phi_surface_from_spectrum(spec, env, IDENT)
-    H = stability_matrix(surface, env.values(), ["E", "M"])
+    H = surface.curvature(env.values(), ["E", "M"])[1]
     assert abs(H[0, 0]) < 1e-8
     assert abs(H[0, 1]) < 1e-8
     assert H[1, 1] == pytest.approx(-distribution_variance(spec, env, IDENT, "M"), abs=1e-8)
@@ -70,7 +69,7 @@ def test_flat_direction_gives_zero_row_and_column():
 
 def test_indefinite_hessian_warns():
     with pytest.warns(StabilityWarning, match="indefinite"):
-        stability_matrix(FixedCurvature(np.diag([2.0, -2.0])), {"a": 0.0, "b": 0.0}, ["a", "b"])
+        moments(FixedCurvature(np.diag([2.0, -2.0])), {"a": 0.0, "b": 0.0}, ["a", "b"], IDENT)
 
 
 def correlated_spectrum():
@@ -88,7 +87,7 @@ def test_grand_canonical_cross_entry_matches_minus_dN_dbeta():
     spec = correlated_spectrum()
     env = EnsembleSpec(fixed_intensive={"E": 0.5, "N": 0.3})
     surface = phi_surface_from_spectrum(spec, env, IDENT)
-    H = stability_matrix(surface, env.values(), ["E", "N"])
+    H = -moments(surface, env.values(), ["E", "N"], IDENT).G_inv
     cov_EN = -H[0, 1]
 
     def mean_n(beta):
@@ -493,4 +492,4 @@ def test_one_variable_moments_make_no_eigh_call(monkeypatch):
     rep = moments(surface, env.values(), ["E"], IDENT)
     assert rep.variances["E"] == pytest.approx(2.0 / 9.0, abs=1e-12)
     with pytest.raises(AssertionError, match="eigh called"):
-        stability_matrix(FixedCurvature(np.eye(2)), {"a": 0.0, "b": 0.0}, ["a", "b"])
+        moments(FixedCurvature(np.eye(2)), {"a": 0.0, "b": 0.0}, ["a", "b"], IDENT)

@@ -5,18 +5,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
-from sqzstat import DatasetError, SqueezeFamily
+from sqzstat import DatasetError
 from sqzstat.inference import (
     EquilibriumDataset,
     estimate_q,
     reconstruct_squeeze,
     superstatistics_forward,
-    synthetic_ratio_dataset,
 )
 
-
-def tsallis_ln_h(g, q):
-    return (g ** (1.0 - q) - 1.0) / (1.0 - q) if q != 1.0 else math.log(g)
+from families import deformed_log, ratio_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +27,11 @@ def test_dataset_requires_increasing_ln_g():
 def test_dataset_requires_positive_ratios():
     with pytest.raises(DatasetError):
         EquilibriumDataset(ln_g=np.array([0.0, 0.5, 1.0]), ratio=np.array([1.0, -0.1, 1.0]))
+
+
+def test_dataset_requires_matching_1d_arrays():
+    with pytest.raises(DatasetError, match="matching 1-D"):
+        EquilibriumDataset(ln_g=np.array([0.0, 0.5, 1.0]), ratio=np.ones(4))
 
 
 def test_dataset_rejects_subunit_counts():
@@ -50,10 +52,8 @@ def test_unit_ratio_reconstructs_undeformed_log():
 def test_synthetic_power_law_reconstruction():
     # ratio = g**(1-q) integrates to the deformed log; dense-grid check
     q = 1.5
-    x = np.linspace(0.0, 5.0, 2001)
-    data = EquilibriumDataset(ln_g=x, ratio=np.exp((1.0 - q) * x))
-    grid, ln_h = reconstruct_squeeze(data)
-    expected = np.array([tsallis_ln_h(math.exp(v), q) for v in grid])
+    grid, ln_h = reconstruct_squeeze(ratio_dataset(q, ln_g_max=5.0, n=2001))
+    expected = np.array([deformed_log(math.exp(v), q) for v in grid])
     assert np.max(np.abs(ln_h - expected)) < 1e-4
 
 
@@ -78,12 +78,10 @@ def test_leading_gap_is_bridged_from_the_anchor():
 
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.0])
 def test_closed_loop_error_contracts_like_grid_squared(q):
-    fam = SqueezeFamily.tsallis(q)
-
     def sup_err(n):
-        data = synthetic_ratio_dataset(fam, ln_g_max=4.0, n=n)
+        data = ratio_dataset(q, ln_g_max=4.0, n=n)
         grid, ln_h = reconstruct_squeeze(data)
-        exact = np.array([tsallis_ln_h(math.exp(v), q) for v in grid])
+        exact = np.array([deformed_log(math.exp(v), q) for v in grid])
         return float(np.max(np.abs(ln_h - exact)))
 
     e_coarse, e_fine = sup_err(101), sup_err(201)
@@ -96,8 +94,7 @@ def test_closed_loop_error_contracts_like_grid_squared(q):
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0])
 def test_planted_index_recovered(q):
-    fam = SqueezeFamily.tsallis(q)
-    est = estimate_q(synthetic_ratio_dataset(fam, ln_g_max=5.0, n=101))
+    est = estimate_q(ratio_dataset(q, ln_g_max=5.0, n=101))
     assert est.q == pytest.approx(q, abs=1e-3)
     assert est.power_law
     assert est.residual < 1e-6
@@ -112,8 +109,7 @@ def test_non_power_law_sets_the_flag():
 
 
 def test_scale_invariance_of_the_index():
-    fam = SqueezeFamily.tsallis(1.5)
-    base = synthetic_ratio_dataset(fam, ln_g_max=4.0, n=80)
+    base = ratio_dataset(1.5, ln_g_max=4.0, n=80)
     scaled = EquilibriumDataset(ln_g=base.ln_g, ratio=7.3 * base.ratio)
     assert estimate_q(scaled).q == pytest.approx(estimate_q(base).q, abs=1e-12)
 
@@ -121,6 +117,9 @@ def test_scale_invariance_of_the_index():
 def test_estimate_needs_spread():
     with pytest.raises(DatasetError):
         estimate_q(EquilibriumDataset(ln_g=np.array([0.0, 1.0]), ratio=np.array([1.0, 1.0])))
+    # distinct ln g whose squared deviations underflow: the variance is 0
+    with pytest.raises(DatasetError, match="zero variance"):
+        estimate_q(EquilibriumDataset(ln_g=np.array([0.0, 1e-200, 2e-200]), ratio=np.ones(3)))
 
 
 # ---------------------------------------------------------------------------

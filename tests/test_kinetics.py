@@ -94,6 +94,15 @@ def test_lattice_r2_size():
     assert make_lattice(2).n == 13
 
 
+def test_lattice_rejects_radius_zero_and_velocities_off_it():
+    with pytest.raises(ModelValidationError, match="radius must be >= 1, got 0"):
+        make_lattice(0)
+    lat = make_lattice(1)
+    assert lat.index_of((0, 0)) == next(i for i, v in enumerate(lat.velocities) if tuple(v) == (0, 0))
+    with pytest.raises(ModelValidationError, match=r"velocity \(1, 1\) not on the lattice"):
+        lat.index_of((1, 1))
+
+
 def test_r1_network_is_the_single_swap_quadruple():
     lat = make_lattice(1)
     net = build_collision_network(lat)

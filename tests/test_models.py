@@ -34,6 +34,11 @@ def test_two_level_rejects_bad_epsilon():
         two_level(0.0)
 
 
+def test_einstein_solid_rejects_a_negative_e_max():
+    with pytest.raises(ModelValidationError, match="E_max must be >= 0, got -1"):
+        einstein_solid(3, E_max=-1)
+
+
 def test_paramagnet_small_counts():
     spec = spin_half_paramagnet(2)
     assert np.allclose(spec.ln_g, [0.0, math.log(2.0), 0.0], atol=1e-14)

@@ -15,16 +15,9 @@ from sqzstat import (
     unsqueeze_log,
 )
 
-from families import SQUARE_LAW_HOOKS, square_law
+from families import SQUARE_LAW_HOOKS, deformed_log, quadratic, square_law
 
 Q_GRID = [0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0]
-
-
-def tsallis_ln_h_oracle(g, q):
-    """Direct high-precision evaluation of the deformed log."""
-    if q == 1.0:
-        return math.log(g)
-    return (g ** (1.0 - q) - 1.0) / (1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +32,7 @@ def test_squeeze_tsallis_q2_g2():
     # oracle: (2**(1-2) - 1)/(1-2) = 0.5
     fam = SqueezeFamily.tsallis(2.0)
     out = squeeze_log(fam, math.log(2.0))
-    assert out.ln_x == pytest.approx(tsallis_ln_h_oracle(2.0, 2.0), abs=1e-14)
+    assert out.ln_x == pytest.approx(deformed_log(2.0, 2.0), abs=1e-14)
     assert out.ln_x == pytest.approx(0.5, abs=1e-14)
 
 
@@ -325,6 +318,23 @@ def test_steep_custom_family_builds_and_gives_finite_results():
     assert math.isfinite(report.point.phi) and math.isfinite(report.point.entropy_J)
     assert all(np.isfinite(cols[name]).all() for name in ("ln_class", "macro_prob", "boltzmann_factor"))
     assert 0.0 < report.point.observed["E"] < 3.0
+
+
+def test_power_law_squeeze_beyond_the_float_range_names_the_input():
+    # e**(u ln g) - 1 at u ln g = 1000 leaves the float range, where math.expm1 raises
+    with pytest.raises(SqueezeDomainError, match=r"exp\(2000\)"):
+        squeeze_log(SqueezeFamily.tsallis(0.5), 2000.0)
+
+
+def test_a_custom_hook_math_error_is_a_domain_error_naming_the_input():
+    # quadratic's ln h takes math.exp(ln g), which overflows at ln g = 800
+    spectrum = DegeneracySpectrum(("E",), np.arange(3.0)[:, None], np.full(3, 800.0))
+    with pytest.raises(SqueezeDomainError, match="fails at 800.0"):
+        report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), quadratic())
+    # the probe's first point, ln g = -3, is outside this ln h's domain
+    ln_h, ln_H, ln_l = SQUARE_LAW_HOOKS
+    with pytest.raises(SqueezeDomainError, match="fails at -3.0: math domain error"):
+        SqueezeFamily.custom(lambda v: 2.0 * v if v > -3.0 else math.log(-1.0), ln_H, ln_l)
 
 
 def test_custom_family_requires_all_hooks():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -158,6 +159,15 @@ def test_gibbs_duhem_constant_path_is_exactly_zero():
 def test_gibbs_duhem_needs_three_points():
     with pytest.raises(ValueError):
         gibbs_duhem_residual(path_points([0.2, 0.3]), EnvironmentSplit(fixed_intensive=("E",)))
+
+
+def test_gibbs_duhem_needs_theta_on_every_point():
+    traj = path_points([0.2, 0.3, 0.4])
+    traj[1] = (dataclasses.replace(traj[1][0], entropy_theta=None), traj[1][1])
+    split = EnvironmentSplit(fixed_intensive=("E",))
+    with pytest.raises(ValueError, match="lacks entropy_theta"):
+        gibbs_duhem_residual(traj, split)
+    assert math.isfinite(gibbs_duhem_residual(traj, split, include_theta=False))
 
 
 def test_macroscopic_sum_x_dy_shrinks_with_size():
