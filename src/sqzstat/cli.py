@@ -55,8 +55,9 @@ exit codes:
   4  model validation errors
   5  numerical domain errors (cutoff-degenerate ensembles, unstable steps, bad datasets)
 
-the only environment variable honored is SQZSTAT_LOG={quiet,info,debug}
-(output verbosity of diagnostics on stderr); all run configuration is flags.
+the only environment variable read is SQZSTAT_LOG={quiet,info,debug},
+reserved for diagnostics on stderr (nothing logs yet); all run
+configuration is flags.
 """
 
 

@@ -228,18 +228,6 @@ class ClassTable:
     ln_total: float
 
     @property
-    def exchanged_names(self) -> tuple[str, ...]:
-        return self.spectrum.variable_names
-
-    @property
-    def x_exchanged(self) -> np.ndarray:
-        return self.spectrum.x
-
-    @property
-    def ln_g(self) -> np.ndarray:
-        return self.spectrum.ln_g
-
-    @property
     def n_rows(self) -> int:
         return self.spectrum.n_rows
 
@@ -249,17 +237,17 @@ class ClassTable:
 
     @cached_property
     def phi(self) -> float:
-        return -self.family.ln_squeeze(self.ln_total)
+        return -float(self.family.ln_squeeze(self.ln_total))
 
     @cached_property
     def ln_l_total(self) -> float:
-        return self.family.ln_log_slope(self.ln_total)
+        return float(self.family.ln_log_slope(self.ln_total))
 
     def mean_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(live mask, live ln c, ln w), w = l(total)/l(c_row); ln w may overflow to -inf, a zero weight."""
         live = ~self.excluded
         ln_c = self.ln_row_class[live]
-        return live, ln_c, self.ln_l_total - self.family.ln_log_slope_arr(ln_c)
+        return live, ln_c, self.ln_l_total - self.family.ln_log_slope(ln_c)
 
     def mean_of(self, *columns: np.ndarray) -> tuple[float, ...]:
         """sum_r w_r v_r over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
@@ -270,14 +258,14 @@ class ClassTable:
 
     @cached_property
     def means(self) -> tuple[float, ...]:
-        """<X_j> in ``exchanged_names`` order."""
-        return self.mean_of(*self.x_exchanged.T)
+        """<X_j> in ``spectrum.variable_names`` order."""
+        return self.mean_of(*self.spectrum.x.T)
 
 
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Normalized macro (per subclass) and configuration probabilities;
-    ``excluded`` and ``ln_g`` are the class table's own arrays."""
+    ``excluded`` is the class table's own array, ``ln_g`` its spectrum's."""
 
     macro_probs: np.ndarray
     config_probs: np.ndarray
@@ -305,10 +293,10 @@ class ThermoReport:
         ``x_<name>`` per exchanged variable, ``ln_g``, ``ln_class``,
         ``macro_prob``, ``config_prob``, ``boltzmann_factor`` (0 on
         excluded rows) and the boolean ``excluded``."""
-        t = self.table
+        t, s = self.table, self.table.spectrum
         probs = probabilities(t)
-        out = {f"x_{n}": t.x_exchanged[:, j] for j, n in enumerate(t.exchanged_names)}
-        out.update(ln_g=t.ln_g, ln_class=t.ln_row_class, macro_prob=probs.macro_probs,
+        out = {f"x_{n}": s.x[:, j] for j, n in enumerate(s.variable_names)}
+        out.update(ln_g=s.ln_g, ln_class=t.ln_row_class, macro_prob=probs.macro_probs,
                    config_prob=probs.config_probs,
                    boltzmann_factor=_boltzmann_factors(t),
                    excluded=t.excluded)
@@ -331,14 +319,14 @@ def characteristic_class(
     working = spectrum.restrict(env.fixed_extensive)  # its columns are the exchanged variables
     y = np.array([env.fixed_intensive[n] for n in working.variable_names])
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        ln_h_g = family.ln_squeeze_arr(working.ln_g)
+        ln_h_g = family.ln_squeeze(working.ln_g)
         if not np.isfinite(ln_h_g).all():
             raise SqueezeDomainError(
                 "squeezed log-degeneracy exceeds the float range "
                 f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"
             )
         ln_weight = ln_h_g - (working.x @ y if y.size else 0.0)
-        ln_row_class, excluded = family.ln_unsqueeze_arr(ln_weight)
+        ln_row_class, excluded = family.ln_unsqueeze(ln_weight)
         if excluded.all():
             raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
         ln_total = _logsumexp(ln_row_class[~excluded])
@@ -398,7 +386,7 @@ def phi_and_entropies(table: ClassTable) -> ThermoPoint:
     """
     env = table.env
     phi = table.phi
-    observed = dict(zip(table.exchanged_names, table.means))
+    observed = dict(zip(table.spectrum.variable_names, table.means))
     j_val = -phi
     for name, mean in observed.items():
         j_val += env.fixed_intensive[name] * mean
@@ -415,14 +403,15 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     """
     ln_macro = table.ln_row_class - table.ln_total
     macro = np.exp(ln_macro)
-    ln_config = ln_macro - table.ln_g
-    config = _per_configuration(macro, ln_config, table.spectrum.g, table.spectrum._g_divides)
+    spectrum = table.spectrum
+    ln_config = ln_macro - spectrum.ln_g
+    config = _per_configuration(macro, ln_config, spectrum.g, spectrum._g_divides)
     return ProbabilityTable(
         macro_probs=macro,
         config_probs=config,
         ln_config=ln_config,
         excluded=table.excluded,
-        ln_g=table.ln_g,
+        ln_g=spectrum.ln_g,
     )
 
 
@@ -542,7 +531,7 @@ class SpectrumSurface:
     def gradient(self, point: Mapping[str, float], names: Sequence[str]) -> dict[str, float]:
         """d phi/d y of exchanged names: the observed means."""
         table = self._table(point)
-        return {n: table.means[table.exchanged_names.index(n)] for n in names}
+        return {n: table.means[table.spectrum.variable_names.index(n)] for n in names}
 
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H_ij = d2 phi/dy_i dy_j = -k(T)/(T l(T)) <X_i><X_j> +
@@ -550,14 +539,14 @@ class SpectrumSurface:
         the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x.  A live
         row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, family = self._table(point), self.family
-        cols = [table.exchanged_names.index(n) for n in names]
+        cols = [table.spectrum.variable_names.index(n) for n in names]
         ln_l_total = table.ln_l_total
-        a = -family.slope_elasticity_arr(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
+        a = -family.slope_elasticity(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
         with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
             live, ln_c, ln_w = table.mean_weights()
-            xt = table.x_exchanged.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
+            xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
             mean = xt @ np.exp(ln_w)
-            b = family.slope_elasticity_arr(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
+            b = family.slope_elasticity(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
             b[ln_c == -np.inf] = 0.0
             H = a * (mean[:, None] * mean) + (xt * b) @ xt.T
         if not np.isfinite(H).all():

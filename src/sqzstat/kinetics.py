@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _NEG_CLAMP = 1e-14
+_GAIN_LOSS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # the sign of a rate on i, j, k, l
 _QUAD_FLOOR = 1e-12  # lower limit of entropy integrals divergent at 0 (q = 2, custom)
 TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run_trace row
 
@@ -104,7 +105,7 @@ class CollisionNetwork:
 
     lattice: VelocityLattice
     quadruples: np.ndarray  # (m, 4) int
-    T: np.ndarray  # (m,) positive weights
+    T: float  # positive kernel weight, the same for every quadruple
     xi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
@@ -119,11 +120,6 @@ class CollisionNetwork:
     @cached_property
     def _flat_index(self) -> np.ndarray:
         return self.quadruples.T.ravel()
-
-    @cached_property
-    def _signed_T(self) -> np.ndarray:
-        """(4, m): +T on the i and j rows of the flat index, -T on k and l."""
-        return np.array([[1.0], [1.0], [-1.0], [-1.0]]) * self.T
 
     def with_xi(self, xi) -> "CollisionNetwork":
         return replace(self, xi=xi)
@@ -154,12 +150,7 @@ def build_collision_network(
     a = np.repeat(np.arange(i.size), partners)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(partners) - partners, partners)
     quads = np.column_stack((i[a], j[a], i[b], j[b]))
-    return CollisionNetwork(
-        lattice=lattice,
-        quadruples=quads,
-        T=np.full(quads.shape[0], float(T)),
-        xi=xi,
-    )
+    return CollisionNetwork(lattice=lattice, quadruples=quads, T=float(T), xi=xi)
 
 
 @dataclass(frozen=True)
@@ -199,7 +190,7 @@ def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> 
     if net.xi is not None:
         Fq = F[idx].reshape(4, -1)
         bracket = bracket * net.xi(Fq[2], Fq[0]) * net.xi(Fq[3], Fq[1])
-    return np.bincount(idx, weights=(net._signed_T * bracket).ravel(), minlength=F.size)
+    return np.bincount(idx, weights=(_GAIN_LOSS * net.T * bracket).ravel(), minlength=F.size)
 
 
 def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
@@ -212,12 +203,12 @@ def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFam
 
 
 def stability_dt(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> float:
-    """Step bound 0.1 / (max T * max h(F) * quadruple degree)."""
+    """Step bound 0.1 / (T * max h(F) * quadruple degree)."""
     if net.n_quadruples == 0:
         return math.inf
     with np.errstate(over="ignore"):  # an h beyond the float range gives the bound 0
         h_max = float(np.max(family.h_of(state.F)))
-    denom = float(np.max(net.T)) * max(h_max, 1e-30) * max(net.degree, 1)
+    denom = net.T * max(h_max, 1e-30) * max(net.degree, 1)
     return 0.1 / denom if denom > 0.0 else math.inf  # a subnormal T may underflow
 
 

@@ -7,16 +7,16 @@ entropic index q and built from the deformed logarithm
 ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
 
 Everything works on ln(count), so macroscopically large counts are never
-materialized.  Three kernels hold a family's arithmetic: ln_squeeze_arr
-(ln h), ln_unsqueeze_arr (ln H and the mask of *excluded* values, whose
-inverse falls outside the deformed-exponential domain) and
-ln_log_slope_arr (ln l).  A custom family supplies one hook per kernel,
-each from a log to a log.  Each kernel takes a float or an array; every
-other form wraps them, so scalar and array results agree bit for bit.
-Overflow gives inf here and SqueezeDomainError in the engine.  Only the
-roundtrip API (squeeze_log/unsqueeze_log) uses compensated (hi + lo)
-power-law arithmetic, Dekker's (1971) double-length products: it keeps
-roundtrips to a few ulp where 1 + (1-q)x cancels in bare doubles.
+materialized.  Three kernels hold a family's arithmetic: ln_squeeze
+(ln h), ln_unsqueeze (ln H and the mask of *excluded* values, whose
+inverse falls outside the deformed-exponential domain) and ln_log_slope
+(ln l).  A custom family supplies one hook per kernel, each from a log
+to a log.  Each kernel takes a float or an array, with the same bits
+either way; the linear-domain forms wrap them.  Overflow gives inf here
+and SqueezeDomainError in the engine.  Only the roundtrip API
+(squeeze_log/unsqueeze_log) uses compensated (hi + lo) power-law
+arithmetic, Dekker's (1971) double-length products: it keeps roundtrips
+to a few ulp where 1 + (1-q)x cancels in bare doubles.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class SqueezeFamily:
 
     # -- the three kernels: all of a family's arithmetic ----------------
 
-    def ln_squeeze_arr(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
+    def ln_squeeze(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
         """ln h(g) from ln g, elementwise; inf where h leaves the float range."""
         x = _float_or_array(ln_g)
         if self.is_identity:
@@ -206,7 +206,7 @@ class SqueezeFamily:
             return np.expm1(u * x) / u
         return _apply(self.ln_h_hook, x)
 
-    def ln_unsqueeze_arr(self, ln_x: "np.ndarray | float") -> tuple:
+    def ln_unsqueeze(self, ln_x: "np.ndarray | float") -> tuple:
         """(ln H(x) from ln x, excluded mask), elementwise; excluded values
         are at or below the deformed-exponential cutoff and read -inf."""
         x = _float_or_array(ln_x)
@@ -222,7 +222,7 @@ class SqueezeFamily:
         excluded = ~np.isfinite(out)
         return np.where(excluded, -np.inf, out), excluded
 
-    def ln_log_slope_arr(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
+    def ln_log_slope(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
         """ln l(g) from ln g, l = d(ln h)/dx, elementwise."""
         x = _float_or_array(ln_g)
         if self.is_identity:
@@ -231,28 +231,16 @@ class SqueezeFamily:
             return -self.q * x
         return _apply(self.ln_log_slope_hook, x, at_zero=math.inf)  # ln h -> -inf at g = 0: l is unbounded
 
-    def slope_elasticity_arr(self, ln_x: "np.ndarray | float") -> "np.ndarray | float":
+    def slope_elasticity(self, ln_x: "np.ndarray | float") -> "np.ndarray | float":
         """kappa = d ln(d ln h/dx) / d ln x at x = exp(ln_x): -q for the power
         law and the identity (q = 1), a central difference in ln x for hooks."""
         if self.kind != _CUSTOM:
             return -self.q
         x = np.asarray(ln_x, dtype=float)
         step = 1e-5 * np.maximum(1.0, np.abs(x))
-        return (self.ln_log_slope_arr(x + step) - self.ln_log_slope_arr(x - step)) / (2.0 * step)
+        return (self.ln_log_slope(x + step) - self.ln_log_slope(x - step)) / (2.0 * step)
 
-    # -- wrappers over the kernels ---------------------------------------
-
-    def ln_squeeze(self, ln_g: float) -> float:
-        """ln h(g) from ln g."""
-        return float(self.ln_squeeze_arr(ln_g))
-
-    def ln_unsqueeze(self, ln_x: float) -> float:
-        """ln H(x) from ln x; -inf signals the excluded state."""
-        return float(self.ln_unsqueeze_arr(ln_x)[0])
-
-    def ln_log_slope(self, ln_g: float) -> float:
-        """ln l(g) from ln g, l = d(ln h)/dx."""
-        return float(self.ln_log_slope_arr(ln_g))
+    # -- linear-domain wrappers over the kernels ---------------------------
 
     def h_of(self, x: np.ndarray) -> np.ndarray:
         """h applied to linear-domain populations (kinetics path); h(0) is
@@ -266,7 +254,7 @@ class SqueezeFamily:
     def ln_h_of_linear(self, x: np.ndarray) -> np.ndarray:
         """ln h on linear-domain populations (entropy integrand)."""
         with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; ln h may overflow to +-inf
-            return self.ln_squeeze_arr(np.log(x))
+            return self.ln_squeeze(np.log(x))
 
     # -- custom-family validation ----------------------------------------
 
@@ -329,7 +317,7 @@ def squeeze_log(family: SqueezeFamily, ln_g: "LogValue | float") -> LogValue:
     if family.kind == _TSALLIS and not family.is_identity:
         out_hi, out_lo = _tsallis_squeeze_pair(1.0 - family.q, hi, lo)
         return LogValue(ln_x=out_hi, ln_x_lo=out_lo)
-    return LogValue(ln_x=family.ln_squeeze(hi + lo))
+    return LogValue(ln_x=float(family.ln_squeeze(hi + lo)))
 
 
 def unsqueeze_log(family: SqueezeFamily, ln_h: "LogValue | float") -> LogValue:
@@ -339,6 +327,6 @@ def unsqueeze_log(family: SqueezeFamily, ln_h: "LogValue | float") -> LogValue:
     if family.kind == _TSALLIS and not family.is_identity:
         out = _tsallis_unsqueeze_pair(1.0 - family.q, hi, lo)
     else:
-        out = family.ln_unsqueeze(hi + lo)
+        out = float(family.ln_unsqueeze(hi + lo)[0])
     return EXCLUDED if out == -math.inf else LogValue(ln_x=out)
 

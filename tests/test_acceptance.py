@@ -148,8 +148,8 @@ def test_criterion_05_composition_law():
             checked = 0
             for ja in grid:
                 for jb in grid:
-                    ln_ga = fam.ln_unsqueeze(ja)
-                    ln_gb = fam.ln_unsqueeze(jb)
+                    ln_ga = fam.ln_unsqueeze(ja)[0]
+                    ln_gb = fam.ln_unsqueeze(jb)[0]
                     if not (math.isfinite(ln_ga) and math.isfinite(ln_gb)):
                         continue  # entropy out of range for this q: no real count
                     j_ab = fam.ln_squeeze(ln_ga + ln_gb)

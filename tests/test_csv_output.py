@@ -95,11 +95,11 @@ def test_compute_rows_and_point_csv(tmp_path, capsys, model, params, y, X, q):
     spec, env, fam = build_model(model, params), EnsembleSpec(y, X), family(q)
     table = characteristic_class(spec, env, fam)
     probs = probabilities(table)
-    header = [f"x_{n}" for n in table.exchanged_names] + [
+    header = [f"x_{n}" for n in table.spectrum.variable_names] + [
         "ln_g", "ln_class", "macro_prob", "config_prob", "boltzmann_factor", "excluded"]
     rows = [
-        [float(v) for v in table.x_exchanged[r]]
-        + [float(table.ln_g[r]), float(table.ln_row_class[r]), float(probs.macro_probs[r]),
+        [float(v) for v in table.spectrum.x[r]]
+        + [float(table.spectrum.ln_g[r]), float(table.ln_row_class[r]), float(probs.macro_probs[r]),
            float(probs.config_probs[r]), generalized_boltzmann_factor(spec, env, fam, r),
            bool(table.excluded[r])]
         for r in range(table.n_rows)

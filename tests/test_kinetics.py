@@ -67,8 +67,8 @@ def loop_rhs(F, net, family):
     """Python-loop oracle: gain +rate on (i, j), loss -rate on (k, l)."""
     h = family.h_of(F)
     out = np.zeros(F.size)
-    for (i, j, k, l), T in zip(net.quadruples, net.T):
-        rate = T * (h[k] * h[l] - h[i] * h[j])
+    for i, j, k, l in net.quadruples:
+        rate = net.T * (h[k] * h[l] - h[i] * h[j])
         if net.xi is not None:
             rate *= net.xi(F[k], F[i]) * net.xi(F[l], F[j])
         out[i] += rate
@@ -255,7 +255,7 @@ def test_rhs_matches_the_loop_oracle(family, xi):
 
 def test_empty_network_has_zero_rhs():
     lat = make_lattice(1)
-    net = CollisionNetwork(lat, np.zeros((0, 4), dtype=int), np.zeros(0))
+    net = CollisionNetwork(lat, np.zeros((0, 4), dtype=int), 1.0)
     state = random_state(lat)
     rhs = collision_rhs(state, net, IDENT)
     assert rhs.dtype == float and not rhs.any()

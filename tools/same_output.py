@@ -5,7 +5,8 @@
 Runs each argv of ``benchmarks/workloads.cli_argvs`` for seeds 1-6, plus a
 fixed list (``fluct`` with one and two variables at q = 1, 0.9 and 0.2 in
 JSON and CSV, a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
-``sweep`` in CSV and JSON, ``kinetics`` with snapshots, ``infer
+``sweep`` in CSV and JSON, ``kinetics`` with snapshots and with a
+kernel weight other than 1 under the soft xi, ``infer
 --reconstruct``, and a 3-variable model file with a non-singular
 covariance through ``fluct`` and ``compute --rows``), once on the working
 tree's ``src`` and once on REF's,
@@ -73,6 +74,9 @@ def _fixed_cases() -> list[Case]:
         ("kinetics snapshots",
          ["kinetics", "--lattice-radius", "2", "--steps", "60", "--trace-every", "10",
           "--snapshot-every", "20", "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "1.5"], {}),
+        ("kinetics kernel 0.7 soft xi",
+         ["kinetics", "--lattice-radius", "3", "--kernel", "0.7", "--xi", "soft", "--squeeze", "tsallis",
+          "--q", "0.8"], {}),
         ("infer reconstruct", ["infer", "--data", "ratios.csv", "--reconstruct", "ln_h.csv"],
          {"ratios.csv": _ratios_csv(1.3)}),
     ]
