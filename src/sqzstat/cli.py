@@ -53,7 +53,8 @@ exit codes:
   2  usage errors (bad flags)
   3  file or configuration errors
   4  model validation errors
-  5  numerical domain errors (cutoff-degenerate ensembles, unstable steps, bad datasets)
+  5  numerical domain errors (cutoff-degenerate ensembles, unstable steps, bad datasets,
+     sizes whose arrays cannot be allocated)
 
 the only environment variable read is SQZSTAT_LOG={quiet,info,debug},
 reserved for diagnostics on stderr (nothing logs yet); all run
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_CODES = [
     (ModelValidationError, EXIT_MODEL),
-    ((DegenerateEnsembleError, SqueezeDomainError, StepSizeError, DatasetError), EXIT_NUMERIC),
+    ((DegenerateEnsembleError, SqueezeDomainError, StepSizeError, DatasetError, MemoryError), EXIT_NUMERIC),
     ((OSError, json.JSONDecodeError), EXIT_CONFIG),
 ]
 
@@ -427,6 +428,3 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(_jsonfmt.dumps(err) + "\n")
         return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -203,7 +203,12 @@ def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFam
 
 
 def stability_dt(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> float:
-    """Step bound 0.1 / (T * max h(F) * quadruple degree)."""
+    """Step bound 0.1 / (T * max h(F) * quadruple degree).
+
+    It bounds the rates, not the sign of F: for q < 1, h(0) =
+    e^(-1/(1-q)) > 0 keeps the loss of an empty velocity positive, so a
+    state whose empty velocities lose more than they gain goes negative
+    at any practical dt, and ``step`` raises there."""
     if net.n_quadruples == 0:
         return math.inf
     with np.errstate(over="ignore"):  # an h beyond the float range gives the bound 0
@@ -228,7 +233,9 @@ def step(
     """One classical RK4 step.
 
     Tiny negative excursions (|F| < 1e-14) are clamped to zero; larger
-    negativity or non-finite values raise naming the offending dt."""
+    negativity or non-finite values raise naming the offending dt.  For
+    q < 1 an empty velocity still loses at a positive rate (h(0) > 0),
+    which no dt within ``stability_dt`` avoids: see there."""
     if not dt > 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     if enforce_bound:

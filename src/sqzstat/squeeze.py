@@ -7,16 +7,14 @@ entropic index q and built from the deformed logarithm
 ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
 
 Everything works on ln(count), so macroscopically large counts are never
-materialized.  Three kernels hold a family's arithmetic: ln_squeeze
+materialized.  Four kernels hold a family's arithmetic: ln_squeeze
 (ln h), ln_unsqueeze (ln H and the mask of *excluded* values, whose
-inverse falls outside the deformed-exponential domain) and ln_log_slope
-(ln l).  A custom family supplies one hook per kernel, each from a log
-to a log.  Each kernel takes a float or an array, with the same bits
-either way; the linear-domain forms wrap them.  Overflow gives inf here
-and SqueezeDomainError in the engine.  Only the roundtrip API
-(squeeze_log/unsqueeze_log) uses compensated (hi + lo) power-law
-arithmetic, Dekker's (1971) double-length products: it keeps roundtrips
-to a few ulp where 1 + (1-q)x cancels in bare doubles.
+inverse falls outside the deformed-exponential domain), ln_log_slope
+(ln l) and ln_row_class (ln H(h(g) e^(-x.y)), a row's squeezed class, in
+one expression).  A custom family supplies one hook per one-way kernel,
+each from a log to a log.  Each kernel takes a float or an array, with
+the same bits either way; the linear-domain forms wrap them.  Overflow
+gives inf here and SqueezeDomainError in the engine.
 """
 
 from __future__ import annotations
@@ -29,70 +27,11 @@ import numpy as np
 
 from .errors import SqueezeDomainError
 
-__all__ = [
-    "LogValue",
-    "SqueezeFamily",
-    "EXCLUDED",
-    "squeeze_log",
-    "unsqueeze_log",
-]
+__all__ = ["SqueezeFamily"]
 
 _IDENTITY = "identity"
 _TSALLIS = "tsallis"
 _CUSTOM = "custom"
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah = (a * _SPLIT) - (a * _SPLIT - a)
-    al = a - ah
-    bh = (b * _SPLIT) - (b * _SPLIT - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    v = s - a
-    err = (a - (s - v)) + (b - v)
-    return s, err
-
-
-def _tsallis_squeeze_pair(u: float, x_hi: float, x_lo: float) -> tuple[float, float]:
-    """Compensated ln h of the power law, u = 1 - q != 0."""
-    t_hi, t_lo = _two_prod(u, x_hi)
-    t_lo += u * x_lo
-    if t_hi <= -0.5:
-        # cancellation regime: keep e^(u x) - 1 as an exact pair
-        e = math.exp(t_hi) * (1.0 + t_lo)
-        m_hi, m_lo = _two_sum(-1.0, e)
-    else:
-        try:
-            m_hi = math.expm1(t_hi)
-        except OverflowError:  # math raises where the result leaves the float range
-            m_hi = math.inf
-        m_lo = math.exp(t_hi) * t_lo if math.isfinite(m_hi) else 0.0
-    if not math.isfinite(m_hi):
-        raise SqueezeDomainError(
-            f"ln h overflow: deformed log of exp({x_hi:g}) exceeds float range at q={1.0 - u:g}"
-        )
-    q1 = m_hi / u
-    p_hi, p_lo = _two_prod(q1, u)
-    q2 = (((m_hi - p_hi) - p_lo) + m_lo) / u
-    return _two_sum(q1, q2)
-
-
-def _tsallis_unsqueeze_pair(u: float, y_hi: float, y_lo: float) -> float:
-    """Compensated ln H of the power law, u = 1 - q != 0; -inf when excluded."""
-    p_hi, p_lo = _two_prod(u, y_hi)
-    s_hi, s_lo = _two_sum(1.0, p_hi)
-    bracket = s_hi + (s_lo + (p_lo + u * y_lo))
-    if bracket <= 0.0:
-        return -math.inf
-    return math.log(bracket) / u
 
 
 def _float_or_array(v):
@@ -117,41 +56,6 @@ def _apply(hook: Callable[[float], float], x, at_zero: float = -math.inf) -> np.
 
 
 @dataclass(frozen=True)
-class LogValue:
-    """ln of a positive count, or the excluded (zero-size) state.
-
-    ``cutoff_flag`` marks values clamped to zero by the deformed
-    exponential cutoff; excluded values carry ``ln_x = -inf`` so that
-    downstream log-sum-exp reductions skip them naturally.  ``ln_x_lo``
-    is an optional compensation term (``ln_x + ln_x_lo`` is a more
-    accurate value of the same quantity).
-    """
-
-    ln_x: float
-    cutoff_flag: bool = False
-    ln_x_lo: float = 0.0
-
-    def value(self) -> float:
-        """Linear-domain value; 0.0 for the excluded state."""
-        return 0.0 if self.cutoff_flag else math.exp(self.ln_x)
-
-
-EXCLUDED = LogValue(ln_x=-math.inf, cutoff_flag=True)
-
-
-def _as_pair(x: "LogValue | float") -> tuple[float, float]:
-    if isinstance(x, LogValue):
-        if x.cutoff_flag:
-            raise SqueezeDomainError("excluded value passed where a live count is required")
-        hi, lo = x.ln_x, x.ln_x_lo
-    else:
-        hi, lo = float(x), 0.0
-    if not math.isfinite(hi):
-        raise SqueezeDomainError(f"non-finite log input: {hi!r}")
-    return hi, lo
-
-
-@dataclass(frozen=True)
 class SqueezeFamily:
     """Immutable deformation family; safe to share across workers.
 
@@ -159,7 +63,8 @@ class SqueezeFamily:
     ln_log_slope)``.  q = 1 is a dedicated identity branch, never a
     numerical limit.  A custom family's hooks work in log domain: ln h(g)
     and ln l(g), l = d(ln h)/dx, from ln g; ln H(x) from ln x (-inf or NaN
-    where x is excluded).  The constructor probes them on ln g in [-3, 3]
+    where x is excluded).  Its row class composes them, ln H(ln h(ln g) -
+    x.y).  The constructor probes them on ln g in [-3, 3]
     and rejects a non-finite value, a failed inverse roundtrip and an ln l
     that disagrees with a central difference of ln h.
     """
@@ -194,7 +99,7 @@ class SqueezeFamily:
     def is_identity(self) -> bool:
         return self.kind == _IDENTITY or (self.kind == _TSALLIS and self.q == 1.0)
 
-    # -- the three kernels: all of a family's arithmetic ----------------
+    # -- the four kernels: all of a family's arithmetic -----------------
 
     def ln_squeeze(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
         """ln h(g) from ln g, elementwise; inf where h leaves the float range."""
@@ -230,6 +135,30 @@ class SqueezeFamily:
         if self.kind == _TSALLIS:
             return -self.q * x
         return _apply(self.ln_log_slope_hook, x, at_zero=math.inf)  # ln h -> -inf at g = 0: l is unbounded
+
+    def ln_row_class(self, ln_g: "np.ndarray | float", xy: "np.ndarray | float") -> tuple:
+        """(ln c, excluded mask) of the squeezed class c = H(h(g) e^(-x.y))
+        from finite ln g and x.y, elementwise; excluded classes read -inf.
+
+        The power law writes c^u = g^u - u x.y (u = 1 - q) as g^u (1 + z),
+        z = -u x.y g^(-u), and takes ln c = ln g + ln(1 + z)/u with z in log
+        domain; z <= -1 is excluded.  So it forms neither the bracket
+        1 + u (ln_q g - x.y), which cancels for q > 1, nor g^u, which under-
+        or overflows, and x.y = 0 gives ln g exactly."""
+        x = _float_or_array(ln_g)
+        if self.is_identity:
+            ln_c = x - xy
+            return ln_c, np.zeros(np.shape(ln_c), dtype=bool)
+        if self.kind == _CUSTOM:
+            return self.ln_unsqueeze(self.ln_squeeze(x) - xy)
+        u = 1.0 - self.q
+        v = -u * xy
+        # ln 0 at x.y = 0; exp and log1p warn only past z = -1 (excluded) or in the branch not taken
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = np.log(np.abs(v)) - u * x
+            ln_1pz = np.where(v < 0.0, np.log1p(-np.exp(w)), np.logaddexp(0.0, w))
+        excluded = ~(ln_1pz > -np.inf)  # log1p reads -inf at z = -1 and NaN below
+        return np.where(excluded, -np.inf, x + ln_1pz / u), excluded
 
     def slope_elasticity(self, ln_x: "np.ndarray | float") -> "np.ndarray | float":
         """kappa = d ln(d ln h/dx) / d ln x at x = exp(ln_x): -q for the power
@@ -309,24 +238,4 @@ class SqueezeFamily:
         if self.kind == _TSALLIS:
             return f"tsallis(q={self.q:g})"
         return self.kind
-
-
-def squeeze_log(family: SqueezeFamily, ln_g: "LogValue | float") -> LogValue:
-    """ln h(g) for g given as ln g."""
-    hi, lo = _as_pair(ln_g)
-    if family.kind == _TSALLIS and not family.is_identity:
-        out_hi, out_lo = _tsallis_squeeze_pair(1.0 - family.q, hi, lo)
-        return LogValue(ln_x=out_hi, ln_x_lo=out_lo)
-    return LogValue(ln_x=float(family.ln_squeeze(hi + lo)))
-
-
-def unsqueeze_log(family: SqueezeFamily, ln_h: "LogValue | float") -> LogValue:
-    """ln H(x) for x given as ln x; excluded state when x is at or below
-    the deformed-exponential cutoff."""
-    hi, lo = _as_pair(ln_h)
-    if family.kind == _TSALLIS and not family.is_identity:
-        out = _tsallis_unsqueeze_pair(1.0 - family.q, hi, lo)
-    else:
-        out = float(family.ln_unsqueeze(hi + lo)[0])
-    return EXCLUDED if out == -math.inf else LogValue(ln_x=out)
 

@@ -67,12 +67,13 @@ def mp_row_class(ln_g, xy, q):
     """(c, arg) of one row at the working precision, from ln g (a float) and
     x.y: the q-exponential c = [arg]_+^(1/u), arg = 1 + u (ln_q g - x.y),
     u = 1 - q, so c = 0 beyond the cutoff (arg <= 0); at q = 1, c = g exp(-x.y)
-    and arg is None."""
+    and arg is None.  arg is formed as g^u - u x.y, which cancels nothing
+    where 1 + u ln_q g would cancel (q - 1) ln g / ln 10 digits."""
     lg = mpmath.mpf(float(ln_g))
     if q == 1.0:
         return mpmath.exp(lg - xy), None
     u = 1 - mpmath.mpf(q)
-    arg = 1 + u * (mpmath.expm1(u * lg) / u - xy)
+    arg = mpmath.exp(u * lg) - u * xy
     return (arg ** (1 / u) if arg > 0 else mpmath.mpf(0)), arg
 
 

@@ -470,6 +470,20 @@ def test_sweep_range_beyond_the_float_range_names_the_range(capsys):
     assert "-1.7e308:1.7e308" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--model", "spin_half_paramagnet", "--param", "N=1e15", "--y", "M=0.1"],
+    ["sweep", "--model", "two_level", "--y", "E=0.5", "--axis", "E", "--range", "0:1",
+     "--steps", "1000000000000000"],
+], ids=["compute-N", "sweep-steps"])
+def test_a_size_whose_arrays_cannot_be_allocated_is_numeric_error(capsys, argv):
+    # each asks numpy for a 7 PiB float array, which is refused before any page is touched
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (5, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["code"] == 5 and "Unable to allocate" in error["message"]
+
+
 def test_sweep_unknown_axis(capsys):
     code, _, _ = run_cli(
         ["sweep", "--model", "two_level", "--y", "E=0.5", "--axis", "Z",

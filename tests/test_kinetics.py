@@ -320,6 +320,25 @@ def test_step_rejects_nan_dt_before_stepping():
         step(KineticState(F=np.ones(lat.n)), net, IDENT, float("nan"))
 
 
+@pytest.mark.parametrize("shrink", [1.0, 100.0])
+def test_q_below_one_drives_an_empty_velocity_negative_at_any_dt(shrink):
+    # h(0) = e^(-1/(1-q)) > 0: the empty rest velocity loses at rate 2.27,
+    # so F goes negative within the stability bound and 100 times below it
+    lat = make_lattice(2)
+    net = build_collision_network(lat)
+    family = SqueezeFamily.tsallis(0.5)
+    s2 = lat.speed_squared
+    state = KineticState(F=np.where(s2 >= s2.max() - 1, 3.0, 0.0))
+    dt = stability_dt(state, net, family) / shrink
+    with pytest.raises(StepSizeError, match="population went negative"):
+        step(state, net, family, dt)
+    # one emptied velocity of a random state gains more than it loses
+    F = random_state(lat, seed=3).F
+    F[0] = 0.0
+    emptied = KineticState(F=F)
+    assert step(emptied, net, family, stability_dt(emptied, net, family)).F.min() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # each rule raised by its one owner
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,81 +12,72 @@ from sqzstat import (
     SqueezeDomainError,
     SqueezeFamily,
     report_for,
-    squeeze_log,
-    unsqueeze_log,
 )
 
 from families import SQUARE_LAW_HOOKS, deformed_log, quadratic, square_law
 
 Q_GRID = [0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0]
+ROUNDTRIP_Q = [0.05, 0.2, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1, 1.5, 2.0, 3.0, 4.9, 7.0, 10.0]
 
 
 # ---------------------------------------------------------------------------
-# squeeze_log
+# ln_squeeze, and the row class at x.y = 0 and beyond
 
 def test_squeeze_identity_passthrough():
     fam = SqueezeFamily.identity()
-    assert squeeze_log(fam, 0.7).ln_x == 0.7
+    assert fam.ln_squeeze(0.7) == 0.7
+    assert fam.ln_row_class(0.7, 0.0)[0] == 0.7
 
 
 def test_squeeze_tsallis_q2_g2():
     # oracle: (2**(1-2) - 1)/(1-2) = 0.5
     fam = SqueezeFamily.tsallis(2.0)
-    out = squeeze_log(fam, math.log(2.0))
-    assert out.ln_x == pytest.approx(deformed_log(2.0, 2.0), abs=1e-14)
-    assert out.ln_x == pytest.approx(0.5, abs=1e-14)
+    ln_2 = math.log(2.0)
+    assert fam.ln_squeeze(ln_2) == pytest.approx(deformed_log(2.0, 2.0), abs=1e-14)
+    assert fam.ln_squeeze(ln_2) == pytest.approx(0.5, abs=1e-14)
+    assert fam.ln_row_class(ln_2, 0.0)[0] == ln_2
+    # c = H(ln_q 2 - x.y) = 1/(1 - 0.5 + x.y) at x.y = 0.25
+    assert fam.ln_row_class(ln_2, 0.25)[0] == pytest.approx(math.log(4.0 / 3.0), abs=1e-15)
 
 
 def test_squeeze_tsallis_q1_is_identity_branch():
     fam = SqueezeFamily.tsallis(1.0)
     assert fam.is_identity
-    assert squeeze_log(fam, math.log(5.0)).ln_x == math.log(5.0)
-
-
-def test_squeeze_rejects_nonfinite():
-    fam = SqueezeFamily.tsallis(1.5)
-    with pytest.raises(SqueezeDomainError):
-        squeeze_log(fam, math.inf)
-    with pytest.raises(SqueezeDomainError):
-        squeeze_log(fam, math.nan)
+    assert fam.ln_squeeze(math.log(5.0)) == math.log(5.0)
+    assert fam.ln_row_class(math.log(5.0), 0.5)[0] == math.log(5.0) - 0.5
 
 
 # ---------------------------------------------------------------------------
-# unsqueeze_log
+# ln_unsqueeze, and the row class at the cutoff
 
 def test_unsqueeze_inverts_the_q2_example():
     fam = SqueezeFamily.tsallis(2.0)
-    out = unsqueeze_log(fam, 0.5)
-    assert out.ln_x == pytest.approx(math.log(2.0), abs=1e-14)
+    assert fam.ln_unsqueeze(0.5)[0] == pytest.approx(math.log(2.0), abs=1e-14)
 
 
 def test_unsqueeze_identity_passthrough():
     fam = SqueezeFamily.identity()
-    assert unsqueeze_log(fam, -3.2).ln_x == -3.2
+    assert fam.ln_unsqueeze(-3.2)[0] == -3.2
 
 
 def test_unsqueeze_cutoff_flags_excluded_state():
     # q = 0.5, ln_h = -2.5: 1 + 0.5*(-2.5) = -0.25 <= 0
     fam = SqueezeFamily.tsallis(0.5)
-    out = unsqueeze_log(fam, -2.5)
-    assert out.cutoff_flag
-    assert out.value() == 0.0
+    ln_H, excluded = fam.ln_unsqueeze(-2.5)
+    assert excluded and ln_H == -math.inf
+    ln_c, excluded = fam.ln_row_class(0.0, 2.5)  # ln h(1) - x.y = -2.5
+    assert excluded and ln_c == -math.inf
 
 
 def test_unsqueeze_cutoff_above_one_for_q_greater_one():
     # q = 2: the inverse domain ends at ln_h = 1/(q-1); past it the
     # branch diverges and the value is reported as excluded
     fam = SqueezeFamily.tsallis(2.0)
-    assert not unsqueeze_log(fam, 0.99).cutoff_flag
-    assert unsqueeze_log(fam, 1.0).cutoff_flag
-    assert unsqueeze_log(fam, 1.2).cutoff_flag
-
-
-def test_unsqueeze_rejects_excluded_input():
-    fam = SqueezeFamily.tsallis(0.5)
-    bad = unsqueeze_log(fam, -2.5)
-    with pytest.raises(SqueezeDomainError):
-        squeeze_log(fam, bad)
+    assert fam.ln_unsqueeze(np.array([0.99, 1.0, 1.2]))[1].tolist() == [False, True, True]
+    # ln h(1) = 0, so ln h - x.y = 0.99, 1 and 1.2 at these x.y
+    ln_c, excluded = fam.ln_row_class(0.0, np.array([-0.99, -1.0, -1.2]))
+    assert excluded.tolist() == [False, True, True]
+    assert ln_c[0] == pytest.approx(math.log(100.0), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +125,14 @@ def test_slope_tsallis_q1_identity_branch():
 # ---------------------------------------------------------------------------
 # invariants
 
-@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("q", ROUNDTRIP_Q)
 def test_roundtrip_invariant(q):
+    # the row class at x.y = 0 is H(h(g)) = g: live, and ln g back to 1e-10
     fam = SqueezeFamily.tsallis(q)
-    for g in np.logspace(-6, 6, 100):
-        ln_g = math.log(g)
-        back = unsqueeze_log(fam, squeeze_log(fam, ln_g))
-        if back.cutoff_flag:
-            continue
-        assert abs(back.ln_x - ln_g) < 1e-10, (q, g)
+    ln_g = np.concatenate([np.linspace(-700.0, 700.0, 1401), np.log(np.logspace(-6, 6, 100))])
+    back, excluded = fam.ln_row_class(ln_g, 0.0)
+    assert not excluded.any(), q
+    assert np.abs(back - ln_g).max() < 1e-10, q
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -214,29 +205,56 @@ def bits(v):
 
 
 @settings(deadline=None, max_examples=300)
-@given(fam=FAMILIES, values=st.lists(LN_G, min_size=1, max_size=40))
-def test_scalar_forms_equal_the_array_kernels_bitwise(fam, values):
+@given(fam=FAMILIES, values=st.lists(LN_G, min_size=1, max_size=40),
+       xys=st.lists(st.floats(-5.0, 5.0), min_size=40, max_size=40))
+def test_scalar_forms_equal_the_array_kernels_bitwise(fam, values, xys):
     arr = np.array(values)
+    xy = np.array(xys[:len(values)])
     with np.errstate(all="ignore"):
         ln_h = fam.ln_squeeze(arr)
         ln_H, excluded = fam.ln_unsqueeze(arr)
         ln_l = fam.ln_log_slope(arr)
+        ln_c, excluded_c = fam.ln_row_class(arr, xy)
         for i, v in enumerate(values):
             assert bits(fam.ln_squeeze(v)) == bits(ln_h[i]), (fam.label(), v)
             ln_H_v, excluded_v = fam.ln_unsqueeze(v)
             assert bits(ln_H_v) == bits(ln_H[i]) and excluded_v == excluded[i], (fam.label(), v)
             assert bits(fam.ln_log_slope(v)) == bits(ln_l[i]), (fam.label(), v)
+            ln_c_v, excluded_v = fam.ln_row_class(v, xys[i])
+            assert bits(ln_c_v) == bits(ln_c[i]) and excluded_v == excluded_c[i], (fam.label(), v, xys[i])
     finite = np.isfinite(arr)
     assert np.array_equal(excluded[finite], ln_H[finite] == -math.inf)
 
 
 @settings(deadline=None, max_examples=500)
-@given(q=st.floats(0.05, 4.0), ln_g=st.floats(-13.8, 13.8))
+@given(q=st.one_of(st.floats(0.05, 10.0), st.floats(1.0 - 1e-12, 1.0 + 1e-12)),
+       ln_g=st.floats(-700.0, 700.0))
 def test_roundtrip_property(q, ln_g):
-    fam = SqueezeFamily.tsallis(q)
-    back = unsqueeze_log(fam, squeeze_log(fam, ln_g))
-    if not back.cutoff_flag:
-        assert abs(back.ln_x - ln_g) < 1e-10, (q, ln_g)
+    back, excluded = SqueezeFamily.tsallis(q).ln_row_class(ln_g, 0.0)
+    assert not excluded and abs(back - ln_g) < 1e-10, (q, ln_g)
+
+
+@pytest.mark.parametrize("n, q_range, ln_g_range, near_one", [
+    (1000, (0.05, 10.0), (-700.0, 700.0), 100),
+    (10000, (0.1, 5.0), (0.0, 60.0), 0),
+], ids=["wide", "engine-range"])
+def test_row_class_against_the_bracket_in_mpmath(n, q_range, ln_g_range, near_one):
+    # the composed bracket 1 + u (ln_q g - x.y) cancels up to |u ln g| / ln 10
+    # digits, so the oracle carries 40 more; the first ``near_one`` q lie
+    # within 1e-12 of 1, and a third of the x.y are 0
+    rng = np.random.default_rng(20260)
+    qs = rng.uniform(*q_range, n)
+    qs[:near_one] = 1.0 + rng.uniform(-1e-12, 1e-12, near_one)
+    xys = np.where(rng.random(n) < 1.0 / 3.0, 0.0, rng.uniform(-5.0, 5.0, n))
+    for q, ln_g, xy in zip(qs, rng.uniform(*ln_g_range, n), xys):
+        ln_c, excluded = SqueezeFamily.tsallis(q).ln_row_class(ln_g, xy)
+        with mpmath.workdps(40 + int(abs((1.0 - q) * ln_g) / math.log(10.0))):
+            u = 1 - mpmath.mpf(float(q))
+            bracket = 1 + u * (mpmath.expm1(u * float(ln_g)) / u - float(xy))
+            assert bool(excluded) == (bracket <= 0), (q, ln_g, xy)
+            if bracket > 0:
+                ref = float(mpmath.log(bracket) / u)
+                assert abs(ln_c - ref) <= 1e-12 * max(1.0, abs(ref)), (q, ln_g, xy)
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -269,11 +287,13 @@ def test_h_of_zero_identity_and_custom():
 def test_custom_family_square_law():
     # h(g) = g**2, H(x) = sqrt(x), dh/dx = 2 g
     fam = square_law()
-    out = squeeze_log(fam, math.log(3.0))
-    assert out.ln_x == pytest.approx(2.0 * math.log(3.0), rel=1e-12)
-    back = unsqueeze_log(fam, out)
-    assert back.ln_x == pytest.approx(math.log(3.0), rel=1e-12)
-    assert slope(fam, math.log(3.0)) == pytest.approx(6.0, rel=1e-12)
+    ln_3 = math.log(3.0)
+    assert fam.ln_squeeze(ln_3) == pytest.approx(2.0 * ln_3, rel=1e-12)
+    assert fam.ln_unsqueeze(2.0 * ln_3)[0] == pytest.approx(ln_3, rel=1e-12)
+    assert fam.ln_row_class(ln_3, 0.0)[0] == pytest.approx(ln_3, rel=1e-12)
+    # c = sqrt(g**2 e^(-x.y)) = g e^(-x.y / 2)
+    assert fam.ln_row_class(ln_3, 1.0)[0] == pytest.approx(ln_3 - 0.5, rel=1e-12)
+    assert slope(fam, ln_3) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_custom_family_rejects_bad_inverse():
@@ -322,9 +342,15 @@ def test_steep_custom_family_builds_and_gives_finite_results():
 
 
 def test_power_law_squeeze_beyond_the_float_range_names_the_input():
-    # e**(u ln g) - 1 at u ln g = 1000 leaves the float range, where math.expm1 raises
-    with pytest.raises(SqueezeDomainError, match=r"exp\(2000\)"):
-        squeeze_log(SqueezeFamily.tsallis(0.5), 2000.0)
+    # ln h = 2 (e^1000 - 1) leaves the float range: inf in the kernel, a
+    # domain error naming ln g in the engine; the row class g stays finite
+    fam = SqueezeFamily.tsallis(0.5)
+    with np.errstate(over="ignore"):
+        assert fam.ln_squeeze(2000.0) == math.inf
+    assert fam.ln_row_class(2000.0, 0.0)[0] == 2000.0
+    spectrum = DegeneracySpectrum(("E",), np.zeros((1, 1)), np.array([2000.0]))
+    with pytest.raises(SqueezeDomainError, match="largest ln g = 2000"):
+        report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), fam)
 
 
 def test_a_custom_hook_math_error_is_a_domain_error_naming_the_input():
