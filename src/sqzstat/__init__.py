@@ -11,8 +11,8 @@ import importlib
 _EXPORTS = {
     "engine": ("ClassTable", "DegeneracySpectrum", "EnsembleSpec", "ProbabilityTable", "ThermoReport",
                "characteristic_class", "combine_independent", "entropy_from_probabilities",
-               "generalized_boltzmann_factor", "observed_mean", "phi_and_entropies", "phi_of",
-               "phi_surface_from_spectrum", "probabilities", "report_for"),
+               "observed_mean", "phi_and_entropies", "phi_surface_from_spectrum", "probabilities",
+               "report_for"),
     "errors": ("DatasetError", "DegenerateEnsembleError", "ModelValidationError",
                "SqueezeDomainError", "StepSizeError"),
     "squeeze": ("SqueezeFamily",),

@@ -36,10 +36,8 @@ __all__ = [
     "ProbabilityTable",
     "ThermoReport",
     "characteristic_class",
-    "phi_of",
     "phi_and_entropies",
     "probabilities",
-    "generalized_boltzmann_factor",
     "observed_mean",
     "entropy_from_probabilities",
     "combine_independent",
@@ -291,14 +289,18 @@ class ThermoReport:
     def columns(self) -> dict[str, np.ndarray]:
         """The per-row table as {column name: array}, in CSV order:
         ``x_<name>`` per exchanged variable, ``ln_g``, ``ln_class``,
-        ``macro_prob``, ``config_prob``, ``boltzmann_factor`` (0 on
-        excluded rows) and the boolean ``excluded``."""
+        ``macro_prob``, ``config_prob``, ``boltzmann_factor`` and the
+        boolean ``excluded``.  The generalized Boltzmann factor is a row's
+        squeezed class over its bare degeneracy, c/g: exp(-sum y X) for
+        the identity family, 0 on excluded rows."""
         t, s = self.table, self.table.spectrum
         probs = probabilities(t)
+        c = _exp_rows(t.ln_row_class)
         out = {f"x_{n}": s.x[:, j] for j, n in enumerate(s.variable_names)}
         out.update(ln_g=s.ln_g, ln_class=t.ln_row_class, macro_prob=probs.macro_probs,
                    config_prob=probs.config_probs,
-                   boltzmann_factor=_boltzmann_factors(t),
+                   boltzmann_factor=_per_configuration(c, t.ln_row_class - s.ln_g, s.g,
+                                                       np.isfinite(c) & s._g_divides),
                    excluded=t.excluded)
         return out
 
@@ -337,11 +339,6 @@ def characteristic_class(
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
     return table
-
-
-def phi_of(spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily) -> float:
-    """Dimensionless characteristic potential of the ensemble."""
-    return _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env).phi
 
 
 def observed_mean(
@@ -433,30 +430,6 @@ def _per_configuration(num: np.ndarray, ln_quotient: np.ndarray, g: np.ndarray, 
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.exp(ln_quotient)
     return np.divide(num, g, out=out, where=divides)
-
-
-def _boltzmann_factors(table: ClassTable, rows: slice = slice(None)) -> np.ndarray:
-    ln_c, spectrum = table.ln_row_class[rows], table.spectrum
-    num = _exp_rows(ln_c)
-    return _per_configuration(num, ln_c - spectrum.ln_g[rows], spectrum.g[rows],
-                              np.isfinite(num) & spectrum._g_divides[rows])
-
-
-def generalized_boltzmann_factor(
-    spectrum: DegeneracySpectrum,
-    env: EnsembleSpec,
-    family: SqueezeFamily,
-    row: int,
-) -> float:
-    """Ratio of the row's squeezed class to its bare degeneracy.
-
-    Identity family: exp(-sum y X) exactly.  Excluded rows give 0.0.  A loop over
-    rows pays one class pass per row unless the caller holds a report at this point,
-    whose ``columns()`` has the whole ``boltzmann_factor`` column."""
-    table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
-    if not 0 <= row < table.n_rows:
-        raise ModelValidationError(f"row {row} out of range (n_rows={table.n_rows})")
-    return float(_boltzmann_factors(table, slice(row, row + 1))[0])
 
 
 def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -> float:

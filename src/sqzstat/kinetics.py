@@ -50,7 +50,7 @@ __all__ = [
 
 _NEG_CLAMP = 1e-14
 _GAIN_LOSS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # the sign of a rate on i, j, k, l
-_QUAD_FLOOR = 1e-12  # lower limit of entropy integrals divergent at 0 (q = 2, custom)
+_QUAD_FLOOR = 1e-12  # lower limit of the q = 2 and custom-family entropy integrals
 TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run_trace row
 
 
@@ -258,14 +258,18 @@ def step(
 
 
 def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
-    """Configurational entropy -sum_i integral_0^F_i ln h(F) dF.
+    """Configurational entropy -sum_i integral^F_i ln h(F) dF over the live components.
 
-    Closed forms for the identity and power-law families; adaptive
-    quadrature for custom families.  For q = 2 (ln h(F) = 1 - 1/F,
-    non-integrable at 0) and in the quadrature the lower limit is
-    floored at 1e-12, an additive constant per live component that is
-    irrelevant to monotonicity.  Components at F = 0 contribute nothing.
-    A closed form beyond the float range raises SqueezeDomainError."""
+    The integral's constant depends on the family.  Identity and q < 2:
+    closed forms integrated from F = 0.  q = 2 (ln h(F) = 1 - 1/F, not
+    integrable at 0): the closed form from the floor F = 1e-12.  q > 2:
+    the antiderivative (F^(2-q)/(2-q) - F)/(1-q) with its own constant,
+    as the integral from 0 diverges.  Custom families: adaptive quadrature
+    from the floor in s = ln F, of e^s ln h(e^s) ds, so the hook takes its
+    own argument and a ln h that is steep near F = 0 is resolved.  Each
+    constant is additive per live component, irrelevant to monotonicity.
+    Components at F = 0 contribute nothing.  A closed form beyond the
+    float range raises SqueezeDomainError."""
     F, q = state.F, family.q
     if family.is_identity or family.kind == "tsallis":
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite raises below
@@ -282,16 +286,11 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
 
     from scipy.integrate import quad  # custom families only: keeps scipy off the import path
 
-    def integrand(x: float) -> float:
-        return float(family.ln_h_of_linear(np.array([x]))[0])
+    def integrand(s: float) -> float:
+        return math.exp(s) * float(family.ln_squeeze(s))
 
-    total = 0.0
-    for f in F:
-        if f <= 0.0:
-            continue
-        val, _ = quad(integrand, _QUAD_FLOOR, float(f), limit=200)
-        total -= val
-    return total
+    lo = math.log(_QUAD_FLOOR)
+    return math.fsum(-quad(integrand, lo, math.log(f), limit=200)[0] for f in F if f > 0.0)
 
 
 def detailed_balance_residual(

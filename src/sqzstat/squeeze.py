@@ -181,7 +181,7 @@ class SqueezeFamily:
         return np.exp(self.ln_h_of_linear(x))
 
     def ln_h_of_linear(self, x: np.ndarray) -> np.ndarray:
-        """ln h on linear-domain populations (entropy integrand)."""
+        """ln h on linear-domain populations (kinetics path)."""
         with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; ln h may overflow to +-inf
             return self.ln_squeeze(np.log(x))
 

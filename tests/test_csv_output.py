@@ -13,7 +13,6 @@ from sqzstat import (
     EnsembleSpec,
     SqueezeFamily,
     characteristic_class,
-    generalized_boltzmann_factor,
     phi_surface_from_spectrum,
     probabilities,
     report_for,
@@ -93,20 +92,19 @@ def test_compute_rows_and_point_csv(tmp_path, capsys, model, params, y, X, q):
     out = run(["compute", *model_argv(model, params, y, X, q), "--rows", str(path),
                "--format", "csv"], capsys)
     spec, env, fam = build_model(model, params), EnsembleSpec(y, X), family(q)
-    table = characteristic_class(spec, env, fam)
+    report = report_for(spec, env, fam)
+    table, factors = report.table, report.columns()["boltzmann_factor"]  # the column the writer writes
     probs = probabilities(table)
     header = [f"x_{n}" for n in table.spectrum.variable_names] + [
         "ln_g", "ln_class", "macro_prob", "config_prob", "boltzmann_factor", "excluded"]
     rows = [
         [float(v) for v in table.spectrum.x[r]]
         + [float(table.spectrum.ln_g[r]), float(table.ln_row_class[r]), float(probs.macro_probs[r]),
-           float(probs.config_probs[r]), generalized_boltzmann_factor(spec, env, fam, r),
-           bool(table.excluded[r])]
+           float(probs.config_probs[r]), float(factors[r]), bool(table.excluded[r])]
         for r in range(table.n_rows)
     ]
     assert_text(path.read_text(), csv_text(header, rows))
-    point = report_for(spec, env, fam).point
-    assert_text(out, csv_text(point_header(point), [point_row(point)]))
+    assert_text(out, csv_text(point_header(report.point), [point_row(report.point)]))
 
 
 def test_compute_rows_cover_excluded_rows_and_the_float_range(tmp_path, capsys):

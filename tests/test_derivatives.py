@@ -32,7 +32,6 @@ from sqzstat import (
     combine_independent,
     conjugates_from_phi,
     observed_mean,
-    phi_of,
     phi_surface_from_spectrum,
 )
 from sqzstat import engine
@@ -387,7 +386,8 @@ def test_oracle_sums_are_the_derivatives_of_its_phi(q):
 def test_power_law_phi_of_large_degeneracies_against_direct_sums():
     spectrum, y, q = spin_half_paramagnet(40), 0.01, 2.5
     ref = direct_sums(spectrum.x, spectrum.ln_g, np.array([y]), q)
-    phi = phi_of(spectrum, EnsembleSpec(fixed_intensive={"M": y}), SqueezeFamily.tsallis(q))
+    env = EnsembleSpec(fixed_intensive={"M": y})
+    phi = engine.report_for(spectrum, env, SqueezeFamily.tsallis(q)).point.phi
     assert phi == pytest.approx(ref["phi"], rel=1e-12)  # engine -0.665262, direct sum -0.666667
 
 
@@ -395,7 +395,7 @@ def test_power_law_phi_of_large_degeneracies_against_direct_sums():
 def test_power_law_one_row_class_of_a_large_degeneracy_is_live():
     g = 705_432.0  # C(22, 11), the one row at M = 0; the engine calls it excluded
     env = EnsembleSpec(fixed_extensive={"M": 0.0})
-    phi = phi_of(spin_half_paramagnet(22), env, SqueezeFamily.tsallis(4.0))
+    phi = engine.report_for(spin_half_paramagnet(22), env, SqueezeFamily.tsallis(4.0)).point.phi
     assert phi == pytest.approx(-(1.0 - g**-3) / 3.0, rel=1e-12)
 
 
@@ -500,15 +500,16 @@ def test_boltzmann_factors_and_entropies_against_direct_sums(state):
     spectrum = DegeneracySpectrum(names, x, ln_g)
     env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
     fam = IDENT if q == 1.0 else SqueezeFamily.tsallis(q)
-    point = engine.report_for(spectrum, env, fam).point  # the report is not kept: each factor takes a pass
+    report = engine.report_for(spectrum, env, fam)
+    point, column = report.point, report.columns()["boltzmann_factor"]
     # a row class carries a relative error of about cond * eps (as above), and so does its
     # quotient by the count g; J = y.<X> - phi carries those of the means and of phi.
     # Over 600 drawn states the errors reached 21 (factors) and 17 (J, theta) cond * eps
     err, tiny = 64.0 * EPS * ref["cond"], np.finfo(float).tiny
     with mpmath.workdps(50):
         factors = [float(c / mpmath.mpf(float(g))) for c, g in zip(ref["c"], spectrum.g)]
-    for row, f in enumerate(factors):
-        assert abs(engine.generalized_boltzmann_factor(spectrum, env, fam, row) - f) <= err * f + tiny
+    for got, f in zip(column, factors, strict=True):
+        assert abs(got - f) <= err * f + tiny
     J = float(y @ ref["mean"]) - ref["phi"]
     assert abs(point.entropy_J - J) <= err * entropy_J_scale(ref, y, q)
     assert point.entropy_theta == -point.phi  # no pinned variable: theta is -phi

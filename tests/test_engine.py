@@ -14,10 +14,9 @@ from sqzstat import (
     characteristic_class,
     combine_independent,
     entropy_from_probabilities,
-    generalized_boltzmann_factor,
     observed_mean,
     phi_and_entropies,
-    phi_of,
+    phi_surface_from_spectrum,
     probabilities,
 )
 from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict, report_for
@@ -316,6 +315,7 @@ def test_per_configuration_columns_match_per_row_reference():
             table = report.table
             probs = probabilities(table)
             bf = [row["boltzmann_factor"] for row in report.rows()]
+            column = report.columns()["boltzmann_factor"]
             for r in range(table.n_rows):
                 count = _linear_count_reference(table.spectrum.ln_g[r])
                 if table.excluded[r]:
@@ -325,7 +325,7 @@ def test_per_configuration_columns_match_per_row_reference():
                     ref_bf = math.exp(table.ln_row_class[r]) / count
                 assert probs.config_probs[r] == ref_config
                 assert bf[r] == ref_bf
-                assert generalized_boltzmann_factor(spec, env, fam, r) == ref_bf
+                assert column[r] == ref_bf
 
 
 @pytest.mark.parametrize("fam", [IDENT, SqueezeFamily.tsallis(1.5)])
@@ -355,22 +355,18 @@ def test_degeneracies_beyond_float_range_give_finite_rows(fam):
 # ---------------------------------------------------------------------------
 # generalized boltzmann factor
 
-@pytest.mark.parametrize("row", [-1, 2])
-def test_boltzmann_factor_rejects_a_row_out_of_range(row):
-    with pytest.raises(ModelValidationError, match=f"row {row} out of range \\(n_rows=2\\)"):
-        generalized_boltzmann_factor(two_level(1.0), canonical_env(), IDENT, row)
+def boltzmann_factors(spec, env, fam):
+    return report_for(spec, env, fam).columns()["boltzmann_factor"]
 
 
 def test_boltzmann_factor_identity():
     spec = DegeneracySpectrum(("E",), np.array([[0.7]]), np.array([0.0]))
     env = EnsembleSpec(fixed_intensive={"E": 1.0})
-    assert generalized_boltzmann_factor(spec, env, IDENT, 0) == pytest.approx(
-        math.exp(-0.7), rel=1e-14
-    )
+    assert boltzmann_factors(spec, env, IDENT)[0] == pytest.approx(math.exp(-0.7), rel=1e-14)
 
 
 def test_boltzmann_factor_tsallis_q2():
-    b = generalized_boltzmann_factor(two_level(1.0), canonical_env(), Q2, 1)
+    b = boltzmann_factors(two_level(1.0), canonical_env(), Q2)[1]
     assert b == pytest.approx(1.0 / (1.0 + math.log(2.0)), rel=1e-12)
 
 
@@ -378,13 +374,13 @@ def test_boltzmann_factor_is_one_at_zero_exponent():
     spec = DegeneracySpectrum(("E",), np.array([[0.0]]), np.array([0.0]))
     env = EnsembleSpec(fixed_intensive={"E": 1.3})
     for fam in (IDENT, Q2, SqueezeFamily.tsallis(0.5)):
-        assert generalized_boltzmann_factor(spec, env, fam, 0) == pytest.approx(1.0, abs=1e-14)
+        assert boltzmann_factors(spec, env, fam)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_boltzmann_factor_excluded_row_is_zero():
     spec = DegeneracySpectrum(("E",), np.array([[0.0], [50.0]]), np.array([0.0, 0.0]))
     env = EnsembleSpec(fixed_intensive={"E": 1.0})
-    assert generalized_boltzmann_factor(spec, env, SqueezeFamily.tsallis(0.5), 1) == 0.0
+    assert boltzmann_factors(spec, env, SqueezeFamily.tsallis(0.5))[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +411,12 @@ def test_observed_mean_rejects_a_non_finite_observable(bad):
 
 
 def fd_phi_derivative(spec, env, fam, name):
-    y0 = env.fixed_intensive[name]
+    surface = phi_surface_from_spectrum(spec, env, fam)
 
     def phi_at(y):
-        vals = dict(env.fixed_intensive)
-        vals[name] = y
-        return phi_of(spec, EnsembleSpec(fixed_intensive=vals, fixed_extensive=env.fixed_extensive), fam)
+        return surface({**env.values(), name: y})
 
-    return central_derivative(phi_at, y0)
+    return central_derivative(phi_at, env.fixed_intensive[name])
 
 
 def test_observed_mean_matches_phi_derivative_tsallis():

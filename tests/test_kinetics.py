@@ -23,6 +23,8 @@ from sqzstat.kinetics import (
     xi_soft,
 )
 
+from families import power_law
+
 IDENT = SqueezeFamily.identity()
 
 
@@ -190,6 +192,21 @@ def test_every_quadruple_conserves_exactly():
         assert {int(i), int(j)} != {int(k), int(l)}
 
 
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_the_collision_invariants_are_number_momentum_and_energy(radius):
+    # one row per quadruple, +1 on i and j and -1 on k and l: a vector in its
+    # null space is conserved by every collision, and there are exactly four
+    lat = make_lattice(radius)
+    quads = build_collision_network(lat).quadruples
+    A = np.zeros((len(quads), lat.n))
+    rows = np.arange(len(quads))
+    for col, sign in zip(quads.T, (1.0, 1.0, -1.0, -1.0)):
+        A[rows, col] += sign
+    invariants = np.column_stack([np.ones(lat.n), lat.velocities, lat.speed_squared])
+    assert not (A @ invariants).any()
+    assert lat.n - np.linalg.matrix_rank(A) == 4
+
+
 def test_network_ordering_is_deterministic():
     a = build_collision_network(make_lattice(2)).quadruples
     b = build_collision_network(make_lattice(2)).quadruples
@@ -261,6 +278,7 @@ def test_empty_network_has_zero_rhs():
     assert rhs.dtype == float and not rhs.any()
     assert net.degree == 0
     assert np.array_equal(step(state, net, IDENT, 0.1).F, state.F)
+    assert detailed_balance_residual(state, net, IDENT) == 0.0
 
 
 def test_rhs_rejects_negative_population():
@@ -467,6 +485,24 @@ def test_q2_closed_form_matches_quadrature():
         for lo, hi in ((a, min(f, 1e-6)), (min(f, 1e-6), f)):
             oracle -= quad(lambda x: 1.0 - 1.0 / x, lo, hi, limit=500, epsabs=0.0, epsrel=1e-13)[0]
     assert got == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 1.1, 1.5, 2.0, 2.5])
+def test_custom_family_entropy_against_the_power_law_antiderivative(q):
+    # the power law as custom hooks is integrated by quadrature from the 1e-12
+    # floor: S = -sum_i (P(F_i) - P(a)) over the live components, with P the
+    # antiderivative of ln h(F) = (F^(1-q) - 1)/(1-q); at q = 2, F - ln F
+    state = random_state(make_lattice(2), seed=3)
+    a, F = 1e-12, state.F[state.F > 0.0]
+    if q == 2.0:
+        expected = -math.fsum((f - a) - math.log(f / a) for f in F)
+    else:
+        def P(x):
+            return (x ** (2.0 - q) / (2.0 - q) - x) / (1.0 - q)
+
+        expected = -math.fsum(P(f) - P(a) for f in F)
+    got = entropy_functional(state, power_law(q))
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_entropy_nondecreasing_along_trajectory():

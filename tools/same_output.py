@@ -5,6 +5,8 @@
 Runs each argv of ``benchmarks/workloads.cli_argvs`` for seeds 1-6, plus a
 fixed list (``fluct`` with one and two variables at q = 1, 0.9 and 0.2 in
 JSON and CSV, a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
+``compute --rows`` with 10 of 11 rows excluded and with ln g beyond the
+float range, the two branches of the ``boltzmann_factor`` column,
 ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and with a
 kernel weight other than 1 under the soft xi, ``infer
 --reconstruct``, and a 3-variable model file with a non-singular
@@ -67,6 +69,12 @@ def _fixed_cases() -> list[Case]:
         ("compute rows emit-model",
          ["compute", *two, "--squeeze", "tsallis", "--q", "0.9", "--rows", "rows.csv",
           "--emit-model", "model.json"], {}),
+        ("compute rows excluded",
+         ["compute", "--model", "einstein_solid", "--param", "N=3", "--param", "E_max=10", "--y", "E=5",
+          "--squeeze", "tsallis", "--q", "0.5", "--rows", "rows.csv"], {}),
+        ("compute rows ln g beyond float range",
+         ["compute", "--model", "einstein_solid", "--param", "N=1000", "--param", "E_max=2000", "--y", "E=1",
+          "--rows", "rows.csv"], {}),
         ("sweep csv", [*sweep, "--format", "csv"], {}),
         ("sweep json", sweep, {}),
         ("sweep q=0.2 json", ["sweep", *two, "--squeeze", "tsallis", "--q", "0.2", "--axis", "E",
