@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,15 +32,6 @@ from .errors import (
 from .squeeze import SqueezeFamily
 
 
-def __getattr__(name: str):
-    """The package's re-exports (``cli.report_for`` and the rest), resolved through it on first
-    access; each subcommand imports the layers it uses, so a process loads only those."""
-    package = sys.modules[__package__]
-    if name not in package.__all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(package, name)
-
-
 EXIT_OK = 0
 EXIT_CONFIG = 3
 EXIT_MODEL = 4
@@ -56,9 +46,7 @@ exit codes:
   5  numerical domain errors (cutoff-degenerate ensembles, unstable steps, bad datasets,
      sizes whose arrays cannot be allocated)
 
-the only environment variable read is SQZSTAT_LOG={quiet,info,debug},
-reserved for diagnostics on stderr (nothing logs yet); all run
-configuration is flags.
+all run configuration is flags; no environment variable is read.
 """
 
 
@@ -411,10 +399,6 @@ _ERROR_CODES = [
 
 
 def main(argv: list[str] | None = None) -> int:
-    if (level := os.environ.get("SQZSTAT_LOG")) in ("info", "debug"):  # only these load logging
-        import logging
-
-        logging.basicConfig(level=level.upper(), stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

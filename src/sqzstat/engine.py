@@ -96,6 +96,8 @@ class DegeneracySpectrum:
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "ln_g", ln_g)
+        if len(set(self.variable_names)) != len(self.variable_names):
+            raise ModelValidationError(f"variable names must be distinct, got {self.variable_names}")
         if x.shape[0] == 0:
             raise ModelValidationError("spectrum needs at least one row")
         if x.ndim != 2 or x.shape[1] != len(self.variable_names):
@@ -561,15 +563,26 @@ def model_to_json_dict(
     }
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list holding one: float() would read it as 0 or 1."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def model_from_json_dict(doc: dict) -> tuple[DegeneracySpectrum, EnsembleSpec, SqueezeFamily]:
     try:
         names = tuple(v["name"] for v in doc["variables"])
         kinds = {v["name"]: v["kind"] for v in doc["variables"]}
-        x = np.array([row["x"] for row in doc["rows"]], dtype=float)
-        ln_g = np.array([row["ln_g"] for row in doc["rows"]], dtype=float)
+        x = [row["x"] for row in doc["rows"]]
+        ln_g = [row["ln_g"] for row in doc["rows"]]
         envdoc = doc.get("environment", {})
-        y = {k: float(v) for k, v in envdoc.get("y", {}).items()}
-        X = {k: float(v) for k, v in envdoc.get("X", {}).items()}
+        y, X = envdoc.get("y", {}), envdoc.get("X", {})
+        for field, values in (("x", x), ("ln_g", ln_g), ("y", [*y.values()]), ("X", [*X.values()])):
+            if _holds_bool(values):
+                raise TypeError(f"{field} takes JSON numbers, not booleans")
+        x = np.array(x, dtype=float)
+        ln_g = np.array(ln_g, dtype=float)
+        y = {k: float(v) for k, v in y.items()}
+        X = {k: float(v) for k, v in X.items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelValidationError(f"malformed model document: {exc}") from exc
     for n in names:

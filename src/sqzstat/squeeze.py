@@ -221,6 +221,8 @@ class SqueezeFamily:
             if "q" not in cfg:
                 raise SqueezeDomainError("tsallis squeeze config requires 'q'")
             try:
+                if isinstance(cfg["q"], bool):  # float(True) is 1.0, but a JSON boolean is no number
+                    raise TypeError
                 q = float(cfg["q"])
             except (TypeError, ValueError):
                 raise SqueezeDomainError(f"tsallis 'q' must be a number, got {cfg['q']!r}") from None

@@ -122,15 +122,6 @@ def test_y_flag_overrides_the_model_file(tmp_path, capsys):
     assert got["phi"] == pytest.approx(-math.log1p(math.exp(-0.5)), rel=1e-15)
 
 
-def test_cli_resolves_the_package_exports_only():
-    import sqzstat.cli
-    from sqzstat import engine
-
-    assert sqzstat.cli.report_for is engine.report_for
-    with pytest.raises(AttributeError, match="'sqzstat.cli' has no attribute 'no_such_name'"):
-        sqzstat.cli.no_such_name
-
-
 def test_missing_q_is_config_error(capsys):
     code, _, err = run_cli(
         ["compute", "--model", "two_level", "--y", "E=1", "--squeeze", "tsallis"], capsys
@@ -274,9 +265,8 @@ def test_kinetics_one_pass_matches_two_pass_reference(tmp_path, capsys, monkeypa
         calls.append(1)
         return step(*args, **kwargs)
 
-    # count steps taken through either module's binding of step
+    # run_trace steps through the kinetics module's binding of step
     monkeypatch.setattr(kinetics, "step", counted_step)
-    monkeypatch.setattr("sqzstat.cli.step", counted_step, raising=False)
     steps, trace_every, snap_every = 30, 7, 4
     snap = tmp_path / "snap.csv"
     code, out, _ = run_cli(
@@ -598,9 +588,22 @@ def _model_doc(**changes):
         (_model_doc(environment={"y": {"E": "c"}, "X": {}}), 4, "ModelValidationError"),
         (_model_doc(squeeze="tsallis"), 5, "SqueezeDomainError"),
         (_model_doc(squeeze={"family": "tsallis", "q": "x"}), 5, "SqueezeDomainError"),
+        (_model_doc(variables=[{"name": "E", "kind": "exchanged"}] * 2,
+                    rows=[{"x": [0.0, 1.0], "ln_g": 0.0}, {"x": [1.0, 0.0], "ln_g": 0.0}],
+                    environment={"y": {"E": 0.5}, "X": {}}), 4, "ModelValidationError"),
+        # float() reads a JSON boolean as 0 or 1; none is a number here
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [True], "ln_g": 0.0}]), 4,
+         "ModelValidationError"),
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": False}]), 4,
+         "ModelValidationError"),
+        (_model_doc(environment={"y": {"E": True}, "X": {}}), 4, "ModelValidationError"),
+        (_model_doc(variables=[{"name": "E", "kind": "fixed"}], environment={"y": {}, "X": {"E": True}}),
+         4, "ModelValidationError"),
+        (_model_doc(squeeze={"family": "tsallis", "q": True}), 5, "SqueezeDomainError"),
     ],
     ids=["x-not-a-number", "ln_g-not-a-number", "ragged-x", "y-not-a-number",
-         "squeeze-not-an-object", "q-not-a-number"],
+         "squeeze-not-an-object", "q-not-a-number", "duplicate-variable-name",
+         "x-boolean", "ln_g-boolean", "y-boolean", "X-boolean", "q-boolean"],
 )
 def test_malformed_model_file_exits_with_documented_code(tmp_path, capsys, doc, code, error_type):
     path = tmp_path / "model.json"

@@ -89,6 +89,12 @@ def test_spectrum_accepts_many_distinct_rows():
     assert spec.n_rows == 100_000
 
 
+def test_spectrum_rejects_duplicate_variable_names():
+    # two columns named E: a Legendre sum over both would count E twice
+    with pytest.raises(ModelValidationError, match=r"variable names must be distinct, got \('E', 'E'\)"):
+        DegeneracySpectrum(("E", "E"), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+
+
 def test_spectrum_total_class_is_logsumexp():
     spec = two_level(1.0)
     assert spec.ln_total_class() == pytest.approx(math.log(2.0), abs=1e-14)

@@ -24,14 +24,13 @@ RUN_MAIN = """
 import json, sys
 from sqzstat.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "logging": "logging" in sys.modules}))
 """
 
 
-def fresh_python(script, *args, cwd=None, log=None):
-    env = {k: v for k, v in os.environ.items() if k != "SQZSTAT_LOG"}
-    if log is not None:
-        env["SQZSTAT_LOG"] = log
+def fresh_python(script, *args, cwd=None):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=120)
@@ -61,12 +60,14 @@ def _write_infer_inputs(tmp_path):
     )
 
 
+# the CLI reads no environment variable: SQZSTAT_LOG=debug, say, loads no logging
 @pytest.mark.parametrize("family", ["identity", "tsallis"])
 @pytest.mark.parametrize("command", sorted(CASES))
-def test_builtin_family_paths_do_not_import_scipy(command, family, tmp_path):
+def test_builtin_family_paths_do_not_import_scipy(command, family, tmp_path, monkeypatch):
+    monkeypatch.setenv("SQZSTAT_LOG", "debug")
     args = CASES[command] + (TSALLIS if family == "tsallis" else ["--squeeze", "identity"])
     out = fresh_python(RUN_MAIN, *args, cwd=tmp_path)
-    assert out == {"code": 0, "scipy": []}
+    assert out == {"code": 0, "scipy": [], "logging": False}
 
 
 @pytest.mark.parametrize("mode", [
@@ -76,7 +77,7 @@ def test_builtin_family_paths_do_not_import_scipy(command, family, tmp_path):
 def test_infer_does_not_import_scipy(mode, tmp_path):
     _write_infer_inputs(tmp_path)
     out = fresh_python(RUN_MAIN, "infer", *mode, cwd=tmp_path)
-    assert out == {"code": 0, "scipy": []}
+    assert out == {"code": 0, "scipy": [], "logging": False}
 
 
 def test_custom_family_entropy_imports_quadrature_on_demand():
@@ -144,17 +145,3 @@ print(json.dumps({"missing": missing, "foreign": foreign, "n": len(sqzstat.__all
     out = fresh_python(script)
     assert out == {"missing": [], "foreign": [], "n": len(sqzstat.__all__), "undir": []}
 
-
-RUN_MAIN_LOGGING = """
-import json, sys
-from sqzstat.cli import main
-code = main(sys.argv[1:])
-logging = sys.modules.get("logging")
-print(json.dumps({"code": code, "root_level": logging and logging.getLogger().level}))
-"""
-
-
-@pytest.mark.parametrize("log, root_level", [(None, None), ("quiet", None), ("info", 20), ("debug", 10)])
-def test_logging_loads_only_for_a_verbose_setting(log, root_level, tmp_path):
-    out = fresh_python(RUN_MAIN_LOGGING, *CASES["compute"], cwd=tmp_path, log=log)
-    assert out == {"code": 0, "root_level": root_level}

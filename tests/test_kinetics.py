@@ -357,6 +357,36 @@ def test_q_below_one_drives_an_empty_velocity_negative_at_any_dt(shrink):
     assert step(emptied, net, family, stability_dt(emptied, net, family)).F.min() > 0.0
 
 
+def test_a_step_clamps_a_negative_rounding_excursion_and_keeps_the_invariants():
+    # one quadruple (1, 4 | 2, 3), velocities 2 and 3 empty; beyond the step bound RK4
+    # overshoots them below zero.  The last dt that still returns leaves them in the
+    # clamp's window (-1e-14, 0): its next float raises
+    lat = make_lattice(1)
+    net = build_collision_network(lat)
+    state = KineticState(F=np.array([0.3, 1.0, 0.0, 0.0, 1.0]))
+    assert stability_dt(state, net, IDENT) == pytest.approx(0.1)
+
+    def returns(dt):
+        try:
+            step(state, net, IDENT, dt, enforce_bound=False)
+        except StepSizeError:
+            return False
+        return True
+
+    lo, hi = 1.0, 1.5
+    assert returns(lo) and not returns(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if returns(mid) else (lo, mid)
+    with pytest.raises(StepSizeError, match="population went negative"):
+        step(state, net, IDENT, hi, enforce_bound=False)
+    new = step(state, net, IDENT, lo, enforce_bound=False)
+    assert 12 < lo / stability_dt(state, net, IDENT) < 13
+    assert (new.F >= 0.0).all() and new.F[2] == new.F[3] == 0.0  # the two overshot velocities
+    assert (new.momentum(lat) == 0.0).all()
+    assert abs(new.number() - state.number()) / state.number() < 1e-9  # criterion 09's bound
+    assert abs(new.energy(lat) - state.energy(lat)) / state.energy(lat) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # each rule raised by its one owner
 

@@ -8,8 +8,8 @@ executable line that no test reached, and a count.  A line is executable
 if its module's compiled code maps an instruction to it.  Exits 1 if any
 unreached line starts a ``raise`` statement, with pytest's status if the
 suite fails, else 0: every error path of the library should be pinned by
-a test.  Code that runs only in a subprocess a test starts (the
-``SQZSTAT_LOG`` set-up of ``cli.main``, for one) shows as unreached.
+a test.  Code that runs only in a subprocess a test starts (``__main__.py``,
+for one) shows as unreached.
 Takes about twice as long as the suite itself; needs the standard library
 and pytest.
 """
