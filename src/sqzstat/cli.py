@@ -105,7 +105,7 @@ def _load_model(args):
         raise CliError(EXIT_CONFIG, "--param applies only to named models")
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise CliError(EXIT_CONFIG, f"cannot read model file {source!r}: {exc}") from exc
     spectrum, env, family = model_from_json_dict(doc)
     if y or X:

@@ -284,7 +284,7 @@ class ThermoReport:
     def to_json_dict(self) -> dict:
         out = self.point.to_json_dict()
         out["environment"] = self.table.env.values()
-        out["squeeze"] = self.table.family.to_config()
+        out["squeeze"] = _squeeze_to_json(self.table.family)
         out["excluded_rows"] = int(self.table.n_excluded)
         return out
 
@@ -542,7 +542,43 @@ def report_for(
 
 
 # ---------------------------------------------------------------------------
-# model-file round trip (the JSON wire format for spectra + environments)
+# the model-file format: spectrum, environment and squeeze fragment, read and written only here
+
+def _number(value, field: str, error: type = ModelValidationError) -> float:
+    """float(value) if it is a JSON number, an int or a float, never a bool or a str: the one number
+    rule of model documents and model parameters; else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{field} takes numbers, an int or a float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise error(f"{field} takes numbers in the float range, got an integer beyond it") from None
+
+
+def _numbers(value, field: str):
+    """A JSON number or a list of them, nested to any depth, in floats (a row's x)."""
+    return [_numbers(v, field) for v in value] if isinstance(value, list) else _number(value, field)
+
+
+def _squeeze_to_json(family: SqueezeFamily) -> dict:
+    if family.kind == "custom":
+        raise SqueezeDomainError("custom families have no config form")
+    return {"family": "tsallis", "q": family.q} if family.kind == "tsallis" else {"family": "identity"}
+
+
+def _squeeze_from_json(cfg) -> SqueezeFamily:
+    """The family of a {"family": ..., "q": ...} fragment; its errors are SqueezeDomainError."""
+    if not isinstance(cfg, dict):
+        raise SqueezeDomainError(f"squeeze config must be an object, got {cfg!r}")
+    name = cfg.get("family", "identity")
+    if name == "identity":
+        return SqueezeFamily.identity()
+    if name != "tsallis":
+        raise SqueezeDomainError(f"unknown squeeze family {name!r} (custom is code-level only)")
+    if "q" not in cfg:
+        raise SqueezeDomainError("tsallis squeeze config requires 'q'")
+    return SqueezeFamily.tsallis(_number(cfg["q"], "tsallis 'q'", SqueezeDomainError))
+
 
 def model_to_json_dict(
     spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily
@@ -559,30 +595,19 @@ def model_to_json_dict(
         "variables": variables,
         "rows": rows,
         "environment": {"y": dict(env.fixed_intensive), "X": dict(env.fixed_extensive)},
-        "squeeze": family.to_config(),
+        "squeeze": _squeeze_to_json(family),
     }
-
-
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is a boolean or a list holding one: float() would read it as 0 or 1."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
 
 
 def model_from_json_dict(doc: dict) -> tuple[DegeneracySpectrum, EnsembleSpec, SqueezeFamily]:
     try:
         names = tuple(v["name"] for v in doc["variables"])
         kinds = {v["name"]: v["kind"] for v in doc["variables"]}
-        x = [row["x"] for row in doc["rows"]]
-        ln_g = [row["ln_g"] for row in doc["rows"]]
+        x = np.array([_numbers(row["x"], "x") for row in doc["rows"]], dtype=float)
+        ln_g = np.array([_number(row["ln_g"], "ln_g") for row in doc["rows"]], dtype=float)
         envdoc = doc.get("environment", {})
-        y, X = envdoc.get("y", {}), envdoc.get("X", {})
-        for field, values in (("x", x), ("ln_g", ln_g), ("y", [*y.values()]), ("X", [*X.values()])):
-            if _holds_bool(values):
-                raise TypeError(f"{field} takes JSON numbers, not booleans")
-        x = np.array(x, dtype=float)
-        ln_g = np.array(ln_g, dtype=float)
-        y = {k: float(v) for k, v in y.items()}
-        X = {k: float(v) for k, v in X.items()}
+        y = {k: _number(v, "y") for k, v in envdoc.get("y", {}).items()}
+        X = {k: _number(v, "X") for k, v in envdoc.get("X", {}).items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelValidationError(f"malformed model document: {exc}") from exc
     for n in names:
@@ -594,5 +619,4 @@ def model_from_json_dict(doc: dict) -> tuple[DegeneracySpectrum, EnsembleSpec, S
             raise ModelValidationError(f"fixed variable {n!r} missing an X value")
     spectrum = DegeneracySpectrum(variable_names=names, x=x, ln_g=ln_g)
     env = EnsembleSpec(fixed_intensive=y, fixed_extensive=X)
-    family = SqueezeFamily.from_config(doc.get("squeeze", {"family": "identity"}))
-    return spectrum, env, family
+    return spectrum, env, _squeeze_from_json(doc.get("squeeze", {"family": "identity"}))

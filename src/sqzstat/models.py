@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import DegeneracySpectrum
+from .engine import DegeneracySpectrum, _number
 from .errors import ModelValidationError
 
 __all__ = [
@@ -107,7 +107,8 @@ MODELS: dict[str, Callable[..., DegeneracySpectrum]] = {
 def build_model(name: str, params: dict) -> DegeneracySpectrum:
     """Instantiate a named generator with {parameter: value} arguments.
 
-    The parameter names and defaults are the builder's own signature."""
+    The parameter names and defaults are the builder's own signature.  A value is a number,
+    an int or a float but never a bool or a str; None passes through as it is."""
     if name not in MODELS:
         raise ModelValidationError(f"unknown model {name!r}; choices: {sorted(MODELS)}")
     signature = inspect.signature(MODELS[name]).parameters
@@ -120,7 +121,7 @@ def build_model(name: str, params: dict) -> DegeneracySpectrum:
     kwargs = {}
     for key, val in params.items():
         if val is not None:
-            val = float(val)
+            val = _number(val, f"parameter {key}")
             if not math.isfinite(val):
                 raise ModelValidationError(f"parameter {key}={val!r} must be finite")
             if key in ("N", "E_max", "N_max"):  # integer-like; they arrive as floats from the CLI

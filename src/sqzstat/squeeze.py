@@ -99,6 +99,11 @@ class SqueezeFamily:
     def is_identity(self) -> bool:
         return self.kind == _IDENTITY or (self.kind == _TSALLIS and self.q == 1.0)
 
+    def label(self) -> str:
+        if self.kind == _TSALLIS:
+            return f"tsallis(q={self.q:g})"
+        return self.kind
+
     # -- the four kernels: all of a family's arithmetic -----------------
 
     def ln_squeeze(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
@@ -206,38 +211,3 @@ class SqueezeFamily:
                     f"custom ln_log_slope inconsistent with d ln h/d ln g at ln_g={ln_g:g}: "
                     f"ln(g l) {ln_g + ln_l:g} from the hook vs {ln_fd:g} from a central difference of ln h"
                 )
-
-    # -- config ------------------------------------------------------------
-
-    @staticmethod
-    def from_config(cfg: dict) -> "SqueezeFamily":
-        """Build from the {"family": ..., "q": ...} JSON fragment."""
-        if not isinstance(cfg, dict):
-            raise SqueezeDomainError(f"squeeze config must be an object, got {cfg!r}")
-        name = cfg.get("family", _IDENTITY)
-        if name == _IDENTITY:
-            return SqueezeFamily.identity()
-        if name == _TSALLIS:
-            if "q" not in cfg:
-                raise SqueezeDomainError("tsallis squeeze config requires 'q'")
-            try:
-                if isinstance(cfg["q"], bool):  # float(True) is 1.0, but a JSON boolean is no number
-                    raise TypeError
-                q = float(cfg["q"])
-            except (TypeError, ValueError):
-                raise SqueezeDomainError(f"tsallis 'q' must be a number, got {cfg['q']!r}") from None
-            return SqueezeFamily.tsallis(q)
-        raise SqueezeDomainError(f"unknown squeeze family {name!r} (custom is code-level only)")
-
-    def to_config(self) -> dict:
-        if self.kind == _TSALLIS:
-            return {"family": _TSALLIS, "q": self.q}
-        if self.kind == _IDENTITY:
-            return {"family": _IDENTITY}
-        raise SqueezeDomainError("custom families have no config form")
-
-    def label(self) -> str:
-        if self.kind == _TSALLIS:
-            return f"tsallis(q={self.q:g})"
-        return self.kind
-

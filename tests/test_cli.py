@@ -600,10 +600,24 @@ def _model_doc(**changes):
         (_model_doc(variables=[{"name": "E", "kind": "fixed"}], environment={"y": {}, "X": {"E": True}}),
          4, "ModelValidationError"),
         (_model_doc(squeeze={"family": "tsallis", "q": True}), 5, "SqueezeDomainError"),
+        # float() reads a numeric string as its number; none is a number here either
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": ["1.0"], "ln_g": 0.0}]), 4,
+         "ModelValidationError"),
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": "0.5"}]), 4,
+         "ModelValidationError"),
+        (_model_doc(environment={"y": {"E": "1"}, "X": {}}), 4, "ModelValidationError"),
+        (_model_doc(variables=[{"name": "E", "kind": "fixed"}], environment={"y": {}, "X": {"E": "1"}}),
+         4, "ModelValidationError"),
+        (_model_doc(squeeze={"family": "tsallis", "q": "1.5"}), 5, "SqueezeDomainError"),
+        # a JSON integer that no float holds
+        (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": 10**400}]), 4,
+         "ModelValidationError"),
     ],
     ids=["x-not-a-number", "ln_g-not-a-number", "ragged-x", "y-not-a-number",
          "squeeze-not-an-object", "q-not-a-number", "duplicate-variable-name",
-         "x-boolean", "ln_g-boolean", "y-boolean", "X-boolean", "q-boolean"],
+         "x-boolean", "ln_g-boolean", "y-boolean", "X-boolean", "q-boolean",
+         "x-numeric-string", "ln_g-numeric-string", "y-numeric-string", "X-numeric-string",
+         "q-numeric-string", "ln_g-integer-beyond-float-range"],
 )
 def test_malformed_model_file_exits_with_documented_code(tmp_path, capsys, doc, code, error_type):
     path = tmp_path / "model.json"
@@ -645,6 +659,7 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
         (["compute", "--model", "MODEL", "--param", "N=3"], "--param applies only to named models"),
         (["compute", "--model", "DIR"], "cannot read model file"),
         (["compute", "--model", "BAD_JSON"], "cannot read model file"),
+        (["compute", "--model", "HUGE_INT"], "cannot read model file"),
         (["infer", "--data", "MISSING"], "does not exist"),
         (["infer", "--data", "EMPTY"], "is empty"),
         (["infer"], "infer needs --data and/or --density"),
@@ -653,16 +668,17 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
         (["kinetics", "--lattice-radius", "0"], "--lattice-radius must be >= 1"),
     ],
     ids=["y-without-equals", "y-not-a-number", "no-model", "unknown-model", "param-with-file",
-         "unreadable-file", "file-not-json", "missing-data", "empty-data", "infer-without-input",
-         "range-without-colon", "radius-zero"],
+         "unreadable-file", "file-not-json", "file-integer-too-long", "missing-data", "empty-data",
+         "infer-without-input", "range-without-colon", "radius-zero"],
 )
 def test_cli_error_paths_exit_3_with_one_json_line(tmp_path, capsys, argv, message):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(_model_doc()))
     (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "huge.json").write_text('{"rows": [' + "1" * 5000 + "]}")  # json.loads: a bare ValueError
     (tmp_path / "empty.csv").write_text("\n")
     paths = {"MODEL": model, "DIR": tmp_path, "BAD_JSON": tmp_path / "bad.json",
-             "MISSING": tmp_path / "missing.csv", "EMPTY": tmp_path / "empty.csv"}
+             "HUGE_INT": tmp_path / "huge.json", "MISSING": tmp_path / "missing.csv", "EMPTY": tmp_path / "empty.csv"}
     code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
     assert (code, out) == (3, "")
     assert err.endswith("\n") and err.count("\n") == 1

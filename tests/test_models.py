@@ -149,6 +149,12 @@ def test_registry_builds_models():
         build_model("two_level", {"bogus": 1.0})
     with pytest.raises(ModelValidationError):
         build_model("spin_half_paramagnet", {})
+    # a parameter is a number: neither a bool nor a numeric string, which float() would read
+    for name, params in (("two_level", {"epsilon": True}), ("two_level", {"epsilon": "2"}),
+                         ("spin_half_paramagnet", {"N": True}), ("lattice_gas", {"sites": 10, "N_max": "5"})):
+        with pytest.raises(ModelValidationError, match="takes numbers"):
+            build_model(name, params)
+    assert build_model("lattice_gas", {"sites": 10, "N_max": None}).n_rows == 11
     assert set(MODELS) == {"two_level", "spin_half_paramagnet", "einstein_solid", "lattice_gas"}
 
 

@@ -13,6 +13,8 @@ from sqzstat import (
     SqueezeFamily,
     report_for,
 )
+from sqzstat.engine import model_from_json_dict, model_to_json_dict
+from sqzstat.models import two_level
 
 from families import SQUARE_LAW_HOOKS, deformed_log, quadratic, square_law
 
@@ -370,22 +372,31 @@ def test_custom_family_requires_all_hooks():
 
 
 # ---------------------------------------------------------------------------
-# config fragment
+# the squeeze fragment of a model document (read and written by the engine)
+
+def _document(family: SqueezeFamily = SqueezeFamily.identity()) -> dict:
+    return model_to_json_dict(two_level(), EnsembleSpec(fixed_intensive={"E": 1.0}), family)
+
+
+def _family_of(fragment: dict) -> SqueezeFamily:
+    return model_from_json_dict({**_document(), "squeeze": fragment})[2]
+
 
 def test_config_roundtrip():
-    fam = SqueezeFamily.from_config({"family": "tsallis", "q": 1.5})
+    fam = _family_of({"family": "tsallis", "q": 1.5})
     assert fam.kind == "tsallis" and fam.q == 1.5
-    assert SqueezeFamily.from_config(fam.to_config()).q == 1.5
-    assert SqueezeFamily.from_config({"family": "identity"}).is_identity
+    assert model_from_json_dict(_document(fam))[2].q == 1.5
+    assert _family_of({"family": "identity"}).is_identity
+    assert model_from_json_dict(_document(SqueezeFamily.identity()))[2].is_identity
 
 
 def test_non_finite_or_missing_q_is_a_domain_error():
     with pytest.raises(SqueezeDomainError, match="finite"):
         SqueezeFamily.tsallis(math.nan)
     with pytest.raises(SqueezeDomainError, match="requires 'q'"):
-        SqueezeFamily.from_config({"family": "tsallis"})
+        _family_of({"family": "tsallis"})
 
 
 def test_config_rejects_unknown_family():
     with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.from_config({"family": "exotic"})
+        _family_of({"family": "exotic"})

@@ -9,8 +9,9 @@ JSON and CSV, a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
 float range, the two branches of the ``boltzmann_factor`` column,
 ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and with a
 kernel weight other than 1 under the soft xi, ``infer
---reconstruct``, and a 3-variable model file with a non-singular
-covariance through ``fluct`` and ``compute --rows``), once on the working
+--reconstruct``, a 3-variable model file with a non-singular
+covariance through ``fluct`` and ``compute --rows``, and the same file
+carrying a tsallis ``squeeze`` fragment through both), once on the working
 tree's ``src`` and once on REF's,
 extracted with ``git archive``.  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
@@ -44,12 +45,14 @@ def _ratios_csv(q: float) -> bytes:
     return ("ln_g,ratio\n" + "\n".join(rows) + "\n").encode()
 
 
-def _three_variable_model() -> bytes:
-    """Model file over a, b, c in 0..3 with coupled degeneracies: C is 3x3 and non-singular."""
+def _three_variable_model(**squeeze) -> bytes:
+    """Model file over a, b, c in 0..3 with coupled degeneracies: C is 3x3 and non-singular.
+    Keyword arguments, if any, are the file's ``squeeze`` fragment."""
     rows = [{"x": [float(a), float(b), float(c)], "ln_g": 0.25 * (a * b + b * c) + 0.5 * c}
             for a, b, c in itertools.product(range(4), repeat=3)]
-    return json.dumps({"variables": [{"name": n, "kind": "exchanged"} for n in "abc"], "rows": rows,
-                       "environment": {"y": {"a": 0.4, "b": 0.7, "c": 0.2}, "X": {}}}).encode()
+    doc = {"variables": [{"name": n, "kind": "exchanged"} for n in "abc"], "rows": rows,
+           "environment": {"y": {"a": 0.4, "b": 0.7, "c": 0.2}, "X": {}}}
+    return json.dumps({**doc, "squeeze": squeeze} if squeeze else doc).encode()
 
 
 def _fixed_cases() -> list[Case]:
@@ -94,6 +97,11 @@ def _fixed_cases() -> list[Case]:
     cases += [
         ("fluct 3var q=0.9 json", ["fluct", "--model", "model3.json", "--squeeze", "tsallis", "--q", "0.9"], three),
         ("compute 3var rows", ["compute", "--model", "model3.json", "--rows", "rows.csv"], three),
+    ]
+    fragment = {"model3q.json": _three_variable_model(family="tsallis", q=1.2)}
+    cases += [
+        ("compute 3var file q=1.2 rows", ["compute", "--model", "model3q.json", "--rows", "rows.csv"], fragment),
+        ("fluct 3var file q=1.2", ["fluct", "--model", "model3q.json"], fragment),
     ]
     return cases
 
