@@ -439,19 +439,16 @@ def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -
 
     Identity: Gibbs-Shannon -sum_k p_k ln p_k; power-law family:
     (sum_k p_k**q - 1)/(1-q).  Sums run over configurations, each row
-    contributing g_row identical terms.  No closed probability-space
-    form exists for custom hooks."""
+    contributing g_row identical terms."""
     live = ~probs.excluded
     lng = probs.ln_g[live]
     ln_p = probs.ln_config[live]
     if family.is_identity:
         # -sum_rows g p ln p, with g p = macro prob
         return float(-np.sum(np.exp(lng + ln_p) * ln_p))
-    if family.kind == "tsallis":
-        q = family.q
-        lse = _logsumexp(lng + q * ln_p)
-        return float(math.expm1(lse) / (1.0 - q))
-    raise ModelValidationError("no closed probability-space entropy for custom families")
+    q = family.q
+    lse = _logsumexp(lng + q * ln_p)
+    return float(math.expm1(lse) / (1.0 - q))
 
 
 def combine_independent(a: DegeneracySpectrum, b: DegeneracySpectrum) -> DegeneracySpectrum:
@@ -511,17 +508,17 @@ class SpectrumSurface:
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H_ij = d2 phi/dy_i dy_j = -k(T)/(T l(T)) <X_i><X_j> +
         sum_r w_r k(c_r)/(c_r l(c_r)) X_ri X_rj, with T the class total, c_r
-        the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x.  A live
+        the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x = -q.  A live
         row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, family = self._table(point), self.family
         cols = [table.spectrum.variable_names.index(n) for n in names]
         ln_l_total = table.ln_l_total
-        a = -family.slope_elasticity(table.ln_total) * math.exp(-table.ln_total - ln_l_total)
+        a = family.q * math.exp(-table.ln_total - ln_l_total)
         with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
             live, ln_c, ln_w = table.mean_weights()
             xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
             mean = xt @ np.exp(ln_w)
-            b = family.slope_elasticity(ln_c) * np.exp(2.0 * ln_w - ln_c - ln_l_total)
+            b = -family.q * np.exp(2.0 * ln_w - ln_c - ln_l_total)
             b[ln_c == -np.inf] = 0.0
             H = a * (mean[:, None] * mean) + (xt * b) @ xt.T
         if not np.isfinite(H).all():
@@ -561,8 +558,6 @@ def _numbers(value, field: str):
 
 
 def _squeeze_to_json(family: SqueezeFamily) -> dict:
-    if family.kind == "custom":
-        raise SqueezeDomainError("custom families have no config form")
     return {"family": "tsallis", "q": family.q} if family.kind == "tsallis" else {"family": "identity"}
 
 
@@ -574,7 +569,7 @@ def _squeeze_from_json(cfg) -> SqueezeFamily:
     if name == "identity":
         return SqueezeFamily.identity()
     if name != "tsallis":
-        raise SqueezeDomainError(f"unknown squeeze family {name!r} (custom is code-level only)")
+        raise SqueezeDomainError(f"unknown squeeze family {name!r}; choices: ['identity', 'tsallis']")
     if "q" not in cfg:
         raise SqueezeDomainError("tsallis squeeze config requires 'q'")
     return SqueezeFamily.tsallis(_number(cfg["q"], "tsallis 'q'", SqueezeDomainError))

@@ -50,7 +50,7 @@ __all__ = [
 
 _NEG_CLAMP = 1e-14
 _GAIN_LOSS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # the sign of a rate on i, j, k, l
-_QUAD_FLOOR = 1e-12  # lower limit of the q = 2 and custom-family entropy integrals
+_QUAD_FLOOR = 1e-12  # lower limit of the q = 2 entropy integral
 TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run_trace row
 
 
@@ -264,33 +264,21 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
     closed forms integrated from F = 0.  q = 2 (ln h(F) = 1 - 1/F, not
     integrable at 0): the closed form from the floor F = 1e-12.  q > 2:
     the antiderivative (F^(2-q)/(2-q) - F)/(1-q) with its own constant,
-    as the integral from 0 diverges.  Custom families: adaptive quadrature
-    from the floor in s = ln F, of e^s ln h(e^s) ds, so the hook takes its
-    own argument and a ln h that is steep near F = 0 is resolved.  Each
-    constant is additive per live component, irrelevant to monotonicity.
-    Components at F = 0 contribute nothing.  A closed form beyond the
-    float range raises SqueezeDomainError."""
+    as the integral from 0 diverges.  Each constant is additive per live
+    component, irrelevant to monotonicity.  Components at F = 0 contribute
+    nothing.  A result beyond the float range raises SqueezeDomainError."""
     F, q = state.F, family.q
-    if family.is_identity or family.kind == "tsallis":
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite raises below
-            if family.is_identity:
-                term = F * np.log(F) - F
-            elif q == 2.0:
-                term = (F - _QUAD_FLOOR) - np.log(F / _QUAD_FLOOR)
-            else:
-                term = (np.power(F, 2.0 - q) / (2.0 - q) - F) / (1.0 - q)
-            total = -np.where(F > 0.0, term, 0.0).sum()
-        if not math.isfinite(total):
-            raise SqueezeDomainError(f"entropy functional beyond the float range at q={q:g}")
-        return float(total)
-
-    from scipy.integrate import quad  # custom families only: keeps scipy off the import path
-
-    def integrand(s: float) -> float:
-        return math.exp(s) * float(family.ln_squeeze(s))
-
-    lo = math.log(_QUAD_FLOOR)
-    return math.fsum(-quad(integrand, lo, math.log(f), limit=200)[0] for f in F if f > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite raises below
+        if family.is_identity:
+            term = F * np.log(F) - F
+        elif q == 2.0:
+            term = (F - _QUAD_FLOOR) - np.log(F / _QUAD_FLOOR)
+        else:
+            term = (np.power(F, 2.0 - q) / (2.0 - q) - F) / (1.0 - q)
+        total = -np.where(F > 0.0, term, 0.0).sum()
+    if not math.isfinite(total):
+        raise SqueezeDomainError(f"entropy functional beyond the float range at q={q:g}")
+    return float(total)
 
 
 def detailed_balance_residual(

@@ -41,20 +41,35 @@ def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
     return _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
 
 
+def _param(value, key: str, count: bool = False) -> "float | int":
+    """A builder's parameter under the number rule of model documents: a finite int or float,
+    never a bool or a str, and an integer-like one for a count, which the CLI passes as a float."""
+    val = _number(value, f"parameter {key}")
+    if not math.isfinite(val):
+        raise ModelValidationError(f"parameter {key}={val!r} must be finite")
+    if not count:
+        return val
+    ival = int(round(val))
+    if abs(ival - val) > 1e-9:
+        raise ModelValidationError(f"parameter {key}={val!r} must be an integer")
+    return ival
+
+
 def two_level(epsilon: float = 1.0) -> DegeneracySpectrum:
     """Single two-level system: E in {0, epsilon}, both nondegenerate."""
+    epsilon = _param(epsilon, "epsilon")
     if epsilon <= 0:
         raise ModelValidationError(f"epsilon must be positive, got {epsilon!r}")
     return DegeneracySpectrum(
         variable_names=("E",),
-        x=np.array([[0.0], [float(epsilon)]]),
+        x=np.array([[0.0], [epsilon]]),
         ln_g=np.array([0.0, 0.0]),
     )
 
 
 def spin_half_paramagnet(N: int) -> DegeneracySpectrum:
     """N spin-1/2 sites; magnetization M = 2k - N with binomial degeneracy."""
-    N = int(N)
+    N = _param(N, "N", count=True)
     if N < 1:
         raise ModelValidationError(f"N must be >= 1, got {N}")
     k = np.arange(N + 1, dtype=float)
@@ -67,8 +82,8 @@ def spin_half_paramagnet(N: int) -> DegeneracySpectrum:
 
 def einstein_solid(N: int, E_max: int = 100) -> DegeneracySpectrum:
     """N oscillators sharing m quanta, m = 0..E_max; g = C(m+N-1, m)."""
-    N = int(N)
-    E_max = int(E_max)
+    N = _param(N, "N", count=True)
+    E_max = _param(E_max, "E_max", count=True)
     if N < 1:
         raise ModelValidationError(f"N must be >= 1, got {N}")
     if E_max < 0:
@@ -89,9 +104,8 @@ def lattice_gas(sites: float, N_max: int | None = None) -> DegeneracySpectrum:
     occupation distribution.  `sites` may be non-integer (the binomial
     is continued through log-gamma), which keeps the table smooth for
     parametric derivatives in the site count."""
-    if N_max is None:
-        N_max = int(sites)
-    N_max = int(N_max)
+    sites = _param(sites, "sites")
+    N_max = int(sites) if N_max is None else _param(N_max, "N_max", count=True)
     if sites < N_max or N_max < 0:
         raise ModelValidationError(f"need sites >= N_max >= 0, got sites={sites!r}, N_max={N_max}")
     n = np.arange(N_max + 1, dtype=float)
@@ -107,8 +121,8 @@ MODELS: dict[str, Callable[..., DegeneracySpectrum]] = {
 def build_model(name: str, params: dict) -> DegeneracySpectrum:
     """Instantiate a named generator with {parameter: value} arguments.
 
-    The parameter names and defaults are the builder's own signature.  A value is a number,
-    an int or a float but never a bool or a str; None passes through as it is."""
+    The parameter names and defaults are the builder's own signature, and the builder applies
+    the number rule to each value."""
     if name not in MODELS:
         raise ModelValidationError(f"unknown model {name!r}; choices: {sorted(MODELS)}")
     signature = inspect.signature(MODELS[name]).parameters
@@ -118,16 +132,4 @@ def build_model(name: str, params: dict) -> DegeneracySpectrum:
     missing = {k for k, p in signature.items() if p.default is p.empty} - set(params)
     if missing:
         raise ModelValidationError(f"model {name!r} missing parameters {sorted(missing)}")
-    kwargs = {}
-    for key, val in params.items():
-        if val is not None:
-            val = _number(val, f"parameter {key}")
-            if not math.isfinite(val):
-                raise ModelValidationError(f"parameter {key}={val!r} must be finite")
-            if key in ("N", "E_max", "N_max"):  # integer-like; they arrive as floats from the CLI
-                ival = int(round(val))
-                if abs(ival - val) > 1e-9:
-                    raise ModelValidationError(f"parameter {key}={val!r} must be an integer")
-                val = ival
-        kwargs[key] = val
-    return MODELS[name](**kwargs)
+    return MODELS[name](**params)

@@ -11,7 +11,7 @@ the oracles it is checked against:
 - ``central_derivative`` is a central difference refined once by
   Richardson extrapolation, for functions given only as floats (the
   engine's means, surfaces parametric in a model size); ``conjugates``
-  and ``hessian`` apply it to a surface over a {name: value} point.
+  applies it to a surface over a {name: value} point.
 """
 
 import mpmath
@@ -36,31 +36,6 @@ def conjugates(surface, split, point):
         return central_derivative(lambda v: surface({**point, name: v}), point[name])
 
     return {name: -partial(name) if name in split.fixed_extensive else partial(name) for name in split.all_names}
-
-
-def hessian(surface, point, names, rel_step=5e-4):
-    """Second differences of the surface over ``names`` (a larger step than
-    a gradient needs), refined by ``richardson``."""
-    steps = [rel_step * max(1.0, abs(point[name])) for name in names]
-
-    def at(deltas):
-        return surface({**point, **{k: point[k] + d for k, d in deltas.items()}})
-
-    f0 = at({})
-
-    def second_differences(scale):
-        H = np.empty((len(names), len(names)))
-        for i, ni in enumerate(names):
-            hi = steps[i] * scale
-            H[i, i] = (at({ni: hi}) - 2.0 * f0 + at({ni: -hi})) / (hi * hi)
-            for j, nj in enumerate(names[i + 1:], i + 1):
-                hj = steps[j] * scale
-                H[i, j] = H[j, i] = (
-                    at({ni: hi, nj: hj}) - at({ni: hi, nj: -hj}) - at({ni: -hi, nj: hj}) + at({ni: -hi, nj: -hj})
-                ) / (4.0 * hi * hj)
-        return H
-
-    return richardson(second_differences, 1.0)
 
 
 def mp_row_class(ln_g, xy, q):

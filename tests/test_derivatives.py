@@ -5,8 +5,7 @@ curvature from one class pass.  These tests pin the pass counts, check
 the q < 1 states where second differences of phi lost the curvature,
 compare phi, the means, the curvature, the probabilities, the entropies,
 the Boltzmann factors and a product spectrum with 50-digit direct sums,
-and cover custom families and the growth of the curvature next to a
-cutoff at q < 1/2."""
+and cover the growth of the curvature next to a cutoff at q < 1/2."""
 
 import copy
 import dataclasses
@@ -39,8 +38,7 @@ from sqzstat.cli import main
 from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
-from differencing import central_derivative, conjugates, direct_sums, hessian, mp_phi
-from families import power_law, quadratic, square_law
+from differencing import central_derivative, direct_sums, mp_phi
 
 IDENT = SqueezeFamily.identity()
 EPS = np.finfo(float).eps
@@ -563,35 +561,7 @@ def test_large_potential_state_against_direct_sums():
 
 
 # ---------------------------------------------------------------------------
-# custom families and q < 1/2
-
-
-def test_custom_elasticity_against_closed_form():
-    ln_x = np.linspace(-6.0, 6.0, 25)
-    xv = np.exp(ln_x)
-    exact = 2.0 * xv / (1.0 + 2.0 * xv) - 1.0 - xv / (1.0 + xv)
-    assert np.allclose(quadratic().slope_elasticity(ln_x), exact, rtol=0, atol=1e-9)
-    assert np.allclose(square_law().slope_elasticity(ln_x), -1.0, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("family", [square_law, quadratic], ids=["square_law", "quadratic"])
-@pytest.mark.parametrize(
-    "spectrum, y",
-    [(lattice_gas(20), {"E": 0.7, "N": 0.2}), (einstein_solid(2, 60), {"E": 1.0})],
-    ids=["lattice_gas20", "einstein2"],
-)
-def test_custom_family_curvature_against_richardson(family, spectrum, y):
-    fam = family()
-    env = EnsembleSpec(fixed_intensive=y)
-    surface = phi_surface_from_spectrum(spectrum, env, fam)
-    names = sorted(y)
-    H = surface.curvature(env.values(), names)[1]
-    H_fd = hessian(surface, env.values(), names)  # differences of phi alone
-    assert np.allclose(H, H_fd, rtol=0, atol=1e-7 * np.max(np.abs(H_fd)))
-    grad = conjugates_from_phi(surface, env.split, env.values())
-    grad_fd = conjugates(surface, env.split, env.values())
-    for n in names:
-        assert grad[n] == pytest.approx(grad_fd[n], rel=1e-8, abs=1e-10)
+# next to the cutoff: the curvature at q < 1/2, and excluded rows
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
@@ -614,44 +584,15 @@ def test_curvature_near_the_cutoff_below_q_half_is_finite(gap):
     assert abs(-rep.G_inv[0, 0] - ref["H"][0, 0]) <= err
 
 
-def test_custom_family_excluded_rows_read_minus_inf_as_the_power_law():
+def test_power_law_excluded_rows_read_minus_inf_and_zero():
     # ln u = E here, so at q = 1.5 the rows with E >= 2 are past the cutoff
     spectrum = DegeneracySpectrum(("E",), np.arange(6.0), np.zeros(6))
     env = EnsembleSpec(fixed_intensive={"E": -1.0})
-    hooks, power = (engine.report_for(spectrum, env, fam).columns()
-                    for fam in (power_law(1.5), SqueezeFamily.tsallis(1.5)))
-    assert hooks["excluded"].tolist() == power["excluded"].tolist() == [False, False, True, True, True, True]
-    assert hooks["ln_class"][2:].tolist() == power["ln_class"][2:].tolist() == [-math.inf] * 4
+    cols = engine.report_for(spectrum, env, SqueezeFamily.tsallis(1.5)).columns()
+    assert cols["excluded"].tolist() == [False, False, True, True, True, True]
     for name in ("ln_class", "macro_prob", "config_prob", "boltzmann_factor"):
-        np.testing.assert_allclose(hooks[name], power[name], rtol=1e-14, atol=0)
-        assert hooks[name][2:].tolist() == [-math.inf if name == "ln_class" else 0.0] * 4
-
-
-def power_law_outcome(spectrum, env, fam):
-    """(<E>, J, phi) of one report, or the class of the domain error it raised."""
-    try:
-        report = engine.report_for(spectrum, env, fam)
-    except (engine.DegenerateEnsembleError, engine.SqueezeDomainError) as exc:
-        return type(exc)
-    return report.table.means[0], report.point.entropy_J, report.point.phi
-
-
-@settings(deadline=None, max_examples=200, derandomize=True)
-@given(q=st.floats(0.05, 4.0).filter(lambda q: q != 1.0), y=st.floats(-1e3, 1e3),
-       ln_g=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=6), step=st.sampled_from([0.25, 1.0, 3.0]))
-@example(q=1.5, y=500.0, ln_g=[0.0, 0.0, 0.0], step=1.0)  # <E> = 7.914e-08: the hooks' slope once underflowed
-def test_power_law_hooks_agree_with_the_power_law(q, y, ln_g, step):
-    spectrum = DegeneracySpectrum(("E",), step * np.arange(len(ln_g))[:, None], np.array(ln_g))
-    env = EnsembleSpec(fixed_intensive={"E": y})
-    hooks, power = (power_law_outcome(spectrum, env, fam) for fam in (power_law(q), SqueezeFamily.tsallis(q)))
-    if isinstance(power, type):
-        assert hooks is power
-        return
-    (mean, J, _), (mean_ref, J_ref, phi_ref) = hooks, power
-    # the hooks' ln h differs from the kernel's by an ulp (math.expm1 vs np.expm1); over 11k
-    # drawn states the means agreed to 1.1e-13 relative and J to 3.7e-15 of |y <E>| + |phi|
-    assert abs(mean - mean_ref) <= 1e-12 * abs(mean_ref)
-    assert abs(J - J_ref) <= 4e-14 * (abs(y * mean_ref) + abs(phi_ref))
+        assert cols[name][2:].tolist() == [-math.inf if name == "ln_class" else 0.0] * 4
+        assert np.isfinite(cols[name][:2]).all()
 
 
 def where_probabilities(table):
@@ -669,7 +610,7 @@ def where_probabilities(table):
     return macro, np.where(excluded, 0.0, config), ln_config, np.where(excluded, 0.0, bf)
 
 
-WHERE_FAMILIES = (IDENT, *map(SqueezeFamily.tsallis, (0.2, 0.5, 1.5, 2.0)), power_law(1.5))
+WHERE_FAMILIES = (IDENT, *map(SqueezeFamily.tsallis, (0.2, 0.5, 1.5, 2.0)))
 
 
 @settings(deadline=None, max_examples=200, derandomize=True,

@@ -23,7 +23,6 @@ from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict,
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 from differencing import central_derivative
-from families import square_law
 
 BETA = math.log(2.0)
 IDENT = SqueezeFamily.identity()
@@ -471,13 +470,6 @@ def test_uniform_tsallis_entropy():
     assert s == pytest.approx(0.5, abs=1e-12)
 
 
-def test_probability_entropy_has_no_custom_form():
-    fam = square_law()
-    probs = probabilities(characteristic_class(two_level(1.0), canonical_env(), fam))
-    with pytest.raises(ModelValidationError, match="custom families"):
-        entropy_from_probabilities(probs, fam)
-
-
 def test_entropy_equivalence_bg():
     table = characteristic_class(two_level(1.0), canonical_env(), IDENT)
     probs = probabilities(table)
@@ -738,18 +730,6 @@ def test_rows_are_the_columns_zipped(spec, env, fam):
     # the class table's own arrays, not copies
     assert cols["ln_g"] is table.spectrum.ln_g
     assert cols["excluded"] is table.excluded is probabilities(table).excluded
-
-
-def test_report_for_custom_family_has_rows_but_no_json_form():
-    from sqzstat import SqueezeDomainError
-
-    report = report_for(einstein_solid(3, 20), EnsembleSpec(fixed_intensive={"E": 0.8}), square_law())
-    rows = report.rows()
-    assert len(rows) == 21
-    assert all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float))
-    assert math.isfinite(report.point.phi)
-    with pytest.raises(SqueezeDomainError, match="no config form"):
-        report.to_json_dict()
 
 
 def test_report_json_takes_environment_and_squeeze_from_its_table():

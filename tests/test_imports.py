@@ -1,10 +1,10 @@
-"""Every built-in-family path runs on numpy and the stdlib alone, and
-each subcommand loads only the package layers it uses.
+"""Every path runs on numpy and the stdlib alone, and each subcommand
+loads only the package layers it uses.
 
-scipy costs about a third of a second to import, several times the
-numerical work of a typical CLI call, so it is imported only by the
-custom-family kinetic entropy.  Each case runs in a fresh interpreter,
-since the test process itself has scipy loaded."""
+No module of the package imports scipy, which costs about a third of a
+second to import, several times the numerical work of a typical CLI
+call; the tests keep it out of each subcommand.  Each case runs in a
+fresh interpreter, since the test process itself has scipy loaded."""
 
 import json
 import math
@@ -78,29 +78,6 @@ def test_infer_does_not_import_scipy(mode, tmp_path):
     _write_infer_inputs(tmp_path)
     out = fresh_python(RUN_MAIN, "infer", *mode, cwd=tmp_path)
     assert out == {"code": 0, "scipy": [], "logging": False}
-
-
-def test_custom_family_entropy_imports_quadrature_on_demand():
-    # h(g) = g**2: ln h(F) = 2 ln F, integrated from the 1e-12 floor
-    script = """
-import json, sys
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from families import square_law
-from sqzstat.kinetics import KineticState, entropy_functional
-before = "scipy" in sys.modules
-s = entropy_functional(KineticState(F=np.array([0.0, 0.5, 2.0])), square_law())
-print(json.dumps({"S": s, "before": before, "after": "scipy.integrate" in sys.modules}))
-"""
-    out = fresh_python(script, str(Path(__file__).resolve().parent))
-    a = 1e-12
-
-    def antiderivative(x):
-        return 2.0 * (x * math.log(x) - x)
-
-    expected = -sum(antiderivative(f) - antiderivative(a) for f in (0.5, 2.0))
-    assert out["before"] is False and out["after"] is True
-    assert out["S"] == pytest.approx(expected, rel=1e-9)
 
 
 RUN_MAIN_LAYERS = """

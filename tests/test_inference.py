@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
-from sqzstat import DatasetError
+from sqzstat import DatasetError, DegeneracySpectrum, EnsembleSpec, SqueezeFamily, report_for
 from sqzstat.inference import (
     EquilibriumDataset,
     estimate_q,
@@ -160,6 +162,34 @@ def test_gamma_density_matches_adaptive_quadrature_oracle():
     assert abs(got - oracle) / oracle < 1e-6
     # closed form of the mixing transform for a gamma density
     assert oracle == pytest.approx((1.0 + scale * energy) ** (-shape), rel=1e-9)
+
+
+@settings(deadline=None, max_examples=50, derandomize=True)
+@given(q=st.floats(1.05, 1.95))
+@example(q=1.05)
+@example(q=1.95)
+def test_gamma_mixture_is_the_engine_power_law_boltzmann_factor(q):
+    # Beck-Cohen: a Gamma density of beta with shape k = 1/(q - 1) and mean
+    # beta0 mixes exp(-beta E) into (1 + (q - 1) beta0 E)**(-k), which is the
+    # engine's power-law Boltzmann factor of a one-microstate row (g = 1) at
+    # y = beta0.  The geometric grid resolves the density's singular slope
+    # at beta = 0 and reaches low enough that the mass below it is ~1e-31.
+    beta0, k = 1.3, 1.0 / (q - 1.0)
+    theta = beta0 / k
+    energies = np.array([0.3, 1.0, 2.5])
+    b = beta0 * np.geomspace(1e-30, 200.0, 20_001)
+    f = np.exp((k - 1.0) * np.log(b) - b / theta - math.lgamma(k) - k * math.log(theta))
+    f = f / np.trapezoid(f, b)
+    mixed = np.array([superstatistics_forward(b, f, e) for e in energies])
+    spectrum = DegeneracySpectrum(("E",), energies[:, None], np.zeros(3))
+    env = EnsembleSpec(fixed_intensive={"E": beta0})
+    engine = report_for(spectrum, env, SqueezeFamily.tsallis(q)).columns()["boltzmann_factor"]
+    closed = (1.0 + (q - 1.0) * beta0 * energies) ** -k
+    # each rounding in 1 + (q - 1) beta0 E is raised to the power k: over 2,000
+    # q the three pairs agreed to within 1.65 (1 + k) eps relative
+    bound = 2.0 * (1.0 + k) * np.finfo(float).eps
+    for got, ref in ((mixed, closed), (engine, closed), (mixed, engine)):
+        assert np.all(np.abs(got / ref - 1.0) <= bound), (q, got, ref)
 
 
 def test_unnormalized_density_is_rejected_reporting_integral():

@@ -23,7 +23,6 @@ from sqzstat.kinetics import (
     xi_soft,
 )
 
-from families import power_law
 
 IDENT = SqueezeFamily.identity()
 
@@ -515,24 +514,6 @@ def test_q2_closed_form_matches_quadrature():
         for lo, hi in ((a, min(f, 1e-6)), (min(f, 1e-6), f)):
             oracle -= quad(lambda x: 1.0 - 1.0 / x, lo, hi, limit=500, epsabs=0.0, epsrel=1e-13)[0]
     assert got == pytest.approx(oracle, rel=1e-12)
-
-
-@pytest.mark.parametrize("q", [0.5, 0.9, 1.1, 1.5, 2.0, 2.5])
-def test_custom_family_entropy_against_the_power_law_antiderivative(q):
-    # the power law as custom hooks is integrated by quadrature from the 1e-12
-    # floor: S = -sum_i (P(F_i) - P(a)) over the live components, with P the
-    # antiderivative of ln h(F) = (F^(1-q) - 1)/(1-q); at q = 2, F - ln F
-    state = random_state(make_lattice(2), seed=3)
-    a, F = 1e-12, state.F[state.F > 0.0]
-    if q == 2.0:
-        expected = -math.fsum((f - a) - math.log(f / a) for f in F)
-    else:
-        def P(x):
-            return (x ** (2.0 - q) / (2.0 - q) - x) / (1.0 - q)
-
-        expected = -math.fsum(P(f) - P(a) for f in F)
-    got = entropy_functional(state, power_law(q))
-    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_entropy_nondecreasing_along_trajectory():

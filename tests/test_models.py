@@ -173,6 +173,28 @@ def test_build_model_reads_defaults_from_the_builder_signature():
         build_model("einstein_solid", {"N": 2.5})
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: two_level(True), "takes numbers"),
+    (lambda: two_level("2"), "takes numbers"),
+    (lambda: spin_half_paramagnet("3"), "takes numbers"),
+    (lambda: spin_half_paramagnet(True), "takes numbers"),
+    (lambda: spin_half_paramagnet(40.5), "parameter N=40.5 must be an integer"),
+    (lambda: einstein_solid(True, E_max="4"), "takes numbers"),
+    (lambda: einstein_solid(3, E_max="4"), "parameter E_max takes numbers"),
+    (lambda: einstein_solid(3, E_max=4.5), "parameter E_max=4.5 must be an integer"),
+    (lambda: lattice_gas("10"), "parameter sites takes numbers"),
+    (lambda: lattice_gas(10, N_max=2.5), "parameter N_max=2.5 must be an integer"),
+    (lambda: lattice_gas(math.inf), "parameter sites=inf must be finite"),
+], ids=["two_level-bool", "two_level-str", "paramagnet-str", "paramagnet-bool", "paramagnet-40.5",
+        "einstein-bool", "einstein-str", "einstein-4.5", "lattice_gas-str", "lattice_gas-2.5",
+        "lattice_gas-inf"])
+def test_builders_apply_the_number_rule(build, match):
+    # called directly, a builder applies the number rule too: no bool, no str,
+    # and a count (N, E_max, N_max) that is integer-like, never truncated
+    with pytest.raises(ModelValidationError, match=match):
+        build()
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name, key", [("spin_half_paramagnet", "N"), ("lattice_gas", "sites")])
 def test_build_model_rejects_non_finite_parameters(name, key, value):

@@ -16,7 +16,7 @@ from sqzstat import (
 from sqzstat.engine import model_from_json_dict, model_to_json_dict
 from sqzstat.models import two_level
 
-from families import SQUARE_LAW_HOOKS, deformed_log, quadratic, square_law
+from families import deformed_log
 
 Q_GRID = [0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0]
 ROUNDTRIP_Q = [0.05, 0.2, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1, 1.5, 2.0, 3.0, 4.9, 7.0, 10.0]
@@ -197,7 +197,6 @@ def test_slope_with_finite_ln_h_beyond_float_range_is_inf():
 FAMILIES = st.one_of(
     st.just(SqueezeFamily.identity()),
     st.floats(0.05, 4.0).map(SqueezeFamily.tsallis),
-    st.just(square_law()),
 )
 LN_G = st.one_of(st.floats(-700.0, 700.0), st.sampled_from([math.inf, -math.inf]))
 
@@ -269,78 +268,8 @@ def test_h_of_zero_is_the_limit_at_zero(q):
         assert h0[0] == 0.0
 
 
-def test_h_of_zero_identity_and_custom():
+def test_h_of_zero_identity():
     assert SqueezeFamily.identity().h_of(np.array([0.0]))[0] == 0.0
-
-    def finite_only(fn):
-        def hook(v):
-            if not math.isfinite(v):
-                raise ValueError(f"hook called at {v!r}")
-            return fn(v)
-        return hook
-
-    fam = SqueezeFamily.custom(*map(finite_only, SQUARE_LAW_HOOKS))
-    np.testing.assert_allclose(fam.h_of(np.array([0.0, 3.0])), [0.0, 9.0], rtol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# custom families
-
-def test_custom_family_square_law():
-    # h(g) = g**2, H(x) = sqrt(x), dh/dx = 2 g
-    fam = square_law()
-    ln_3 = math.log(3.0)
-    assert fam.ln_squeeze(ln_3) == pytest.approx(2.0 * ln_3, rel=1e-12)
-    assert fam.ln_unsqueeze(2.0 * ln_3)[0] == pytest.approx(ln_3, rel=1e-12)
-    assert fam.ln_row_class(ln_3, 0.0)[0] == pytest.approx(ln_3, rel=1e-12)
-    # c = sqrt(g**2 e^(-x.y)) = g e^(-x.y / 2)
-    assert fam.ln_row_class(ln_3, 1.0)[0] == pytest.approx(ln_3 - 0.5, rel=1e-12)
-    assert slope(fam, ln_3) == pytest.approx(6.0, rel=1e-12)
-
-
-def test_custom_family_rejects_bad_inverse():
-    ln_h, _, ln_l = SQUARE_LAW_HOOKS
-    with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.custom(ln_h, lambda ln_x: ln_x, ln_l)  # not the inverse
-
-
-def test_custom_family_rejects_bad_slope():
-    ln_h, ln_H, _ = SQUARE_LAW_HOOKS
-    with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.custom(ln_h, ln_H, lambda ln_g: 1.0)  # inconsistent with h
-
-
-def test_custom_family_rejects_the_linear_slope_contract():
-    # dh/dx = 2 g returned where ln(d ln h/dx) = ln 2 - ln g is due
-    ln_h, ln_H, _ = SQUARE_LAW_HOOKS
-    with pytest.raises(SqueezeDomainError, match="inconsistent with d ln h/d ln g"):
-        SqueezeFamily.custom(ln_h, ln_H, lambda ln_g: 2.0 * math.exp(ln_g))
-    with pytest.raises(TypeError, match="slope"):
-        SqueezeFamily.custom(ln_h=ln_h, ln_H=ln_H, slope=lambda ln_g: 2.0 * math.exp(ln_g))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("hook", range(3))
-def test_custom_family_rejects_a_non_finite_hook_value(hook, bad):
-    # one grid point, ln g = 0.5, reads ``bad`` from one hook; the rest is the square law
-    hooks = list(SQUARE_LAW_HOOKS)
-    ok = hooks[hook]
-    at = 1.0 if hook == 1 else 0.5  # ln H is called at ln h = 2 ln g
-    hooks[hook] = lambda v: bad if v == at else ok(v)
-    with pytest.raises(SqueezeDomainError, match="non-finite value at ln_g=0.5"):
-        SqueezeFamily.custom(*hooks)
-
-
-def test_steep_custom_family_builds_and_gives_finite_results():
-    # h = g**1000: ln h reaches 3000 on the probe grid, far beyond exp's range
-    fam = SqueezeFamily.custom(lambda v: 1000.0 * v, lambda w: w / 1000.0,
-                               lambda v: math.log(1000.0) - v)
-    spectrum = DegeneracySpectrum(("E",), np.arange(4.0)[:, None], np.log([1.0, 3.0, 6.0, 10.0]))
-    report = report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), fam)
-    cols = report.columns()
-    assert math.isfinite(report.point.phi) and math.isfinite(report.point.entropy_J)
-    assert all(np.isfinite(cols[name]).all() for name in ("ln_class", "macro_prob", "boltzmann_factor"))
-    assert 0.0 < report.point.observed["E"] < 3.0
 
 
 def test_power_law_squeeze_beyond_the_float_range_names_the_input():
@@ -353,22 +282,6 @@ def test_power_law_squeeze_beyond_the_float_range_names_the_input():
     spectrum = DegeneracySpectrum(("E",), np.zeros((1, 1)), np.array([2000.0]))
     with pytest.raises(SqueezeDomainError, match="largest ln g = 2000"):
         report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), fam)
-
-
-def test_a_custom_hook_math_error_is_a_domain_error_naming_the_input():
-    # quadratic's ln h takes math.exp(ln g), which overflows at ln g = 800
-    spectrum = DegeneracySpectrum(("E",), np.arange(3.0)[:, None], np.full(3, 800.0))
-    with pytest.raises(SqueezeDomainError, match="fails at 800.0"):
-        report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), quadratic())
-    # the probe's first point, ln g = -3, is outside this ln h's domain
-    ln_h, ln_H, ln_l = SQUARE_LAW_HOOKS
-    with pytest.raises(SqueezeDomainError, match="fails at -3.0: math domain error"):
-        SqueezeFamily.custom(lambda v: 2.0 * v if v > -3.0 else math.log(-1.0), ln_H, ln_l)
-
-
-def test_custom_family_requires_all_hooks():
-    with pytest.raises(SqueezeDomainError):
-        SqueezeFamily.custom(ln_h=lambda v: v, ln_H=lambda v: v, ln_log_slope=None)
 
 
 # ---------------------------------------------------------------------------
