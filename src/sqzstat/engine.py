@@ -215,9 +215,10 @@ class EnsembleSpec:
 class ClassTable:
     """Per-subclass squeezed classes for one ensemble evaluation.
 
-    Rows follow the restricted spectrum.  ``ln_row_class`` is -inf on excluded rows; ``ln_total``
-    is the log characteristic class over the surviving rows.  Cached floats: ``phi``,
-    ``ln_l_total`` (ln of l = d(ln h)/dx at the total) and ``means``; mean weights are per call.
+    Rows follow the restricted spectrum.  ``ln_row_class`` is ln c, -inf on excluded rows;
+    ``ln_total`` is ln T, T = sum c over the surviving rows.  With P = c/T, phi = -ln_q T and
+    the mean <X> = d phi/dy = sum P^q X (the plain average at q = 1).  Cached floats: ``phi``
+    and ``means``; mean weights are per call.
     """
 
     spectrum: DegeneracySpectrum
@@ -239,15 +240,12 @@ class ClassTable:
     def phi(self) -> float:
         return -float(self.family.ln_squeeze(self.ln_total))
 
-    @cached_property
-    def ln_l_total(self) -> float:
-        return float(self.family.ln_log_slope(self.ln_total))
-
     def mean_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(live mask, live ln c, ln w), w = l(total)/l(c_row); ln w may overflow to -inf, a zero weight."""
-        live = ~self.excluded
+        """(live mask, live ln c, ln w), w = P^q, ln w = q ln c - q ln T; ln w may overflow to -inf,
+        a zero weight."""
+        live, q = ~self.excluded, self.family.q
         ln_c = self.ln_row_class[live]
-        return live, ln_c, self.ln_l_total - self.family.ln_log_slope(ln_c)
+        return live, ln_c, q * ln_c - q * self.ln_total
 
     def mean_of(self, *columns: np.ndarray) -> tuple[float, ...]:
         """sum_r w_r v_r over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
@@ -349,14 +347,10 @@ def observed_mean(
     family: SqueezeFamily,
     observable: "str | np.ndarray | Sequence[float]",
 ) -> float:
-    """Weighted mean of a per-row observable.
-
-    The weights are the ratio of logarithmic squeeze slopes evaluated at
-    the total class and at each row class; this makes the mean equal the
-    derivative of phi with respect to the conjugate intensive variable.
-    For the identity family the weights reduce to the macro
-    probabilities (plain ensemble average); for the power-law family to
-    P_row**q.
+    """Weighted mean of a per-row observable, sum P^q v over the live rows (P = c/T,
+    ``ClassTable``): for a spectrum column, the derivative of phi with respect to its
+    conjugate intensive variable.  For the identity family (q = 1) the weights are the
+    macro probabilities, the plain ensemble average.
     """
     table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
     if isinstance(observable, str):
@@ -506,23 +500,22 @@ class SpectrumSurface:
         return {n: table.means[table.spectrum.variable_names.index(n)] for n in names}
 
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
-        """(phi, H), H_ij = d2 phi/dy_i dy_j = -k(T)/(T l(T)) <X_i><X_j> +
-        sum_r w_r k(c_r)/(c_r l(c_r)) X_ri X_rj, with T the class total, c_r
-        the row class, l = d(ln h)/dx, w_r = l(T)/l(c_r), k = d ln l/d ln x = -q.  A live
-        row with c_r = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
-        table, family = self._table(point), self.family
+        """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
+        class total and P = c/T the row's probability (``ClassTable``).  A live row with c = 0
+        adds 0; an H beyond the float range raises SqueezeDomainError."""
+        table, q = self._table(point), self.family.q
         cols = [table.spectrum.variable_names.index(n) for n in names]
-        ln_l_total = table.ln_l_total
-        a = family.q * math.exp(-table.ln_total - ln_l_total)
+        q_ln_total = q * table.ln_total
+        a = q * math.exp(q_ln_total - table.ln_total)
         with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
             live, ln_c, ln_w = table.mean_weights()
             xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
             mean = xt @ np.exp(ln_w)
-            b = -family.q * np.exp(2.0 * ln_w - ln_c - ln_l_total)
+            b = -q * np.exp(2.0 * ln_w - ln_c + q_ln_total)
             b[ln_c == -np.inf] = 0.0
             H = a * (mean[:, None] * mean) + (xt * b) @ xt.T
         if not np.isfinite(H).all():
-            raise SqueezeDomainError(f"curvature of phi exceeds the float range at {family.label()}")
+            raise SqueezeDomainError(f"curvature of phi exceeds the float range at {self.family.label()}")
         return table.phi, H
 
 
@@ -566,10 +559,8 @@ def _squeeze_from_json(cfg) -> SqueezeFamily:
     if not isinstance(cfg, dict):
         raise SqueezeDomainError(f"squeeze config must be an object, got {cfg!r}")
     name = cfg.get("family", "identity")
-    if name == "identity":
-        return SqueezeFamily.identity()
     if name != "tsallis":
-        raise SqueezeDomainError(f"unknown squeeze family {name!r}; choices: ['identity', 'tsallis']")
+        return SqueezeFamily(name)  # the identity; the constructor rejects an unknown family
     if "q" not in cfg:
         raise SqueezeDomainError("tsallis squeeze config requires 'q'")
     return SqueezeFamily.tsallis(_number(cfg["q"], "tsallis 'q'", SqueezeDomainError))

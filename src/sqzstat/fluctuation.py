@@ -85,6 +85,7 @@ def moments(
     ``variables`` are the intensive environment names conjugate to the
     fluctuating set; ``phi0`` is the surface's phi at the point, the
     potential of the ensemble in which the fluctuating variables are exchanged.
+    ``family`` must equal the surface's own (ValueError otherwise): it sets the scale.
 
     One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
     of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf
@@ -99,6 +100,8 @@ def moments(
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
     live class is at least eps**(1/(1 - q)), so the result stays finite."""
+    if family != phi_surface.family:
+        raise ValueError(f"moments of a {phi_surface.family.label()} surface asked for {family.label()}")
     names = tuple(variables)
     phi0, H = phi_surface.curvature(point, names)
     H = 0.5 * (H + H.T)

@@ -1,21 +1,21 @@
 """Squeezing-function families evaluated in log domain.
 
 A family is a positive deformation h applied to class counts, with its
-inverse H and its log-slope l = d(ln h)/dx.  The identity family leaves
-counts untouched; the power-law ("tsallis") family is parametrized by an
-entropic index q and built from the deformed logarithm
-ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
+inverse H.  The identity family leaves counts untouched; the power-law
+("tsallis") family is parametrized by an entropic index q and built from
+the deformed logarithm ln_q x = (x^(1-q) - 1)/(1-q) and its inverse.
 
 Everything works on ln(count), so macroscopically large counts are never
-materialized.  Four kernels hold a family's arithmetic: ln_squeeze
+materialized.  Three kernels hold a family's arithmetic: ln_squeeze
 (ln h), ln_unsqueeze (ln H and the mask of *excluded* values, whose
-inverse falls outside the deformed-exponential domain), ln_log_slope
-(ln l) and ln_row_class (ln H(h(g) e^(-x.y)), a row's squeezed class, in
-one expression).  Each kernel takes a float or an array, with the same
-bits either way; the linear-domain forms wrap them.  Overflow gives inf
-here and SqueezeDomainError in the engine.  A family is its index q:
-general squeezing functions are out of scope, and the power law alone
-carries the paper's framework.
+inverse falls outside the deformed-exponential domain) and ln_row_class
+(ln H(h(g) e^(-x.y)), a row's squeezed class, in one expression).  Each
+kernel takes a float or an array, with the same bits either way; the
+linear-domain forms wrap them.  Overflow gives inf here and
+SqueezeDomainError in the engine.  A family is its index q: general
+squeezing functions are out of scope, and the power law alone carries
+the paper's framework; the derivatives of phi are its closed sums in P^q
+(``engine.ClassTable``).
 """
 
 from __future__ import annotations
@@ -46,10 +46,21 @@ class SqueezeFamily:
     power law of its index q, and q = 1 is a dedicated identity branch,
     never a numerical limit.  ``kind`` only names the family: tsallis(1)
     computes as the identity but keeps its own label and model fragment.
+    Construction rejects, with SqueezeDomainError, a kind other than
+    these two, a non-finite q and an identity whose q is not 1.
     """
 
     kind: str
     q: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in (_IDENTITY, _TSALLIS):
+            raise SqueezeDomainError(f"unknown squeeze family {self.kind!r}; choices: {[_IDENTITY, _TSALLIS]}")
+        if not math.isfinite(self.q):
+            raise SqueezeDomainError(f"entropic index must be finite, got {self.q!r}")
+        object.__setattr__(self, "q", float(self.q))
+        if self.kind == _IDENTITY and self.q != 1.0:
+            raise SqueezeDomainError(f"the identity family has q = 1, got {self.q!r}")
 
     @staticmethod
     def identity() -> "SqueezeFamily":
@@ -57,20 +68,18 @@ class SqueezeFamily:
 
     @staticmethod
     def tsallis(q: float) -> "SqueezeFamily":
-        if not math.isfinite(q):
-            raise SqueezeDomainError(f"entropic index must be finite, got {q!r}")
-        return SqueezeFamily(kind=_TSALLIS, q=float(q))
+        return SqueezeFamily(kind=_TSALLIS, q=q)
 
     @property
     def is_identity(self) -> bool:
-        return self.kind == _IDENTITY or self.q == 1.0
+        return self.q == 1.0
 
     def label(self) -> str:
         if self.kind == _TSALLIS:
             return f"tsallis(q={self.q:g})"
         return self.kind
 
-    # -- the four kernels: all of a family's arithmetic -----------------
+    # -- the three kernels: all of a family's arithmetic ----------------
 
     def ln_squeeze(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
         """ln h(g) from ln g, elementwise; inf where h leaves the float range."""
@@ -91,10 +100,6 @@ class SqueezeFamily:
         excluded = t <= -1.0  # 1 + t <= 0, as 1 + t is exact near t = -1
         ln_H = np.log1p(np.where(excluded, 0.0, t)) / u
         return np.where(excluded, -np.inf, ln_H), excluded
-
-    def ln_log_slope(self, ln_g: "np.ndarray | float") -> "np.ndarray | float":
-        """ln l(g) from ln g, l = d(ln h)/dx, elementwise."""
-        return -self.q * _float_or_array(ln_g)  # -x at q = 1
 
     def ln_row_class(self, ln_g: "np.ndarray | float", xy: "np.ndarray | float") -> tuple:
         """(ln c, excluded mask) of the squeezed class c = H(h(g) e^(-x.y))

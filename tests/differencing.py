@@ -1,41 +1,18 @@
 """Reference derivatives for the tests, independent of the class table.
 
 The package reads every derivative of phi from its class table; these are
-the oracles it is checked against:
+the oracles it is checked against, at 50 digits:
 - ``mp_row_class`` is the class of one spectrum row in mpmath, the one
   place the oracles form it;
-- ``mp_phi`` is phi of a spectrum by direct summation in mpmath, for
-  ``mpmath.diff`` at 50 digits where phi has a cheap closed form;
+- ``mp_phi`` is phi of a spectrum by direct summation in mpmath, and
+  ``mp_derivative`` its partial derivatives by ``mpmath.diff``;
 - ``direct_sums`` is phi, the means, the curvature and the row classes of a
-  spectrum by direct summation at 50 digits;
-- ``central_derivative`` is a central difference refined once by
-  Richardson extrapolation, for functions given only as floats (the
-  engine's means, surfaces parametric in a model size); ``conjugates``
-  applies it to a surface over a {name: value} point.
+  spectrum by direct summation, with the condition bound ``cond`` and the
+  ``scale`` of each sum that the tests' error bounds are made of.
 """
 
 import mpmath
 import numpy as np
-
-
-def richardson(D, h):
-    """One Richardson refinement of a difference quotient D (a float or an
-    array) whose leading error is O(h^2): (4 D(h/2) - D(h)) / 3."""
-    return (4.0 * D(h / 2) - D(h)) / 3.0
-
-
-def central_derivative(f, x0, rel_step=1e-5):
-    """Central difference at step h = rel_step * max(1, |x0|), refined by ``richardson``."""
-    return richardson(lambda h: (f(x0 + h) - f(x0 - h)) / (2.0 * h), rel_step * max(1.0, abs(x0)))
-
-
-def conjugates(surface, split, point):
-    """Observed values of a split by ``central_derivative``: -dphi/dX for a
-    pinned-extensive pair, +dphi/dy for a pinned-intensive one."""
-    def partial(name):
-        return central_derivative(lambda v: surface({**point, name: v}), point[name])
-
-    return {name: -partial(name) if name in split.fixed_extensive else partial(name) for name in split.all_names}
 
 
 def mp_row_class(ln_g, xy, q):
@@ -64,6 +41,13 @@ def mp_phi(x, ln_g, q):
         T = mpmath.fsum(cs)
         return -mpmath.log(T) if q == 1.0 else -(T**u - 1) / u
     return phi
+
+
+def mp_derivative(x, ln_g, y, q, orders):
+    """A partial derivative of phi at y, of the given order in each variable
+    (a tuple), by ``mpmath.diff`` of ``mp_phi`` at 50 digits, as a float."""
+    with mpmath.workdps(50):
+        return float(mpmath.diff(mp_phi(x, ln_g, q), [mpmath.mpf(float(v)) for v in y], tuple(orders)))
 
 
 def direct_sums(x, ln_g, y, q):

@@ -41,14 +41,14 @@ from sqzstat.kinetics import (
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 from families import ratio_dataset
-from differencing import central_derivative, mp_phi
+from differencing import direct_sums, mp_derivative, mp_phi
 
 IDENT = SqueezeFamily.identity()
 BETA = math.log(2.0)
 Q_SET = (0.5, 1.5, 2.0)
 
-# fixture set used wherever a criterion says "every fixture": sizes keep
-# |phi| moderate so finite differencing resolves 1e-6 absolute bands
+# fixture set used wherever a criterion says "every fixture": small sizes
+# keep |phi| moderate
 FIXTURES = [
     ("two_level", two_level(1.0), EnsembleSpec(fixed_intensive={"E": BETA})),
     ("einstein_solid", einstein_solid(2, 60), EnsembleSpec(fixed_intensive={"E": 1.0})),
@@ -200,19 +200,18 @@ def test_criterion_08_grand_canonical_covariance():
         assert rep.singular
         cov = rep.covariances[("E", "N")]
 
-        def mean_of(name, beta, nu):
-            e = EnsembleSpec(fixed_intensive={"E": beta, "N": nu})
-            return observed_mean(spec, e, IDENT, name)
-
-        # d<N>/dbeta = d2 phi/dbeta dnu of the 50-digit direct sum; d<E>/dnu by
-        # differencing the engine's mean, so the two sides share no code
+        # d<N>/dbeta = d2 phi/dbeta dnu by mpmath.diff of the 50-digit phi; d<E>/dnu the
+        # closed-form 50-digit sum, so the two sides share no code
         assert spec.variable_names == ("E", "N")
-        with mpmath.workdps(50):
-            dN_dbeta = float(mpmath.diff(mp_phi(spec.x, spec.ln_g, 1.0), (0.7, 0.2), (1, 1)))
-        dE_dnu = central_derivative(lambda v: mean_of("E", 0.7, v), 0.2)
+        dN_dbeta = mp_derivative(spec.x, spec.ln_g, (0.7, 0.2), 1.0, (1, 1))
+        ref = direct_sums(spec.x, spec.ln_g, np.array([0.7, 0.2]), 1.0)
+        dE_dnu = ref["H"][0, 1]
         assert abs(cov - (-dN_dbeta)) < 1e-6
         assert abs(cov - (-dE_dnu)) < 1e-6
         assert abs(-dN_dbeta - (-dE_dnu)) < 1e-6
+        # and within the curvature's error bound, 64 eps cond (1 + 3q) times its scale
+        err = 64.0 * np.finfo(float).eps * ref["cond"] * 4.0 * ref["scale"][0, 1]
+        assert abs(cov + dN_dbeta) <= err and abs(cov + dE_dnu) <= err
 
 
 def test_criterion_09_h_theorem():

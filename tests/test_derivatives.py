@@ -38,7 +38,7 @@ from sqzstat.cli import main
 from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
-from differencing import central_derivative, direct_sums, mp_phi
+from differencing import direct_sums, mp_derivative, mp_phi
 
 IDENT = SqueezeFamily.identity()
 EPS = np.finfo(float).eps
@@ -236,8 +236,8 @@ def test_class_table_caches_floats_only_and_is_taken_over_the_callers_spec():
     assert table.env is env
     phi_surface_from_spectrum(spectrum, env, table.family).curvature(env.values(), ["E", "N"])
     cached = {k: v for k, v in vars(table).items() if k not in {f.name for f in dataclasses.fields(table)}}
-    assert sorted(cached) == ["ln_l_total", "means", "phi"]
-    assert type(cached["phi"]) is type(cached["ln_l_total"]) is float
+    assert sorted(cached) == ["means", "phi"]
+    assert type(cached["phi"]) is float
     assert all(type(v) is float for v in cached["means"])
 
 
@@ -308,7 +308,13 @@ def test_interleaved_lookups_match_a_fresh_spectrum(ops):
 
 
 # ---------------------------------------------------------------------------
-# q < 1: the curvature against the differenced exact mean
+# q < 1: the curvature against the exact mean, differenced at 50 digits
+
+
+def curvature_error(ref, q, i):
+    """The error bound of the engine's H[i, i] (as for every curvature below): 64 eps cond
+    (1 + 3q) times the entry's scale."""
+    return 64.0 * EPS * ref["cond"] * (1.0 + 3.0 * q) * ref["scale"][i, i]
 
 
 @pytest.mark.parametrize(
@@ -326,15 +332,13 @@ def test_curvature_matches_differenced_mean_below_q_one(spectrum, y, q, name):
     env = EnsembleSpec(fixed_intensive=y)
     names = sorted(y)
     H = phi_surface_from_spectrum(spectrum, env, fam).curvature(env.values(), names)[1]
-
-    def mean_at(v):
-        return observed_mean(spectrum, EnsembleSpec(fixed_intensive={**y, name: v}), fam, name)
-
-    # a step of 3e-3 resolves these derivatives to ~2e-7 (checked against
-    # 50-digit sums); smaller steps lose digits to the size of phi
-    d_mean = central_derivative(mean_at, y[name], rel_step=3e-3)
+    # d<X>/dy = d2 phi/dy2 of the 50-digit phi; the spectrum's variables are in sorted order
+    assert list(spectrum.variable_names) == names
+    yv = [y[n] for n in names]
+    d_mean = mp_derivative(spectrum.x, spectrum.ln_g, yv, q, [2 * (n == name) for n in names])
     i = names.index(name)
-    assert H[i, i] == pytest.approx(d_mean, rel=1e-6)
+    ref = direct_sums(spectrum.x, spectrum.ln_g, np.array(yv), q)
+    assert abs(H[i, i] - d_mean) <= curvature_error(ref, q, i)
 
 
 def test_cli_fluct_variance_below_q_one(capsys):
@@ -345,13 +349,10 @@ def test_cli_fluct_variance_below_q_one(capsys):
         code = main(argv)
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    spectrum, fam = einstein_solid(50, 100), SqueezeFamily.tsallis(0.9)
-
-    def mean_at(v):
-        return observed_mean(spectrum, EnsembleSpec(fixed_intensive={"E": v}), fam, "E")
-
-    expected = -doc["tsallis_scale"] * central_derivative(mean_at, 0.3, rel_step=3e-3)
-    assert doc["variances"]["E"] == pytest.approx(expected, rel=1e-6)
+    spectrum = einstein_solid(50, 100)
+    ref = direct_sums(spectrum.x, spectrum.ln_g, np.array([0.3]), 0.9)
+    scale = doc["tsallis_scale"]
+    assert abs(doc["variances"]["E"] + scale * ref["H"][0, 0]) <= abs(scale) * curvature_error(ref, 0.9, 0)
     assert round(doc["variances"]["E"], 3) == 78.463
 
 

@@ -16,15 +16,15 @@ from sqzstat import (
     entropy_from_probabilities,
     observed_mean,
     phi_and_entropies,
-    phi_surface_from_spectrum,
     probabilities,
 )
 from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict, report_for
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
-from differencing import central_derivative
+from differencing import direct_sums, mp_derivative
 
 BETA = math.log(2.0)
+EPS = np.finfo(float).eps
 IDENT = SqueezeFamily.identity()
 Q2 = SqueezeFamily.tsallis(2.0)
 
@@ -415,27 +415,26 @@ def test_observed_mean_rejects_a_non_finite_observable(bad):
         observed_mean(two_level(1.0), env, IDENT, [1.0])
 
 
-def fd_phi_derivative(spec, env, fam, name):
-    surface = phi_surface_from_spectrum(spec, env, fam)
-
-    def phi_at(y):
-        return surface({**env.values(), name: y})
-
-    return central_derivative(phi_at, env.fixed_intensive[name])
+def phi_derivative(spec, env, fam, name):
+    """(d phi/dy_name of the 50-digit ``mp_phi``, the error bound of the engine's mean of
+    that column: 64 eps cond max(1, q) times its mean over |X|, from ``direct_sums``)."""
+    names = spec.variable_names
+    y = [env.fixed_intensive[n] for n in names]
+    ref = direct_sums(spec.x, spec.ln_g, np.array(y), fam.q)
+    d = mp_derivative(spec.x, spec.ln_g, y, fam.q, [int(n == name) for n in names])
+    return d, 64.0 * EPS * ref["cond"] * max(1.0, fam.q) * ref["abs_mean"][names.index(name)]
 
 
 def test_observed_mean_matches_phi_derivative_tsallis():
     # the derivative route is the ground truth for the weight formula
     got = observed_mean(two_level(1.0), canonical_env(), Q2, "E")
-    fd = fd_phi_derivative(two_level(1.0), canonical_env(), Q2, "E")
-    assert got == pytest.approx(fd, abs=5e-10)
+    d, err = phi_derivative(two_level(1.0), canonical_env(), Q2, "E")
+    assert abs(got - d) <= err
     assert got == pytest.approx(0.13787318981149438, rel=1e-10)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5, 2.0])
 def test_observed_mean_duality_on_fixtures(q):
-    # fixture sizes keep |phi| moderate so the finite-difference oracle
-    # resolves the derivative to well below the 1e-6 comparison band
     fam = SqueezeFamily.tsallis(q)
     fixtures = [
         (two_level(1.0), canonical_env()),
@@ -446,8 +445,8 @@ def test_observed_mean_duality_on_fixtures(q):
     for spec, env in fixtures:
         for name in env.fixed_intensive:
             got = observed_mean(spec, env, fam, name)
-            fd = fd_phi_derivative(spec, env, fam, name)
-            assert got == pytest.approx(fd, abs=1e-6), (q, name)
+            d, err = phi_derivative(spec, env, fam, name)
+            assert abs(got - d) <= err, (q, name)
 
 
 # ---------------------------------------------------------------------------

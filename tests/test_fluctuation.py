@@ -12,7 +12,6 @@ from sqzstat import (
     EnsembleSpec,
     SqueezeFamily,
     characteristic_class,
-    phi_and_entropies,
     phi_surface_from_spectrum,
     probabilities,
 )
@@ -23,10 +22,11 @@ from sqzstat.fluctuation import (
 )
 from sqzstat.models import einstein_solid, spin_half_paramagnet, two_level
 
-from differencing import central_derivative
+from differencing import direct_sums, mp_derivative
 
 IDENT = SqueezeFamily.identity()
 BETA = math.log(2.0)
+EPS = np.finfo(float).eps
 
 
 def two_level_surface():
@@ -83,19 +83,24 @@ def correlated_spectrum():
     return DegeneracySpectrum(("E", "N"), x, ln_g)
 
 
+def correlated_curvature_oracle(y):
+    """The correlated spectrum's d<N>/dbeta by mpmath.diff of the 50-digit phi, its d<E>/dnu
+    from the closed-form sums, and the error bound of an engine curvature entry: 64 eps cond
+    (1 + 3q) times the entry's scale, q = 1 (as in tests/test_derivatives.py)."""
+    spec = correlated_spectrum()
+    ref = direct_sums(spec.x, spec.ln_g, np.array(y), 1.0)
+    dN_dbeta = mp_derivative(spec.x, spec.ln_g, y, 1.0, (1, 1))
+    return dN_dbeta, ref["H"][0, 1], 64.0 * EPS * ref["cond"] * 4.0 * ref["scale"][0, 1]
+
+
 def test_grand_canonical_cross_entry_matches_minus_dN_dbeta():
     spec = correlated_spectrum()
     env = EnsembleSpec(fixed_intensive={"E": 0.5, "N": 0.3})
     surface = phi_surface_from_spectrum(spec, env, IDENT)
     H = -moments(surface, env.values(), ["E", "N"], IDENT).G_inv
     cov_EN = -H[0, 1]
-
-    def mean_n(beta):
-        e = EnsembleSpec(fixed_intensive={"E": beta, "N": 0.3})
-        return phi_and_entropies(characteristic_class(spec, e, IDENT)).observed["N"]
-
-    dN_dbeta = central_derivative(mean_n, 0.5)
-    assert cov_EN == pytest.approx(-dN_dbeta, abs=1e-7)
+    dN_dbeta, _, err = correlated_curvature_oracle([0.5, 0.3])
+    assert abs(cov_EN + dN_dbeta) <= err
     # oracle: direct covariance from the exact distribution
     probs = probabilities(characteristic_class(spec, env, IDENT))
     E, Ncol = spec.column("E"), spec.column("N")
@@ -106,16 +111,15 @@ def test_grand_canonical_cross_entry_matches_minus_dN_dbeta():
 
 
 def test_mixed_covariance_symmetry():
-    # -dN/dbeta == -dE/dnu
+    # -dN/dbeta == -dE/dnu: the curvature's two mixed entries, as the surface forms them
+    # before moments symmetrizes, against two 50-digit routes that share no code
     spec = correlated_spectrum()
-
-    def mean_of(name, beta, nu):
-        e = EnsembleSpec(fixed_intensive={"E": beta, "N": nu})
-        return phi_and_entropies(characteristic_class(spec, e, IDENT)).observed[name]
-
-    dN_dbeta = central_derivative(lambda b: mean_of("N", b, 0.3), 0.5)
-    dE_dnu = central_derivative(lambda v: mean_of("E", 0.5, v), 0.3)
-    assert -dN_dbeta == pytest.approx(-dE_dnu, abs=1e-6)
+    env = EnsembleSpec(fixed_intensive={"E": 0.5, "N": 0.3})
+    H = phi_surface_from_spectrum(spec, env, IDENT).curvature(env.values(), ["E", "N"])[1]
+    dN_dbeta, dE_dnu, err = correlated_curvature_oracle([0.5, 0.3])
+    assert abs(H[1, 0] - dN_dbeta) <= err
+    assert abs(H[0, 1] - dE_dnu) <= err
+    assert abs(dN_dbeta - dE_dnu) <= EPS * abs(dE_dnu)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +148,21 @@ def test_tsallis_scaled_product():
 
 def test_q_one_scale_is_exactly_one():
     fam = SqueezeFamily.tsallis(1.0)
-    surface, _ = two_level_surface()
+    env = EnsembleSpec(fixed_intensive={"E": BETA})
+    surface = phi_surface_from_spectrum(two_level(1.0), env, fam)
     rep = moments(surface, {"E": BETA}, ["E"], fam)
     assert rep.tsallis_scale == 1.0
+
+
+def test_moments_reject_a_family_other_than_the_surfaces():
+    # the family sets the scale: the identity read 1.0 here, and a variance of 0.15130
+    env = EnsembleSpec(fixed_intensive={"E": 0.7})
+    surface = phi_surface_from_spectrum(two_level(1.0), env, SqueezeFamily.tsallis(1.5))
+    with pytest.raises(ValueError, match=r"tsallis\(q=1\.5\) surface asked for identity"):
+        moments(surface, env.values(), ["E"], IDENT)
+    rep = moments(surface, env.values(), ["E"], SqueezeFamily.tsallis(1.5))  # an equal family
+    assert rep.tsallis_scale == pytest.approx(0.8036, abs=1e-4)
+    assert rep.variances["E"] == pytest.approx(0.12158, abs=1e-5)
 
 
 def test_moment_matrices_are_construction_level_inverses():
@@ -248,10 +264,10 @@ def test_empirical_ladder_variance_matches_curvature():
 
 
 class FixedCurvature:
-    """A surface whose curvature is a given matrix, at a given phi (0 by default)."""
+    """A surface whose curvature is a given matrix, at a given phi (0 by default), of a family."""
 
-    def __init__(self, H, phi=0.0):
-        self.H, self.phi = H, phi
+    def __init__(self, H, phi=0.0, family=IDENT):
+        self.H, self.phi, self.family = H, phi, family
 
     def __call__(self, values):
         return self.phi
@@ -412,7 +428,7 @@ def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
     expected, messages_ref = ndarray_moments(-C, phi0, family)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = moments(FixedCurvature(-C, phi0), dict.fromkeys(names, 0.0), names, family)
+        rep = moments(FixedCurvature(-C, phi0, family), dict.fromkeys(names, 0.0), names, family)
     assert {str(w.message) for w in caught} == messages_ref
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     got = (rep.G, rep.G_inv, [rep.variances[n] for n in names],
@@ -472,7 +488,7 @@ def test_one_variable_moments_are_bit_identical_to_the_eigh_route(h, at):
         return out, {(w.category, str(w.message)) for w in caught}
 
     expected, warned_ref = record(lambda: eigh_route_moments(H.copy(), phi0, family))
-    rep, warned = record(lambda: moments(FixedCurvature(H, phi0), {"x": 0.0}, ["x"], family))
+    rep, warned = record(lambda: moments(FixedCurvature(H, phi0, family), {"x": 0.0}, ["x"], family))
     assert warned == warned_ref
     got = (rep.G, rep.G_inv, [rep.variances["x"]], [rep.intensive_variances["x"]],
            list(rep.covariances.values()), rep.condition_number, rep.singular)

@@ -49,6 +49,30 @@ def test_squeeze_tsallis_q1_is_identity_branch():
     assert fam.ln_row_class(math.log(5.0), 0.5)[0] == math.log(5.0) - 0.5
 
 
+@pytest.mark.parametrize("kind, q, match", [
+    ("Tsallis", 1.5, "unknown squeeze family 'Tsallis'"),
+    ("custom", 1.0, "unknown squeeze family 'custom'"),
+    ("tsallis", math.nan, "entropic index must be finite, got nan"),
+    ("tsallis", -math.inf, "entropic index must be finite, got -inf"),
+    ("identity", 1.5, "identity family has q = 1, got 1.5"),
+    ("identity", math.nan, "entropic index must be finite"),
+])
+def test_family_construction_rejects_what_it_cannot_compute(kind, q, match):
+    with pytest.raises(SqueezeDomainError, match=match):
+        SqueezeFamily(kind, q)
+
+
+def test_a_directly_built_family_computes_what_it_writes():
+    fam = SqueezeFamily("tsallis", 1.5)
+    assert fam == SqueezeFamily.tsallis(1.5) and fam.label() == "tsallis(q=1.5)"
+    doc = report_for(two_level(1.0), EnsembleSpec(fixed_intensive={"E": 1.0}), fam).to_json_dict()
+    assert doc["squeeze"] == {"family": "tsallis", "q": 1.5}
+    assert doc["phi"] == pytest.approx(-0.33590, abs=1e-5)
+    one = SqueezeFamily("tsallis", 1)  # q = 1 computes as the identity, with its own label
+    assert one.is_identity and type(one.q) is float and one.label() == "tsallis(q=1)"
+    assert SqueezeFamily("identity") == SqueezeFamily.identity()
+
+
 # ---------------------------------------------------------------------------
 # ln_unsqueeze, and the row class at the cutoff
 
@@ -83,48 +107,6 @@ def test_unsqueeze_cutoff_above_one_for_q_greater_one():
 
 
 # ---------------------------------------------------------------------------
-# slope dh/dx = exp(ln h + ln(f/h)), from the log-domain kernels
-
-
-def slope(fam, ln_g):
-    """dh/dx at g = exp(ln_g); inf when not representable."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(fam.ln_squeeze(ln_g) + fam.ln_log_slope(ln_g)))
-
-
-def fd_slope_oracle(fam, g, rel_step=1e-6):
-    """Central finite difference of h at g (linear domain)."""
-    d = rel_step * g
-    hp = math.exp(fam.ln_squeeze(math.log(g + d)))
-    hm = math.exp(fam.ln_squeeze(math.log(g - d)))
-    return (hp - hm) / (2.0 * d)
-
-
-def test_slope_tsallis_q2_g2():
-    fam = SqueezeFamily.tsallis(2.0)
-    # logarithmic slope d(ln h)/dg = g**-q = 0.25
-    assert math.exp(fam.ln_log_slope(math.log(2.0))) == pytest.approx(0.25, rel=1e-12)
-    # the derivative itself, against the finite-difference oracle
-    assert slope(fam, math.log(2.0)) == pytest.approx(fd_slope_oracle(fam, 2.0), rel=1e-6)
-
-
-def test_slope_identity_is_one():
-    fam = SqueezeFamily.identity()
-    for ln_g in (-3.0, 0.0, 4.2):
-        assert slope(fam, ln_g) == 1.0
-        assert math.exp(fam.ln_log_slope(ln_g)) == pytest.approx(math.exp(-ln_g), rel=1e-12)
-
-
-def test_slope_tsallis_q1_identity_branch():
-    # dedicated q = 1 branch: dh/dg = 1 exactly, log slope = 1/g
-    fam = SqueezeFamily.tsallis(1.0)
-    got = slope(fam, math.log(3.0))
-    assert got == 1.0
-    assert math.exp(fam.ln_log_slope(math.log(3.0))) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert got == pytest.approx(fd_slope_oracle(fam, 3.0), rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
 # invariants
 
 @pytest.mark.parametrize("q", ROUNDTRIP_Q)
@@ -145,50 +127,12 @@ def test_monotone_in_ln_g(q):
     assert np.all(np.diff(vals) >= 0.0)
 
 
-@pytest.mark.parametrize("q", Q_GRID)
-def test_slope_matches_finite_difference(q):
-    # restrict to where the finite-difference signal on h is resolvable:
-    # relative FD error grows like (eps * g**(q-1))**(2/3)
-    fam = SqueezeFamily.tsallis(q)
-    if q <= 2.0:
-        grid = np.logspace(-3, 3, 25)
-    else:
-        grid = np.logspace(-2, 2, 25)
-    for g in grid:
-        d = 1e-5 * g  # ~eps**(1/3)-scaled central step
-        hp = math.exp(fam.ln_squeeze(math.log(g + d)))
-        hm = math.exp(fam.ln_squeeze(math.log(g - d)))
-        fd = (hp - hm) / (2.0 * d)
-        got = slope(fam, math.log(g))
-        assert got == pytest.approx(fd, rel=1e-5), (q, g)
-
-
 @pytest.mark.parametrize("q", [1.0 - 1e-8, 1.0 + 1e-8])
 def test_q_to_one_continuity(q):
     fam = SqueezeFamily.tsallis(q)
     for g in np.logspace(-3, 3, 60):
         ln_g = math.log(g)
         assert abs(fam.ln_squeeze(ln_g) - ln_g) < 1e-6
-
-
-def test_q_one_neighborhood_matches_identity_slope():
-    for q in (1.0 - 1e-8, 1.0 + 1e-8):
-        fam = SqueezeFamily.tsallis(q)
-        assert slope(fam, math.log(3.0)) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_slope_beyond_float_range_is_inf():
-    # ln h overflows to inf; the log slope ln(f/h) stays finite
-    fam = SqueezeFamily.tsallis(0.5)
-    assert slope(fam, 1500.0) == math.inf
-    assert fam.ln_log_slope(1500.0) == -750.0
-
-
-def test_slope_with_finite_ln_h_beyond_float_range_is_inf():
-    # ln h = 2 (e^6 - 1) ~ 805 is finite; only exp(ln h + ln f/h) overflows
-    fam = SqueezeFamily.tsallis(0.5)
-    assert slope(fam, 12.0) == math.inf
-    assert fam.ln_log_slope(12.0) == -6.0
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +158,11 @@ def test_scalar_forms_equal_the_array_kernels_bitwise(fam, values, xys):
     with np.errstate(all="ignore"):
         ln_h = fam.ln_squeeze(arr)
         ln_H, excluded = fam.ln_unsqueeze(arr)
-        ln_l = fam.ln_log_slope(arr)
         ln_c, excluded_c = fam.ln_row_class(arr, xy)
         for i, v in enumerate(values):
             assert bits(fam.ln_squeeze(v)) == bits(ln_h[i]), (fam.label(), v)
             ln_H_v, excluded_v = fam.ln_unsqueeze(v)
             assert bits(ln_H_v) == bits(ln_H[i]) and excluded_v == excluded[i], (fam.label(), v)
-            assert bits(fam.ln_log_slope(v)) == bits(ln_l[i]), (fam.label(), v)
             ln_c_v, excluded_v = fam.ln_row_class(v, xys[i])
             assert bits(ln_c_v) == bits(ln_c[i]) and excluded_v == excluded_c[i], (fam.label(), v, xys[i])
     finite = np.isfinite(arr)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,9 +19,10 @@ from sqzstat import (
 )
 from sqzstat.models import lattice_gas, two_level
 
-from differencing import central_derivative, conjugates
+from differencing import direct_sums
 
 IDENT = SqueezeFamily.identity()
+EPS = np.finfo(float).eps
 
 
 def two_level_surface():
@@ -39,22 +41,32 @@ def test_canonical_two_level_mean_energy():
     assert out["E"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+def mp_lattice_gas_phi(n_max):
+    """phi(sites, nu) of ``lattice_gas(sites, N_max=n_max)`` at the identity, in mpmath (E is 0 on
+    every row): -ln sum_N C(sites, N) e^(-nu N), the binomial continued through mpmath.loggamma."""
+    def phi(sites, nu):
+        lg = mpmath.loggamma
+        return -mpmath.log(mpmath.fsum(mpmath.exp(lg(sites + 1) - lg(n + 1) - lg(sites - n + 1) - nu * n)
+                                       for n in range(n_max + 1)))
+    return phi
+
+
 def test_macroscopic_lattice_gas_phi_is_minus_mean_number():
     # dilute regime: phi = -sites ln(1 + e**-nu) ~ -<N> (ideal-gas equation
     # of state; exact only as e**-nu -> 0)
     sites, nu = 10_000.0, 5.0
-
-    def surface(vals):
-        spec = lattice_gas(vals["sites"], N_max=100)
-        env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": vals["N"]})
-        return characteristic_class(spec, env, IDENT).phi
-
-    split = EnvironmentSplit(fixed_extensive=("sites",), fixed_intensive=("E", "N"))
-    point = {"sites": sites, "E": 1.0, "N": nu}
-    phi = surface(point)
-    out = conjugates(surface, split, point)
-    mean_n = out["N"]
+    spec = lattice_gas(sites, N_max=100)
+    env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": nu})
+    phi = characteristic_class(spec, env, IDENT).phi
+    with mpmath.workdps(50):  # <N> = dphi/dnu of the 50-digit phi
+        mean_n = float(mpmath.diff(lambda v: mp_lattice_gas_phi(100)(sites, v), nu))
     assert abs(phi + mean_n) / mean_n < 0.01
+    # the package's conjugate is that derivative, within 64 eps cond times the mean of |N|
+    # (the oracle sums the spectrum's own ln g, so lgamma's rounding is common to both)
+    ref = direct_sums(spec.x, spec.ln_g, np.array([1.0, nu]), 1.0)
+    out = conjugates_from_phi(phi_surface_from_spectrum(spec, env, IDENT), env.split, env.values())
+    assert abs(out["N"] - ref["mean"][1]) <= 64.0 * EPS * ref["cond"] * ref["abs_mean"][1]
+    assert abs(ref["mean"][1] - mean_n) <= 1e-12 * mean_n  # lgamma's rounding of ln g
 
 
 def test_pinned_extensive_pair_is_named_in_the_error():
@@ -68,38 +80,28 @@ def test_pinned_extensive_pair_is_named_in_the_error():
         conjugates_from_phi(surface, split, {"sites": 30.0, "N": 3.0, "E": 0.7})
 
 
-def test_central_derivative_richardson_accuracy():
-    # the test-side differencer is itself an oracle: it keeps its own check
-    assert central_derivative(math.exp, 1.0) == pytest.approx(math.e, rel=1e-10)
-    assert central_derivative(lambda x: x**3, 2.0) == pytest.approx(12.0, rel=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # euler_residual
 
 def test_macroscopic_lattice_gas_theta_vanishes():
-    # first-order homogeneity: theta/sites -> 0 as the system grows
-    def make_surface(n_max):
-        def surface(vals):
-            spec = lattice_gas(vals["sites"], N_max=n_max)
-            env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": vals["N"]})
-            return characteristic_class(spec, env, IDENT).phi
-
-        return surface
-
+    # first-order homogeneity: theta/sites -> 0 as the system grows; the
+    # engine's phi, and its site-count conjugate -dphi/dsites by mpmath.diff of
+    # the 50-digit phi
     split = EnvironmentSplit(fixed_extensive=("sites",), fixed_intensive=("E", "N"))
     ratios = []
     for sites in (100, 1000):
         # N_max below sites leaves room for the derivative stencil; the
         # dropped near-full rows carry negligible weight at this nu
-        surface = make_surface(sites - 2)
-        point = {"sites": float(sites), "E": 1.0, "N": 0.4}
-        observed = conjugates(surface, split, point)
-        tp = ThermoPoint(phi=surface(point), entropy_J=0.0, entropy_theta=None, observed=observed)
+        n_max, point = sites - 2, {"sites": float(sites), "E": 1.0, "N": 0.4}
+        env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": 0.4})
+        phi = characteristic_class(lattice_gas(float(sites), N_max=n_max), env, IDENT).phi
+        with mpmath.workdps(50):
+            dphi_dsites = float(mpmath.diff(lambda s: mp_lattice_gas_phi(n_max)(s, 0.4), sites))
+        tp = ThermoPoint(phi=phi, entropy_J=0.0, entropy_theta=None, observed={"sites": -dphi_dsites})
         theta = euler_residual(tp, split, point)
         ratios.append(abs(theta) / sites)
-    # exactly first-order homogeneous model: theta is zero up to
-    # finite-difference noise at every size
+    # exactly first-order homogeneous model: theta is zero up to the
+    # rounding of the engine's phi at every size
     assert ratios[0] < 1e-9
     assert ratios[1] < 1e-9
 

@@ -3,8 +3,9 @@
     python tools/same_output.py REF
 
 Runs each argv of ``benchmarks/workloads.cli_argvs`` for seeds 1-6, plus a
-fixed list (``fluct`` with one and two variables at q = 1, 0.9 and 0.2 in
-JSON and CSV, a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
+fixed list (``fluct`` with one and two variables at q = 1, 0.9, 0.2, 1.5
+and 2.5 in JSON and CSV, which read the curvature on both sides of q = 1,
+a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
 ``compute --rows`` with 10 of 11 rows excluded and with ln g beyond the
 float range, the two branches of the ``boltzmann_factor`` column,
 ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and with a
@@ -61,7 +62,7 @@ def _fixed_cases() -> list[Case]:
     pinned = ["--model", "lattice_gas", "--param", "sites=10", "--y", "E=0.7", "--X", "N=2"]
     cases = []
     for model, flags in (("1var", one), ("2var", two)):
-        for q in ("1", "0.9", "0.2"):
+        for q in ("1", "0.9", "0.2", "1.5", "2.5"):
             family = [] if q == "1" else ["--squeeze", "tsallis", "--q", q]
             for fmt in ("json", "csv"):
                 cases.append((f"fluct {model} q={q} {fmt}", ["fluct", *flags, *family, "--format", fmt], {}))
