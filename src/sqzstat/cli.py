@@ -62,14 +62,18 @@ def _parse_kv(pairs: list[str], flag: str) -> dict[str, float]:
         if "=" not in item:
             raise CliError(EXIT_CONFIG, f"{flag} expects name=value, got {item!r}")
         name, _, val = item.partition("=")
+        if (name := name.strip()) in out:
+            raise CliError(EXIT_CONFIG, f"{flag} {name} is given more than once")
         try:
-            out[name.strip()] = float(val)
+            out[name] = float(val)
         except ValueError:
             raise CliError(EXIT_CONFIG, f"{flag} {name}: {val!r} is not a number") from None
     return out
 
 
 def _family_from_args(args, fallback: SqueezeFamily | None = None) -> SqueezeFamily:
+    if args.q is not None and args.squeeze != "tsallis":
+        raise CliError(EXIT_CONFIG, "--q applies only with --squeeze tsallis")
     if args.squeeze is None and fallback is not None:
         return fallback
     name = args.squeeze or "identity"
@@ -214,7 +218,7 @@ def cmd_kinetics(args) -> int:
     family = _family_from_args(args)
     lattice = make_lattice(args.lattice_radius)
     xi = XI_CHOICES[args.xi]
-    net = build_collision_network(lattice, T=args.kernel, xi=xi)
+    net = build_collision_network(lattice, xi=xi)
     state = random_state(lattice, seed=args.seed)
     dt = args.dt if args.dt is not None else stability_dt(state, net, family)
     trace, snaps = [], []
@@ -364,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1000)
     # sorted(kinetics.XI_CHOICES), spelled out so that parsing does not import kinetics
     p.add_argument("--xi", choices=["one", "soft"], default="one")
-    p.add_argument("--kernel", type=float, default=1.0, help="collision kernel weight T")
     p.add_argument("--trace-every", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed for the random initial populations")
     p.add_argument("--snapshot-every", type=int, help="per-velocity snapshots every N steps (with --snapshot-out)")
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERROR_CODES = [
     (ModelValidationError, EXIT_MODEL),
     ((DegenerateEnsembleError, SqueezeDomainError, StepSizeError, DatasetError, MemoryError), EXIT_NUMERIC),
-    ((OSError, json.JSONDecodeError), EXIT_CONFIG),
+    (OSError, EXIT_CONFIG),
 ]
 
 

@@ -32,6 +32,7 @@ __all__ = [
 # relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
 # check (against max(1, max|lambda|)), `singular` (cond > 1 / _REL_TOL) and a flat row's size
 _REL_TOL = 1e-8
+_PINV_RCOND = 1e-15  # np.linalg.pinv's: |lambda| <= it * max|lambda| is zero, in cond and in G
 
 
 class StabilityWarning(UserWarning):
@@ -88,14 +89,14 @@ def moments(
     ``family`` must equal the surface's own (ValueError otherwise): it sets the scale.
 
     One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
-    of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf
-    at a zero eigenvalue or an exactly zero row) and G = V diag(1/lambda) V'; for one
-    variable it is the entry itself and V = 1, as LAPACK's dsyevd returns them for n = 1
-    (NaN, inf, -0.0 and subnormals included), with no eigh call.  A singular C
-    (cond > 1e8) is inverted as np.linalg.pinv does, dropping the
-    |lambda| <= 1e-15 max|lambda|.  The n x n bookkeeping after the eigh runs on
-    Python floats (``tolist``): n is 1 to 3 in practice, where a numpy call costs more
-    than its arithmetic, and floats round as the arrays did, so results keep their bits.
+    of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at
+    an exactly zero row or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops)
+    and G = V diag(1/lambda) V'; for one variable it is the entry itself and V = 1, as
+    LAPACK's dsyevd returns them for n = 1 (NaN, inf, -0.0 and subnormals included), with no
+    eigh call.  A singular C (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
+    after the eigh runs on Python floats (``tolist``): n is 1 to 3 in practice, where a
+    numpy call costs more than its arithmetic, and floats round as the arrays did, so
+    results keep their bits.
 
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
@@ -114,13 +115,13 @@ def moments(
     tol = _REL_TOL * max(1.0, *size)
     if any(v > tol for v in lam) and any(v < -tol for v in lam):
         warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
-    # inf at a zero eigenvalue, as np.linalg.cond, or at an exactly zero row
-    # (a flat direction), whose eigenvalue eigh may leave at rounding level
-    cond = math.inf if bottom == 0.0 or not all(map(any, c)) else top / bottom  # inf beyond float range
+    # inf at an eigenvalue pinv drops (eigh may leave a zero one at rounding level, where
+    # np.linalg.cond is inf) or at an exactly zero row (a flat direction)
+    cond = math.inf if bottom <= _PINV_RCOND * top or not all(map(any, c)) else top / bottom
     singular = not math.isfinite(cond) or cond > 1 / _REL_TOL
     if singular:
         warnings.warn("covariance matrix is numerically singular", StabilityWarning)
-        eig = [v if s > 1e-15 * top else math.inf for v, s in zip(lam, size)]  # np.linalg.pinv's cutoff
+        eig = [v if s > _PINV_RCOND * top else math.inf for v, s in zip(lam, size)]
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
         G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
     g = G.tolist()

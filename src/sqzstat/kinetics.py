@@ -4,12 +4,13 @@ Binary collisions on an integer velocity lattice, with the two-particle
 product deformed through the squeezing function: each conserving
 quadruple (i, j | k, l) contributes
 
-    T * xi(F_k, F_i) * xi(F_l, F_j) * [h(F_k) h(F_l) - h(F_i) h(F_j)]
+    xi(F_k, F_i) * xi(F_l, F_j) * [h(F_k) h(F_l) - h(F_i) h(F_j)]
 
-as gain for (i, j) and loss for (k, l).  With the identity family and
-xi = 1 this is the classical bilinear collision operator.  Stationarity
-is the deformed detailed balance h(F_i) h(F_j) = h(F_k) h(F_l) on every
-quadruple, and the configurational entropy
+as gain for (i, j) and loss for (k, l), with no kernel weight: a
+constant one would only set the unit of time.  With the identity family
+and xi = 1 this is the classical bilinear collision operator.
+Stationarity is the deformed detailed balance h(F_i) h(F_j) =
+h(F_k) h(F_l) on every quadruple, and the configurational entropy
 
     S = -sum_i  integral_0^{F_i} ln h(F) dF
 
@@ -50,7 +51,7 @@ __all__ = [
 
 _NEG_CLAMP = 1e-14
 _GAIN_LOSS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # the sign of a rate on i, j, k, l
-_QUAD_FLOOR = 1e-12  # lower limit of the q = 2 entropy integral
+_Q2_ENTROPY_LOWER_LIMIT = 1e-12  # ln h(F) = 1 - 1/F is not integrable at F = 0
 TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run_trace row
 
 
@@ -92,20 +93,18 @@ def make_lattice(radius: int) -> VelocityLattice:
 
 @dataclass(frozen=True)
 class CollisionNetwork:
-    """Conserving quadruples (i, j | k, l) with kernel weight T and an
-    optional symmetric xi factor.
+    """Conserving quadruples (i, j | k, l) with an optional symmetric xi factor.
 
     The (m, 4) quadruple table is the whole network.  Each unordered
     collision is stored once in canonical order (i <= j, k <= l,
     (i, j) < (k, l)); the rate expression is already symmetric under
     exchanging the two sides.  The RHS gathers populations through the
     flat index ``quadruples.T.ravel()`` (all i, then j, k, l) and
-    scatters +T * bracket onto i and j and -T * bracket onto k and l
+    scatters +bracket onto i and j and -bracket onto k and l
     through the same index with one ``np.bincount``; memory stays O(m)."""
 
     lattice: VelocityLattice
     quadruples: np.ndarray  # (m, 4) int
-    T: float  # positive kernel weight, the same for every quadruple
     xi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
@@ -127,7 +126,6 @@ class CollisionNetwork:
 
 def build_collision_network(
     lattice: VelocityLattice,
-    T: float = 1.0,
     xi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> CollisionNetwork:
     """Enumerate all momentum- and energy-conserving quadruples.
@@ -136,8 +134,6 @@ def build_collision_network(
     key; all distinct unordered pairs of pairs within one group collide.
     Groups come in ascending key order, pairs within a group in (i, j)
     order, so the output ordering is deterministic."""
-    if not 0.0 < T < math.inf:
-        raise ModelValidationError(f"kernel weight must be positive and finite, got {T!r}")
     v, e = lattice.velocities, lattice.speed_squared
     i, j = np.triu_indices(lattice.n)
     keys = np.column_stack((v[i] + v[j], e[i] + e[j]))  # (px, py, E) per pair
@@ -150,7 +146,7 @@ def build_collision_network(
     a = np.repeat(np.arange(i.size), partners)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(partners) - partners, partners)
     quads = np.column_stack((i[a], j[a], i[b], j[b]))
-    return CollisionNetwork(lattice=lattice, quadruples=quads, T=float(T), xi=xi)
+    return CollisionNetwork(lattice=lattice, quadruples=quads, xi=xi)
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> 
     if net.xi is not None:
         Fq = F[idx].reshape(4, -1)
         bracket = bracket * net.xi(Fq[2], Fq[0]) * net.xi(Fq[3], Fq[1])
-    return np.bincount(idx, weights=(_GAIN_LOSS * net.T * bracket).ravel(), minlength=F.size)
+    return np.bincount(idx, weights=(_GAIN_LOSS * bracket).ravel(), minlength=F.size)
 
 
 def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
@@ -203,7 +199,7 @@ def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFam
 
 
 def stability_dt(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> float:
-    """Step bound 0.1 / (T * max h(F) * quadruple degree).
+    """Step bound 0.1 / (max h(F) * quadruple degree).
 
     It bounds the rates, not the sign of F: for q < 1, h(0) =
     e^(-1/(1-q)) > 0 keeps the loss of an empty velocity positive, so a
@@ -213,8 +209,7 @@ def stability_dt(state: KineticState, net: CollisionNetwork, family: SqueezeFami
         return math.inf
     with np.errstate(over="ignore"):  # an h beyond the float range gives the bound 0
         h_max = float(np.max(family.h_of(state.F)))
-    denom = net.T * max(h_max, 1e-30) * max(net.degree, 1)
-    return 0.1 / denom if denom > 0.0 else math.inf  # a subnormal T may underflow
+    return 0.1 / (max(h_max, 1e-30) * max(net.degree, 1))
 
 
 def _check_bound(state: KineticState, net: CollisionNetwork, family: SqueezeFamily, dt: float) -> None:
@@ -272,7 +267,7 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
         if family.is_identity:
             term = F * np.log(F) - F
         elif q == 2.0:
-            term = (F - _QUAD_FLOOR) - np.log(F / _QUAD_FLOOR)
+            term = (F - _Q2_ENTROPY_LOWER_LIMIT) - np.log(F / _Q2_ENTROPY_LOWER_LIMIT)
         else:
             term = (np.power(F, 2.0 - q) / (2.0 - q) - F) / (1.0 - q)
         total = -np.where(F > 0.0, term, 0.0).sum()

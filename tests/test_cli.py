@@ -279,7 +279,7 @@ def test_kinetics_one_pass_matches_two_pass_reference(tmp_path, capsys, monkeypa
     assert len(calls) == steps
     fam = SqueezeFamily.tsallis(1.5)
     lattice = make_lattice(2)
-    net = build_collision_network(lattice, T=1.0, xi=None)
+    net = build_collision_network(lattice, xi=None)
     s = random_state(lattice, seed=0)
     dt = stability_dt(s, net, fam)
 
@@ -323,15 +323,12 @@ def test_kinetics_snapshot_flags_go_together(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "flags, code, message",
     [
-        (["--kernel", "nan"], 4, "kernel weight"),
-        (["--kernel", "inf"], 4, "kernel weight"),
         (["--dt", "nan"], 5, "dt must be positive"),
         (["--steps", "-3"], 3, "--steps"),
         (["--trace-every", "-1"], 3, "--trace-every"),
         (["--seed", "-1"], 3, "--seed"),
     ],
-    ids=["kernel-nan", "kernel-inf", "dt-nan", "steps-negative", "trace-every-negative",
-         "seed-negative"],
+    ids=["dt-nan", "steps-negative", "trace-every-negative", "seed-negative"],
 )
 def test_kinetics_bad_inputs_exit_with_documented_codes(capsys, flags, code, message):
     got, out, err = run_cli(["kinetics", "--lattice-radius", "1", "--steps", "2", *flags], capsys)
@@ -666,10 +663,23 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
         (["sweep", *TWO_LEVEL, "--axis", "E", "--range", "1-2", "--steps", "3"],
          "--range expects lo:hi, got '1-2'"),
         (["kinetics", "--lattice-radius", "0"], "--lattice-radius must be >= 1"),
+        (["compute", "--model", "two_level", "--y", "E=1", "--q", "1.5"], "--q applies only with --squeeze tsallis"),
+        (["compute", "--model", "two_level", "--y", "E=1", "--squeeze", "identity", "--q", "1.5"],
+         "--q applies only with --squeeze tsallis"),
+        (["compute", "--model", "MODEL", "--q", "1.5"], "--q applies only with --squeeze tsallis"),
+        (["kinetics", "--lattice-radius", "1", "--q", "1.5"], "--q applies only with --squeeze tsallis"),
+        (["compute", "--model", "two_level", "--y", "E=1", "--y", "E=2"], "--y E is given more than once"),
+        (["compute", "--model", "two_level", "--y", "E=1", "--y", " E=2"], "--y E is given more than once"),
+        (["compute", "--model", "lattice_gas", "--y", "E=0.7", "--X", "N=2", "--X", "N=3"],
+         "--X N is given more than once"),
+        (["compute", "--model", "spin_half_paramagnet", "--param", "N=4", "--param", "N=6", "--y", "M=1"],
+         "--param N is given more than once"),
     ],
     ids=["y-without-equals", "y-not-a-number", "no-model", "unknown-model", "param-with-file",
          "unreadable-file", "file-not-json", "file-integer-too-long", "missing-data", "empty-data",
-         "infer-without-input", "range-without-colon", "radius-zero"],
+         "infer-without-input", "range-without-colon", "radius-zero", "q-without-squeeze",
+         "q-with-identity", "q-with-file-family", "q-kinetics", "y-repeated", "y-repeated-once-stripped",
+         "X-repeated", "param-repeated"],
 )
 def test_cli_error_paths_exit_3_with_one_json_line(tmp_path, capsys, argv, message):
     model = tmp_path / "model.json"

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -69,7 +68,7 @@ def loop_rhs(F, net, family):
     h = family.h_of(F)
     out = np.zeros(F.size)
     for i, j, k, l in net.quadruples:
-        rate = net.T * (h[k] * h[l] - h[i] * h[j])
+        rate = h[k] * h[l] - h[i] * h[j]
         if net.xi is not None:
             rate *= net.xi(F[k], F[i]) * net.xi(F[l], F[j])
         out[i] += rate
@@ -157,12 +156,6 @@ def test_degree_matches_a_direct_count(radius):
         for v in quad:
             counts[v] += 1
     assert net.degree == max(counts)
-
-
-@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
-def test_kernel_weight_must_be_positive_and_finite(T):
-    with pytest.raises(ModelValidationError, match="kernel weight"):
-        build_collision_network(make_lattice(1), T=T)
 
 
 def test_network_memory_stays_linear_in_quadruples():
@@ -262,7 +255,7 @@ def test_single_quadruple_hand_oracle():
 def test_rhs_matches_the_loop_oracle(family, xi):
     for radius in (1, 2, 3, 4):
         lat = make_lattice(radius)
-        net = build_collision_network(lat, T=0.7, xi=xi)
+        net = build_collision_network(lat, xi=xi)
         F = random_state(lat, seed=radius).F
         ref = loop_rhs(F, net, family)
         got = collision_rhs(KineticState(F=F), net, family)
@@ -271,7 +264,7 @@ def test_rhs_matches_the_loop_oracle(family, xi):
 
 def test_empty_network_has_zero_rhs():
     lat = make_lattice(1)
-    net = CollisionNetwork(lat, np.zeros((0, 4), dtype=int), 1.0)
+    net = CollisionNetwork(lat, np.zeros((0, 4), dtype=int))
     state = random_state(lat)
     rhs = collision_rhs(state, net, IDENT)
     assert rhs.dtype == float and not rhs.any()
@@ -441,13 +434,6 @@ def test_h_beyond_the_float_range_takes_its_limit_without_warning(q, F0, bound):
         warnings.simplefilter("error")
         assert stability_dt(state, net, family) == bound
         assert detailed_balance_residual(state, net, family) == 0.0
-
-
-def test_bound_of_a_subnormal_kernel_weight_is_inf():
-    # T * max h * degree underflows to 0: the bound was a ZeroDivisionError
-    lat = make_lattice(1)
-    net = build_collision_network(lat, T=5e-324)
-    assert stability_dt(KineticState(F=np.full(lat.n, 1e-3)), net, IDENT) == math.inf
 
 
 # ---------------------------------------------------------------------------

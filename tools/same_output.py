@@ -8,13 +8,12 @@ and 2.5 in JSON and CSV, which read the curvature on both sides of q = 1,
 a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
 ``compute --rows`` with 10 of 11 rows excluded and with ln g beyond the
 float range, the two branches of the ``boltzmann_factor`` column,
-``sweep`` in CSV and JSON, ``kinetics`` with snapshots and with a
-kernel weight other than 1 under the soft xi, ``infer
---reconstruct``, a 3-variable model file with a non-singular
-covariance through ``fluct`` and ``compute --rows``, and the same file
-carrying a tsallis ``squeeze`` fragment through both), once on the working
-tree's ``src`` and once on REF's,
-extracted with ``git archive``.  Each run starts in a fresh directory that
+``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
+soft xi at q = 0.8, ``infer --reconstruct``, a 3-variable model file with
+a non-singular covariance through ``fluct`` and ``compute --rows``, and
+the same file carrying a tsallis ``squeeze`` fragment through both), once
+on the working tree's ``src`` and once on REF's, extracted with ``git
+archive``.  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
 writes there are compared byte for byte.  Prints one line per mismatch and
 exits 1 if there is any, else exits 0.  Needs the standard library, local
@@ -86,9 +85,8 @@ def _fixed_cases() -> list[Case]:
         ("kinetics snapshots",
          ["kinetics", "--lattice-radius", "2", "--steps", "60", "--trace-every", "10",
           "--snapshot-every", "20", "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "1.5"], {}),
-        ("kinetics kernel 0.7 soft xi",
-         ["kinetics", "--lattice-radius", "3", "--kernel", "0.7", "--xi", "soft", "--squeeze", "tsallis",
-          "--q", "0.8"], {}),
+        ("kinetics soft xi q=0.8",
+         ["kinetics", "--lattice-radius", "3", "--xi", "soft", "--squeeze", "tsallis", "--q", "0.8"], {}),
         ("infer reconstruct", ["infer", "--data", "ratios.csv", "--reconstruct", "ln_h.csv"],
          {"ratios.csv": _ratios_csv(1.3)}),
     ]
