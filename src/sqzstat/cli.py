@@ -272,6 +272,10 @@ def cmd_infer(args) -> int:
     out_doc: dict = {}
     if not args.data and not args.density:
         raise CliError(EXIT_CONFIG, "infer needs --data and/or --density")
+    if args.reconstruct and not args.data:
+        raise CliError(EXIT_CONFIG, "--reconstruct applies only with --data")
+    if args.energy and not args.density:
+        raise CliError(EXIT_CONFIG, "--energy applies only with --density")
     if args.data:
         ln_g, ratio = _read_csv_columns(args.data, ("ln_g", "ratio"))
         data = EquilibriumDataset(ln_g=ln_g, ratio=ratio)
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="statistics inference from measurement data")
     p.add_argument("--data", help="CSV with header ln_g,ratio")
-    p.add_argument("--reconstruct", help="write the reconstructed ln_h table here")
+    p.add_argument("--reconstruct", help="write the reconstructed ln_h table here (with --data)")
     p.add_argument("--threshold", type=float, default=1e-6, help="power-law residual threshold")
     p.add_argument("--density", help="CSV with header beta,f for the mixing quadrature")
     p.add_argument("--energy", type=float, action="append", help="energy for --density (repeatable)")

@@ -460,13 +460,13 @@ def combine_independent(a: DegeneracySpectrum, b: DegeneracySpectrum) -> Degener
 
 def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily,
                  env: EnsembleSpec | None = None) -> ClassTable:
-    """The one class-table lookup: the spectrum's last table while it lives if taken for this family
-    object, the same y and X names in order and bit-equal values (0.0 != -0.0), else a new pass,
-    over ``env`` if the caller holds the EnsembleSpec of these y and X."""
-    key = (tuple(y), tuple(X), struct.pack(f"{len(y) + len(X)}d", *y.values(), *X.values()))
+    """The one class-table lookup: the spectrum's last table while it lives if taken for the same
+    y and X names in order and bit-equal q and values (0.0 != -0.0), else a new pass, over ``env``
+    if the caller holds the EnsembleSpec of these y and X."""
+    key = (tuple(y), tuple(X), struct.pack(f"{1 + len(y) + len(X)}d", family.q, *y.values(), *X.values()))
     last_key, ref = spectrum._last  # one read: the key and the table belong together
     table = ref() if last_key == key else None
-    if table is None or table.family is not family:
+    if table is None:
         table = characteristic_class(spectrum, EnsembleSpec(y, X) if env is None else env, family)
         object.__setattr__(spectrum, "_last", (key, weakref.ref(table)))
     return table
@@ -551,16 +551,20 @@ def _numbers(value, field: str):
 
 
 def _squeeze_to_json(family: SqueezeFamily) -> dict:
-    return {"family": "tsallis", "q": family.q} if family.kind == "tsallis" else {"family": "identity"}
+    return {"family": "identity"} if family.is_identity else {"family": "tsallis", "q": family.q}
 
 
 def _squeeze_from_json(cfg) -> SqueezeFamily:
-    """The family of a {"family": ..., "q": ...} fragment; its errors are SqueezeDomainError."""
+    """The family of a {"family": ..., "q": ...} fragment, q with tsallis only; errors are SqueezeDomainError."""
     if not isinstance(cfg, dict):
         raise SqueezeDomainError(f"squeeze config must be an object, got {cfg!r}")
     name = cfg.get("family", "identity")
-    if name != "tsallis":
-        return SqueezeFamily(name)  # the identity; the constructor rejects an unknown family
+    if name not in ("identity", "tsallis"):
+        raise SqueezeDomainError(f"unknown squeeze family {name!r}; choices: ['identity', 'tsallis']")
+    if name == "identity":
+        if "q" in cfg:
+            raise SqueezeDomainError("'q' applies only to the tsallis squeeze family")
+        return SqueezeFamily.identity()
     if "q" not in cfg:
         raise SqueezeDomainError("tsallis squeeze config requires 'q'")
     return SqueezeFamily.tsallis(_number(cfg["q"], "tsallis 'q'", SqueezeDomainError))

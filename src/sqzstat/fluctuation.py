@@ -108,7 +108,7 @@ def moments(
     H = 0.5 * (H + H.T)
     eig, vec = (H[0], np.ones((1, 1))) if H.shape == (1, 1) else np.linalg.eigh(H)
     C, eig = -H, -eig  # extensive covariance matrix in the undeformed case, same eigenvectors
-    scale = 1.0 if family.is_identity else 1.0 + (family.q - 1.0) * phi0
+    scale = 1.0 + (family.q - 1.0) * phi0  # exactly 1.0 at q = 1, as phi0 is finite
     lam, c = eig.tolist(), C.tolist()
     size = [abs(v) for v in lam]
     top, bottom = max(size), min(size)

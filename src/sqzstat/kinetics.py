@@ -151,14 +151,16 @@ def build_collision_network(
 
 @dataclass(frozen=True)
 class KineticState:
-    """One-body populations on the lattice at time t; a negative entry is
-    rejected here, so every function taking a state may assume F >= 0."""
+    """One-body populations on the lattice at time t; a negative or non-finite entry
+    is rejected here, so every function taking a state may assume finite F >= 0."""
 
     F: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
+        if not np.isfinite(self.F).all():
+            raise ModelValidationError("non-finite population in kinetic state")
         if np.any(self.F < 0.0):
             raise ModelValidationError("negative population in kinetic state")
 

@@ -29,9 +29,6 @@ from .errors import SqueezeDomainError
 
 __all__ = ["SqueezeFamily"]
 
-_IDENTITY = "identity"
-_TSALLIS = "tsallis"
-
 
 def _float_or_array(v):
     # numpy ufuncs take a Python float as it is, far cheaper than a 0-d array
@@ -44,40 +41,32 @@ class SqueezeFamily:
 
     Build with ``identity()`` or ``tsallis(q)``.  Every family is the
     power law of its index q, and q = 1 is a dedicated identity branch,
-    never a numerical limit.  ``kind`` only names the family: tsallis(1)
-    computes as the identity but keeps its own label and model fragment.
-    Construction rejects, with SqueezeDomainError, a kind other than
-    these two, a non-finite q and an identity whose q is not 1.
+    never a numerical limit: tsallis(1) is the identity, equal to it and
+    labelled and written as it.  Construction rejects a non-finite q
+    with SqueezeDomainError.
     """
 
-    kind: str
     q: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (_IDENTITY, _TSALLIS):
-            raise SqueezeDomainError(f"unknown squeeze family {self.kind!r}; choices: {[_IDENTITY, _TSALLIS]}")
         if not math.isfinite(self.q):
             raise SqueezeDomainError(f"entropic index must be finite, got {self.q!r}")
         object.__setattr__(self, "q", float(self.q))
-        if self.kind == _IDENTITY and self.q != 1.0:
-            raise SqueezeDomainError(f"the identity family has q = 1, got {self.q!r}")
 
     @staticmethod
     def identity() -> "SqueezeFamily":
-        return SqueezeFamily(kind=_IDENTITY, q=1.0)
+        return SqueezeFamily(1.0)
 
     @staticmethod
     def tsallis(q: float) -> "SqueezeFamily":
-        return SqueezeFamily(kind=_TSALLIS, q=q)
+        return SqueezeFamily(q)
 
     @property
     def is_identity(self) -> bool:
         return self.q == 1.0
 
     def label(self) -> str:
-        if self.kind == _TSALLIS:
-            return f"tsallis(q={self.q:g})"
-        return self.kind
+        return "identity" if self.is_identity else f"tsallis(q={self.q:g})"
 
     # -- the three kernels: all of a family's arithmetic ----------------
 

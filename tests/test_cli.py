@@ -609,12 +609,17 @@ def _model_doc(**changes):
         # a JSON integer that no float holds
         (_model_doc(rows=[{"x": [0.0], "ln_g": 0.0}, {"x": [1.0], "ln_g": 10**400}]), 4,
          "ModelValidationError"),
+        # only the tsallis fragment takes a q: identity statistics were printed at exit 0
+        (_model_doc(squeeze={"q": 1.5}), 5, "SqueezeDomainError"),
+        (_model_doc(squeeze={"family": "identity", "q": 2}), 5, "SqueezeDomainError"),
+        (_model_doc(squeeze={"family": "Tsallis", "q": 1.5}), 5, "SqueezeDomainError"),
     ],
     ids=["x-not-a-number", "ln_g-not-a-number", "ragged-x", "y-not-a-number",
          "squeeze-not-an-object", "q-not-a-number", "duplicate-variable-name",
          "x-boolean", "ln_g-boolean", "y-boolean", "X-boolean", "q-boolean",
          "x-numeric-string", "ln_g-numeric-string", "y-numeric-string", "X-numeric-string",
-         "q-numeric-string", "ln_g-integer-beyond-float-range"],
+         "q-numeric-string", "ln_g-integer-beyond-float-range", "q-without-family", "q-with-identity-family",
+         "unknown-family"],
 )
 def test_malformed_model_file_exits_with_documented_code(tmp_path, capsys, doc, code, error_type):
     path = tmp_path / "model.json"
@@ -660,6 +665,8 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
         (["infer", "--data", "MISSING"], "does not exist"),
         (["infer", "--data", "EMPTY"], "is empty"),
         (["infer"], "infer needs --data and/or --density"),
+        (["infer", "--density", "DENSITY", "--reconstruct", "REC"], "--reconstruct applies only with --data"),
+        (["infer", "--data", "DATA", "--energy", "0.5"], "--energy applies only with --density"),
         (["sweep", *TWO_LEVEL, "--axis", "E", "--range", "1-2", "--steps", "3"],
          "--range expects lo:hi, got '1-2'"),
         (["kinetics", "--lattice-radius", "0"], "--lattice-radius must be >= 1"),
@@ -677,7 +684,7 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
     ],
     ids=["y-without-equals", "y-not-a-number", "no-model", "unknown-model", "param-with-file",
          "unreadable-file", "file-not-json", "file-integer-too-long", "missing-data", "empty-data",
-         "infer-without-input", "range-without-colon", "radius-zero", "q-without-squeeze",
+         "infer-without-input", "reconstruct-without-data", "energy-without-density", "range-without-colon", "radius-zero", "q-without-squeeze",
          "q-with-identity", "q-with-file-family", "q-kinetics", "y-repeated", "y-repeated-once-stripped",
          "X-repeated", "param-repeated"],
 )
@@ -687,10 +694,13 @@ def test_cli_error_paths_exit_3_with_one_json_line(tmp_path, capsys, argv, messa
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "huge.json").write_text('{"rows": [' + "1" * 5000 + "]}")  # json.loads: a bare ValueError
     (tmp_path / "empty.csv").write_text("\n")
+    (tmp_path / "data.csv").write_text("ln_g,ratio\n0.0,1.0\n1.0,0.5\n2.0,0.25\n")
+    _write_density(tmp_path / "density.csv")
     paths = {"MODEL": model, "DIR": tmp_path, "BAD_JSON": tmp_path / "bad.json",
-             "HUGE_INT": tmp_path / "huge.json", "MISSING": tmp_path / "missing.csv", "EMPTY": tmp_path / "empty.csv"}
+             "HUGE_INT": tmp_path / "huge.json", "MISSING": tmp_path / "missing.csv", "EMPTY": tmp_path / "empty.csv",
+             "DATA": tmp_path / "data.csv", "DENSITY": tmp_path / "density.csv", "REC": tmp_path / "rec.csv"}
     code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
-    assert (code, out) == (3, "")
+    assert (code, out) == (3, "") and not (tmp_path / "rec.csv").exists()
     assert err.endswith("\n") and err.count("\n") == 1
     error = json.loads(err)["error"]
     assert (error["code"], error["type"]) == (3, "CliError") and message in error["message"]

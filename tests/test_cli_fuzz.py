@@ -139,7 +139,9 @@ def csv_text(draw, header, first, second):
 
 @st.composite
 def infer_argvs(draw):
-    """(argv with DIR for the input directory, {file name: text})."""
+    """(argv with DIR for the input directory, {file name: text}); now and
+    then a --reconstruct without --data or an --energy without --density,
+    which exits 3."""
     argv, files = ["infer"], {}
     modes = draw(st.sampled_from([("data",), ("density",), ("data", "density")]))
     if "data" in modes:
@@ -150,11 +152,16 @@ def infer_argvs(draw):
             argv += ["--reconstruct", "DIR/rec.csv"]
         if draw(st.booleans()):
             argv += ["--threshold", repr(draw(FLOATS))]
+    elif draw(st.integers(0, 9)) == 0:
+        argv += ["--reconstruct", "DIR/rec.csv"]
     if "density" in modes:
         files["density.csv"] = draw(csv_text("beta,f", FLOATS, POSITIVE))
         argv += ["--density", "DIR/density.csv"]
-        for energy in draw(st.lists(FLOATS, max_size=3)):
-            argv += ["--energy", repr(energy)]
+        energies = draw(st.lists(FLOATS, max_size=3))
+    else:
+        energies = [draw(FLOATS)] if draw(st.integers(0, 9)) == 0 else []
+    for energy in energies:
+        argv += ["--energy", repr(energy)]
     return argv, files
 
 

@@ -167,21 +167,32 @@ def test_report_then_surface_derivatives_take_one_class_pass(class_passes):
                                env.values(), ["E", "N"])
 
 
-@pytest.mark.parametrize("change", ["equal_family", "name_order"])
+def test_shared_table_hits_on_an_equal_family(class_passes):
+    # a family is its q: tsallis(1) is the identity, and equal objects share one pass
+    spectrum, env = lattice_gas(30), EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    for fam, other_fam in ((SqueezeFamily.tsallis(0.7), SqueezeFamily.tsallis(0.7)),
+                           (IDENT, SqueezeFamily.tsallis(1.0))):
+        assert other_fam == fam and other_fam is not fam
+        report = engine.report_for(spectrum, env, fam)
+        assert engine.report_for(spectrum, env, other_fam).table is report.table
+    assert len(class_passes) == 2
+
+
+@pytest.mark.parametrize("change", ["another_q", "name_order"])
 def test_shared_table_misses_on_another_family_object_or_name_order(class_passes, change):
     spectrum, y = lattice_gas(30), {"E": 0.7, "N": 0.2}
     env, fam = EnsembleSpec(fixed_intensive=y), SqueezeFamily.tsallis(0.7)
     report = engine.report_for(spectrum, env, fam)
-    if change == "equal_family":
-        other_env, other_fam = env, SqueezeFamily.tsallis(0.7)
-        assert other_fam == fam and other_fam is not fam
+    if change == "another_q":
+        other_env, other_fam = env, SqueezeFamily.tsallis(0.8)
     else:
         other_env, other_fam = EnsembleSpec(fixed_intensive={"N": 0.2, "E": 0.7}), fam
     other = engine.report_for(spectrum, other_env, other_fam)
     assert len(class_passes) == 2
-    assert other.table is not report.table
-    assert other.table.ln_row_class.tobytes() == report.table.ln_row_class.tobytes()
-    assert other.point == report.point
+    assert other.table is not report.table and other.table.family is other_fam
+    if change == "name_order":  # the same point under another key
+        assert other.table.ln_row_class.tobytes() == report.table.ln_row_class.tobytes()
+        assert other.point == report.point
 
 
 def test_report_table_is_freed_without_the_cycle_collector():

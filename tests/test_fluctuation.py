@@ -154,6 +154,15 @@ def test_q_one_scale_is_exactly_one():
     assert rep.tsallis_scale == 1.0
 
 
+def test_moments_of_an_identity_surface_take_tsallis_q_one():
+    env = EnsembleSpec(fixed_intensive={"E": 1.0})
+    surface = phi_surface_from_spectrum(two_level(1.0), env, IDENT)
+    rep = moments(surface, env.values(), ["E"], SqueezeFamily.tsallis(1.0))  # an equal family
+    ref = moments(surface, env.values(), ["E"], IDENT)
+    assert rep.tsallis_scale == 1.0
+    assert rep.variances == ref.variances and rep.intensive_variances == ref.intensive_variances
+
+
 def test_moments_reject_a_family_other_than_the_surfaces():
     # the family sets the scale: the identity read 1.0 here, and a variance of 0.15130
     env = EnsembleSpec(fixed_intensive={"E": 0.7})
@@ -386,7 +395,7 @@ def ndarray_moments(H, phi0, family):
     if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
         messages.add("indefinite curvature: state is not a one-sided extremum")
     C, eig = -H, -eig
-    scale = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
+    scale = 1.0 + (family.q - 1.0) * phi0
     size = np.abs(eig)
     flat = size.min() <= 1e-15 * size.max() or not C.any(axis=1).all()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -456,7 +465,7 @@ def eigh_route_moments(H, phi0, family):
     if any(v > 1e-8 * scale for v in lam) and any(v < -1e-8 * scale for v in lam):
         warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
     C, eig = -H, -eig
-    ts = 1.0 + (family.q - 1.0) * phi0 if family.kind == "tsallis" and not family.is_identity else 1.0
+    ts = 1.0 + (family.q - 1.0) * phi0
     lam, c = eig.tolist(), C.tolist()
     size = [abs(v) for v in lam]
     top, bottom = max(size), min(size)

@@ -388,6 +388,13 @@ def test_negative_population_is_rejected_at_construction():
     assert KineticState(F=np.array([0.0, -0.0, 1.0])).number() == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_population_is_rejected_at_construction(bad):
+    # a nan F read stability_dt nan, and any dt passed the bound check against it
+    with pytest.raises(ModelValidationError, match="non-finite population"):
+        KineticState(F=[bad, 1.0, 1.0, 1.0, 1.0])
+
+
 def _above_the_bound():
     lat = make_lattice(2)
     net = build_collision_network(lat)

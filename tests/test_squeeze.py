@@ -49,28 +49,28 @@ def test_squeeze_tsallis_q1_is_identity_branch():
     assert fam.ln_row_class(math.log(5.0), 0.5)[0] == math.log(5.0) - 0.5
 
 
-@pytest.mark.parametrize("kind, q, match", [
-    ("Tsallis", 1.5, "unknown squeeze family 'Tsallis'"),
-    ("custom", 1.0, "unknown squeeze family 'custom'"),
+@pytest.mark.parametrize("build, q, match", [
     ("tsallis", math.nan, "entropic index must be finite, got nan"),
     ("tsallis", -math.inf, "entropic index must be finite, got -inf"),
-    ("identity", 1.5, "identity family has q = 1, got 1.5"),
-    ("identity", math.nan, "entropic index must be finite"),
+    ("direct", math.inf, "entropic index must be finite, got inf"),
 ])
-def test_family_construction_rejects_what_it_cannot_compute(kind, q, match):
+def test_family_construction_rejects_what_it_cannot_compute(build, q, match):
     with pytest.raises(SqueezeDomainError, match=match):
-        SqueezeFamily(kind, q)
+        SqueezeFamily.tsallis(q) if build == "tsallis" else SqueezeFamily(q)
 
 
 def test_a_directly_built_family_computes_what_it_writes():
-    fam = SqueezeFamily("tsallis", 1.5)
+    fam = SqueezeFamily(1.5)
     assert fam == SqueezeFamily.tsallis(1.5) and fam.label() == "tsallis(q=1.5)"
     doc = report_for(two_level(1.0), EnsembleSpec(fixed_intensive={"E": 1.0}), fam).to_json_dict()
     assert doc["squeeze"] == {"family": "tsallis", "q": 1.5}
     assert doc["phi"] == pytest.approx(-0.33590, abs=1e-5)
-    one = SqueezeFamily("tsallis", 1)  # q = 1 computes as the identity, with its own label
-    assert one.is_identity and type(one.q) is float and one.label() == "tsallis(q=1)"
-    assert SqueezeFamily("identity") == SqueezeFamily.identity()
+    one = SqueezeFamily(1)  # q = 1 is the identity: equal to it, labelled and written as it
+    assert one.is_identity and type(one.q) is float and one.label() == "identity"
+    assert one == SqueezeFamily.identity() == SqueezeFamily.tsallis(1.0) == SqueezeFamily()
+    assert hash(SqueezeFamily.tsallis(1.0)) == hash(SqueezeFamily.identity())
+    report = report_for(two_level(1.0), EnsembleSpec(fixed_intensive={"E": 1.0}), SqueezeFamily.tsallis(1.0))
+    assert report.to_json_dict()["squeeze"] == {"family": "identity"}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def _family_of(fragment: dict) -> SqueezeFamily:
 
 def test_config_roundtrip():
     fam = _family_of({"family": "tsallis", "q": 1.5})
-    assert fam.kind == "tsallis" and fam.q == 1.5
+    assert fam == SqueezeFamily.tsallis(1.5) and type(fam.q) is float
     assert model_from_json_dict(_document(fam))[2].q == 1.5
     assert _family_of({"family": "identity"}).is_identity
     assert model_from_json_dict(_document(SqueezeFamily.identity()))[2].is_identity
@@ -253,5 +253,13 @@ def test_non_finite_or_missing_q_is_a_domain_error():
 
 
 def test_config_rejects_unknown_family():
-    with pytest.raises(SqueezeDomainError):
-        _family_of({"family": "exotic"})
+    for name in ("exotic", "Tsallis", "custom"):
+        with pytest.raises(SqueezeDomainError, match=f"unknown squeeze family '{name}'"):
+            _family_of({"family": name, "q": 1.5})
+
+
+@pytest.mark.parametrize("fragment", [{"q": 1.5}, {"family": "identity", "q": 2}, {"family": "identity", "q": 1.0}],
+                         ids=["q-without-family", "identity-with-q", "identity-with-q-one"])
+def test_config_takes_q_only_with_the_tsallis_family(fragment):
+    with pytest.raises(SqueezeDomainError, match="'q' applies only to the tsallis squeeze family"):
+        _family_of(fragment)

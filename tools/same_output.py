@@ -5,7 +5,8 @@
 Runs each argv of ``benchmarks/workloads.cli_argvs`` for seeds 1-6, plus a
 fixed list (``fluct`` with one and two variables at q = 1, 0.9, 0.2, 1.5
 and 2.5 in JSON and CSV, which read the curvature on both sides of q = 1,
-a pinned ``--X``, ``compute --rows`` and ``--emit-model``,
+a pinned ``--X``, ``compute --rows`` and ``--emit-model``, ``compute
+--emit-model`` under ``--squeeze tsallis --q 1``,
 ``compute --rows`` with 10 of 11 rows excluded and with ln g beyond the
 float range, the two branches of the ``boltzmann_factor`` column,
 ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
@@ -89,6 +90,9 @@ def _fixed_cases() -> list[Case]:
          ["kinetics", "--lattice-radius", "3", "--xi", "soft", "--squeeze", "tsallis", "--q", "0.8"], {}),
         ("infer reconstruct", ["infer", "--data", "ratios.csv", "--reconstruct", "ln_h.csv"],
          {"ratios.csv": _ratios_csv(1.3)}),
+        ("compute tsallis q=1 emit-model",
+         ["compute", "--model", "two_level", "--y", "E=1", "--squeeze", "tsallis", "--q", "1",
+          "--emit-model", "model.json"], {}),
     ]
     three = {"model3.json": _three_variable_model()}
     for fmt in ("json", "csv"):
