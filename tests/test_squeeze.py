@@ -49,14 +49,20 @@ def test_squeeze_tsallis_q1_is_identity_branch():
     assert fam.ln_row_class(math.log(5.0), 0.5)[0] == math.log(5.0) - 0.5
 
 
-@pytest.mark.parametrize("build, q, match", [
+@pytest.mark.parametrize("kind, q, match", [
+    ("Tsallis", 1.5, "unknown squeeze family 'Tsallis'"),
+    ("custom", 1.0, "unknown squeeze family 'custom'"),
     ("tsallis", math.nan, "entropic index must be finite, got nan"),
     ("tsallis", -math.inf, "entropic index must be finite, got -inf"),
     ("direct", math.inf, "entropic index must be finite, got inf"),
 ])
-def test_family_construction_rejects_what_it_cannot_compute(build, q, match):
+def test_family_construction_rejects_what_it_cannot_compute(kind, q, match):
+    # "tsallis" and "direct" build through tsallis(q) and SqueezeFamily(q); any other
+    # kind is a family name, which only the model-file fragment can carry
+    build = {"tsallis": SqueezeFamily.tsallis, "direct": SqueezeFamily}.get(
+        kind, lambda q: _family_of({"family": kind, "q": q}))
     with pytest.raises(SqueezeDomainError, match=match):
-        SqueezeFamily.tsallis(q) if build == "tsallis" else SqueezeFamily(q)
+        build(q)
 
 
 def test_a_directly_built_family_computes_what_it_writes():
