@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,15 @@ exit codes:
 
 all run configuration is flags; no environment variable is read.
 """
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts like a negative number (-1e-3, -.5, -0.5:1.5) as a
+    value, never as a flag; subparsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 class CliError(Exception):
@@ -108,7 +118,7 @@ def _load_model(args):
     if args.param:
         raise CliError(EXIT_CONFIG, "--param applies only to named models")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise CliError(EXIT_CONFIG, f"cannot read model file {source!r}: {exc}") from exc
     spectrum, env, family = model_from_json_dict(doc)
@@ -241,7 +251,10 @@ def _read_csv_columns(path: str, names: tuple[str, str]) -> tuple[np.ndarray, np
     p = Path(path)
     if not p.exists():
         raise CliError(EXIT_CONFIG, f"data file {path!r} does not exist")
-    lines = [ln.strip() for ln in p.read_text().splitlines() if ln.strip()]
+    try:
+        lines = [ln.strip() for ln in p.read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_CONFIG, f"cannot read data file {path!r}: {exc}") from None
     if not lines:
         raise CliError(EXIT_CONFIG, f"data file {path!r} is empty")
     header = [h.strip() for h in lines[0].split(",")]
@@ -276,6 +289,8 @@ def cmd_infer(args) -> int:
         raise CliError(EXIT_CONFIG, "--reconstruct applies only with --data")
     if args.energy and not args.density:
         raise CliError(EXIT_CONFIG, "--energy applies only with --density")
+    if not 0 <= args.threshold < np.inf:
+        raise CliError(EXIT_CONFIG, f"--threshold must be finite and >= 0, got {args.threshold!r}")
     if args.data:
         ln_g, ratio = _read_csv_columns(args.data, ("ln_g", "ratio"))
         data = EquilibriumDataset(ln_g=ln_g, ratio=ratio)
@@ -348,7 +363,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqzstat",
         description="generalized-ensemble thermostatistics engine",
         epilog=EPILOG,

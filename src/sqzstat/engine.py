@@ -72,7 +72,7 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(np.add.reduce(e) / m) + np.log(float(m)) + top)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracySpectrum:
     """Finite table of microcanonical subclasses.
 
@@ -86,7 +86,7 @@ class DegeneracySpectrum:
     variable_names: tuple[str, ...]
     x: np.ndarray
     ln_g: np.ndarray
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float, order="F")
@@ -211,7 +211,7 @@ class EnsembleSpec:
             raise ModelValidationError(f"environment names not in spectrum: {sorted(extra)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassTable:
     """Per-subclass squeezed classes for one ensemble evaluation.
 
@@ -260,7 +260,7 @@ class ClassTable:
         return self.mean_of(*self.spectrum.x.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Normalized macro (per subclass) and configuration probabilities;
     ``excluded`` is the class table's own array, ``ln_g`` its spectrum's."""
@@ -272,7 +272,7 @@ class ProbabilityTable:
     ln_g: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoReport:
     """A thermodynamic point plus the per-subclass table behind it."""
 
@@ -472,7 +472,7 @@ def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: S
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumSurface:
     """Phi of a full {pair name: value} mapping over a fixed spectrum,
     smooth in the intensive values; pinned extensive values select rows,
@@ -483,7 +483,7 @@ class SpectrumSurface:
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
     family: SqueezeFamily
-    _held: ClassTable | None = field(default=None, init=False, repr=False, compare=False)
+    _held: ClassTable | None = field(default=None, init=False, repr=False)
 
     def _table(self, values: Mapping[str, float]) -> ClassTable:
         y = {n: values[n] for n in self.env.fixed_intensive}

@@ -40,7 +40,7 @@ class StabilityWarning(UserWarning):
     covariance matrix is numerically singular."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluctuationReport:
     """Second-moment summary around one equilibrium state.
 

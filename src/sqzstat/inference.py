@@ -33,7 +33,7 @@ __all__ = [
 POWER_LAW_RESIDUAL_THRESHOLD = 1e-6  # noiseless synthetic regime default
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumDataset:
     """Paired (ln count, thermometer-ratio) equilibrium measurements.
 

@@ -55,7 +55,7 @@ _Q2_ENTROPY_LOWER_LIMIT = 1e-12  # ln h(F) = 1 - 1/F is not integrable at F = 0
 TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run_trace row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityLattice:
     """Integer 2-D velocities inside the cutoff radius, with index map."""
 
@@ -91,7 +91,7 @@ def make_lattice(radius: int) -> VelocityLattice:
     return VelocityLattice(radius=radius, velocities=np.array(vs, dtype=int))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionNetwork:
     """Conserving quadruples (i, j | k, l) with an optional symmetric xi factor.
 
@@ -149,7 +149,7 @@ def build_collision_network(
     return CollisionNetwork(lattice=lattice, quadruples=quads, xi=xi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KineticState:
     """One-body populations on the lattice at time t; a negative or non-finite entry
     is rejected here, so every function taking a state may assume finite F >= 0."""

@@ -669,6 +669,10 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
         (["infer", "--data", "DATA", "--energy", "0.5"], "--energy applies only with --density"),
         (["sweep", *TWO_LEVEL, "--axis", "E", "--range", "1-2", "--steps", "3"],
          "--range expects lo:hi, got '1-2'"),
+        (["infer", "--data", "NOT_UTF8"], "cannot read data file"),
+        (["infer", "--data", "DATA", "--threshold", "nan"], "--threshold must be finite and >= 0, got nan"),
+        (["infer", "--data", "DATA", "--threshold", "-1"], "--threshold must be finite and >= 0, got -1.0"),
+        (["infer", "--data", "DATA", "--threshold", "inf"], "--threshold must be finite and >= 0, got inf"),
         (["kinetics", "--lattice-radius", "0"], "--lattice-radius must be >= 1"),
         (["compute", "--model", "two_level", "--y", "E=1", "--q", "1.5"], "--q applies only with --squeeze tsallis"),
         (["compute", "--model", "two_level", "--y", "E=1", "--squeeze", "identity", "--q", "1.5"],
@@ -684,7 +688,8 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
     ],
     ids=["y-without-equals", "y-not-a-number", "no-model", "unknown-model", "param-with-file",
          "unreadable-file", "file-not-json", "file-integer-too-long", "missing-data", "empty-data",
-         "infer-without-input", "reconstruct-without-data", "energy-without-density", "range-without-colon", "radius-zero", "q-without-squeeze",
+         "infer-without-input", "reconstruct-without-data", "energy-without-density", "range-without-colon",
+         "data-not-utf8", "threshold-nan", "threshold-negative", "threshold-inf", "radius-zero", "q-without-squeeze",
          "q-with-identity", "q-with-file-family", "q-kinetics", "y-repeated", "y-repeated-once-stripped",
          "X-repeated", "param-repeated"],
 )
@@ -695,10 +700,12 @@ def test_cli_error_paths_exit_3_with_one_json_line(tmp_path, capsys, argv, messa
     (tmp_path / "huge.json").write_text('{"rows": [' + "1" * 5000 + "]}")  # json.loads: a bare ValueError
     (tmp_path / "empty.csv").write_text("\n")
     (tmp_path / "data.csv").write_text("ln_g,ratio\n0.0,1.0\n1.0,0.5\n2.0,0.25\n")
+    (tmp_path / "latin1.csv").write_bytes(b"ln_g,ratio\n0.0,1.0\xff\n")
     _write_density(tmp_path / "density.csv")
     paths = {"MODEL": model, "DIR": tmp_path, "BAD_JSON": tmp_path / "bad.json",
              "HUGE_INT": tmp_path / "huge.json", "MISSING": tmp_path / "missing.csv", "EMPTY": tmp_path / "empty.csv",
-             "DATA": tmp_path / "data.csv", "DENSITY": tmp_path / "density.csv", "REC": tmp_path / "rec.csv"}
+             "DATA": tmp_path / "data.csv", "DENSITY": tmp_path / "density.csv", "REC": tmp_path / "rec.csv",
+             "NOT_UTF8": tmp_path / "latin1.csv"}
     code, out, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
     assert (code, out) == (3, "") and not (tmp_path / "rec.csv").exists()
     assert err.endswith("\n") and err.count("\n") == 1
@@ -737,3 +744,37 @@ def test_threshold_default_is_the_inference_constant():
 
     args = build_parser().parse_args(["infer"])
     assert args.threshold == inference.POWER_LAW_RESIDUAL_THRESHOLD
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-0.5:1.5", 0),
+    (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-.5:1.5", 0),
+    (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-1e308:1e308", 4),
+    (["compute", *TWO_LEVEL, "--squeeze", "tsallis"], "--q", "-1e-3", 0),
+    (["compute", *TWO_LEVEL, "--squeeze", "tsallis"], "--q", "-.5", 0),
+    (["compute", *TWO_LEVEL, "--squeeze", "tsallis"], "--q", "-2.5E-1", 0),
+    (["infer", "--density", "DENSITY"], "--energy", "-1e-3", 0),
+    (["kinetics", "--lattice-radius", "1", "--steps", "3"], "--dt", "-1e-3", 5),
+], ids=["range-lo", "range-lo-no-digit", "range-not-finite", "q-exponent", "q-no-leading-digit",
+        "q-upper-exponent", "energy-exponent", "dt-exponent"])
+def test_a_negative_value_after_a_space_reads_as_its_equals_form(tmp_path, capsys, argv, flag, value, code):
+    # argparse's own pattern took -1e-3 and -0.5:1.5 for flags and exited 2
+    _write_density(tmp_path / "density.csv")
+    argv = [str(tmp_path / "density.csv") if a == "DENSITY" else a for a in argv]
+    spaced = run_cli([*argv, flag, value], capsys)
+    assert spaced == run_cli([*argv, f"{flag}={value}"], capsys)
+    assert spaced[0] == code
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["infer", "--data"], "ln_g,ratio\n0.0,1.0\n1.0,0.5\n2.0,0.25\n"),
+    (["compute", "--model"], json.dumps(_model_doc())),
+], ids=["data", "model"])
+def test_a_utf8_byte_order_mark_is_read_past(tmp_path, capsys, argv, text):
+    # spreadsheet exports start a UTF-8 file with one
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected = run_cli([*argv, str(plain)], capsys)
+    assert expected[0] == 0
+    assert run_cli([*argv, str(marked)], capsys) == expected

@@ -9,16 +9,22 @@ from sqzstat import (
     DegenerateEnsembleError,
     DegeneracySpectrum,
     EnsembleSpec,
+    EnvironmentSplit,
     ModelValidationError,
     SqueezeFamily,
+    ThermoPoint,
     characteristic_class,
     combine_independent,
     entropy_from_probabilities,
     observed_mean,
     phi_and_entropies,
+    phi_surface_from_spectrum,
     probabilities,
 )
 from sqzstat.engine import _logsumexp, model_from_json_dict, model_to_json_dict, report_for
+from sqzstat.fluctuation import moments
+from sqzstat.inference import EquilibriumDataset
+from sqzstat.kinetics import build_collision_network, make_lattice, random_state
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 from differencing import direct_sums, mp_derivative
@@ -736,3 +742,44 @@ def test_report_json_takes_environment_and_squeeze_from_its_table():
     doc = report_for(lattice_gas(10), env, SqueezeFamily.tsallis(1.5)).to_json_dict()
     assert doc["environment"] == {"E": 0.7, "N": 0.2}
     assert doc["squeeze"] == {"family": "tsallis", "q": 1.5}
+
+
+# ---------------------------------------------------------------------------
+# records that hold arrays compare and hash by identity, value records by value
+
+def _paramagnet(k):
+    return spin_half_paramagnet(4 + 2 * k)
+
+
+def _table(k):
+    return characteristic_class(_paramagnet(k), EnsembleSpec({"M": 0.5}), IDENT)
+
+
+def _surface(k):
+    return phi_surface_from_spectrum(_paramagnet(k), EnsembleSpec({"M": 0.5}), IDENT)
+
+
+ARRAY_RECORDS = {
+    "DegeneracySpectrum": _paramagnet,
+    "ClassTable": _table,
+    "ProbabilityTable": lambda k: probabilities(_table(k)),
+    "ThermoReport": lambda k: report_for(_paramagnet(k), EnsembleSpec({"M": 0.5}), IDENT),
+    "SpectrumSurface": _surface,
+    "FluctuationReport": lambda k: moments(_surface(k), {"M": 0.5}, ["M"], IDENT),
+    "VelocityLattice": lambda k: make_lattice(1 + k),
+    "CollisionNetwork": lambda k: build_collision_network(make_lattice(1 + k)),
+    "KineticState": lambda k: random_state(make_lattice(1), seed=k),
+    "EquilibriumDataset": lambda k: EquilibriumDataset(ln_g=[0.0, 1.0, 2.0], ratio=[1.0, 0.5 + k, 0.25]),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity_and_value_records_by_value(build):
+    # a generated __eq__/__hash__ over array fields raised ValueError or TypeError here
+    a, b = build(0), build(1)
+    assert a in [b, a]
+    assert a != b
+    assert len({a, b}) == 2
+    assert EnsembleSpec({"E": 1.0}, {"N": 2.0}) == EnsembleSpec({"E": 1.0}, {"N": 2.0})
+    assert EnvironmentSplit(("N",), ("E",)) == EnvironmentSplit(["N"], ["E"])
+    assert ThermoPoint(0.5, 1.0, None, {"E": 2.0}) == ThermoPoint(0.5, 1.0, None, {"E": 2.0})
