@@ -1,23 +1,21 @@
 """Generalized-ensemble thermostatistics under squeezing deformations.
 
-Exact discrete-spectrum ensembles for an arbitrary positive deformation
-of the configuration-count statistics, with fluctuation analysis, a
-deformed discrete-velocity kinetic integrator, and inference of the
-deformation from temperature-ratio data.
+Exact discrete-spectrum ensembles under the power-law deformation of index
+q of the configuration-count statistics (q = 1 is Boltzmann-Gibbs), with
+second moments, a deformed discrete-velocity kinetic integrator, and
+inference of the deformation from temperature-ratio data.
 """
 
 import importlib
 
 _EXPORTS = {
     "engine": ("ClassTable", "DegeneracySpectrum", "EnsembleSpec", "ProbabilityTable", "ThermoReport",
-               "characteristic_class", "combine_independent", "entropy_from_probabilities",
-               "observed_mean", "phi_and_entropies", "phi_surface_from_spectrum", "probabilities",
-               "report_for"),
+               "characteristic_class", "observed_mean", "phi_and_entropies", "phi_surface_from_spectrum",
+               "probabilities", "report_for"),
     "errors": ("DatasetError", "DegenerateEnsembleError", "ModelValidationError",
                "SqueezeDomainError", "StepSizeError"),
     "squeeze": ("SqueezeFamily",),
-    "thermo": ("EnvironmentSplit", "ThermoPoint", "conjugates_from_phi",
-               "euler_residual", "gibbs_duhem_residual"),
+    "thermo": ("EnvironmentSplit", "ThermoPoint", "conjugates_from_phi"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -52,12 +52,13 @@ all run configuration is flags; no environment variable is read.
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every token that starts like a negative number (-1e-3, -.5, -0.5:1.5) as a
-    value, never as a flag; subparsers are built with the same class."""
+    """Reads every token that starts like a negative number (-1e-3, -.5, -0.5:1.5, and
+    the words float() reads: -inf, -infinity and -nan in any case, alone or before a
+    range's colon) as a value, never as a flag; subparsers are built with the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)(:|$))", re.IGNORECASE)
 
 
 class CliError(Exception):

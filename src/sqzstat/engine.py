@@ -39,8 +39,6 @@ __all__ = [
     "phi_and_entropies",
     "probabilities",
     "observed_mean",
-    "entropy_from_probabilities",
-    "combine_independent",
     "phi_surface_from_spectrum",
     "report_for",
 ]
@@ -140,10 +138,6 @@ class DegeneracySpectrum:
     def _g_divides(self) -> np.ndarray:
         """Rows whose g is a finite positive float, so a quotient by it is a plain division."""
         return np.isfinite(self.g) & (self.g > 0)
-
-    def ln_total_class(self) -> float:
-        """ln of the unweighted class total (sum of all degeneracies)."""
-        return _logsumexp(self.ln_g)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -262,14 +256,13 @@ class ClassTable:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Normalized macro (per subclass) and configuration probabilities;
-    ``excluded`` is the class table's own array, ``ln_g`` its spectrum's."""
+    """Normalized macro (per subclass) and configuration probabilities, with
+    ln of the latter; ``excluded`` is the class table's own array."""
 
     macro_probs: np.ndarray
     config_probs: np.ndarray
     ln_config: np.ndarray
     excluded: np.ndarray
-    ln_g: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +397,6 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
         config_probs=config,
         ln_config=ln_config,
         excluded=table.excluded,
-        ln_g=spectrum.ln_g,
     )
 
 
@@ -426,36 +418,6 @@ def _per_configuration(num: np.ndarray, ln_quotient: np.ndarray, g: np.ndarray, 
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.exp(ln_quotient)
     return np.divide(num, g, out=out, where=divides)
-
-
-def entropy_from_probabilities(probs: ProbabilityTable, family: SqueezeFamily) -> float:
-    """Entropy functional of the configuration probabilities.
-
-    Identity: Gibbs-Shannon -sum_k p_k ln p_k; power-law family:
-    (sum_k p_k**q - 1)/(1-q).  Sums run over configurations, each row
-    contributing g_row identical terms."""
-    live = ~probs.excluded
-    lng = probs.ln_g[live]
-    ln_p = probs.ln_config[live]
-    if family.is_identity:
-        # -sum_rows g p ln p, with g p = macro prob
-        return float(-np.sum(np.exp(lng + ln_p) * ln_p))
-    q = family.q
-    lse = _logsumexp(lng + q * ln_p)
-    return float(math.expm1(lse) / (1.0 - q))
-
-
-def combine_independent(a: DegeneracySpectrum, b: DegeneracySpectrum) -> DegeneracySpectrum:
-    """Product spectrum of two independent systems.
-
-    Variable names are prefixed "A." and "B." to stay distinct; degeneracies
-    multiply (log-add) over the cartesian product of subclasses."""
-    names = tuple("A." + n for n in a.variable_names) + tuple("B." + n for n in b.variable_names)
-    na, nb = a.n_rows, b.n_rows
-    xa = np.repeat(a.x, nb, axis=0)
-    xb = np.tile(b.x, (na, 1))
-    lng = np.repeat(a.ln_g, nb) + np.tile(b.ln_g, na)
-    return DegeneracySpectrum(variable_names=names, x=np.hstack([xa, xb]), ln_g=lng)
 
 
 def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily,

@@ -1,4 +1,4 @@
-"""Second moments and the Gaussian fluctuation density.
+"""Second moments of the extensive variables and of their conjugates.
 
 The curvature of the potential in the intensive directions carries the
 fluctuation content: C = -(d2 phi / dy dy) is the covariance matrix of
@@ -26,7 +26,6 @@ __all__ = [
     "StabilityWarning",
     "FluctuationReport",
     "moments",
-    "einstein_log_probability",
 ]
 
 # relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
@@ -143,12 +142,3 @@ def moments(
         singular=singular,
     )
 
-
-def einstein_log_probability(
-    alpha: "np.ndarray | Sequence[float]", G: np.ndarray, tsallis_scale: float = 1.0
-) -> float:
-    """Unnormalized log of the Gaussian fluctuation density at deviation
-    alpha from the most probable state: -alpha' (G / scale) alpha / 2."""
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    Gm = np.atleast_2d(np.asarray(G, dtype=float))
-    return float(-0.5 * a @ (Gm / tsallis_scale) @ a)

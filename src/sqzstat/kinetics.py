@@ -41,7 +41,6 @@ __all__ = [
     "run_trace",
     "run_to_stationarity",
     "entropy_functional",
-    "detailed_balance_residual",
     "stability_dt",
     "random_state",
     "TRACE_COLUMNS",
@@ -57,7 +56,7 @@ TRACE_COLUMNS = ("t", "S", "sum_F", "sum_Fv2", "max_rhs")  # the fields of a run
 
 @dataclass(frozen=True, eq=False)
 class VelocityLattice:
-    """Integer 2-D velocities inside the cutoff radius, with index map."""
+    """Integer 2-D velocities inside the cutoff radius."""
 
     radius: int
     velocities: np.ndarray  # (n, 2) int
@@ -69,12 +68,6 @@ class VelocityLattice:
     @property
     def speed_squared(self) -> np.ndarray:
         return (self.velocities**2).sum(axis=1)
-
-    def index_of(self, v: tuple[int, int]) -> int:
-        matches = np.flatnonzero((self.velocities == np.asarray(v)).all(axis=1))
-        if matches.size != 1:
-            raise ModelValidationError(f"velocity {v} not on the lattice")
-        return int(matches[0])
 
 
 def make_lattice(radius: int) -> VelocityLattice:
@@ -166,9 +159,6 @@ class KineticState:
 
     def number(self) -> float:
         return float(self.F.sum())
-
-    def momentum(self, lattice: VelocityLattice) -> np.ndarray:
-        return self.F @ lattice.velocities
 
     def energy(self, lattice: VelocityLattice) -> float:
         return float(self.F @ lattice.speed_squared)
@@ -276,18 +266,6 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
     if not math.isfinite(total):
         raise SqueezeDomainError(f"entropy functional beyond the float range at q={q:g}")
     return float(total)
-
-
-def detailed_balance_residual(
-    state: KineticState, net: CollisionNetwork, family: SqueezeFamily
-) -> float:
-    """max over quadruples of |ln h(F_i) + ln h(F_j) - ln h(F_k) - ln h(F_l)|."""
-    if net.n_quadruples == 0:
-        return 0.0
-    ln_h = family.ln_h_of_linear(state.F)
-    q = net.quadruples
-    res = ln_h[q[:, 0]] + ln_h[q[:, 1]] - ln_h[q[:, 2]] - ln_h[q[:, 3]]
-    return float(np.max(np.abs(res)))
 
 
 def run_trace(

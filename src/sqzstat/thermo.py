@@ -1,4 +1,5 @@
-"""Thermodynamic layer: environment splits, conjugates, residuals.
+"""Thermodynamic layer: environment splits, thermodynamic points (phi, J,
+theta and the observed conjugates), and conjugates read from a surface.
 
 Conventions used throughout the package: every extensive/intensive pair
 is addressed by one name (that of the extensive member).  A pair whose
@@ -12,7 +13,7 @@ the dimensionless potential and reads its derivatives from the class table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from .engine import SpectrumSurface
@@ -21,8 +22,6 @@ __all__ = [
     "EnvironmentSplit",
     "ThermoPoint",
     "conjugates_from_phi",
-    "euler_residual",
-    "gibbs_duhem_residual",
 ]
 
 
@@ -85,56 +84,3 @@ def conjugates_from_phi(
         )
     return phi_surface.gradient(point, split.fixed_intensive)
 
-
-def euler_residual(
-    point: ThermoPoint,
-    split: EnvironmentSplit,
-    environment: Mapping[str, float],
-) -> float:
-    """Subdivision entropy Theta = -phi - sum_j y_j,obs X_j.
-
-    Vanishes for first-order homogeneous (macroscopic) models; the
-    nonzero remainder is the small-system subdivision term.  Requires
-    point.observed to carry the conjugate of every pinned-extensive
-    pair and ``environment`` to carry the pinned values themselves."""
-    acc = -point.phi
-    for name in split.fixed_extensive:
-        acc -= point.observed[name] * environment[name]
-    return acc
-
-
-def gibbs_duhem_residual(
-    trajectory: Sequence[tuple[ThermoPoint, Mapping[str, float]]],
-    split: EnvironmentSplit,
-    include_theta: bool = True,
-) -> float:
-    """Accumulated residual of d(theta) + sum_l X_l dy_l along a path.
-
-    ``trajectory`` pairs each point with its environment values.  With
-    include_theta the full small-system identity is integrated and the
-    residual is ~0 up to quadrature error; without it the bare
-    sum-X-dy integral is returned (the macroscopic statement, ~0 only
-    for first-order homogeneous models).  Trapezoid rule; needs >= 3
-    points."""
-    if len(trajectory) < 3:
-        raise ValueError(f"need at least 3 path points, got {len(trajectory)}")
-
-    def x_of(point: ThermoPoint, env: Mapping[str, float], name: str) -> float:
-        return env[name] if name in split.fixed_extensive else point.observed[name]
-
-    def y_of(point: ThermoPoint, env: Mapping[str, float], name: str) -> float:
-        return env[name] if name in split.fixed_intensive else point.observed[name]
-
-    residual = 0.0
-    for (p0, e0), (p1, e1) in zip(trajectory[:-1], trajectory[1:]):
-        seg = 0.0
-        if include_theta:
-            if p0.entropy_theta is None or p1.entropy_theta is None:
-                raise ValueError("trajectory point lacks entropy_theta")
-            seg += p1.entropy_theta - p0.entropy_theta
-        for name in split.all_names:
-            dy = y_of(p1, e1, name) - y_of(p0, e0, name)
-            xbar = 0.5 * (x_of(p0, e0, name) + x_of(p1, e1, name))
-            seg += xbar * dy
-        residual += seg
-    return residual

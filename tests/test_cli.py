@@ -755,10 +755,16 @@ def test_threshold_default_is_the_inference_constant():
     (["compute", *TWO_LEVEL, "--squeeze", "tsallis"], "--q", "-2.5E-1", 0),
     (["infer", "--density", "DENSITY"], "--energy", "-1e-3", 0),
     (["kinetics", "--lattice-radius", "1", "--steps", "3"], "--dt", "-1e-3", 5),
+    (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-inf:1", 4),
+    (["compute", *TWO_LEVEL, "--squeeze", "tsallis"], "--q", "-inf", 5),
+    (["infer", "--density", "DENSITY"], "--energy", "-inf", 5),
+    (["infer", "--density", "DENSITY"], "--threshold", "-Infinity", 3),
+    (["kinetics", "--lattice-radius", "1", "--steps", "3"], "--dt", "-nan", 5),
 ], ids=["range-lo", "range-lo-no-digit", "range-not-finite", "q-exponent", "q-no-leading-digit",
-        "q-upper-exponent", "energy-exponent", "dt-exponent"])
+        "q-upper-exponent", "energy-exponent", "dt-exponent", "range-lo-minus-inf", "q-minus-inf",
+        "energy-minus-inf", "threshold-minus-infinity", "dt-minus-nan"])
 def test_a_negative_value_after_a_space_reads_as_its_equals_form(tmp_path, capsys, argv, flag, value, code):
-    # argparse's own pattern took -1e-3 and -0.5:1.5 for flags and exited 2
+    # argparse's own pattern took -1e-3, -0.5:1.5 and -inf for flags and exited 2
     _write_density(tmp_path / "density.csv")
     argv = [str(tmp_path / "density.csv") if a == "DENSITY" else a for a in argv]
     spaced = run_cli([*argv, flag, value], capsys)

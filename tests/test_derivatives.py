@@ -28,7 +28,6 @@ from sqzstat import (
     DegeneracySpectrum,
     EnsembleSpec,
     SqueezeFamily,
-    combine_independent,
     conjugates_from_phi,
     observed_mean,
     phi_surface_from_spectrum,
@@ -39,6 +38,7 @@ from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 from differencing import direct_sums, mp_derivative, mp_phi
+from families import combine_independent, entropy_from_probabilities
 
 IDENT = SqueezeFamily.identity()
 EPS = np.finfo(float).eps
@@ -491,7 +491,7 @@ def test_probabilities_and_entropy_against_direct_sums(state):
     assert probs.excluded.tolist() == [not p for p in ref["P"]]
     assert np.all(np.abs(probs.macro_probs - P) <= err * P + tiny)
     assert np.all(np.abs(probs.config_probs - config) <= err * config + tiny)
-    assert abs(engine.entropy_from_probabilities(probs, fam) - S) <= err * S_scale
+    assert abs(entropy_from_probabilities(probs, spectrum.ln_g, q) - S) <= err * S_scale
 
 
 def entropy_J_scale(ref, y, q):

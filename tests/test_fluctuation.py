@@ -15,11 +15,7 @@ from sqzstat import (
     phi_surface_from_spectrum,
     probabilities,
 )
-from sqzstat.fluctuation import (
-    StabilityWarning,
-    einstein_log_probability,
-    moments,
-)
+from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, spin_half_paramagnet, two_level
 
 from differencing import direct_sums, mp_derivative
@@ -217,18 +213,7 @@ def test_grand_canonical_covariance_report():
 
 
 # ---------------------------------------------------------------------------
-# einstein_log_probability
-
-def test_most_probable_state_has_zero_log_density():
-    assert einstein_log_probability([0.0], np.array([[4.5]])) == 0.0
-
-
-def test_one_dimensional_quadratic_form():
-    assert einstein_log_probability([1.0], np.array([[4.5]])) == pytest.approx(-2.25, abs=1e-14)
-    assert einstein_log_probability([1.0], np.array([[4.5]]), tsallis_scale=1.5) == pytest.approx(
-        -1.5, abs=1e-14
-    )
-
+# the Einstein density exp(-alpha (G / scale) alpha / 2) of a deviation alpha
 
 def test_gaussian_ratio_matches_exact_ratio_near_peak():
     # N-site two-level (paramagnet) fixture: the stated |delta| <= sigma/2
@@ -248,7 +233,7 @@ def test_gaussian_ratio_matches_exact_ratio_near_peak():
         if i == i0 or abs(delta) > 0.5 * sigma:
             continue
         exact_ratio = probs.macro_probs[i] / probs.macro_probs[i0]
-        gauss_ratio = math.exp(einstein_log_probability([delta], rep.G, rep.tsallis_scale))
+        gauss_ratio = math.exp(-0.5 * delta * (rep.G[0, 0] / rep.tsallis_scale) * delta)
         assert abs(gauss_ratio / exact_ratio - 1.0) < 0.10, (m[i], gauss_ratio, exact_ratio)
         checked += 1
     assert checked >= 2

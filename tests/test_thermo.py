@@ -9,11 +9,8 @@ from sqzstat import (
     EnsembleSpec,
     EnvironmentSplit,
     SqueezeFamily,
-    ThermoPoint,
     characteristic_class,
     conjugates_from_phi,
-    euler_residual,
-    gibbs_duhem_residual,
     phi_and_entropies,
     phi_surface_from_spectrum,
 )
@@ -81,24 +78,23 @@ def test_pinned_extensive_pair_is_named_in_the_error():
 
 
 # ---------------------------------------------------------------------------
-# euler_residual
+# the subdivision entropy theta = -phi - sum_j y_j,obs X_j over the pinned-extensive pairs
 
 def test_macroscopic_lattice_gas_theta_vanishes():
     # first-order homogeneity: theta/sites -> 0 as the system grows; the
     # engine's phi, and its site-count conjugate -dphi/dsites by mpmath.diff of
     # the 50-digit phi
-    split = EnvironmentSplit(fixed_extensive=("sites",), fixed_intensive=("E", "N"))
     ratios = []
     for sites in (100, 1000):
         # N_max below sites leaves room for the derivative stencil; the
         # dropped near-full rows carry negligible weight at this nu
-        n_max, point = sites - 2, {"sites": float(sites), "E": 1.0, "N": 0.4}
+        n_max = sites - 2
         env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": 0.4})
         phi = characteristic_class(lattice_gas(float(sites), N_max=n_max), env, IDENT).phi
         with mpmath.workdps(50):
             dphi_dsites = float(mpmath.diff(lambda s: mp_lattice_gas_phi(n_max)(s, 0.4), sites))
-        tp = ThermoPoint(phi=phi, entropy_J=0.0, entropy_theta=None, observed={"sites": -dphi_dsites})
-        theta = euler_residual(tp, split, point)
+        y_sites = -dphi_dsites  # the observed conjugate of the pinned site count
+        theta = -phi - y_sites * sites
         ratios.append(abs(theta) / sites)
     # exactly first-order homogeneous model: theta is zero up to the
     # rounding of the engine's phi at every size
@@ -110,22 +106,27 @@ def test_single_two_level_system_has_nonzero_theta_via_engine():
     # fully open in the modeled variable: theta = -phi != 0
     env = EnsembleSpec(fixed_intensive={"E": math.log(2.0)})
     point = phi_and_entropies(characteristic_class(two_level(1.0), env, IDENT))
-    theta = euler_residual(point, EnvironmentSplit(fixed_intensive=("E",)), {"E": math.log(2.0)})
-    assert theta == pytest.approx(-point.phi, abs=0.0)
+    theta = -point.phi  # no pinned-extensive pair
     assert abs(theta) > 0.1
     assert point.entropy_theta == pytest.approx(theta, abs=1e-14)
 
 
-def test_isolated_definition_chase():
-    # all pairs pinned extensively: theta = -phi - sum y_obs X
-    split = EnvironmentSplit(fixed_extensive=("E",))
-    tp = ThermoPoint(phi=-math.log(4.0), entropy_J=math.log(4.0), entropy_theta=None, observed={"E": 0.8})
-    theta = euler_residual(tp, split, {"E": 2.0})
-    assert theta == pytest.approx(math.log(4.0) - 0.8 * 2.0, abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
-# gibbs_duhem_residual
+# the Gibbs-Duhem relation d(theta) + sum_l X_l dy_l = 0 along a path
+
+def gibbs_duhem_residual(trajectory, include_theta=True):
+    """Trapezoid integral of d(theta) + sum_l X_l dy_l along a path of
+    (point, {name: y}) pairs, X_l the point's observed mean of each pinned
+    intensive y_l: ~0 with theta (the small-system identity); without it the
+    bare sum-X-dy integral, ~0 only for first-order homogeneous models."""
+    residual = 0.0
+    for (p0, y0), (p1, y1) in zip(trajectory[:-1], trajectory[1:]):
+        seg = p1.entropy_theta - p0.entropy_theta if include_theta else 0.0
+        for name in y0:
+            seg += 0.5 * (p0.observed[name] + p1.observed[name]) * (y1[name] - y0[name])
+        residual += seg
+    return residual
+
 
 def path_points(betas):
     """Canonical two-level trajectory with analytic theta = -phi."""
@@ -140,9 +141,7 @@ def path_points(betas):
 def test_gibbs_duhem_small_system_residual():
     # d(theta) + X dy integrates to ~0 along any path (small-system form)
     betas = np.linspace(0.2, 1.4, 1000)
-    traj = path_points(betas)
-    split = EnvironmentSplit(fixed_intensive=("E",))
-    residual = gibbs_duhem_residual(traj, split)
+    residual = gibbs_duhem_residual(path_points(betas))
     # dense-trapezoid oracle on the analytic theta(beta) = ln(1 + e**-beta)
     dense = np.linspace(0.2, 1.4, 4000)
     theta = np.log1p(np.exp(-dense))
@@ -153,28 +152,18 @@ def test_gibbs_duhem_small_system_residual():
 
 
 def test_gibbs_duhem_constant_path_is_exactly_zero():
-    traj = path_points([0.7, 0.7, 0.7])
-    split = EnvironmentSplit(fixed_intensive=("E",))
-    assert gibbs_duhem_residual(traj, split) == 0.0
-
-
-def test_gibbs_duhem_needs_three_points():
-    with pytest.raises(ValueError):
-        gibbs_duhem_residual(path_points([0.2, 0.3]), EnvironmentSplit(fixed_intensive=("E",)))
+    assert gibbs_duhem_residual(path_points([0.7, 0.7, 0.7])) == 0.0
 
 
 def test_gibbs_duhem_needs_theta_on_every_point():
     traj = path_points([0.2, 0.3, 0.4])
     traj[1] = (dataclasses.replace(traj[1][0], entropy_theta=None), traj[1][1])
-    split = EnvironmentSplit(fixed_intensive=("E",))
-    with pytest.raises(ValueError, match="lacks entropy_theta"):
-        gibbs_duhem_residual(traj, split)
-    assert math.isfinite(gibbs_duhem_residual(traj, split, include_theta=False))
+    # only the full identity reads theta; the bare sum X dy goes through a point without it
+    assert math.isfinite(gibbs_duhem_residual(traj, include_theta=False))
 
 
 def test_macroscopic_sum_x_dy_shrinks_with_size():
     # bare sum X dy (macroscopic Gibbs-Duhem) per site decreases with N
-    split = EnvironmentSplit(fixed_intensive=("E", "N"))
     per_site = []
     for sites in (10, 1000):
         traj = []
@@ -182,7 +171,7 @@ def test_macroscopic_sum_x_dy_shrinks_with_size():
             env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": float(nu)})
             point = phi_and_entropies(characteristic_class(lattice_gas(sites), env, IDENT))
             traj.append((point, {"E": 1.0, "N": float(nu)}))
-        res = gibbs_duhem_residual(traj, split, include_theta=False)
+        res = gibbs_duhem_residual(traj, include_theta=False)
         per_site.append(abs(res) / sites)
     # integral of <N> dnu is extensive; per-site value converges, and the
     # full Hill-form residual stays ~0 at both sizes
@@ -190,14 +179,13 @@ def test_macroscopic_sum_x_dy_shrinks_with_size():
 
 
 def test_hill_form_zero_for_macroscopic_path():
-    split = EnvironmentSplit(fixed_intensive=("E", "N"))
     sites = 1000
     traj = []
     for nu in np.linspace(0.1, 0.9, 400):
         env = EnsembleSpec(fixed_intensive={"E": 1.0, "N": float(nu)})
         point = phi_and_entropies(characteristic_class(lattice_gas(sites), env, IDENT))
         traj.append((point, {"E": 1.0, "N": float(nu)}))
-    res = gibbs_duhem_residual(traj, split, include_theta=True)
+    res = gibbs_duhem_residual(traj)
     assert abs(res) / sites < 1e-7
 
 
@@ -217,6 +205,7 @@ def test_legendre_decompositions_agree():
 def test_split_validation():
     with pytest.raises(ValueError):
         EnvironmentSplit(fixed_extensive=("E",), fixed_intensive=("E",))
+    assert EnvironmentSplit(fixed_extensive=("sites",), fixed_intensive=("E", "N")).all_names == ("sites", "E", "N")
 
 
 def test_first_order_homogeneity_of_macroscopic_phi():
