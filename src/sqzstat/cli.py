@@ -330,7 +330,10 @@ def cmd_sweep(args) -> int:
         raise CliError(EXIT_CONFIG, f"sweep axis {axis!r} is not an environment variable")
     rows = []
     with np.errstate(over="ignore"):  # the last point may overflow; linspace then sets it to hi
-        grid = np.linspace(lo, hi, args.steps)
+        try:
+            grid = np.linspace(lo, hi, args.steps)
+        except ValueError as exc:  # more steps than numpy can index: a size it refuses, as MemoryError
+            raise MemoryError(f"Unable to allocate {args.steps:.3g} sweep steps: {exc}") from None
     for value in grid:
         y = dict(env.fixed_intensive)
         X = dict(env.fixed_extensive)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,7 +44,6 @@ __all__ = [
 
 _ROW_MATCH_ATOL = 1e-9
 _ROW_MATCH_RTOL = 1e-9
-_LN_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -122,14 +120,14 @@ class DegeneracySpectrum:
 
     @cached_property
     def g(self) -> np.ndarray:
-        """Degeneracy per row, exp(ln_g), inf beyond the float range.
+        """Degeneracy per row, np.exp(ln_g), inf beyond the float range.
 
-        Degeneracies are integer counts; log-gamma pipelines return them
-        with ~1 ulp noise, so a g below 2**53 within 1e-9 of a positive
+        Degeneracies are integer counts; log-gamma pipelines and exp return
+        them with ~1 ulp noise, so a g below 2**53 within 1e-9 of a positive
         integer is that integer (uniform microcanonical distributions come
         out as literal 1/Omega).  Computed on first use."""
-        g = _exp_rows(self.ln_g)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.exp(self.ln_g)
             near = np.round(g)
             snap = (g < 2.0**53) & (near > 0) & (np.abs(g - near) <= 1e-9 * near)
         return np.where(snap, near, g)
@@ -256,12 +254,11 @@ class ClassTable:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Normalized macro (per subclass) and configuration probabilities, with
-    ln of the latter; ``excluded`` is the class table's own array."""
+    """Normalized macro (per subclass) and configuration probabilities;
+    ``excluded`` is the class table's own array."""
 
     macro_probs: np.ndarray
     config_probs: np.ndarray
-    ln_config: np.ndarray
     excluded: np.ndarray
 
 
@@ -288,13 +285,10 @@ class ThermoReport:
         the identity family, 0 on excluded rows."""
         t, s = self.table, self.table.spectrum
         probs = probabilities(t)
-        c = _exp_rows(t.ln_row_class)
         out = {f"x_{n}": s.x[:, j] for j, n in enumerate(s.variable_names)}
         out.update(ln_g=s.ln_g, ln_class=t.ln_row_class, macro_prob=probs.macro_probs,
                    config_prob=probs.config_probs,
-                   boltzmann_factor=_per_configuration(c, t.ln_row_class - s.ln_g, s.g,
-                                                       np.isfinite(c) & s._g_divides),
-                   excluded=t.excluded)
+                   boltzmann_factor=_per_configuration(t.ln_row_class, s)[1], excluded=t.excluded)
         return out
 
     def rows(self) -> list[dict]:
@@ -387,37 +381,17 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     exactly, so uniform microcanonical distributions come out as literal
     1/Omega.  Excluded rows read ln c = -inf, so 0; macro is finite, so g alone decides the quotient.
     """
-    ln_macro = table.ln_row_class - table.ln_total
-    macro = np.exp(ln_macro)
-    spectrum = table.spectrum
-    ln_config = ln_macro - spectrum.ln_g
-    config = _per_configuration(macro, ln_config, spectrum.g, spectrum._g_divides)
-    return ProbabilityTable(
-        macro_probs=macro,
-        config_probs=config,
-        ln_config=ln_config,
-        excluded=table.excluded,
-    )
+    macro, config = _per_configuration(table.ln_row_class - table.ln_total, table.spectrum)
+    return ProbabilityTable(macro_probs=macro, config_probs=config, excluded=table.excluded)
 
 
-def _exp_rows(v: np.ndarray) -> np.ndarray:
-    """math.exp per entry, inf where it would overflow.
-
-    math.exp, not np.exp: the two round differently in the last bit on
-    some CPUs, and row quotients have always been taken from math.exp."""
-    over = v > _LN_FLOAT_MAX
-    out = np.fromiter(map(math.exp, np.where(over, 0.0, v)), float, v.size)
-    out[over] = math.inf
-    return out
-
-
-def _per_configuration(num: np.ndarray, ln_quotient: np.ndarray, g: np.ndarray, divides: np.ndarray):
-    """num / g, g the snapped degeneracy counts (``DegeneracySpectrum.g``), on the
-    rows where ``divides`` (num and g finite, g > 0), else exp(ln_quotient), which
-    the caller forms once; np.divide, masked, so the quotients keep their bits."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = np.exp(ln_quotient)
-    return np.divide(num, g, out=out, where=divides)
+def _per_configuration(ln_num: np.ndarray, spectrum: DegeneracySpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(num, num / g) per row, num = np.exp(ln_num) and g the snapped degeneracy counts
+    (``DegeneracySpectrum.g``): np.divide where num and g are finite and g > 0, so the
+    quotients keep their bits, else np.exp(ln_num - ln g), the log-domain form."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a num or a quotient beyond the float range reads inf
+        num, out = np.exp(ln_num), np.exp(ln_num - spectrum.ln_g)
+    return num, np.divide(num, spectrum.g, out=out, where=np.isfinite(num) & spectrum._g_divides)
 
 
 def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily,
@@ -463,16 +437,16 @@ class SpectrumSurface:
 
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
-        class total and P = c/T the row's probability (``ClassTable``).  A live row with c = 0
-        adds 0; an H beyond the float range raises SqueezeDomainError."""
+        class total, P = c/T the row's probability and <X> the table's ``means`` (``ClassTable``).
+        A live row with c = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, q = self._table(point), self.family.q
         cols = [table.spectrum.variable_names.index(n) for n in names]
+        mean = np.take(table.means, cols)
         q_ln_total = q * table.ln_total
         a = q * math.exp(q_ln_total - table.ln_total)
         with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
             live, ln_c, ln_w = table.mean_weights()
             xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
-            mean = xt @ np.exp(ln_w)
             b = -q * np.exp(2.0 * ln_w - ln_c + q_ln_total)
             b[ln_c == -np.inf] = 0.0
             H = a * (mean[:, None] * mean) + (xt * b) @ xt.T

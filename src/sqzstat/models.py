@@ -41,6 +41,14 @@ def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
     return _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
 
 
+def _row_range(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n - 1; a count past numpy's index range (a ValueError there) is a MemoryError."""
+    try:
+        return np.arange(n, dtype=float)
+    except ValueError as exc:  # "Maximum allowed size exceeded" or "array is too big"
+        raise MemoryError(f"Unable to allocate {n:.3g} rows: {exc}") from None
+
+
 def _param(value, key: str, count: bool = False) -> "float | int":
     """A builder's parameter under the number rule of model documents: a finite int or float,
     never a bool or a str, and an integer-like one for a count, which the CLI passes as a float."""
@@ -72,7 +80,7 @@ def spin_half_paramagnet(N: int) -> DegeneracySpectrum:
     N = _param(N, "N", count=True)
     if N < 1:
         raise ModelValidationError(f"N must be >= 1, got {N}")
-    k = np.arange(N + 1, dtype=float)
+    k = _row_range(N + 1)
     return DegeneracySpectrum(
         variable_names=("M",),
         x=(2.0 * k - N)[:, None],
@@ -88,7 +96,7 @@ def einstein_solid(N: int, E_max: int = 100) -> DegeneracySpectrum:
         raise ModelValidationError(f"N must be >= 1, got {N}")
     if E_max < 0:
         raise ModelValidationError(f"E_max must be >= 0, got {E_max}")
-    m = np.arange(E_max + 1, dtype=float)
+    m = _row_range(E_max + 1)
     return DegeneracySpectrum(
         variable_names=("E",),
         x=m[:, None],
@@ -108,7 +116,7 @@ def lattice_gas(sites: float, N_max: int | None = None) -> DegeneracySpectrum:
     N_max = int(sites) if N_max is None else _param(N_max, "N_max", count=True)
     if sites < N_max or N_max < 0:
         raise ModelValidationError(f"need sites >= N_max >= 0, got sites={sites!r}, N_max={N_max}")
-    n = np.arange(N_max + 1, dtype=float)
+    n = _row_range(N_max + 1)
     x = np.column_stack([np.zeros(N_max + 1), n])
     return DegeneracySpectrum(variable_names=("E", "N"), x=x, ln_g=_ln_choose(float(sites), n))
 

@@ -11,7 +11,7 @@ materialized.  Three kernels hold a family's arithmetic: ln_squeeze
 inverse falls outside the deformed-exponential domain) and ln_row_class
 (ln H(h(g) e^(-x.y)), a row's squeezed class, in one expression).  Each
 kernel takes a float or an array, with the same bits either way; the
-linear-domain forms wrap them.  Overflow gives inf here and
+linear-domain h_of wraps ln_squeeze.  Overflow gives inf here and
 SqueezeDomainError in the engine.  A family is its index q: general
 squeezing functions are out of scope, and the power law alone carries
 the paper's framework; the derivatives of phi are its closed sums in P^q
@@ -112,7 +112,7 @@ class SqueezeFamily:
         excluded = ~(ln_1pz > -np.inf)  # log1p reads -inf at z = -1 and NaN below
         return np.where(excluded, -np.inf, x + ln_1pz / u), excluded
 
-    # -- linear-domain wrappers over the kernels ---------------------------
+    # -- the linear-domain wrapper over ln_squeeze -------------------------
 
     def h_of(self, x: np.ndarray) -> np.ndarray:
         """h applied to linear-domain populations (kinetics path); h(0) is
@@ -121,9 +121,5 @@ class SqueezeFamily:
         classical bilinear one."""
         if self.is_identity:
             return np.array(x, dtype=float)
-        return np.exp(self.ln_h_of_linear(x))
-
-    def ln_h_of_linear(self, x: np.ndarray) -> np.ndarray:
-        """ln h on linear-domain populations (kinetics path)."""
         with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; ln h may overflow to +-inf
-            return self.ln_squeeze(np.log(x))
+            return np.exp(self.ln_squeeze(np.log(x)))

@@ -160,8 +160,7 @@ def test_criterion_06_entropy_equivalence():
         for q in Q_SET:
             fam = SqueezeFamily.tsallis(q)
             table = characteristic_class(two_level(1.0), env, fam)
-            probs = probabilities(table)
-            s_probs = entropy_from_probabilities(probs, table.spectrum.ln_g, q)
+            s_probs = entropy_from_probabilities(table)
             j_engine = phi_and_entropies(table).entropy_J
             assert abs(s_probs - j_engine) < 1e-8, q
 

@@ -457,18 +457,30 @@ def test_sweep_range_beyond_the_float_range_names_the_range(capsys):
     assert "-1.7e308:1.7e308" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["compute", "--model", "spin_half_paramagnet", "--param", "N=1e15", "--y", "M=0.1"],
-    ["sweep", "--model", "two_level", "--y", "E=0.5", "--axis", "E", "--range", "0:1",
-     "--steps", "1000000000000000"],
-], ids=["compute-N", "sweep-steps"])
-def test_a_size_whose_arrays_cannot_be_allocated_is_numeric_error(capsys, argv):
-    # each asks numpy for a 7 PiB float array, which is refused before any page is touched
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--model", "spin_half_paramagnet", "--param", "N=1e15", "--y", "M=0.1"],
+     "Unable to allocate"),
+    (["sweep", "--model", "two_level", "--y", "E=0.5", "--axis", "E", "--range", "0:1",
+      "--steps", "1000000000000000"], "Unable to allocate"),
+    # past numpy's index range numpy raises ValueError, which the builders and the grid
+    # report as the same refusal
+    (["compute", "--model", "spin_half_paramagnet", "--param", "N=1e19", "--y", "M=0.1"],
+     "Unable to allocate 1e+19 rows: Maximum allowed size exceeded"),
+    (["compute", "--model", "einstein_solid", "--param", "N=2", "--param", "E_max=1e300", "--y", "E=1"],
+     "Unable to allocate 1e+300 rows: Maximum allowed size exceeded"),
+    (["compute", "--model", "lattice_gas", "--param", "sites=1e300", "--y", "E=1", "--y", "N=0.1"],
+     "Unable to allocate 1e+300 rows: Maximum allowed size exceeded"),
+    (["sweep", "--model", "two_level", "--y", "E=1", "--axis", "E", "--range", "0:1",
+      "--steps", "10000000000000000000"], "Unable to allocate 1e+19 sweep steps: Maximum allowed size exceeded"),
+], ids=["compute-N", "sweep-steps", "compute-N-index", "compute-E_max-index", "compute-sites-index",
+        "sweep-steps-index"])
+def test_a_size_whose_arrays_cannot_be_allocated_is_numeric_error(capsys, argv, message):
+    # each asks numpy for a 7 PiB float array or more, which is refused before any page is touched
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (5, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     error = json.loads(err)["error"]
-    assert error["code"] == 5 and "Unable to allocate" in error["message"]
+    assert error["code"] == 5 and error["type"] == "MemoryError" and message in error["message"]
 
 
 def test_sweep_unknown_axis(capsys):

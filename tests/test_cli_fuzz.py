@@ -36,7 +36,9 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308]),
 )
 POSITIVE = st.one_of(st.floats(5e-324, 1.7e308), st.floats(0.01, 100.0), st.sampled_from([0.0, -1.0]))
-SIZES = st.integers(0, 60)
+# now and then a size whose arrays numpy refuses at once (exit 5), never one between 61 and
+# 10**15, whose array the OS could grant and the run would then touch
+SIZES = st.integers(0, 80).map(lambda n: n if n <= 60 else (10**15, 10**19, 1e300)[n % 3])
 
 
 @st.composite
@@ -312,6 +314,56 @@ def test_drawn_three_variable_model_files_end_cleanly(tmp_path):
         else:  # no inf: the intensive variances of a non-singular C are finite
             rows = list(csv.reader(io.StringIO(outs["fluct"])))[1:]
             assert sum(r[0] == "G" for r in rows) == 9 and all(math.isfinite(float(r[2])) for r in rows)
+
+    one()
+
+
+NUMERIC_FLAGS = {"--q", "--dt", "--threshold", "--energy", "--range", "--steps", "--lattice-radius",
+                 "--trace-every", "--seed", "--snapshot-every"}
+SIGNED = st.sampled_from(["-inf", "-nan", "-1e-3", "-Infinity", "-NaN", "-2"])
+
+
+@st.composite
+def spelled_argvs(draw):
+    """(argv with each numeric flag as ``--opt value``, the same argv as ``--opt=value``,
+    {file name: text}), drawn from the strategies above; now and then a value becomes a
+    signed word, -1e-3 or -2 (a --range one of them before its colon), and a kinetics argv
+    gains snapshots."""
+    argv, files = draw(st.one_of(*(argvs(c).map(lambda a: (a, {})) for c in ("compute", "fluct", "sweep")),
+                                 kinetics_argvs().map(lambda a: (a, {})), infer_argvs()))
+    if argv[0] == "kinetics" and draw(st.booleans()):
+        argv = [*argv, "--snapshot-every", str(draw(st.integers(-1, 5))), "--snapshot-out", "DIR/snaps.csv"]
+    spaced, joined, tokens = [], [], iter(argv)
+    for token in tokens:
+        if token not in NUMERIC_FLAGS:
+            spaced.append(token)
+            joined.append(token)
+            continue
+        value = next(tokens)
+        if draw(st.integers(0, 2)) == 2:  # the drawn value is kept in the simplest examples
+            value = draw(SIGNED)
+            if token == "--range":
+                value += ":" + draw(st.one_of(SIGNED, FLOATS.map(repr)))
+        spaced += [token, value]
+        joined.append(f"{token}={value}")
+    return spaced, joined, files
+
+
+def test_both_spellings_of_a_numeric_flag_give_one_outcome(tmp_path):
+    # a value after a space, -inf, -nan and -1e-3 among them, is read as the value after
+    # an "=": the same exit code, stdout, stderr and warnings
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(spelled_argvs())
+    def one(drawn):
+        *forms, files = drawn
+        outcomes = []
+        for argv in forms:
+            for name in ("data.csv", "density.csv", "rec.csv", "snaps.csv"):
+                (tmp_path / name).unlink(missing_ok=True)
+            for name, text in files.items():
+                (tmp_path / name).write_text(text)
+            outcomes.append(run([a.replace("DIR", str(tmp_path)) for a in argv]))
+        assert outcomes[0] == outcomes[1], forms
 
     one()
 

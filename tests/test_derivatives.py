@@ -468,7 +468,8 @@ def test_probabilities_and_entropy_against_direct_sums(state):
     spectrum = DegeneracySpectrum(names, x, ln_g)
     env = EnsembleSpec(fixed_intensive=dict(zip(names, map(float, y))))
     fam = IDENT if q == 1.0 else SqueezeFamily.tsallis(q)
-    probs = engine.probabilities(engine.report_for(spectrum, env, fam).table)
+    table = engine.report_for(spectrum, env, fam).table
+    probs = engine.probabilities(table)
     # each row class carries a relative error of about cond * eps (as above), and so
     # does each probability; config probabilities divide by the spectrum's counts g
     # (exp(ln g), snapped to an integer within 1e-9), the entropy sums over ln p = ln P - ln g
@@ -491,7 +492,7 @@ def test_probabilities_and_entropy_against_direct_sums(state):
     assert probs.excluded.tolist() == [not p for p in ref["P"]]
     assert np.all(np.abs(probs.macro_probs - P) <= err * P + tiny)
     assert np.all(np.abs(probs.config_probs - config) <= err * config + tiny)
-    assert abs(entropy_from_probabilities(probs, spectrum.ln_g, q) - S) <= err * S_scale
+    assert abs(entropy_from_probabilities(table) - S) <= err * S_scale
 
 
 def entropy_J_scale(ref, y, q):
@@ -608,18 +609,17 @@ def test_power_law_excluded_rows_read_minus_inf_and_zero():
 
 
 def where_probabilities(table):
-    """(macro, config, ln config, Boltzmann factor) per row as formed while excluded
+    """(macro, config, Boltzmann factor) per row as formed while excluded
     rows were set to 0 with np.where; the reference for the forms without it."""
     s, excluded = table.spectrum, table.excluded
     ln_macro = table.ln_row_class - table.ln_total
     macro = np.where(excluded, 0.0, np.exp(ln_macro))
-    ln_config = ln_macro - s.ln_g
-    num = engine._exp_rows(table.ln_row_class)
     with np.errstate(invalid="ignore", over="ignore"):
-        config, bf = np.exp(ln_config), np.exp(table.ln_row_class - s.ln_g)
+        num = np.exp(table.ln_row_class)
+        config, bf = np.exp(ln_macro - s.ln_g), np.exp(table.ln_row_class - s.ln_g)
     np.divide(macro, s.g, out=config, where=np.isfinite(macro) & s._g_divides)
     np.divide(num, s.g, out=bf, where=np.isfinite(num) & s._g_divides)
-    return macro, np.where(excluded, 0.0, config), ln_config, np.where(excluded, 0.0, bf)
+    return macro, np.where(excluded, 0.0, config), np.where(excluded, 0.0, bf)
 
 
 WHERE_FAMILIES = (IDENT, *map(SqueezeFamily.tsallis, (0.2, 0.5, 1.5, 2.0)))
@@ -638,6 +638,6 @@ def test_probabilities_keep_their_bits_without_where(state, fam):
     except (engine.DegenerateEnsembleError, engine.SqueezeDomainError):
         assume(False)
     probs = engine.probabilities(report.table)
-    got = (probs.macro_probs, probs.config_probs, probs.ln_config, report.columns()["boltzmann_factor"])
+    got = (probs.macro_probs, probs.config_probs, report.columns()["boltzmann_factor"])
     for g, ref in zip(got, where_probabilities(report.table)):
         assert g.tobytes() == ref.tobytes()

@@ -137,6 +137,32 @@ def test_ln_choose_against_mpmath(n):
     assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * np.maximum(scale, 1.0))
 
 
+def _ln_binomials(n, ks):
+    """ln C(n, k) for each k, from a 50-digit mpmath.binomial."""
+    with mpmath.workdps(50):
+        return np.array([float(mpmath.log(mpmath.binomial(n, k))) for k in ks])
+
+
+def _assert_ln_g_within_eps(got, ref):
+    assert np.all(np.abs(got - ref) <= 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))), (got, ref)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+@pytest.mark.parametrize("sites", [1e13, 1e16, 1e20])
+def test_lattice_gas_ln_g_at_large_sizes_against_mpmath(sites):
+    # the log-gammas of s + 1 and s - k + 1 cancel for k << s: at s = 1e16 ln g reads
+    # [0, 0, 0, 128] where it is [0, 36.84, 72.99, 108.73]
+    _assert_ln_g_within_eps(lattice_gas(sites, 3).ln_g, _ln_binomials(mpmath.mpf(sites), range(4)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_einstein_solid_ln_g_at_large_sizes_against_mpmath():
+    # g = C(m + N - 1, m): at N = 1e20 ln g reads [0, 0, 0] where it is [0, 46.05, 91.41]
+    N = 10**20
+    ref = np.array([_ln_binomials(m + N - 1, [m])[0] for m in range(3)])
+    _assert_ln_g_within_eps(einstein_solid(1e20, 2).ln_g, ref)
+
+
 def test_registry_builds_models():
     spec = build_model("two_level", {"epsilon": 2.0})
     assert spec.x[1, 0] == 2.0

@@ -7,8 +7,9 @@ fixed list (``fluct`` with one and two variables at q = 1, 0.9, 0.2, 1.5
 and 2.5 in JSON and CSV, which read the curvature on both sides of q = 1,
 a pinned ``--X``, ``compute --rows`` and ``--emit-model``, ``compute
 --emit-model`` under ``--squeeze tsallis --q 1``,
-``compute --rows`` with 10 of 11 rows excluded and with ln g beyond the
-float range, the two branches of the ``boltzmann_factor`` column,
+``compute --rows`` with 10 of 11 rows excluded, with ln g beyond the
+float range, over 100,001 rows and over a non-integer site count (non-integer
+g), the two branches of the ``boltzmann_factor`` column,
 ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
 soft xi at q = 0.8, ``infer --reconstruct``, a 3-variable model file with
 a non-singular covariance through ``fluct`` and ``compute --rows``, and
@@ -79,6 +80,12 @@ def _fixed_cases() -> list[Case]:
         ("compute rows ln g beyond float range",
          ["compute", "--model", "einstein_solid", "--param", "N=1000", "--param", "E_max=2000", "--y", "E=1",
           "--rows", "rows.csv"], {}),
+        ("compute rows 100001 rows",
+         ["compute", "--model", "spin_half_paramagnet", "--param", "N=100000", "--y", "M=0.001",
+          "--squeeze", "tsallis", "--q", "1.5", "--rows", "rows.csv"], {}),
+        ("compute rows non-integer g",
+         ["compute", "--model", "lattice_gas", "--param", "sites=37.5", "--param", "N_max=30",
+          "--y", "E=0.7", "--y", "N=-0.2", "--rows", "rows.csv"], {}),
         ("sweep csv", [*sweep, "--format", "csv"], {}),
         ("sweep json", sweep, {}),
         ("sweep q=0.2 json", ["sweep", *two, "--squeeze", "tsallis", "--q", "0.2", "--axis", "E",
