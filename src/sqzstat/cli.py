@@ -14,7 +14,6 @@ identical invocations produce bit-identical bytes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -139,14 +138,12 @@ def _emit(text: str, out: str | None) -> None:
 def _csv(columns: dict) -> str:
     """CSV text of {header: column}, the columns equal-length sequences.
 
-    Float cells are written with format(v, ".17g") (round-trip exact),
-    every other cell with str.  Each column's format is chosen once, from
-    its first cell, so a column must not mix floats with other types."""
+    A row is one %-format, built once for the column set: "%.17g" (round-trip exact) for a
+    float column, "%s" (str) for any other.  Each column's format is chosen from its first
+    cell, so a column must not mix floats with other types."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    # format(v, "") is str(v)
-    cells = [map(format, c, itertools.repeat(".17g" if c and isinstance(c[0], float) else ""))
-             for c in cols]
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    row = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in cols)
+    return "\n".join([",".join(columns), *map(row.__mod__, zip(*cols))]) + "\n"
 
 
 def _points_csv(rows: list[dict]) -> str:

@@ -208,10 +208,9 @@ class ClassTable:
     """Per-subclass squeezed classes for one ensemble evaluation.
 
     Rows follow the restricted spectrum.  ``ln_row_class`` is ln c, -inf on excluded rows;
-    ``ln_total`` is ln T, T = sum c over the surviving rows.  With P = c/T, phi = -ln_q T and
-    the mean <X> = d phi/dy = sum P^q X (the plain average at q = 1).  Cached floats: ``phi``
-    and ``means``; mean weights are per call.
-    """
+    ``ln_total`` is ln T, T = sum c over the surviving rows.  With P = c/T, ``phi`` = -ln_q T
+    and ``means`` holds <X_j> = d phi/dy_j = sum P^q X_j (the plain average at q = 1) in
+    ``spectrum.variable_names`` order, floats the class pass forms from the rows it holds."""
 
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
@@ -219,6 +218,8 @@ class ClassTable:
     ln_row_class: np.ndarray
     excluded: np.ndarray
     ln_total: float
+    phi: float
+    means: tuple[float, ...]
 
     @property
     def n_rows(self) -> int:
@@ -227,29 +228,6 @@ class ClassTable:
     @property
     def n_excluded(self) -> int:
         return int(self.excluded.sum())
-
-    @cached_property
-    def phi(self) -> float:
-        return -float(self.family.ln_squeeze(self.ln_total))
-
-    def mean_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(live mask, live ln c, ln w), w = P^q, ln w = q ln c - q ln T; ln w may overflow to -inf,
-        a zero weight."""
-        live, q = ~self.excluded, self.family.q
-        ln_c = self.ln_row_class[live]
-        return live, ln_c, q * ln_c - q * self.ln_total
-
-    def mean_of(self, *columns: np.ndarray) -> tuple[float, ...]:
-        """sum_r w_r v_r over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
-        with np.errstate(over="ignore"):
-            live, _, ln_w = self.mean_weights()
-        w = np.exp(ln_w)
-        return tuple(float(np.add.reduce(w * v[live])) for v in columns)
-
-    @cached_property
-    def means(self) -> tuple[float, ...]:
-        """<X_j> in ``spectrum.variable_names`` order."""
-        return self.mean_of(*self.spectrum.x.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +285,7 @@ def characteristic_class(
     env.validate_against(spectrum)
     working = spectrum.restrict(env.fixed_extensive)  # its columns are the exchanged variables
     y = np.array([env.fixed_intensive[n] for n in working.variable_names])
-    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below; ln w may overflow to -inf
         ln_h_g = family.ln_squeeze(working.ln_g)
         if not np.isfinite(ln_h_g).all():
             raise SqueezeDomainError(
@@ -318,14 +296,19 @@ def characteristic_class(
         ln_row_class, excluded = family.ln_unsqueeze(ln_weight)
         if excluded.all():
             raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
-        ln_total = _logsumexp(ln_row_class[~excluded])
-        table = ClassTable(working, env, family, ln_row_class, excluded, ln_total)
-        if not math.isfinite(table.phi):
+        live = ~excluded
+        ln_c, q = ln_row_class[live], family.q
+        ln_total = _logsumexp(ln_c)
+        phi = -float(family.ln_squeeze(ln_total))
+        if not math.isfinite(phi):
             raise SqueezeDomainError(
                 "squeezed class total exceeds the float range "
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
-    return table
+        ln_w = q * ln_c - q * ln_total  # w = P^q; sum w X is np.sum's reduction, unwrapped
+    w = np.exp(ln_w)
+    means = tuple(float(np.add.reduce(w * v[live])) for v in working.x.T)
+    return ClassTable(working, env, family, ln_row_class, excluded, ln_total, phi, means)
 
 
 def observed_mean(
@@ -337,20 +320,20 @@ def observed_mean(
     """Weighted mean of a per-row observable, sum P^q v over the live rows (P = c/T,
     ``ClassTable``): for a spectrum column, the derivative of phi with respect to its
     conjugate intensive variable.  For the identity family (q = 1) the weights are the
-    macro probabilities, the plain ensemble average.
-    """
+    macro probabilities, the plain ensemble average."""
     table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
     if isinstance(observable, str):
         values = table.spectrum.column(observable)
     else:
         values = np.asarray(observable, dtype=float)
         if values.shape != (table.n_rows,):
-            raise ModelValidationError(
-                f"observable has {values.shape} values for {table.n_rows} rows"
-            )
+            raise ModelValidationError(f"observable has {values.shape} values for {table.n_rows} rows")
         if not np.all(np.isfinite(values)):
             raise ModelValidationError("all observable values must be finite")
-    return table.mean_of(values)[0]
+    live, q = ~table.excluded, table.family.q
+    with np.errstate(over="ignore"):  # ln w may overflow to -inf, a zero weight
+        ln_w = q * table.ln_row_class[live] - q * table.ln_total
+    return float(np.add.reduce(np.exp(ln_w) * values[live]))  # the class pass's sum for <X>
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -388,10 +371,16 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
 def _per_configuration(ln_num: np.ndarray, spectrum: DegeneracySpectrum) -> tuple[np.ndarray, np.ndarray]:
     """(num, num / g) per row, num = np.exp(ln_num) and g the snapped degeneracy counts
     (``DegeneracySpectrum.g``): np.divide where num and g are finite and g > 0, so the
-    quotients keep their bits, else np.exp(ln_num - ln g), the log-domain form."""
+    quotients keep their bits (every row of a built-in spectrum below the float range), and
+    np.exp(ln_num - ln g), the log-domain form, only on the other rows."""
     with np.errstate(invalid="ignore", over="ignore"):  # a num or a quotient beyond the float range reads inf
-        num, out = np.exp(ln_num), np.exp(ln_num - spectrum.ln_g)
-    return num, np.divide(num, spectrum.g, out=out, where=np.isfinite(num) & spectrum._g_divides)
+        num = np.exp(ln_num)
+        divides = np.isfinite(num) & spectrum._g_divides
+        if divides.all():
+            return num, num / spectrum.g
+        out = np.divide(num, spectrum.g, out=np.empty_like(num), where=divides)
+        out[~divides] = np.exp(ln_num[~divides] - spectrum.ln_g[~divides])
+    return num, out
 
 
 def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily,
@@ -438,14 +427,17 @@ class SpectrumSurface:
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
         class total, P = c/T the row's probability and <X> the table's ``means`` (``ClassTable``).
+        Over the live rows T^(q-1) P^(2q-1) = exp(2 ln w - ln c + q ln T), ln w = q ln c - q ln T.
         A live row with c = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, q = self._table(point), self.family.q
         cols = [table.spectrum.variable_names.index(n) for n in names]
-        mean = np.take(table.means, cols)
+        mean = np.array([table.means[j] for j in cols])
         q_ln_total = q * table.ln_total
         a = q * math.exp(q_ln_total - table.ln_total)
+        live = ~table.excluded
+        ln_c = table.ln_row_class[live]
         with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
-            live, ln_c, ln_w = table.mean_weights()
+            ln_w = q * ln_c - q_ln_total
             xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
             b = -q * np.exp(2.0 * ln_w - ln_c + q_ln_total)
             b[ln_c == -np.inf] = 0.0

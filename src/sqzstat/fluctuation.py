@@ -22,16 +22,13 @@ from .squeeze import SqueezeFamily
 if TYPE_CHECKING:
     from .engine import SpectrumSurface
 
-__all__ = [
-    "StabilityWarning",
-    "FluctuationReport",
-    "moments",
-]
+__all__ = ["StabilityWarning", "FluctuationReport", "moments"]
 
 # relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
 # check (against max(1, max|lambda|)), `singular` (cond > 1 / _REL_TOL) and a flat row's size
 _REL_TOL = 1e-8
 _PINV_RCOND = 1e-15  # np.linalg.pinv's: |lambda| <= it * max|lambda| is zero, in cond and in G
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 class StabilityWarning(UserWarning):
@@ -82,20 +79,17 @@ def moments(
 ) -> FluctuationReport:
     """Variances and covariances of the fluctuating extensive variables.
 
-    ``variables`` are the intensive environment names conjugate to the
-    fluctuating set; ``phi0`` is the surface's phi at the point, the
-    potential of the ensemble in which the fluctuating variables are exchanged.
+    ``variables`` are the intensive environment names conjugate to the fluctuating set; ``phi0``
+    is the surface's phi at the point, the potential of the ensemble in which they are exchanged.
     ``family`` must equal the surface's own (ValueError otherwise): it sets the scale.
 
-    One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
-    of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at
-    an exactly zero row or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops)
-    and G = V diag(1/lambda) V'; for one variable it is the entry itself and V = 1, as
-    LAPACK's dsyevd returns them for n = 1 (NaN, inf, -0.0 and subnormals included), with no
-    eigh call.  A singular C (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
-    after the eigh runs on Python floats (``tolist``): n is 1 to 3 in practice, where a
-    numpy call costs more than its arithmetic, and floats round as the arrays did, so
-    results keep their bits.
+    One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition of it
+    gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at an exactly
+    zero row or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops) and
+    G = V diag(1/lambda) V'; a singular C (cond > 1e8) is inverted as pinv does.  The n x n
+    bookkeeping is on Python floats, which round as arrays do (n is 1 to 3 in practice).  For
+    one variable there is no eigh and no array: lambda = h and V = 1, as dsyevd gives for n = 1
+    (NaN, inf, -0.0 and subnormals included), and G = 1/lambda + 0.0, as the 1 x 1 matmul.
 
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
@@ -104,11 +98,16 @@ def moments(
         raise ValueError(f"moments of a {phi_surface.family.label()} surface asked for {family.label()}")
     names = tuple(variables)
     phi0, H = phi_surface.curvature(point, names)
-    H = 0.5 * (H + H.T)
-    eig, vec = (H[0], np.ones((1, 1))) if H.shape == (1, 1) else np.linalg.eigh(H)
-    C, eig = -H, -eig  # extensive covariance matrix in the undeformed case, same eigenvectors
+    if H.shape == (1, 1):
+        h = H.item()  # symmetrized as a float, but by numpy where h + h overflows, which it warns of
+        h = 0.5 * (h + h) if abs(h) <= _HALF_MAX else (0.5 * (H + H)).item()
+        lam, c, vec = [-h], [[-h]], None
+    else:
+        H = 0.5 * (H + H.T)
+        eig, vec = np.linalg.eigh(H)
+        G_inv = -H  # C, the extensive covariance matrix, with the eigenvectors of H
+        lam, c = (-eig).tolist(), G_inv.tolist()
     scale = 1.0 + (family.q - 1.0) * phi0  # exactly 1.0 at q = 1, as phi0 is finite
-    lam, c = eig.tolist(), C.tolist()
     size = [abs(v) for v in lam]
     top, bottom = max(size), min(size)
     tol = _REL_TOL * max(1.0, *size)
@@ -120,11 +119,15 @@ def moments(
     singular = not math.isfinite(cond) or cond > 1 / _REL_TOL
     if singular:
         warnings.warn("covariance matrix is numerically singular", StabilityWarning)
-        eig = [v if s > _PINV_RCOND * top else math.inf for v, s in zip(lam, size)]
-    with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
-        G = (vec / eig) @ vec.T  # V diag(1/lambda) V'
-    g = G.tolist()
-    zero = _REL_TOL * max(1.0, float(np.max(np.abs(C)))) if singular else -math.inf  # a flat row's size
+        lam = [v if s > _PINV_RCOND * top else math.inf for v, s in zip(lam, size)]
+    if vec is None:  # lambda is finite and nonzero here, or inf; Python's 1/lambda is IEEE's
+        g = [[1.0 / lam[0] + 0.0]]
+        G, G_inv = np.array(g), np.array(c)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
+            G = (vec / lam) @ vec.T  # V diag(1/lambda) V'
+        g = G.tolist()
+    zero = _REL_TOL * max(1.0, float(np.max(np.abs(G_inv)))) if singular else -math.inf  # a flat row's size
     variances = {ni: scale * c[i][i] for i, ni in enumerate(names)}
     intensive = {ni: math.inf if abs(c[i][i]) <= zero else scale * g[i][i] for i, ni in enumerate(names)}
     covariances = {(ni, nj): scale * c[i][j]
@@ -132,7 +135,7 @@ def moments(
     return FluctuationReport(
         variable_names=names,
         G=G,
-        G_inv=C,
+        G_inv=G_inv,
         variances=variances,
         intensive_variances=intensive,
         covariances=covariances,

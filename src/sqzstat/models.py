@@ -38,7 +38,31 @@ def _lgamma(v: "float | np.ndarray") -> np.ndarray:
 
 
 def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
-    return _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
+    """ln C(n, k) over the rows k = 0, 1, ..., K, at one n or at one a = n - k (n an array).
+
+    The lgamma form cancels for k << n (0.03 off at n = 1e13, k = 1) and for n - k << n.  Past
+    n = 256, rows with k <= n/4 read k ln b - lgamma(k + 1) plus a running sum of log1p(-i/n),
+    i < k (b = n), or of log1p(i/a), i <= k (b = a); rows with n - k <= n/4 read C(n, n - k) at
+    an integer n, or the running sum of log1p(a/i), i <= k.  The lgamma form is kept between
+    them (within 20 eps, measured to n = 1e7), at the top rows of a non-integer n, and up to
+    n = 256, where it is within 235 eps (measured) and builds keep their bits.  It is always
+    formed, so a log-gamma beyond the float range is still an error."""
+    ln_k_fact = _lgamma(k + 1.0)
+    out = _lgamma(n + 1.0) - ln_k_fact - _lgamma(n - k + 1.0)
+    if np.max(n) <= 256.0:
+        return out
+    one_a = np.ndim(n) > 0
+    base = n[0] if one_a else n  # a, as k[0] = 0
+    low = int(np.count_nonzero(4.0 * k <= n))  # the first rows
+    if low > 1:
+        steps = np.cumsum(np.log1p((k[1:low] if one_a else -k[:low - 1]) / base))
+        out[:low] = k[:low] * math.log(base) - ln_k_fact[:low] + np.concatenate(([0.0], steps))
+    top = 4.0 * (n - k) <= n
+    if one_a:
+        out[top] = np.concatenate(([0.0], np.cumsum(np.log1p(base / k[1:]))))[top]
+    elif n == math.floor(n):
+        out[top] = out[(n - k[top]).astype(int)]
+    return out
 
 
 def _row_range(n: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -481,6 +482,27 @@ def test_a_size_whose_arrays_cannot_be_allocated_is_numeric_error(capsys, argv, 
     assert err.count("\n") == 1 and "Traceback" not in err
     error = json.loads(err)["error"]
     assert error["code"] == 5 and error["type"] == "MemoryError" and message in error["message"]
+
+
+def _phi_at_400_digits(n: float, row_degeneracy) -> float:
+    """-ln sum_k g(k) exp(-k), k = 0..3, in 400 digits: at n = 1e300 a 50-digit binomial is wrong."""
+    with mpmath.workdps(400):
+        n = mpmath.mpf(n)
+        return float(-mpmath.log(sum(row_degeneracy(n, k) for k in range(4))))
+
+
+@pytest.mark.parametrize("argv, ref", [
+    (["compute", "--model", "lattice_gas", "--param", "sites=1e300", "--param", "N_max=3", "--y", "E=0", "--y", "N=0"],
+     lambda: _phi_at_400_digits(1e300, mpmath.binomial)),
+    (["compute", "--model", "einstein_solid", "--param", "N=1e300", "--param", "E_max=3", "--y", "E=1"],
+     lambda: _phi_at_400_digits(1e300, lambda n, m: mpmath.binomial(m + n - 1, m) * mpmath.exp(-m))),
+], ids=["lattice_gas-sites", "einstein_solid-N"])
+def test_a_size_of_1e300_gives_the_exact_phi(capsys, argv, ref):
+    # ln C(n, k) for k << n once read 0 here (the log-gammas cancel), so phi read -1.386 and -0.440
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    phi, expected = json.loads(out)["phi"], ref()
+    assert abs(phi - expected) <= 64 * np.finfo(float).eps * abs(expected), (phi, expected)
 
 
 def test_sweep_unknown_axis(capsys):

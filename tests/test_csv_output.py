@@ -2,7 +2,8 @@
 
 Each reference is built from the public API one row at a time and
 formatted cell by cell: floats at 17 significant digits, every other
-cell with str.  The CLI writes the same tables column-wise."""
+cell with str.  The CLI writes the same tables a row at a time, with one
+%-format per column set."""
 
 import math
 
@@ -17,7 +18,7 @@ from sqzstat import (
     probabilities,
     report_for,
 )
-from sqzstat.cli import main
+from sqzstat.cli import _csv, main
 from sqzstat.fluctuation import moments
 from sqzstat.inference import EquilibriumDataset, reconstruct_squeeze
 from sqzstat.kinetics import (
@@ -196,3 +197,22 @@ def test_infer_reconstruct_csv(tmp_path, capsys):
     grid, ln_h = reconstruct_squeeze(EquilibriumDataset(
         ln_g=np.array([float(a) for a, _ in cells]), ratio=np.array([float(b) for _, b in cells])))
     assert_text(rec.read_text(), csv_text(["ln_g", "ln_h"], zip(grid.tolist(), ln_h.tolist())))
+
+
+def test_the_row_format_writes_each_cell_as_format_17g_or_str():
+    # the writer formats a row at once with "%.17g" and "%s", a column's format taken from its
+    # first cell; cell by cell that is format(v, ".17g") or str(v), at the edges of both too
+    columns = {
+        "f": np.array([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]),
+        "mixed": [1.5, 2, True, np.float64(-0.0), -math.nan, 1e16, 1e17, 123.0, 1e-310],
+        "b": np.array([True, False] * 4 + [True]),
+        "i": list(range(-4, 5)),
+        "s": ["", "%s", "%%", "%.17g", None, "x", "", (1, 2), ""],
+        "str_first": ["", 0.1, 1e17, -0.0, math.inf, 2, True, None, ""],
+    }
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    rows = [[format(v, ".17g" if isinstance(c[0], float) else "") for v, c in zip(row, cells)]
+            for row in zip(*cells)]
+    want = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    assert _csv(columns) == want
+    assert _csv({"one": [-0.0]}) == "one\n-0\n" and _csv({}) == "\n"

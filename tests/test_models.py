@@ -121,20 +121,26 @@ def test_lattice_gas_beyond_float_range_is_a_model_error():
 
 @pytest.mark.parametrize("n", [1, 10, 257, 1000, 12345, 100_000, 0.5, 37.5, 1234.25, 99_999.5])
 def test_ln_choose_against_mpmath(n):
-    # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) cancels: its error is a
-    # fraction of an ulp of the largest term, not of the result
+    # over the builders' rows k = 0, 1, ..., floor(n), read at the first and last 13 rows and at
+    # 60 drawn ones: within 256 eps of max(1, |ln C|), the lgamma form's measured worst case up
+    # to n = 256 (235 eps).  At a non-integer n past 256 the rows with n - k <= n/4 keep the
+    # lgamma form, which cancels there: its error is a fraction of an ulp of its largest term
     rng = np.random.default_rng(int(n * 4))
-    k = np.unique(np.concatenate([np.arange(min(int(n), 12) + 1), rng.integers(0, int(n) + 1, 60)]))
-    k = k.astype(float)
-    got = _ln_choose(float(n), k)
+    rows = np.arange(int(n) + 1, dtype=float)
+    got = _ln_choose(float(n), rows)
+    k = np.unique(np.concatenate([rows[:13], rows[-13:], rng.integers(0, int(n) + 1, 60)])).astype(int)
     with mpmath.workdps(50):
         mp_n = mpmath.mpf(n)
         ref = np.array([
             float(mpmath.loggamma(mp_n + 1) - mpmath.loggamma(kk + 1) - mpmath.loggamma(mp_n - kk + 1))
             for kk in k
         ])
-    scale = np.abs(_lgamma(n + 1.0)) + np.abs(_lgamma(k + 1.0)) + np.abs(_lgamma(n - k + 1.0))
-    assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * np.maximum(scale, 1.0))
+    eps = np.finfo(float).eps
+    bound = 256.0 * eps * np.maximum(1.0, np.abs(ref))
+    kept = (n > 256) & (n != math.floor(n)) & (n - k <= 0.25 * n)
+    terms = np.abs(_lgamma(n + 1.0)) + np.abs(_lgamma(k + 1.0)) + np.abs(_lgamma(n - k + 1.0))
+    bound = np.where(kept, 2.0 * eps * terms, bound)
+    assert np.all(np.abs(got[k] - ref) <= bound), np.max(np.abs(got[k] - ref) / bound)
 
 
 def _ln_binomials(n, ks):
@@ -147,7 +153,6 @@ def _assert_ln_g_within_eps(got, ref):
     assert np.all(np.abs(got - ref) <= 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))), (got, ref)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
 @pytest.mark.parametrize("sites", [1e13, 1e16, 1e20])
 def test_lattice_gas_ln_g_at_large_sizes_against_mpmath(sites):
     # the log-gammas of s + 1 and s - k + 1 cancel for k << s: at s = 1e16 ln g reads
@@ -155,7 +160,6 @@ def test_lattice_gas_ln_g_at_large_sizes_against_mpmath(sites):
     _assert_ln_g_within_eps(lattice_gas(sites, 3).ln_g, _ln_binomials(mpmath.mpf(sites), range(4)))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
 def test_einstein_solid_ln_g_at_large_sizes_against_mpmath():
     # g = C(m + N - 1, m): at N = 1e20 ln g reads [0, 0, 0] where it is [0, 46.05, 91.41]
     N = 10**20

@@ -7,15 +7,17 @@ fixed list (``fluct`` with one and two variables at q = 1, 0.9, 0.2, 1.5
 and 2.5 in JSON and CSV, which read the curvature on both sides of q = 1,
 a pinned ``--X``, ``compute --rows`` and ``--emit-model``, ``compute
 --emit-model`` under ``--squeeze tsallis --q 1``,
-``compute --rows`` with 10 of 11 rows excluded, with ln g beyond the
-float range, over 100,001 rows and over a non-integer site count (non-integer
-g), the two branches of the ``boltzmann_factor`` column,
-``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
+``compute --rows`` with 10 of 11 rows excluded (-inf and True cells), with ln g beyond the
+float range, over 100,001 rows, over a non-integer site count (non-integer
+g) and over a model file with -0.0 cells, the two branches of the ``boltzmann_factor``
+column, ``compute`` in CSV with a pinned ``--X`` (an empty cell), ``fluct`` in CSV along a
+flat direction (inf and -0 cells), ``compute`` at sites = 1e300 and N = 1e300 (log-binomials
+of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
 soft xi at q = 0.8, ``infer --reconstruct``, a 3-variable model file with
 a non-singular covariance through ``fluct`` and ``compute --rows``, and
 the same file carrying a tsallis ``squeeze`` fragment through both), once
 on the working tree's ``src`` and once on REF's, extracted with ``git
-archive``.  Each run starts in a fresh directory that
+archive``.  No argv writes a nan cell: the CLI refuses a NaN result (exit 5).  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
 writes there are compared byte for byte.  Prints one line per mismatch and
 exits 1 if there is any, else exits 0.  Needs the standard library, local
@@ -57,6 +59,14 @@ def _three_variable_model(**squeeze) -> bytes:
     return json.dumps({**doc, "squeeze": squeeze} if squeeze else doc).encode()
 
 
+def _signed_zero_model() -> bytes:
+    """Model file whose first row has x = -0.0 and ln g = -0.0, at y = -0.0: "-0" cells."""
+    rows = [{"x": [x], "ln_g": g} for x, g in ((-0.0, -0.0), (1.0, 0.0), (2.0, 0.7), (3.0, 1.1))]
+    doc = {"variables": [{"name": "E", "kind": "exchanged"}], "rows": rows,
+           "environment": {"y": {"E": -0.0}, "X": {}}}
+    return json.dumps(doc).encode()
+
+
 def _fixed_cases() -> list[Case]:
     one = ["--model", "einstein_solid", "--param", "N=50", "--y", "E=0.3"]
     two = ["--model", "lattice_gas", "--param", "sites=30", "--y", "E=0.7", "--y", "N=0.2"]
@@ -86,6 +96,15 @@ def _fixed_cases() -> list[Case]:
         ("compute rows non-integer g",
          ["compute", "--model", "lattice_gas", "--param", "sites=37.5", "--param", "N_max=30",
           "--y", "E=0.7", "--y", "N=-0.2", "--rows", "rows.csv"], {}),
+        ("compute rows signed zeros", ["compute", "--model", "zeros.json", "--rows", "rows.csv"],
+         {"zeros.json": _signed_zero_model()}),
+        ("compute csv pinned X", ["compute", *pinned, "--format", "csv"], {}),
+        ("fluct csv flat direction", ["fluct", *pinned, "--format", "csv"], {}),
+        ("compute lattice_gas sites=1e300",
+         ["compute", "--model", "lattice_gas", "--param", "sites=1e300", "--param", "N_max=3",
+          "--y", "E=0", "--y", "N=0"], {}),
+        ("compute einstein_solid N=1e300",
+         ["compute", "--model", "einstein_solid", "--param", "N=1e300", "--param", "E_max=3", "--y", "E=1"], {}),
         ("sweep csv", [*sweep, "--format", "csv"], {}),
         ("sweep json", sweep, {}),
         ("sweep q=0.2 json", ["sweep", *two, "--squeeze", "tsallis", "--q", "0.2", "--axis", "E",
