@@ -24,8 +24,8 @@ if TYPE_CHECKING:
 
 __all__ = ["StabilityWarning", "FluctuationReport", "moments"]
 
-# relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
-# check (against max(1, max|lambda|)), `singular` (cond > 1 / _REL_TOL) and a flat row's size
+# relative size below which a curvature eigenvalue counts as zero: it decides the indefinite check
+# (against max(1, max|lambda|)), `singular` and a flat row's size (against max|C|, NaN if one is)
 _REL_TOL = 1e-8
 _PINV_RCOND = 1e-15  # np.linalg.pinv's: |lambda| <= it * max|lambda| is zero, in cond and in G
 _HALF_MAX = 0.5 * float(np.finfo(float).max)
@@ -127,7 +127,7 @@ def moments(
         with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
             G = (vec / lam) @ vec.T  # V diag(1/lambda) V'
         g = G.tolist()
-    zero = _REL_TOL * max(1.0, float(np.max(np.abs(G_inv)))) if singular else -math.inf  # a flat row's size
+    zero = _REL_TOL * max(1.0, float(np.maximum.reduce(np.abs(G_inv), axis=None))) if singular else -math.inf
     variances = {ni: scale * c[i][i] for i, ni in enumerate(names)}
     intensive = {ni: math.inf if abs(c[i][i]) <= zero else scale * g[i][i] for i, ni in enumerate(names)}
     covariances = {(ni, nj): scale * c[i][j]
