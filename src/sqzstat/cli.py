@@ -136,11 +136,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv(columns: dict) -> str:
-    """CSV text of {header: column}, the columns equal-length sequences.
-
-    A row is one %-format, built once for the column set: "%.17g" (round-trip exact) for a
-    float column, "%s" (str) for any other.  Each column's format is chosen from its first
-    cell, so a column must not mix floats with other types."""
+    """CSV text of {header: column}, the columns equal-length sequences.  A row is one %-format
+    built once: "%.17g" (round-trip exact) for a column whose first cell is a float, "%s" (str)
+    for any other, so a column must not mix floats with other types."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     row = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in cols)
     return "\n".join([",".join(columns), *map(row.__mod__, zip(*cols))]) + "\n"

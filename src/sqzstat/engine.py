@@ -278,6 +278,16 @@ class ThermoReport:
         return [dict(zip(cols, cells)) for cells in zip(*(c.tolist() for c in cols.values()))]
 
 
+def _ln_weights(ln_c: np.ndarray, q: float, ln_total: float) -> np.ndarray:
+    """ln w of live classes ln c, w = P^q the weight in <X> = sum w X; -inf (w = 0) on overflow."""
+    return q * ln_c - q * ln_total
+
+
+def _weighted_sums(w: np.ndarray, columns, live: np.ndarray) -> tuple[float, ...]:
+    """sum w v over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
+    return tuple(float(np.add.reduce(w * v[live])) for v in columns)
+
+
 def characteristic_class(
     spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily
 ) -> ClassTable:
@@ -285,7 +295,7 @@ def characteristic_class(
     env.validate_against(spectrum)
     working = spectrum.restrict(env.fixed_extensive)  # its columns are the exchanged variables
     y = np.array([env.fixed_intensive[n] for n in working.variable_names])
-    with np.errstate(over="ignore"):  # an overflow to inf is rejected below; ln w may overflow to -inf
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
         ln_h_g = family.ln_squeeze(working.ln_g)
         if not np.isfinite(ln_h_g).all():
             raise SqueezeDomainError(
@@ -297,7 +307,7 @@ def characteristic_class(
         if excluded.all():
             raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
         live = ~excluded
-        ln_c, q = ln_row_class[live], family.q
+        ln_c = ln_row_class[live]
         ln_total = _logsumexp(ln_c)
         phi = -float(family.ln_squeeze(ln_total))
         if not math.isfinite(phi):
@@ -305,9 +315,8 @@ def characteristic_class(
                 "squeezed class total exceeds the float range "
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
-        ln_w = q * ln_c - q * ln_total  # w = P^q; sum w X is np.sum's reduction, unwrapped
-    w = np.exp(ln_w)
-    means = tuple(float(np.add.reduce(w * v[live])) for v in working.x.T)
+        ln_w = _ln_weights(ln_c, family.q, ln_total)
+    means = _weighted_sums(np.exp(ln_w), working.x.T, live)
     return ClassTable(working, env, family, ln_row_class, excluded, ln_total, phi, means)
 
 
@@ -320,20 +329,23 @@ def observed_mean(
     """Weighted mean of a per-row observable, sum P^q v over the live rows (P = c/T,
     ``ClassTable``): for a spectrum column, the derivative of phi with respect to its
     conjugate intensive variable.  For the identity family (q = 1) the weights are the
-    macro probabilities, the plain ensemble average."""
+    macro probabilities, the plain ensemble average.
+    """
     table = _class_table(spectrum, env.fixed_intensive, env.fixed_extensive, family, env)
     if isinstance(observable, str):
         values = table.spectrum.column(observable)
     else:
         values = np.asarray(observable, dtype=float)
         if values.shape != (table.n_rows,):
-            raise ModelValidationError(f"observable has {values.shape} values for {table.n_rows} rows")
+            raise ModelValidationError(
+                f"observable has {values.shape} values for {table.n_rows} rows"
+            )
         if not np.all(np.isfinite(values)):
             raise ModelValidationError("all observable values must be finite")
-    live, q = ~table.excluded, table.family.q
-    with np.errstate(over="ignore"):  # ln w may overflow to -inf, a zero weight
-        ln_w = q * table.ln_row_class[live] - q * table.ln_total
-    return float(np.add.reduce(np.exp(ln_w) * values[live]))  # the class pass's sum for <X>
+    live = ~table.excluded
+    with np.errstate(over="ignore"):
+        ln_w = _ln_weights(table.ln_row_class[live], table.family.q, table.ln_total)
+    return _weighted_sums(np.exp(ln_w), [values], live)[0]
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -371,16 +383,12 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
 def _per_configuration(ln_num: np.ndarray, spectrum: DegeneracySpectrum) -> tuple[np.ndarray, np.ndarray]:
     """(num, num / g) per row, num = np.exp(ln_num) and g the snapped degeneracy counts
     (``DegeneracySpectrum.g``): np.divide where num and g are finite and g > 0, so the
-    quotients keep their bits (every row of a built-in spectrum below the float range), and
-    np.exp(ln_num - ln g), the log-domain form, only on the other rows."""
+    quotients keep their bits, and np.exp(ln_num - ln g), the log-domain form, only elsewhere."""
     with np.errstate(invalid="ignore", over="ignore"):  # a num or a quotient beyond the float range reads inf
         num = np.exp(ln_num)
         divides = np.isfinite(num) & spectrum._g_divides
-        if divides.all():
-            return num, num / spectrum.g
-        out = np.divide(num, spectrum.g, out=np.empty_like(num), where=divides)
-        out[~divides] = np.exp(ln_num[~divides] - spectrum.ln_g[~divides])
-    return num, out
+        out = np.exp(ln_num - spectrum.ln_g, out=np.empty_like(num), where=~divides)
+        return num, np.divide(num, spectrum.g, out=out, where=divides)
 
 
 def _class_table(spectrum: DegeneracySpectrum, y: Mapping, X: Mapping, family: SqueezeFamily,
@@ -427,7 +435,6 @@ class SpectrumSurface:
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
         class total, P = c/T the row's probability and <X> the table's ``means`` (``ClassTable``).
-        Over the live rows T^(q-1) P^(2q-1) = exp(2 ln w - ln c + q ln T), ln w = q ln c - q ln T.
         A live row with c = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
         table, q = self._table(point), self.family.q
         cols = [table.spectrum.variable_names.index(n) for n in names]
@@ -437,7 +444,7 @@ class SpectrumSurface:
         live = ~table.excluded
         ln_c = table.ln_row_class[live]
         with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
-            ln_w = q * ln_c - q_ln_total
+            ln_w = _ln_weights(ln_c, q, table.ln_total)  # T^(q-1) P^(2q-1) = w^2 / c * T^q
             xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
             b = -q * np.exp(2.0 * ln_w - ln_c + q_ln_total)
             b[ln_c == -np.inf] = 0.0

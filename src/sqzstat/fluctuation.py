@@ -24,11 +24,10 @@ if TYPE_CHECKING:
 
 __all__ = ["StabilityWarning", "FluctuationReport", "moments"]
 
-# relative size below which a curvature eigenvalue counts as zero: it decides the indefinite check
-# (against max(1, max|lambda|)), `singular` and a flat row's size (against max|C|, NaN if one is)
+# relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
+# check (against max(1, max|lambda|)), `singular` (cond > 1 / _REL_TOL) and a flat row's size
 _REL_TOL = 1e-8
 _PINV_RCOND = 1e-15  # np.linalg.pinv's: |lambda| <= it * max|lambda| is zero, in cond and in G
-_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 class StabilityWarning(UserWarning):
@@ -79,17 +78,18 @@ def moments(
 ) -> FluctuationReport:
     """Variances and covariances of the fluctuating extensive variables.
 
-    ``variables`` are the intensive environment names conjugate to the fluctuating set; ``phi0``
-    is the surface's phi at the point, the potential of the ensemble in which they are exchanged.
+    ``variables`` are the intensive environment names conjugate to the
+    fluctuating set; ``phi0`` is the surface's phi at the point, the
+    potential of the ensemble in which the fluctuating variables are exchanged.
     ``family`` must equal the surface's own (ValueError otherwise): it sets the scale.
 
-    One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition of it
-    gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at an exactly
-    zero row or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops) and
-    G = V diag(1/lambda) V'; a singular C (cond > 1e8) is inverted as pinv does.  The n x n
-    bookkeeping is on Python floats, which round as arrays do (n is 1 to 3 in practice).  For
-    one variable there is no eigh and no array: lambda = h and V = 1, as dsyevd gives for n = 1
-    (NaN, inf, -0.0 and subnormals included), and G = 1/lambda + 0.0, as the 1 x 1 matmul.
+    One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
+    of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at
+    an exactly zero row or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops)
+    and G = V diag(1/lambda) V'; for one variable it is the entry itself and V = 1, as
+    LAPACK's dsyevd returns them for n = 1 (NaN, inf, -0.0 and subnormals included), with no
+    eigh call.  A singular C (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
+    runs on Python floats, which round as the arrays did (n is 1 to 3 in practice).
 
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
@@ -98,15 +98,14 @@ def moments(
         raise ValueError(f"moments of a {phi_surface.family.label()} surface asked for {family.label()}")
     names = tuple(variables)
     phi0, H = phi_surface.curvature(point, names)
+    H = 0.5 * (H + H.T)
+    G_inv = -H  # C, the extensive covariance matrix in the undeformed case, with H's eigenvectors
+    c = G_inv.tolist()
     if H.shape == (1, 1):
-        h = H.item()  # symmetrized as a float, but by numpy where h + h overflows, which it warns of
-        h = 0.5 * (h + h) if abs(h) <= _HALF_MAX else (0.5 * (H + H)).item()
-        lam, c, vec = [-h], [[-h]], None
+        lam, vec = [c[0][0]], None
     else:
-        H = 0.5 * (H + H.T)
         eig, vec = np.linalg.eigh(H)
-        G_inv = -H  # C, the extensive covariance matrix, with the eigenvectors of H
-        lam, c = (-eig).tolist(), G_inv.tolist()
+        lam = (-eig).tolist()
     scale = 1.0 + (family.q - 1.0) * phi0  # exactly 1.0 at q = 1, as phi0 is finite
     size = [abs(v) for v in lam]
     top, bottom = max(size), min(size)
@@ -121,8 +120,8 @@ def moments(
         warnings.warn("covariance matrix is numerically singular", StabilityWarning)
         lam = [v if s > _PINV_RCOND * top else math.inf for v, s in zip(lam, size)]
     if vec is None:  # lambda is finite and nonzero here, or inf; Python's 1/lambda is IEEE's
-        g = [[1.0 / lam[0] + 0.0]]
-        G, G_inv = np.array(g), np.array(c)
+        g = [[1.0 / lam[0] + 0.0]]  # + 0.0: the matmul's sum reads -0.0 as 0.0
+        G = np.array(g)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
             G = (vec / lam) @ vec.T  # V diag(1/lambda) V'

@@ -1,8 +1,8 @@
 """Built-in degeneracy-spectrum generators.
 
-All degeneracies are produced through log-gamma expressions, so the
-tables stay overflow-free at any size; truncation cutoffs (E_max,
-N_max) are explicit parameters.
+All degeneracies are produced through log-gamma expressions or running
+sums of log1p, so the tables stay overflow-free at any size; truncation
+cutoffs (E_max, N_max) are explicit parameters.
 """
 
 from __future__ import annotations
@@ -40,13 +40,9 @@ def _lgamma(v: "float | np.ndarray") -> np.ndarray:
 def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
     """ln C(n, k) over the rows k = 0, 1, ..., K, at one n or at one a = n - k (n an array).
 
-    The lgamma form cancels for k << n (0.03 off at n = 1e13, k = 1) and for n - k << n.  Past
-    n = 256, rows with k <= n/4 read k ln b - lgamma(k + 1) plus a running sum of log1p(-i/n),
-    i < k (b = n), or of log1p(i/a), i <= k (b = a); rows with n - k <= n/4 read C(n, n - k) at
-    an integer n, or the running sum of log1p(a/i), i <= k.  The lgamma form is kept between
-    them (within 20 eps, measured to n = 1e7), at the top rows of a non-integer n, and up to
-    n = 256, where it is within 235 eps (measured) and builds keep their bits.  It is always
-    formed, so a log-gamma beyond the float range is still an error."""
+    The lgamma form cancels for k << n (0.03 off at n = 1e13, k = 1) and for n - k << n, so past
+    n = 256 those rows (k <= n/4, n - k <= n/4) are running sums of log1p, but for the top rows of
+    a non-integer n.  The lgamma form is always formed: a log-gamma past the float range is an error."""
     ln_k_fact = _lgamma(k + 1.0)
     out = _lgamma(n + 1.0) - ln_k_fact - _lgamma(n - k + 1.0)
     if np.max(n) <= 256.0:

@@ -119,12 +119,23 @@ def test_lattice_gas_beyond_float_range_is_a_model_error():
         lattice_gas(1e306, N_max=1)
 
 
+def _assert_ln_choose_within_bounds(got, ref, n, k, summed):
+    # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) cancels: its error is a fraction of an ulp of the
+    # largest term, not of the result, and every row keeps that bound; the rows read as running
+    # sums of log1p (``summed``) must be within 32 eps of the result as well (26.5 measured)
+    eps = np.finfo(float).eps
+    err = np.abs(got - ref)
+    terms = np.abs(_lgamma(n + 1.0)) + np.abs(_lgamma(k + 1.0)) + np.abs(_lgamma(n - k + 1.0))
+    assert np.all(err <= 2.0 * eps * np.maximum(terms, 1.0)), np.max(err / np.maximum(terms, 1.0))
+    rel = err[summed] / np.maximum(1.0, np.abs(ref[summed]))
+    assert np.all(rel <= 32.0 * eps), np.max(rel) / eps
+
+
 @pytest.mark.parametrize("n", [1, 10, 257, 1000, 12345, 100_000, 0.5, 37.5, 1234.25, 99_999.5])
 def test_ln_choose_against_mpmath(n):
     # over the builders' rows k = 0, 1, ..., floor(n), read at the first and last 13 rows and at
-    # 60 drawn ones: within 256 eps of max(1, |ln C|), the lgamma form's measured worst case up
-    # to n = 256 (235 eps).  At a non-integer n past 256 the rows with n - k <= n/4 keep the
-    # lgamma form, which cancels there: its error is a fraction of an ulp of its largest term
+    # 60 drawn ones; past n = 256 the rows with k <= n/4, and at an integer n those with
+    # n - k <= n/4, are running sums
     rng = np.random.default_rng(int(n * 4))
     rows = np.arange(int(n) + 1, dtype=float)
     got = _ln_choose(float(n), rows)
@@ -135,12 +146,20 @@ def test_ln_choose_against_mpmath(n):
             float(mpmath.loggamma(mp_n + 1) - mpmath.loggamma(kk + 1) - mpmath.loggamma(mp_n - kk + 1))
             for kk in k
         ])
-    eps = np.finfo(float).eps
-    bound = 256.0 * eps * np.maximum(1.0, np.abs(ref))
-    kept = (n > 256) & (n != math.floor(n)) & (n - k <= 0.25 * n)
-    terms = np.abs(_lgamma(n + 1.0)) + np.abs(_lgamma(k + 1.0)) + np.abs(_lgamma(n - k + 1.0))
-    bound = np.where(kept, 2.0 * eps * terms, bound)
-    assert np.all(np.abs(got[k] - ref) <= bound), np.max(np.abs(got[k] - ref) / bound)
+    summed = (n > 256) & ((4 * k <= n) | ((n == math.floor(n)) & (4 * (n - k) <= n)))
+    _assert_ln_choose_within_bounds(got[k], ref, n, k, summed)
+
+
+@pytest.mark.parametrize("a", [0, 1, 49, 999])
+def test_ln_choose_at_one_a_against_mpmath(a):
+    # einstein_solid's ln C(m + a, m), a = N - 1, over every row m = 0, ..., 3a + 300: past
+    # n = 256 the rows with m <= a/3 and those with m >= 3a are running sums
+    m = np.arange(3 * a + 301)
+    got = _ln_choose(m + float(a), m.astype(float))
+    with mpmath.workdps(50):
+        ln_a_fact = mpmath.loggamma(a + 1)
+        ref = np.array([float(mpmath.loggamma(mm + a + 1) - mpmath.loggamma(mm + 1) - ln_a_fact) for mm in m])
+    _assert_ln_choose_within_bounds(got, ref, m + a, m, (3 * m <= a) | (m >= 3 * a))
 
 
 def _ln_binomials(n, ks):
