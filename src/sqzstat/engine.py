@@ -387,6 +387,8 @@ def _per_configuration(ln_num: np.ndarray, spectrum: DegeneracySpectrum) -> tupl
     with np.errstate(invalid="ignore", over="ignore"):  # a num or a quotient beyond the float range reads inf
         num = np.exp(ln_num)
         divides = np.isfinite(num) & spectrum._g_divides
+        if divides.all():  # any built-in spectrum below the float range: a plain divide, cheaper
+            return num, num / spectrum.g
         out = np.exp(ln_num - spectrum.ln_g, out=np.empty_like(num), where=~divides)
         return num, np.divide(num, spectrum.g, out=out, where=divides)
 

@@ -22,7 +22,11 @@ from .squeeze import SqueezeFamily
 if TYPE_CHECKING:
     from .engine import SpectrumSurface
 
-__all__ = ["StabilityWarning", "FluctuationReport", "moments"]
+__all__ = [
+    "StabilityWarning",
+    "FluctuationReport",
+    "moments",
+]
 
 # relative size below which a curvature eigenvalue counts as zero: it decides the indefinite
 # check (against max(1, max|lambda|)), `singular` (cond > 1 / _REL_TOL) and a flat row's size
@@ -89,7 +93,9 @@ def moments(
     and G = V diag(1/lambda) V'; for one variable it is the entry itself and V = 1, as
     LAPACK's dsyevd returns them for n = 1 (NaN, inf, -0.0 and subnormals included), with no
     eigh call.  A singular C (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
-    runs on Python floats, which round as the arrays did (n is 1 to 3 in practice).
+    runs on Python floats (``tolist``): n is 1 to 3 in practice, where a
+    numpy call costs more than its arithmetic, and floats round as the arrays did, so
+    results keep their bits.
 
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
