@@ -223,8 +223,7 @@ def cmd_kinetics(args) -> int:
         raise CliError(EXIT_CONFIG, "--snapshot-every must be >= 1")
     family = _family_from_args(args)
     lattice = make_lattice(args.lattice_radius)
-    xi = XI_CHOICES[args.xi]
-    net = build_collision_network(lattice, xi=xi)
+    net = build_collision_network(lattice).with_xi(XI_CHOICES[args.xi])
     state = random_state(lattice, seed=args.seed)
     dt = args.dt if args.dt is not None else stability_dt(state, net, family)
     trace, snaps = [], []
@@ -285,12 +284,10 @@ def cmd_infer(args) -> int:
         raise CliError(EXIT_CONFIG, "--reconstruct applies only with --data")
     if args.energy and not args.density:
         raise CliError(EXIT_CONFIG, "--energy applies only with --density")
-    if not 0 <= args.threshold < np.inf:
-        raise CliError(EXIT_CONFIG, f"--threshold must be finite and >= 0, got {args.threshold!r}")
     if args.data:
         ln_g, ratio = _read_csv_columns(args.data, ("ln_g", "ratio"))
         data = EquilibriumDataset(ln_g=ln_g, ratio=ratio)
-        est = estimate_q(data, residual_threshold=args.threshold)
+        est = estimate_q(data)
         out_doc["q"] = est.q
         out_doc["residual"] = est.residual
         out_doc["power_law"] = est.power_law
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="statistics inference from measurement data")
     p.add_argument("--data", help="CSV with header ln_g,ratio")
     p.add_argument("--reconstruct", help="write the reconstructed ln_h table here (with --data)")
-    p.add_argument("--threshold", type=float, default=1e-6, help="power-law residual threshold")
     p.add_argument("--density", help="CSV with header beta,f for the mixing quadrature")
     p.add_argument("--energy", type=float, action="append", help="energy for --density (repeatable)")
     p.add_argument("--out", help="output path (default: stdout)")

@@ -30,7 +30,7 @@ __all__ = [
     "superstatistics_forward",
 ]
 
-POWER_LAW_RESIDUAL_THRESHOLD = 1e-6  # noiseless synthetic regime default
+POWER_LAW_RESIDUAL_THRESHOLD = 1e-6  # the verdict's tolerance, for noiseless synthetic data
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +39,10 @@ class EquilibriumDataset:
 
     ``ratio`` is the complex system's ordinary-thermometer Lagrange
     parameter divided by the reference (undeformed) system's, taken
-    with both in generalized thermal equilibrium.  ln_g must increase
-    strictly and start at the single-microstate anchor (ln g = 0, where
-    the squeeze is normalized to h(1) = 1)."""
+    with both in generalized thermal equilibrium.  There must be at
+    least 3 samples; ln_g must increase strictly and start at the
+    single-microstate anchor (ln g = 0, where the squeeze is normalized
+    to h(1) = 1)."""
 
     ln_g: np.ndarray
     ratio: np.ndarray
@@ -53,8 +54,8 @@ class EquilibriumDataset:
         object.__setattr__(self, "ratio", ratio)
         if ln_g.ndim != 1 or ln_g.shape != ratio.shape:
             raise DatasetError("ln_g and ratio must be matching 1-D arrays")
-        if ln_g.size < 2:
-            raise DatasetError("need at least two samples")
+        if ln_g.size < 3:
+            raise DatasetError(f"need at least 3 samples, got {ln_g.size}")
         if not np.all(np.isfinite(ln_g)) or not np.all(np.isfinite(ratio)):
             raise DatasetError("non-finite sample values")
         if np.any(ln_g[1:] <= ln_g[:-1]):  # not np.diff, which may overflow
@@ -63,10 +64,6 @@ class EquilibriumDataset:
             raise DatasetError("ratios must be positive")
         if ln_g[0] < -1e-12:
             raise DatasetError("counts below one are unphysical (ln_g[0] < 0)")
-
-    @property
-    def n(self) -> int:
-        return int(self.ln_g.size)
 
 
 class QEstimate(NamedTuple):
@@ -81,8 +78,6 @@ def reconstruct_squeeze(data: EquilibriumDataset) -> tuple[np.ndarray, np.ndarra
     Anchored at ln h(1) = 0; a leading gap between ln g = 0 and the
     first sample is bridged by constant extrapolation of the first
     ratio.  Returns (ln_g grid, ln h values)."""
-    if data.n < 3:
-        raise DatasetError(f"need at least 3 samples to reconstruct, got {data.n}")
     x = data.ln_g
     r = data.ratio
     if x[0] > 0.0:
@@ -97,21 +92,16 @@ def reconstruct_squeeze(data: EquilibriumDataset) -> tuple[np.ndarray, np.ndarra
     return x, ln_h
 
 
-def estimate_q(
-    data: EquilibriumDataset,
-    residual_threshold: float = POWER_LAW_RESIDUAL_THRESHOLD,
-) -> QEstimate:
+def estimate_q(data: EquilibriumDataset) -> QEstimate:
     """Entropic index under the power-law ansatz ratio ~ g**(1-q).
 
     Least-squares line of ln ratio against ln g: the slope s gives
-    q = 1 - s.  The residual is the rms misfit of the line; above the
-    threshold the ansatz itself is rejected (power_law = False) and the
-    index estimate is not meaningful."""
-    if data.n < 3:
-        raise DatasetError(f"need at least 3 samples to fit, got {data.n}")
+    q = 1 - s.  The residual is the rms misfit of the line; above
+    POWER_LAW_RESIDUAL_THRESHOLD the ansatz itself is rejected
+    (power_law = False) and the index estimate is not meaningful."""
     x = data.ln_g
     with np.errstate(over="ignore"):  # a variance beyond the float range is not zero either
-        if float(np.ptp(x)) <= 0.0 or float(np.var(x)) == 0.0:
+        if float(np.var(x)) == 0.0:
             raise DatasetError("zero variance in ln_g")
     y = np.log(data.ratio)
     design = np.column_stack([x, np.ones_like(x)])
@@ -119,7 +109,7 @@ def estimate_q(
     slope = float(coef[0])
     fit = design @ coef
     residual = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return QEstimate(q=1.0 - slope, residual=residual, power_law=residual <= residual_threshold)
+    return QEstimate(q=1.0 - slope, residual=residual, power_law=residual <= POWER_LAW_RESIDUAL_THRESHOLD)
 
 
 def superstatistics_forward(

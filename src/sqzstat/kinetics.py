@@ -117,10 +117,7 @@ class CollisionNetwork:
         return replace(self, xi=xi)
 
 
-def build_collision_network(
-    lattice: VelocityLattice,
-    xi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> CollisionNetwork:
+def build_collision_network(lattice: VelocityLattice) -> CollisionNetwork:
     """Enumerate all momentum- and energy-conserving quadruples.
 
     Pairs i <= j are grouped by their exact integer (momentum, energy)
@@ -139,7 +136,7 @@ def build_collision_network(
     a = np.repeat(np.arange(i.size), partners)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(partners) - partners, partners)
     quads = np.column_stack((i[a], j[a], i[b], j[b]))
-    return CollisionNetwork(lattice=lattice, quadruples=quads, xi=xi)
+    return CollisionNetwork(lattice=lattice, quadruples=quads)
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,14 +37,25 @@ def _lgamma(v: "float | np.ndarray") -> np.ndarray:
     return out.reshape(v.shape)
 
 
+def _ln_gamma_shift(z: np.ndarray, a: float) -> np.ndarray:
+    """ln Γ(z + a) - ln Γ(z) for z >= 193 and 0 <= a < 1 (0.0 at a = 0), by Stirling's series
+    ln Γ(x) = (x - 1/2) ln x - x + ln(2π)/2 + 1/(12x) - 1/(360x³) with its large terms cancelled
+    in closed form; the next term, 1/(1260x⁵), would move the result by less than 1e-16."""
+    za = z + a
+    tail = (1.0 / 12.0 - 1.0 / (360.0 * za * za)) / za - (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z
+    return (z - 0.5) * np.log1p(a / z) + a * (np.log(za) - 1.0) + tail
+
+
 def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
     """ln C(n, k) over the rows k = 0, 1, ..., K, at one n or at one a = n - k (n an array).
 
     The lgamma form cancels for k << n (0.03 off at n = 1e13, k = 1) and for n - k << n, so past
-    n = 256 those rows (k <= n/4, n - k <= n/4) are running sums of log1p, but for the top rows of
-    a non-integer n.  The lgamma form is always formed: a log-gamma past the float range is an error."""
+    n = 256 those rows (k <= n/4, n - k <= n/4) are running sums of log1p; a top row of one n
+    = N + f is read from the row j = N - k, as C(n, k) / C(n, j) = Γ(j+1) Γ(k+1+f) / (Γ(j+1+f)
+    Γ(k+1)).  The lgamma form is always formed: a log-gamma past the float range is an error."""
     ln_k_fact = _lgamma(k + 1.0)
-    out = _lgamma(n + 1.0) - ln_k_fact - _lgamma(n - k + 1.0)
+    ln_rest = _lgamma(n - k + 1.0)
+    out = _lgamma(n + 1.0) - ln_k_fact - ln_rest
     if np.max(n) <= 256.0:
         return out
     one_a = np.ndim(n) > 0
@@ -56,8 +67,10 @@ def _ln_choose(n: "float | np.ndarray", k: np.ndarray) -> np.ndarray:
     top = 4.0 * (n - k) <= n
     if one_a:
         out[top] = np.concatenate(([0.0], np.cumsum(np.log1p(base / k[1:]))))[top]
-    elif n == math.floor(n):
-        out[top] = out[(n - k[top]).astype(int)]
+    else:  # at an integer n, f = 0 and the top rows are the first rows' bits
+        whole = math.floor(n)
+        j = (whole - k[top]).astype(int)
+        out[top] = out[j] + (ln_k_fact[j] - ln_rest[top]) + _ln_gamma_shift(k[top] + 1.0, n - whole)
     return out
 
 

@@ -280,7 +280,7 @@ def test_kinetics_one_pass_matches_two_pass_reference(tmp_path, capsys, monkeypa
     assert len(calls) == steps
     fam = SqueezeFamily.tsallis(1.5)
     lattice = make_lattice(2)
-    net = build_collision_network(lattice, xi=None)
+    net = build_collision_network(lattice).with_xi(None)
     s = random_state(lattice, seed=0)
     dt = stability_dt(s, net, fam)
 
@@ -408,6 +408,16 @@ def test_infer_bad_header_is_config_error(tmp_path, capsys):
     path.write_text("a,b\n1,2\n")
     code, _, err = run_cli(["infer", "--data", str(path)], capsys)
     assert code == 3
+
+
+def test_infer_has_no_threshold_flag(tmp_path, capsys):
+    # the verdict is read at inference.POWER_LAW_RESIDUAL_THRESHOLD, beside the printed residual
+    data = tmp_path / "data.csv"
+    data.write_text("ln_g,ratio\n0.0,1.0\n1.0,0.5\n2.0,0.25\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--data", str(data), "--threshold", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threshold 1e-3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +714,6 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
         (["sweep", *TWO_LEVEL, "--axis", "E", "--range", "1-2", "--steps", "3"],
          "--range expects lo:hi, got '1-2'"),
         (["infer", "--data", "NOT_UTF8"], "cannot read data file"),
-        (["infer", "--data", "DATA", "--threshold", "nan"], "--threshold must be finite and >= 0, got nan"),
-        (["infer", "--data", "DATA", "--threshold", "-1"], "--threshold must be finite and >= 0, got -1.0"),
-        (["infer", "--data", "DATA", "--threshold", "inf"], "--threshold must be finite and >= 0, got inf"),
         (["kinetics", "--lattice-radius", "0"], "--lattice-radius must be >= 1"),
         (["compute", "--model", "two_level", "--y", "E=1", "--q", "1.5"], "--q applies only with --squeeze tsallis"),
         (["compute", "--model", "two_level", "--y", "E=1", "--squeeze", "identity", "--q", "1.5"],
@@ -723,7 +730,7 @@ TWO_LEVEL = ["--model", "two_level", "--y", "E=0.5"]
     ids=["y-without-equals", "y-not-a-number", "no-model", "unknown-model", "param-with-file",
          "unreadable-file", "file-not-json", "file-integer-too-long", "missing-data", "empty-data",
          "infer-without-input", "reconstruct-without-data", "energy-without-density", "range-without-colon",
-         "data-not-utf8", "threshold-nan", "threshold-negative", "threshold-inf", "radius-zero", "q-without-squeeze",
+         "data-not-utf8", "radius-zero", "q-without-squeeze",
          "q-with-identity", "q-with-file-family", "q-kinetics", "y-repeated", "y-repeated-once-stripped",
          "X-repeated", "param-repeated"],
 )
@@ -771,15 +778,6 @@ def test_out_writes_the_bytes_stdout_would_get(tmp_path, capsys, argv):
     assert out.read_bytes() == stdout.encode()
 
 
-def test_threshold_default_is_the_inference_constant():
-    # the parser restates it so that parsing does not import inference
-    from sqzstat import inference
-    from sqzstat.cli import build_parser
-
-    args = build_parser().parse_args(["infer"])
-    assert args.threshold == inference.POWER_LAW_RESIDUAL_THRESHOLD
-
-
 @pytest.mark.parametrize("argv, flag, value, code", [
     (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-0.5:1.5", 0),
     (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-.5:1.5", 0),
@@ -792,11 +790,11 @@ def test_threshold_default_is_the_inference_constant():
     (["sweep", *TWO_LEVEL, "--axis", "E", "--steps", "3"], "--range", "-inf:1", 4),
     (["compute", *TWO_LEVEL, "--squeeze", "tsallis"], "--q", "-inf", 5),
     (["infer", "--density", "DENSITY"], "--energy", "-inf", 5),
-    (["infer", "--density", "DENSITY"], "--threshold", "-Infinity", 3),
+    (["infer", "--density", "DENSITY"], "--energy", "-Infinity", 5),
     (["kinetics", "--lattice-radius", "1", "--steps", "3"], "--dt", "-nan", 5),
 ], ids=["range-lo", "range-lo-no-digit", "range-not-finite", "q-exponent", "q-no-leading-digit",
         "q-upper-exponent", "energy-exponent", "dt-exponent", "range-lo-minus-inf", "q-minus-inf",
-        "energy-minus-inf", "threshold-minus-infinity", "dt-minus-nan"])
+        "energy-minus-inf", "energy-minus-infinity", "dt-minus-nan"])
 def test_a_negative_value_after_a_space_reads_as_its_equals_form(tmp_path, capsys, argv, flag, value, code):
     # argparse's own pattern took -1e-3, -0.5:1.5 and -inf for flags and exited 2
     _write_density(tmp_path / "density.csv")

@@ -152,8 +152,6 @@ def infer_argvs(draw):
         argv += ["--data", "DIR/data.csv"]
         if draw(st.booleans()):
             argv += ["--reconstruct", "DIR/rec.csv"]
-        if draw(st.booleans()):
-            argv += ["--threshold", repr(draw(FLOATS))]
     elif draw(st.integers(0, 9)) == 0:
         argv += ["--reconstruct", "DIR/rec.csv"]
     if "density" in modes:
@@ -318,7 +316,7 @@ def test_drawn_three_variable_model_files_end_cleanly(tmp_path):
     one()
 
 
-NUMERIC_FLAGS = {"--q", "--dt", "--threshold", "--energy", "--range", "--steps", "--lattice-radius",
+NUMERIC_FLAGS = {"--q", "--dt", "--energy", "--range", "--steps", "--lattice-radius",
                  "--trace-every", "--seed", "--snapshot-every"}
 SIGNED = st.sampled_from(["-inf", "-nan", "-1e-3", "-Infinity", "-NaN", "-2"])
 

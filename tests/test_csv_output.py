@@ -170,7 +170,7 @@ def test_kinetics_trace_and_snapshots_xi_soft(tmp_path, capsys):
                "--snapshot-every", str(snap_every), "--snapshot-out", str(snap)], capsys)
     fam = SqueezeFamily.tsallis(1.5)
     lattice = make_lattice(2)
-    net = build_collision_network(lattice, xi=XI_CHOICES["soft"])
+    net = build_collision_network(lattice).with_xi(XI_CHOICES["soft"])
     s = random_state(lattice, seed=0)
     dt = stability_dt(s, net, fam)
     trace, snaps = [], []

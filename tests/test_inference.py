@@ -36,6 +36,12 @@ def test_dataset_requires_matching_1d_arrays():
         EquilibriumDataset(ln_g=np.array([0.0, 0.5, 1.0]), ratio=np.ones(4))
 
 
+def test_dataset_requires_three_samples():
+    # the one owner of the minimum: estimate_q and reconstruct_squeeze both need 3
+    with pytest.raises(DatasetError, match="^need at least 3 samples, got 2$"):
+        EquilibriumDataset(ln_g=np.array([0.0, 1.0]), ratio=np.array([1.0, 1.0]))
+
+
 def test_dataset_rejects_subunit_counts():
     with pytest.raises(DatasetError):
         EquilibriumDataset(ln_g=np.array([-0.5, 0.5, 1.0]), ratio=np.ones(3))
@@ -66,9 +72,9 @@ def test_two_interval_trapezoid_is_exact_for_constant_ratio():
 
 
 def test_reconstruction_needs_three_samples():
-    data = EquilibriumDataset(ln_g=np.array([0.0, 1.0]), ratio=np.array([1.0, 1.0]))
-    with pytest.raises(DatasetError):
-        reconstruct_squeeze(data)
+    # a 2-sample table never reaches reconstruct_squeeze: the dataset refuses it
+    with pytest.raises(DatasetError, match="at least 3 samples"):
+        reconstruct_squeeze(EquilibriumDataset(ln_g=np.array([0.0, 1.0]), ratio=np.array([1.0, 1.0])))
 
 
 def test_leading_gap_is_bridged_from_the_anchor():

@@ -254,7 +254,7 @@ def test_single_quadruple_hand_oracle():
 def test_rhs_matches_the_loop_oracle(family, xi):
     for radius in (1, 2, 3, 4):
         lat = make_lattice(radius)
-        net = build_collision_network(lat, xi=xi)
+        net = build_collision_network(lat).with_xi(xi)
         F = random_state(lat, seed=radius).F
         ref = loop_rhs(F, net, family)
         got = collision_rhs(KineticState(F=F), net, family)

@@ -131,11 +131,11 @@ def _assert_ln_choose_within_bounds(got, ref, n, k, summed):
     assert np.all(rel <= 32.0 * eps), np.max(rel) / eps
 
 
-@pytest.mark.parametrize("n", [1, 10, 257, 1000, 12345, 100_000, 0.5, 37.5, 1234.25, 99_999.5])
+@pytest.mark.parametrize("n", [1, 10, 257, 1000, 12345, 100_000, 0.5, 37.5, 300.5, 1234.25, 99_999.5])
 def test_ln_choose_against_mpmath(n):
     # over the builders' rows k = 0, 1, ..., floor(n), read at the first and last 13 rows and at
-    # 60 drawn ones; past n = 256 the rows with k <= n/4, and at an integer n those with
-    # n - k <= n/4, are running sums
+    # 60 drawn ones; past n = 256 the rows with k <= n/4 and those with n - k <= n/4 are
+    # running sums
     rng = np.random.default_rng(int(n * 4))
     rows = np.arange(int(n) + 1, dtype=float)
     got = _ln_choose(float(n), rows)
@@ -146,7 +146,7 @@ def test_ln_choose_against_mpmath(n):
             float(mpmath.loggamma(mp_n + 1) - mpmath.loggamma(kk + 1) - mpmath.loggamma(mp_n - kk + 1))
             for kk in k
         ])
-    summed = (n > 256) & ((4 * k <= n) | ((n == math.floor(n)) & (4 * (n - k) <= n)))
+    summed = (n > 256) & ((4 * k <= n) | (4 * (n - k) <= n))
     _assert_ln_choose_within_bounds(got[k], ref, n, k, summed)
 
 

@@ -9,7 +9,7 @@ a pinned ``--X``, ``compute --rows`` and ``--emit-model``, ``compute
 --emit-model`` under ``--squeeze tsallis --q 1``,
 ``compute --rows`` with 10 of 11 rows excluded (-inf and True cells), with ln g beyond the
 float range, over 100,001 rows, over a non-integer site count (non-integer
-g) and over a model file with -0.0 cells, the two branches of the ``boltzmann_factor``
+g, and past 256 sites with its top rows as running sums) and over a model file with -0.0 cells, the two branches of the ``boltzmann_factor``
 column, ``compute`` in CSV with a pinned ``--X`` (an empty cell), ``fluct`` in CSV along a
 flat direction (inf and -0 cells), ``compute`` at sites = 1e300 and N = 1e300 (log-binomials
 of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
@@ -96,6 +96,9 @@ def _fixed_cases() -> list[Case]:
         ("compute rows non-integer g",
          ["compute", "--model", "lattice_gas", "--param", "sites=37.5", "--param", "N_max=30",
           "--y", "E=0.7", "--y", "N=-0.2", "--rows", "rows.csv"], {}),
+        ("compute rows non-integer sites past 256",
+         ["compute", "--model", "lattice_gas", "--param", "sites=1234.25", "--param", "N_max=1234",
+          "--y", "E=0", "--y", "N=0.5", "--rows", "rows.csv"], {}),
         ("compute rows signed zeros", ["compute", "--model", "zeros.json", "--rows", "rows.csv"],
          {"zeros.json": _signed_zero_model()}),
         ("compute csv pinned X", ["compute", *pinned, "--format", "csv"], {}),
