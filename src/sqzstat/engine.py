@@ -137,6 +137,10 @@ class DegeneracySpectrum:
         """Rows whose g is a finite positive float, so a quotient by it is a plain division."""
         return np.isfinite(self.g) & (self.g > 0)
 
+    @cached_property
+    def _max_abs_ln_g(self) -> float:  # bounds the squeezed ln h(g) in ``characteristic_class``
+        return float(np.maximum.reduce(np.abs(self.ln_g)))
+
     def column(self, name: str) -> np.ndarray:
         try:
             j = self.variable_names.index(name)
@@ -208,9 +212,10 @@ class ClassTable:
     """Per-subclass squeezed classes for one ensemble evaluation.
 
     Rows follow the restricted spectrum.  ``ln_row_class`` is ln c, -inf on excluded rows;
-    ``ln_total`` is ln T, T = sum c over the surviving rows.  With P = c/T, ``phi`` = -ln_q T
-    and ``means`` holds <X_j> = d phi/dy_j = sum P^q X_j (the plain average at q = 1) in
-    ``spectrum.variable_names`` order, floats the class pass forms from the rows it holds."""
+    ``ln_total`` is ln T, T = sum c over the surviving rows.  With P = c/T, ``phi`` = -ln_q T,
+    ``means`` holds <X_j> = d phi/dy_j = sum P^q X_j (the plain average at q = 1) and
+    ``second_sums`` holds S_jk = -q T^(q-1) sum P^(2q-1) X_j X_k, in ``spectrum.variable_names``
+    order: floats the class pass forms from the rows it holds."""
 
     spectrum: DegeneracySpectrum
     env: EnsembleSpec
@@ -220,6 +225,7 @@ class ClassTable:
     ln_total: float
     phi: float
     means: tuple[float, ...]
+    second_sums: tuple[tuple[float, ...], ...]
 
     @property
     def n_rows(self) -> int:
@@ -283,9 +289,9 @@ def _ln_weights(ln_c: np.ndarray, q: float, ln_total: float) -> np.ndarray:
     return q * ln_c - q * ln_total
 
 
-def _weighted_sums(w: np.ndarray, columns, live: np.ndarray) -> tuple[float, ...]:
-    """sum w v over the live rows for each per-row column v (np.sum's reduction, unwrapped)."""
-    return tuple(float(np.add.reduce(w * v[live])) for v in columns)
+def _weighted_sums(w: np.ndarray, columns) -> tuple[float, ...]:
+    """sum w v for each column v of live rows (np.sum's reduction, unwrapped)."""
+    return tuple(float(np.add.reduce(w * v)) for v in columns)
 
 
 def characteristic_class(
@@ -295,19 +301,23 @@ def characteristic_class(
     env.validate_against(spectrum)
     working = spectrum.restrict(env.fixed_extensive)  # its columns are the exchanged variables
     y = np.array([env.fixed_intensive[n] for n in working.variable_names])
-    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+    q, u = family.q, abs(1.0 - family.q)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, or by curvature for the second sums
         ln_h_g = family.ln_squeeze(working.ln_g)
-        if not np.isfinite(ln_h_g).all():
+        # |ln h(g)| <= exp(u max|ln g|) / u: it can overflow only where this bound passes e^709
+        if u and u * working._max_abs_ln_g - math.log(u) >= 709.0 and not np.isfinite(ln_h_g).all():
             raise SqueezeDomainError(
                 "squeezed log-degeneracy exceeds the float range "
                 f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"
             )
         ln_weight = ln_h_g - (working.x @ y if y.size else 0.0)
         ln_row_class, excluded = family.ln_unsqueeze(ln_weight)
-        if excluded.all():
+        n_excluded = np.count_nonzero(excluded)
+        if n_excluded == excluded.size:
             raise DegenerateEnsembleError("every subclass is excluded by the cutoff")
-        live = ~excluded
-        ln_c = ln_row_class[live]
+        ln_c, xt = ln_row_class, working.x.T  # xt holds a column per row, the layout of x @ y
+        if n_excluded:
+            ln_c, xt = ln_c[~excluded], xt.compress(~excluded, axis=1)
         ln_total = _logsumexp(ln_c)
         phi = -float(family.ln_squeeze(ln_total))
         if not math.isfinite(phi):
@@ -315,9 +325,15 @@ def characteristic_class(
                 "squeezed class total exceeds the float range "
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
-        ln_w = _ln_weights(ln_c, family.q, ln_total)
-    means = _weighted_sums(np.exp(ln_w), working.x.T, live)
-    return ClassTable(working, env, family, ln_row_class, excluded, ln_total, phi, means)
+        ln_w = _ln_weights(ln_c, q, ln_total)
+        means = _weighted_sums(np.exp(ln_w), xt)
+        ln_w *= 2.0  # b = -q T^(q-1) P^(2q-1) = -q w^2 / c * T^q, in ln w's buffer: no per-row temporary
+        ln_w -= ln_c
+        b = np.exp(np.add(ln_w, q * ln_total, out=ln_w), out=ln_w)
+        b *= -q
+        b[ln_c == -np.inf] = 0.0  # a live c = 0 adds 0
+        second_sums = tuple(map(tuple, ((xt * b) @ xt.T).tolist()))
+    return ClassTable(working, env, family, ln_row_class, excluded, ln_total, phi, means, second_sums)
 
 
 def observed_mean(
@@ -345,7 +361,7 @@ def observed_mean(
     live = ~table.excluded
     with np.errstate(over="ignore"):
         ln_w = _ln_weights(table.ln_row_class[live], table.family.q, table.ln_total)
-    return _weighted_sums(np.exp(ln_w), [values], live)[0]
+    return _weighted_sums(np.exp(ln_w), [values[live]])[0]
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -429,31 +445,33 @@ class SpectrumSurface:
     def __call__(self, values: Mapping[str, float]) -> float:
         return self._table(values).phi
 
+    @staticmethod
+    def _columns(table: ClassTable, names: Sequence[str]) -> list[int]:
+        index = table.spectrum.variable_names
+        try:
+            return [index.index(n) for n in names]
+        except ValueError:
+            name = next(n for n in names if n not in index)
+            raise ModelValidationError(f"no exchanged variable {name!r} in spectrum") from None
+
     def gradient(self, point: Mapping[str, float], names: Sequence[str]) -> dict[str, float]:
         """d phi/d y of exchanged names: the observed means."""
         table = self._table(point)
-        return {n: table.means[table.spectrum.variable_names.index(n)] for n in names}
+        return {n: table.means[j] for n, j in zip(names, self._columns(table, names))}
 
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
-        class total, P = c/T the row's probability and <X> the table's ``means`` (``ClassTable``).
-        A live row with c = 0 adds 0; an H beyond the float range raises SqueezeDomainError."""
+        class total, P = c/T the row's probability, and <X> and the second sum the table's
+        ``means`` and ``second_sums`` (``ClassTable``).  An H beyond the float range raises
+        SqueezeDomainError."""
         table, q = self._table(point), self.family.q
-        cols = [table.spectrum.variable_names.index(n) for n in names]
-        mean = np.array([table.means[j] for j in cols])
-        q_ln_total = q * table.ln_total
-        a = q * math.exp(q_ln_total - table.ln_total)
-        live = ~table.excluded
-        ln_c = table.ln_row_class[live]
-        with np.errstate(over="ignore", invalid="ignore"):  # ln w and 2 ln w may overflow to -inf
-            ln_w = _ln_weights(ln_c, q, table.ln_total)  # T^(q-1) P^(2q-1) = w^2 / c * T^q
-            xt = table.spectrum.x.T.take(cols, axis=0).compress(live, axis=1)  # x[live][:, cols].T, cheaper
-            b = -q * np.exp(2.0 * ln_w - ln_c + q_ln_total)
-            b[ln_c == -np.inf] = 0.0
-            H = a * (mean[:, None] * mean) + (xt * b) @ xt.T
-        if not np.isfinite(H).all():
+        cols = self._columns(table, names)
+        a = q * math.exp(q * table.ln_total - table.ln_total)
+        m, s = table.means, table.second_sums
+        H = [a * (m[i] * m[j]) + s[i][j] for i in cols for j in cols]
+        if not all(map(math.isfinite, H)):
             raise SqueezeDomainError(f"curvature of phi exceeds the float range at {self.family.label()}")
-        return table.phi, H
+        return table.phi, np.array(H).reshape(len(cols), len(cols))
 
 
 phi_surface_from_spectrum = SpectrumSurface  # the public constructor name

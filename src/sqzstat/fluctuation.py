@@ -85,7 +85,7 @@ def moments(
     ``variables`` are the intensive environment names conjugate to the
     fluctuating set; ``phi0`` is the surface's phi at the point, the
     potential of the ensemble in which the fluctuating variables are exchanged.
-    ``family`` must equal the surface's own (ValueError otherwise): it sets the scale.
+    ``family`` must equal the surface's own, and no name may repeat (ValueError otherwise).
 
     One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
     of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at
@@ -103,6 +103,8 @@ def moments(
     if family != phi_surface.family:
         raise ValueError(f"moments of a {phi_surface.family.label()} surface asked for {family.label()}")
     names = tuple(variables)
+    if len(set(names)) != len(names):
+        raise ValueError(f"moments of repeated variables {names}: each name is one variable")
     phi0, H = phi_surface.curvature(point, names)
     H = 0.5 * (H + H.T)
     G_inv = -H  # C, the extensive covariance matrix in the undeformed case, with H's eigenvectors

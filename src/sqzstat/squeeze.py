@@ -87,6 +87,8 @@ class SqueezeFamily:
         u = 1.0 - self.q
         t = u * x
         excluded = t <= -1.0  # 1 + t <= 0, as 1 + t is exact near t = -1
+        if type(x) is not float and not np.count_nonzero(excluded):  # no entry to mask
+            return np.log1p(t) / u, excluded
         ln_H = np.log1p(np.where(excluded, 0.0, t)) / u
         return np.where(excluded, -np.inf, ln_H), excluded
 

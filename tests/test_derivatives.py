@@ -34,6 +34,7 @@ from sqzstat import (
 )
 from sqzstat import engine
 from sqzstat.cli import main
+from sqzstat.errors import ModelValidationError, SqueezeDomainError
 from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
@@ -252,6 +253,61 @@ def test_class_table_caches_floats_only_and_is_taken_over_the_callers_spec():
     assert {k for k, v in vars(table).items() if isinstance(v, np.ndarray)} == {"ln_row_class", "excluded"}
     assert type(table.phi) is float
     assert type(table.means) is tuple and all(type(v) is float for v in table.means)
+    assert type(table.second_sums) is tuple and len(table.second_sums) == 2
+    assert all(type(row) is tuple and len(row) == 2 and all(type(v) is float for v in row)
+               for row in table.second_sums)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, 1.5])
+@pytest.mark.parametrize("names", [("N", "E"), ("E",), ("N",)], ids=["reversed", "E", "N"])
+def test_reordered_and_subset_reads_are_the_full_read_permuted_bit_for_bit(q, names):
+    # the class pass forms every entry once, in the spectrum's column order; a read picks them
+    spectrum, y = lattice_gas(30), {"E": 0.7, "N": 0.2}
+    env, family = EnsembleSpec(fixed_intensive=y), SqueezeFamily.tsallis(q)
+    surface = phi_surface_from_spectrum(spectrum, env, family)
+    full = ("E", "N")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)  # E and N of a lattice gas: a flat direction
+        rep_full, rep = moments(surface, y, full, family), moments(surface, y, names, family)
+    grad_full, grad = surface.gradient(y, full), surface.gradient(y, names)
+    (phi_full, H_full), (phi, H) = surface.curvature(y, full), surface.curvature(y, names)
+    cols = [full.index(n) for n in names]
+    assert phi == phi_full
+    assert bits(H) == bits(H_full[np.ix_(cols, cols)])
+    assert [bits(grad[n]) for n in names] == [bits(grad_full[n]) for n in names]
+    assert [bits(rep.variances[n]) for n in names] == [bits(rep_full.variances[n]) for n in names]
+    if len(names) == 2:
+        assert bits(rep.covariances["N", "E"]) == bits(rep_full.covariances["E", "N"])
+
+
+def test_overflowing_curvature_raises_only_when_read():
+    # phi and <E> ~ 1e200 are finite, the curvature ~ <E>^2 is not: the class pass forms its
+    # second sums without a RuntimeWarning (an error under this suite's filters)
+    spectrum = DegeneracySpectrum(("E",), np.array([0.0, 1e200]), np.zeros(2))
+    env = EnsembleSpec(fixed_intensive={"E": 1e-200})
+    report = engine.report_for(spectrum, env, IDENT)
+    assert math.isfinite(report.point.phi) and report.point.observed["E"] > 1e199
+    surface = phi_surface_from_spectrum(spectrum, env, IDENT)
+    with pytest.raises(SqueezeDomainError, match="curvature of phi exceeds the float range"):
+        surface.curvature(env.values(), ["E"])
+    with pytest.raises(SqueezeDomainError, match="curvature of phi exceeds the float range"):
+        moments(surface, env.values(), ["E"], IDENT)
+
+
+@pytest.mark.parametrize("name", ["N", "Q"], ids=["pinned", "unknown"])
+def test_surface_reads_of_a_name_not_exchanged_name_it(name):
+    env = EnsembleSpec(fixed_intensive={"E": 0.5}, fixed_extensive={"N": 3})
+    surface = phi_surface_from_spectrum(lattice_gas(20), env, IDENT)
+    message = f"no exchanged variable '{name}' in spectrum"
+    for read in (surface.gradient, surface.curvature):
+        with pytest.raises(ModelValidationError, match=message):
+            read(env.values(), ["E", name])
+    with pytest.raises(ModelValidationError, match=message):
+        moments(surface, env.values(), [name], IDENT)
 
 
 # Interleaved lookups on one spectrum: two environments over a pool of three
@@ -457,6 +513,12 @@ def test_phi_gradient_and_curvature_against_direct_sums(state):
     for i, n in enumerate(names):
         assert abs(grad[n] - ref["mean"][i]) <= err * max(1.0, q) * ref["abs_mean"][i]
     assert np.all(np.abs(H - ref["H"]) <= err * (1.0 + 3.0 * q) * ref["scale"])
+    # the reversed names read the oracle's entries in reversed order
+    _, H_rev = surface.curvature(env.values(), names[::-1])
+    grad_rev = surface.gradient(env.values(), names[::-1])
+    for i, n in enumerate(names):
+        assert abs(grad_rev[n] - ref["mean"][i]) <= err * max(1.0, q) * ref["abs_mean"][i]
+    assert np.all(np.abs(H_rev - ref["H"][::-1, ::-1]) <= err * (1.0 + 3.0 * q) * ref["scale"][::-1, ::-1])
 
 
 @settings(deadline=None, max_examples=150, derandomize=True,

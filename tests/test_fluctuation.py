@@ -16,7 +16,7 @@ from sqzstat import (
     probabilities,
 )
 from sqzstat.fluctuation import StabilityWarning, moments
-from sqzstat.models import einstein_solid, spin_half_paramagnet, two_level
+from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
 from differencing import direct_sums, mp_derivative
 
@@ -168,6 +168,15 @@ def test_moments_reject_a_family_other_than_the_surfaces():
     rep = moments(surface, env.values(), ["E"], SqueezeFamily.tsallis(1.5))  # an equal family
     assert rep.tsallis_scale == pytest.approx(0.8036, abs=1e-4)
     assert rep.variances["E"] == pytest.approx(0.12158, abs=1e-5)
+
+
+@pytest.mark.parametrize("names", [["E", "E"], ["E", "N", "E"]])
+def test_moments_reject_repeated_names(names):
+    # the reports' dicts would collapse the repeats: variances={'E': ...}
+    env = EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    surface = phi_surface_from_spectrum(lattice_gas(20), env, IDENT)
+    with pytest.raises(ValueError, match="repeated variables"):
+        moments(surface, env.values(), names, IDENT)
 
 
 def test_moment_matrices_are_construction_level_inverses():

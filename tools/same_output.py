@@ -14,8 +14,10 @@ column, ``compute`` in CSV with a pinned ``--X`` (an empty cell), ``fluct`` in C
 flat direction (inf and -0 cells), ``compute`` at sites = 1e300 and N = 1e300 (log-binomials
 of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
 soft xi at q = 0.8, ``infer --reconstruct``, a 3-variable model file with
-a non-singular covariance through ``fluct`` and ``compute --rows``, and
-the same file carrying a tsallis ``squeeze`` fragment through both), once
+a non-singular covariance through ``fluct`` and ``compute --rows``, the
+same file carrying a tsallis ``squeeze`` fragment through both, and ``fluct``
+in JSON and CSV at q = 1 and 1.5 over a 2-variable model file that lists its
+variables out of sorted order, so the CLI reads the curvature's columns permuted), once
 on the working tree's ``src`` and once on REF's, extracted with ``git
 archive``.  No argv writes a nan cell: the CLI refuses a NaN result (exit 5).  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
@@ -64,6 +66,16 @@ def _signed_zero_model() -> bytes:
     rows = [{"x": [x], "ln_g": g} for x, g in ((-0.0, -0.0), (1.0, 0.0), (2.0, 0.7), (3.0, 1.1))]
     doc = {"variables": [{"name": "E", "kind": "exchanged"}], "rows": rows,
            "environment": {"y": {"E": -0.0}, "X": {}}}
+    return json.dumps(doc).encode()
+
+
+def _permuted_model() -> bytes:
+    """Model file over N and E, listed in that order, with coupled degeneracies: the CLI reads
+    the exchanged names sorted, E then N, so its curvature reads the columns permuted."""
+    rows = [{"x": [float(n), float(e)], "ln_g": 0.3 * n * e + 0.5 * n + 0.2 * e}
+            for n, e in itertools.product(range(4), range(5))]
+    doc = {"variables": [{"name": n, "kind": "exchanged"} for n in "NE"], "rows": rows,
+           "environment": {"y": {"N": 0.3, "E": 0.6}, "X": {}}}
     return json.dumps(doc).encode()
 
 
@@ -130,6 +142,12 @@ def _fixed_cases() -> list[Case]:
         ("fluct 3var q=0.9 json", ["fluct", "--model", "model3.json", "--squeeze", "tsallis", "--q", "0.9"], three),
         ("compute 3var rows", ["compute", "--model", "model3.json", "--rows", "rows.csv"], three),
     ]
+    permuted = {"model_ne.json": _permuted_model()}
+    for q in ("1", "1.5"):
+        family = [] if q == "1" else ["--squeeze", "tsallis", "--q", q]
+        for fmt in ("json", "csv"):
+            cases.append((f"fluct permuted columns q={q} {fmt}",
+                          ["fluct", "--model", "model_ne.json", *family, "--format", fmt], permuted))
     fragment = {"model3q.json": _three_variable_model(family="tsallis", q=1.2)}
     cases += [
         ("compute 3var file q=1.2 rows", ["compute", "--model", "model3q.json", "--rows", "rows.csv"], fragment),
