@@ -392,7 +392,11 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     exactly, so uniform microcanonical distributions come out as literal
     1/Omega.  Excluded rows read ln c = -inf, so 0; macro is finite, so g alone decides the quotient.
     """
-    macro, config = _per_configuration(table.ln_row_class - table.ln_total, table.spectrum)
+    ln_macro, spectrum = table.ln_row_class - table.ln_total, table.spectrum
+    if spectrum._g_divides.all():  # macro = P <= 1 cannot overflow: a plain divide, with no errstate
+        macro = np.exp(ln_macro)
+        return ProbabilityTable(macro_probs=macro, config_probs=macro / spectrum.g, excluded=table.excluded)
+    macro, config = _per_configuration(ln_macro, spectrum)
     return ProbabilityTable(macro_probs=macro, config_probs=config, excluded=table.excluded)
 
 
