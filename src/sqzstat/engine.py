@@ -304,8 +304,9 @@ def characteristic_class(
     q, u = family.q, abs(1.0 - family.q)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below, or by curvature for the second sums
         ln_h_g = family.ln_squeeze(working.ln_g)
-        # |ln h(g)| <= exp(u max|ln g|) / u: it can overflow only where this bound passes e^709
-        if u and u * working._max_abs_ln_g - math.log(u) >= 709.0 and not np.isfinite(ln_h_g).all():
+        # |ln h(g)| <= exp(u max|ln g|) / min(u, 1), the exponent alone overflowing at u >= 1:
+        # it can overflow only where this bound passes e^709
+        if u and u * working._max_abs_ln_g - math.log(min(u, 1.0)) >= 709.0 and not np.isfinite(ln_h_g).all():
             raise SqueezeDomainError(
                 "squeezed log-degeneracy exceeds the float range "
                 f"(largest ln g = {float(working.ln_g.max()):g} at {family.label()})"

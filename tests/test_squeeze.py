@@ -232,6 +232,15 @@ def test_power_law_squeeze_beyond_the_float_range_names_the_input():
         report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.5}), fam)
 
 
+@pytest.mark.parametrize("q, ln_g", [(11.0, -71.0), (-9.0, 71.0)])
+def test_power_law_squeeze_whose_exponent_overflows_names_the_input(q, ln_g):
+    # |1 - q| = 10: (1 - q) ln g = 710 overflows e^710 itself, though 710 - ln 10 < 709
+    fam = SqueezeFamily.tsallis(q)
+    spectrum = DegeneracySpectrum(("E",), np.array([[0.0], [1.0]]), np.array([0.0, ln_g]))
+    with pytest.raises(SqueezeDomainError, match="squeezed log-degeneracy exceeds the float range"):
+        report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.1}), fam)
+
+
 # ---------------------------------------------------------------------------
 # the squeeze fragment of a model document (read and written by the engine)
 
