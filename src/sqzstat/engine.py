@@ -138,6 +138,11 @@ class DegeneracySpectrum:
         return np.isfinite(self.g) & (self.g > 0)
 
     @cached_property
+    def _g_divides_units(self) -> bool:
+        """Every g is a finite float of at least e^-709 > 1/DBL_MAX, so x / g of any x <= 1 is finite."""
+        return bool(np.isfinite(self.g).all() and self.ln_g.min() > -709.0)
+
+    @cached_property
     def _max_abs_ln_g(self) -> float:  # bounds the squeezed ln h(g) in ``characteristic_class``
         return float(np.maximum.reduce(np.abs(self.ln_g)))
 
@@ -328,6 +333,8 @@ def characteristic_class(
             )
         ln_w = _ln_weights(ln_c, q, ln_total)
         means = _weighted_sums(np.exp(ln_w), xt)
+        if not all(map(math.isfinite, means)):
+            raise SqueezeDomainError(f"an observed mean exceeds the float range at {family.label()}")
         ln_w *= 2.0  # b = -q T^(q-1) P^(2q-1) = -q w^2 / c * T^q, in ln w's buffer: no per-row temporary
         ln_w -= ln_c
         b = np.exp(np.add(ln_w, q * ln_total, out=ln_w), out=ln_w)
@@ -393,18 +400,20 @@ def probabilities(table: ClassTable) -> ProbabilityTable:
     exactly, so uniform microcanonical distributions come out as literal
     1/Omega.  Excluded rows read ln c = -inf, so 0; macro is finite, so g alone decides the quotient.
     """
-    ln_macro, spectrum = table.ln_row_class - table.ln_total, table.spectrum
-    if spectrum._g_divides.all():  # macro = P <= 1 cannot overflow: a plain divide, with no errstate
-        macro = np.exp(ln_macro)
-        return ProbabilityTable(macro_probs=macro, config_probs=macro / spectrum.g, excluded=table.excluded)
-    macro, config = _per_configuration(ln_macro, spectrum)
+    macro, config = _per_configuration(table.ln_row_class - table.ln_total, table.spectrum, unit=True)
     return ProbabilityTable(macro_probs=macro, config_probs=config, excluded=table.excluded)
 
 
-def _per_configuration(ln_num: np.ndarray, spectrum: DegeneracySpectrum) -> tuple[np.ndarray, np.ndarray]:
+def _per_configuration(ln_num: np.ndarray, spectrum: DegeneracySpectrum,
+                       unit: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(num, num / g) per row, num = np.exp(ln_num) and g the snapped degeneracy counts
     (``DegeneracySpectrum.g``): np.divide where num and g are finite and g > 0, so the
-    quotients keep their bits, and np.exp(ln_num - ln g), the log-domain form, only elsewhere."""
+    quotients keep their bits, and np.exp(ln_num - ln g), the log-domain form, only elsewhere.
+    A ``unit`` num is at most 1 (a probability), so where every g is a float of at least e^-709
+    (``_g_divides_units``) each quotient is a finite plain divide, taken with no errstate."""
+    if unit and spectrum._g_divides_units:
+        num = np.exp(ln_num)
+        return num, num / spectrum.g
     with np.errstate(invalid="ignore", over="ignore"):  # a num or a quotient beyond the float range reads inf
         num = np.exp(ln_num)
         divides = np.isfinite(num) & spectrum._g_divides

@@ -1,9 +1,6 @@
-"""Statistics of tools/ab.py on hand-made runs (no benchmark process is started), and a short
-in-process null run."""
+"""Statistics of tools/ab.py on hand-made runs (no benchmark process is started)."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -65,25 +62,3 @@ def test_src_digest_matches_the_benchmark_stamp(tmp_path):
     (tmp_path / "sqzstat" / "a.py").write_bytes(b"x = 2\n")
     assert ab.src_sha256(tmp_path) != first
     assert len(first) == 64
-
-
-def _in_git_checkout() -> bool:
-    try:
-        ab._git("rev-parse", "HEAD")
-    except (OSError, subprocess.CalledProcessError):
-        return False
-    return True
-
-
-@pytest.mark.skipif(not _in_git_checkout(), reason="needs the git history of this checkout")
-def test_inprocess_null_run_reports_every_op_digest_identical():
-    doc = ab.inprocess("HEAD", seed=1, blocks=2, cycles=1)
-    assert doc["ops"] == 32 and doc["digest_identical"] == 32
-    assert doc["problems"] == []
-    assert len(doc["runs"]) == 2 and [r["first"] for r in doc["runs"]] == ["ref", "tree"]
-    assert set(doc["summary"]) == {"all", "ref_first", "tree_first"}
-    for label, blocks in (("all", 2), ("ref_first", 1), ("tree_first", 1)):
-        entry = doc["summary"][label]
-        assert entry["blocks"] == blocks and 0 <= entry["won"] <= blocks
-        assert entry["ratio"]["q1"] <= entry["ratio"]["median"] <= entry["ratio"]["q3"]
-    assert "sqzstat_ref" in sys.modules and sys.modules["sqzstat"].__name__ == "sqzstat"

@@ -298,6 +298,27 @@ def test_overflowing_curvature_raises_only_when_read():
         moments(surface, env.values(), ["E"], IDENT)
 
 
+def test_a_mean_beyond_the_float_range_is_a_domain_error():
+    # at q = 0.5 two rows of P = 1/2 give <E> = sum P^q E = 0.71 (1e308 + 1.7e308) while phi is
+    # finite: the class pass rejects it as it rejects phi, with no RuntimeWarning (an error under
+    # this suite's filters) and no inf in a report
+    spectrum = DegeneracySpectrum(("E",), np.array([1e308, 1.7e308]), np.zeros(2))
+    env = EnsembleSpec(fixed_intensive={"E": 0.0})
+    with pytest.raises(SqueezeDomainError, match="an observed mean exceeds the float range at"):
+        engine.report_for(spectrum, env, SqueezeFamily.tsallis(0.5))
+    assert engine.report_for(spectrum, env, IDENT).point.observed["E"] == 0.5 * 1e308 + 0.5 * 1.7e308
+
+
+def test_configuration_probability_over_a_g_below_the_float_range_reads_inf():
+    # g = e^-720 ~ 2e-313 holds P = 1, so P / g is beyond the float range: it reads inf with no
+    # RuntimeWarning (an error under this suite's filters)
+    spectrum = DegeneracySpectrum(("E",), np.array([-1000.0, 0.0]), np.array([-720.0, 0.0]))
+    cols = engine.report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 1.0}), IDENT).columns()
+    assert cols["x_E"].tolist() == [-1000.0, 0.0]
+    assert cols["macro_prob"].tolist() == [1.0, math.exp(-280.0)]
+    assert cols["config_prob"].tolist() == [math.inf, math.exp(-280.0)]
+
+
 @pytest.mark.parametrize("name", ["N", "Q"], ids=["pinned", "unknown"])
 def test_surface_reads_of_a_name_not_exchanged_name_it(name):
     env = EnsembleSpec(fixed_intensive={"E": 0.5}, fixed_extensive={"N": 3})

@@ -14,28 +14,12 @@ values and a stamp: python and numpy versions, nproc, the commit of HEAD
 and of REF, whether ``src/`` differs from HEAD, and a sha256 of each side's
 ``src/`` (the digest ``run.py`` stamps).  Needs the standard library, local
 git and what the benchmark imports.
-
-    python3 tools/ab.py REF --inprocess --blocks 40 --cycles 20 --seed 1
-
-``--inprocess`` compares the two sides in one process on ``ensemble_small``
-alone: REF's ``src/`` is imported as ``sqzstat_ref`` beside the working
-tree's ``sqzstat``, and ``benchmarks/workloads.ensemble_small`` builds both
-op lists from one seed.  Each op runs its own check on both sides, and the
-ops whose digests are equal across the sides are counted.  Then blocks of
-``--cycles`` cycles of each side are timed in turn, the side that goes first
-alternating from block to block; a block's ratio is REF's time over the
-tree's, its ops/s ratio.  Printed and written: the median ratio, its
-quartiles and the blocks the tree won, over all blocks and for each order
-apart.  With REF = HEAD and an unchanged ``src/`` this is the null.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
-import importlib
-import importlib.util
 import io
 import json
 import os
@@ -46,8 +30,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,118 +110,15 @@ def _run(side: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"], "correct": result["correct"]}
 
 
-def _import_as(src: Path, name: str):
-    """The package under ``src`` imported as ``name``, with the modules the workload reads
-    loaded as its attributes (the package resolves its re-exports lazily).  A package imported
-    earlier under ``name`` is dropped first, with its modules."""
-    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
-        del sys.modules[key]
-    spec = importlib.util.spec_from_file_location(name, src / "sqzstat" / "__init__.py",
-                                                  submodule_search_locations=[str(src / "sqzstat")])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    for module in ("engine", "fluctuation", "models", "squeeze", "thermo"):
-        importlib.import_module(f"{name}.{module}")
-    return package
-
-
-def _ops_of(package, workloads, seed: int, workdir: Path) -> list:
-    """``workloads.ensemble_small``'s ops over ``package``: the workload imports ``sqzstat``,
-    so that name points at ``package`` while the ops are built."""
-    held = sys.modules["sqzstat"]
-    sys.modules["sqzstat"] = package
-    try:
-        return workloads.ensemble_small(seed, workdir)
-    finally:
-        sys.modules["sqzstat"] = held
-
-
-def _cycles_s(ops: list, cycles: int) -> float:
-    gc.collect()
-    t0 = time.perf_counter()
-    for _ in range(cycles):
-        for op in ops:
-            op.run()
-    return time.perf_counter() - t0
-
-
-def inprocess(ref: str, seed: int, blocks: int, cycles: int) -> dict:
-    """The in-process A/B on ``ensemble_small`` (module docstring); every op checked on both sides."""
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # StabilityWarning per fluct op, as in run.py's workers
-        sides = _prepare(Path(tmp), ref)
-        sys.path[:0] = [str(ROOT / "src"), str(sides["tree"] / "benchmarks")]
-        try:
-            import sqzstat
-            import workloads
-            from harness import Note
-
-            if Path(sqzstat.__file__).resolve().parent != ROOT / "src" / "sqzstat":
-                raise RuntimeError(f"sqzstat is already imported from {sqzstat.__file__}")
-            packages = {"ref": _import_as(sides["ref"] / "src", "sqzstat_ref"), "tree": sqzstat}
-            ops = {side: _ops_of(packages[side], workloads, seed, Path(tmp)) for side in SIDES}
-        finally:
-            del sys.path[:2]
-        problems, identical = [], 0
-        for a, b in zip(ops["ref"], ops["tree"]):
-            outs = {side: op.run() for side, op in zip(SIDES, (a, b))}
-            for side, op in zip(SIDES, (a, b)):
-                problems += [f"{side} {op.label}: {p}" for p in op.check(outs[side]) if not isinstance(p, Note)]
-            identical += a.digest(outs["ref"]) == b.digest(outs["tree"])
-        runs = []
-        for i in range(blocks):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            seconds = {side: _cycles_s(ops[side], cycles) for side in order}
-            runs.append({"first": order[0], "ratio": seconds["ref"] / seconds["tree"],
-                         "ops_per_s": {side: cycles * len(ops[side]) / seconds[side] for side in SIDES}})
-    groups = {"all": runs, **{f"{s}_first": [r for r in runs if r["first"] == s] for s in SIDES}}
-    summary = {}
-    for label, chosen in groups.items():
-        if chosen:
-            q1, median, q3 = quartiles([r["ratio"] for r in chosen])
-            summary[label] = {"blocks": len(chosen), "won": sum(r["ratio"] > 1.0 for r in chosen),
-                              "ratio": {"median": median, "q1": q1, "q3": q3}}
-    return {"ref": ref, "seed": seed, "blocks": blocks, "cycles": cycles, "ops": len(ops["tree"]),
-            "digest_identical": identical, "problems": problems, "summary": summary, "runs": runs}
-
-
-def _main_inprocess(args) -> int:
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")  # as run.py pins its workers; read when numpy loads
-    doc = inprocess(args.ref, args.seed, args.blocks, args.cycles)
-    if args.out is not None:
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"ensemble_small seed {doc['seed']}: {doc['digest_identical']}/{doc['ops']} ops digest-identical, "
-          f"{len(doc['problems'])} check problem(s)")
-    for p in doc["problems"][:10]:
-        print(f"  {p}")
-    for label, entry in doc["summary"].items():
-        r = entry["ratio"]
-        print(f"{label:<10} ops/s ratio tree/ref {r['median']:.4f} (quartiles {r['q1']:.4f}-{r['q3']:.4f})  "
-              f"won {entry['won']}/{entry['blocks']}")
-    return 0 if not doc["problems"] and doc["digest_identical"] == doc["ops"] else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("ref", help="git revision whose src/ is the reference side")
-    ap.add_argument("--workload", nargs="+")
+    ap.add_argument("--workload", required=True, nargs="+")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", type=Path)
-    ap.add_argument("--inprocess", action="store_true", help="time ensemble_small in this process")
-    ap.add_argument("--blocks", type=int, default=40, help="with --inprocess: timed blocks")
-    ap.add_argument("--cycles", type=int, default=20, help="with --inprocess: cycles per side and block")
+    ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
-    if args.inprocess:
-        if args.workload not in (None, ["ensemble_small"]):
-            ap.error("--inprocess times ensemble_small only")
-        return _main_inprocess(args)
-    if args.workload is None:
-        ap.error("--workload is required without --inprocess")
-    args.out = args.out or Path("BENCH.json")
     import numpy
 
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
