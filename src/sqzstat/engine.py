@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,6 +45,7 @@ __all__ = [
 
 _ROW_MATCH_ATOL = 1e-9
 _ROW_MATCH_RTOL = 1e-9
+_LN_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -476,16 +478,29 @@ class SpectrumSurface:
     def curvature(self, point: Mapping[str, float], names: Sequence[str]) -> tuple[float, np.ndarray]:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
         class total, P = c/T the row's probability, and <X> and the second sum the table's
-        ``means`` and ``second_sums`` (``ClassTable``).  An H beyond the float range raises
+        ``means`` and ``second_sums`` (``ClassTable``).  Where a = q T^(q-1) alone is beyond the
+        float range, each a <X_i><X_j> is a sum of logs.  An H beyond the float range raises
         SqueezeDomainError."""
         table, q = self._table(point), self.family.q
         cols = self._columns(table, names)
-        a = q * math.exp(q * table.ln_total - table.ln_total)
+        ln_t = q * table.ln_total - table.ln_total  # ln T^(q-1)
+        a = q * math.exp(ln_t) if ln_t <= _LN_MAX else math.inf
         m, s = table.means, table.second_sums
-        H = [a * (m[i] * m[j]) + s[i][j] for i in cols for j in cols]
+        if math.isfinite(a):
+            H = [a * (m[i] * m[j]) + s[i][j] for i in cols for j in cols]
+        else:
+            H = [_product_in_logs(q, ln_t, m[i], m[j]) + s[i][j] for i in cols for j in cols]
         if not all(map(math.isfinite, H)):
             raise SqueezeDomainError(f"curvature of phi exceeds the float range at {self.family.label()}")
         return table.phi, np.array(H).reshape(len(cols), len(cols))
+
+
+def _product_in_logs(q: float, ln_t: float, u: float, v: float) -> float:
+    """q e^ln_t u v for finite q, u and v as a sum of logs: inf only where the product itself is."""
+    if not (q and u and v):
+        return q * u * v  # a signed zero
+    ln = math.log(abs(q)) + ln_t + math.log(abs(u)) + math.log(abs(v))
+    return math.copysign(math.exp(ln) if ln <= _LN_MAX else math.inf, q * u * v)
 
 
 phi_surface_from_spectrum = SpectrumSurface  # the public constructor name

@@ -85,14 +85,17 @@ def moments(
     ``variables`` are the intensive environment names conjugate to the
     fluctuating set; ``phi0`` is the surface's phi at the point, the
     potential of the ensemble in which the fluctuating variables are exchanged.
-    ``family`` must equal the surface's own, and no name may repeat (ValueError otherwise).
+    ``family`` must equal the surface's own, at least one name is needed and no name may
+    repeat (ValueError otherwise).
 
-    One read of the surface's ``curvature``, symmetrized, is H = -C; one eigendecomposition
-    of it gives the indefinite check, the condition number max|lambda|/min|lambda| (inf at
-    an exactly zero row or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops)
-    and G = V diag(1/lambda) V'; for one variable it is the entry itself and V = 1, as
-    LAPACK's dsyevd returns them for n = 1 (NaN, inf, -0.0 and subnormals included), with no
-    eigh call.  A singular C (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
+    One read of the surface's ``curvature``, symmetrized, is H = -C.  An exactly zero row of C
+    is a flat direction, eigenvalue 0 along its own axis: it is left out, and G is zero on its
+    row and column.  One eigendecomposition of the live rows and columns gives the indefinite
+    check, the condition number max|lambda|/min|lambda| (inf at a flat direction or at a
+    |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops) and G = V diag(1/lambda) V' on
+    them; for one live direction it is the entry itself and V = 1, as LAPACK's dsyevd returns
+    them for n = 1 (NaN, inf, -0.0 and subnormals included), with no eigh call.  A singular C
+    (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
     runs on Python floats (``tolist``): n is 1 to 3 in practice, where a
     numpy call costs more than its arithmetic, and floats round as the arrays did, so
     results keep their bits.
@@ -103,38 +106,51 @@ def moments(
     if family != phi_surface.family:
         raise ValueError(f"moments of a {phi_surface.family.label()} surface asked for {family.label()}")
     names = tuple(variables)
+    if not names:
+        raise ValueError("moments of no variables: name at least one")
     if len(set(names)) != len(names):
         raise ValueError(f"moments of repeated variables {names}: each name is one variable")
     phi0, H = phi_surface.curvature(point, names)
     H = 0.5 * (H + H.T)
     G_inv = -H  # C, the extensive covariance matrix in the undeformed case, with H's eigenvectors
     c = G_inv.tolist()
-    if H.shape == (1, 1):
-        lam, vec = [c[0][0]], None
-    else:
-        eig, vec = np.linalg.eigh(H)
+    n = len(c)
+    flat = not all(map(any, c))  # a zero row: its direction is left out
+    # a zero C keeps one zero direction, which the 1 x 1 rule reads as flat
+    live = ([i for i, row in enumerate(c) if any(row)] or [0]) if flat else range(n)
+    if len(live) > 1:
+        eig, vec = np.linalg.eigh(H[np.ix_(live, live)] if flat else H)
         lam = (-eig).tolist()
+    else:
+        lam, vec = [c[live[0]][live[0]]], None
     scale = 1.0 + (family.q - 1.0) * phi0  # exactly 1.0 at q = 1, as phi0 is finite
     size = [abs(v) for v in lam]
     top, bottom = max(size), min(size)
-    tol = _REL_TOL * max(1.0, *size)
-    if any(v > tol for v in lam) and any(v < -tol for v in lam):
+    tol = _REL_TOL * max(1.0, top)
+    if max(lam) > tol and min(lam) < -tol:
         warnings.warn("indefinite curvature: state is not a one-sided extremum", StabilityWarning)
-    # inf at an eigenvalue pinv drops (eigh may leave a zero one at rounding level, where
-    # np.linalg.cond is inf) or at an exactly zero row (a flat direction)
-    cond = math.inf if bottom <= _PINV_RCOND * top or not all(map(any, c)) else top / bottom
+    # inf at a flat direction or at an eigenvalue pinv drops (eigh may leave a zero one at
+    # rounding level, where np.linalg.cond is inf)
+    cond = math.inf if flat or bottom <= _PINV_RCOND * top else top / bottom
     singular = not math.isfinite(cond) or cond > 1 / _REL_TOL
     if singular:
         warnings.warn("covariance matrix is numerically singular", StabilityWarning)
         lam = [v if s > _PINV_RCOND * top else math.inf for v, s in zip(lam, size)]
     if vec is None:  # lambda is finite and nonzero here, or inf; Python's 1/lambda is IEEE's
         g = [[1.0 / lam[0] + 0.0]]  # + 0.0: the matmul's sum reads -0.0 as 0.0
-        G = np.array(g)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
             G = (vec / lam) @ vec.T  # V diag(1/lambda) V'
         g = G.tolist()
-    zero = _REL_TOL * max(1.0, float(np.maximum.reduce(np.abs(G_inv), axis=None))) if singular else -math.inf
+    if flat:  # G is zero on flat rows and columns and the live block's inverse elsewhere
+        G = np.zeros((n, n))
+        for i, row in zip(live, g):
+            for j, v in zip(live, row):
+                G[i, j] = v
+        g = G.tolist()
+    elif vec is None:
+        G = np.array(g)
+    zero = _REL_TOL * max(1.0, *[abs(v) for row in c for v in row]) if singular else -math.inf
     variances = {ni: scale * c[i][i] for i, ni in enumerate(names)}
     intensive = {ni: math.inf if abs(c[i][i]) <= zero else scale * g[i][i] for i, ni in enumerate(names)}
     covariances = {(ni, nj): scale * c[i][j]

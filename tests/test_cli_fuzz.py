@@ -401,6 +401,16 @@ def test_moments_beyond_the_float_range_are_a_domain_error(argv):
     assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == "SqueezeDomainError"
 
 
+def test_curvature_with_a_beyond_the_float_range_ends_cleanly():
+    # 10,001 classes of 1: (q - 1) ln T = 727 puts a = q T^(q-1) beyond the float range, and
+    # math.exp raised OverflowError (exit 1); C is q T^(1-q) Var(E) at 50 digits, here read
+    # from subnormal weights P^q ~ 1e-320
+    code, out = check(["fluct", "--model", "einstein_solid", "--param", "N=1", "--param", "E_max=10000",
+                       "--y", "E=0", "--squeeze", "tsallis", "--q", "80"])
+    assert code == 0
+    assert json.loads(out)["G_inv"] == [[pytest.approx(6.6155329410505799e-308, rel=1e-3, abs=0.0)]]
+
+
 @pytest.mark.parametrize("argv", [
     # ln w = -ln T + ln c below -max float: a zero weight, but an overflow warning
     ["compute", "--model", "spin_half_paramagnet", "--param", "N=1", "--y", "M=1e+308"],

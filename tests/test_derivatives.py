@@ -298,6 +298,23 @@ def test_overflowing_curvature_raises_only_when_read():
         moments(surface, env.values(), ["E"], IDENT)
 
 
+@pytest.mark.parametrize("n, q, rel", [
+    (2, 1026.0, 1e-11), (3, 648.0, 1e-11), (1_000_000, 60.0, 1e-11),
+    (10_001, 80.0, 1e-3),  # its weights P^q ~ 1e-320 are subnormal, with ~11 bits
+])
+def test_curvature_where_a_alone_leaves_the_float_range(n, q, rel):
+    # n classes of 1 (ln g = 0 at y = 0): T = n, P = 1/n, and H = -q n^(1-q) Var(E) for E = 0 .. n-1,
+    # while a = q T^(q-1) is beyond the float range, where math.exp raised OverflowError
+    spectrum = DegeneracySpectrum(("E",), np.arange(n, dtype=float)[:, None], np.zeros(n))
+    env = EnsembleSpec(fixed_intensive={"E": 0.0})
+    surface = phi_surface_from_spectrum(spectrum, env, SqueezeFamily.tsallis(q))
+    _, H = surface.curvature(env.values(), ["E"])
+    with mpmath.workdps(50):
+        n_mp = mpmath.mpf(n)
+        closed = float(-q * n_mp ** (1 - q) * (n_mp**2 - 1) / 12)  # -0.0 at n = 1e6: below the range
+    assert H[0, 0] == pytest.approx(closed, rel=rel, abs=1e-320)
+
+
 def test_a_mean_beyond_the_float_range_is_a_domain_error():
     # at q = 0.5 two rows of P = 1/2 give <E> = sum P^q E = 0.71 (1e308 + 1.7e308) while phi is
     # finite: the class pass rejects it as it rejects phi, with no RuntimeWarning (an error under
@@ -467,7 +484,7 @@ def test_oracle_sums_are_the_derivatives_of_its_phi(q):
     assert np.allclose(np.array(hess, dtype=float), ref["H"], rtol=1e-14, atol=0)
 
 
-# Both repros below fail while the engine forms the power-law row class as
+# The three repros below fail while the engine forms the power-law row class as
 # 1 + u (ln_q g - x.y): for q > 1, ln_q g saturates at 1/(q - 1) and the
 # bracket cancels to rounding noise once (q - 1) ln g exceeds ~37.
 
@@ -486,6 +503,17 @@ def test_power_law_one_row_class_of_a_large_degeneracy_is_live():
     env = EnsembleSpec(fixed_extensive={"M": 0.0})
     phi = engine.report_for(spin_half_paramagnet(22), env, SqueezeFamily.tsallis(4.0)).point.phi
     assert phi == pytest.approx(-(1.0 - g**-3) / 3.0, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_power_law_state_of_1e19_oscillators_against_direct_sums():
+    # compute --model einstein_solid --param N=1e19 --param E_max=17 --y E=0 --squeeze tsallis --q 2
+    # exits 0 with phi = -0.0, <E> = 0 and 17 rows excluded; at 50 digits ln T = 710.23
+    spectrum, q = einstein_solid(10**19, 17), 2.0
+    ref = direct_sums(spectrum.x, spectrum.ln_g, np.array([0.0]), q)
+    point = engine.report_for(spectrum, EnsembleSpec(fixed_intensive={"E": 0.0}), SqueezeFamily.tsallis(q)).point
+    assert point.phi == pytest.approx(ref["phi"], rel=1e-15)  # direct sum -1.0
+    assert point.observed["E"] == pytest.approx(ref["mean"][0], rel=1e-12)  # direct sum 17.0
 
 
 @st.composite

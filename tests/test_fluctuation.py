@@ -179,6 +179,16 @@ def test_moments_reject_repeated_names(names):
         moments(surface, env.values(), names, IDENT)
 
 
+def test_moments_reject_an_empty_variable_list():
+    # it raised "max() arg is an empty sequence", after the curvature read
+    env = EnsembleSpec(fixed_intensive={"E": 0.7})
+    surface = phi_surface_from_spectrum(two_level(1.0), env, IDENT)
+    unread = FixedCurvature(None)  # reading its curvature raises AttributeError: the check comes first
+    for s in (surface, unread):
+        with pytest.raises(ValueError, match="no variables"):
+            moments(s, env.values(), [], IDENT)
+
+
 def test_moment_matrices_are_construction_level_inverses():
     spec = correlated_spectrum()
     env = EnsembleSpec(fixed_intensive={"E": 0.5, "N": 0.3})
@@ -312,6 +322,13 @@ def covariance_matrices(draw):
     return kind, C
 
 
+# a flat middle row: eigh of the whole 3 x 3 leaves ~1e-17 on G's flat row and column and moves
+# the last bits of the live block; the live 2 x 2 block alone gives exact zeros there
+THREE_WITH_A_FLAT_MIDDLE = np.array([[4.747905347160151, 0.0, 1.2614185700438512],
+                                     [0.0, 0.0, 0.0],
+                                     [1.2614185700438512, 0.0, 8.184387712126425]])
+
+
 def reference_moments(C):
     """The separate numpy calls: eigvalsh for the indefinite check, cond,
     then pinv when singular, 1/C for one variable and inv otherwise."""
@@ -346,6 +363,7 @@ def moments_of(C):
 @given(covariance_matrices())
 # eigh leaves the zero eigenvalue at 8e-145, below pinv's cutoff; np.linalg.cond is inf
 @example(("rank_deficient", np.array([[1.19291165e-136, -1.10070473e-70], [-1.10070473e-70, 1.015625e-4]])))
+@example(("zero_row", THREE_WITH_A_FLAT_MIDDLE))
 def test_eigendecomposition_matches_inv_pinv_and_cond(case):
     kind, C = case
     G_ref, cond_ref, singular_ref, intensive_ref, messages_ref = reference_moments(C)
@@ -364,6 +382,8 @@ def test_eigendecomposition_matches_inv_pinv_and_cond(case):
     assert messages == messages_ref
     if kind == "zero_row":
         assert rep.singular and math.isinf(rep.condition_number)
+        flat = ~C.any(axis=1)
+        assert not rep.G[flat].any() and not rep.G[:, flat].any()  # exact zeros, as pinv's limit
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -380,11 +400,16 @@ def test_one_variable_stability_is_exactly_the_reciprocal(c):
 
 
 def ndarray_moments(H, phi0, family):
-    """moments' n x n bookkeeping on ndarrays, after its one eigh, as numpy
-    calls on the eigenvalues and on C: (report fields, warning messages)."""
+    """moments' n x n bookkeeping on ndarrays, after its one eigh of the rows and
+    columns of C that are not exactly zero (a zero row is a flat direction, an
+    eigenvalue 0, and G is zero on it), as numpy calls on the eigenvalues and
+    on C: (report fields, warning messages)."""
     messages = set()
     H = 0.5 * (H + H.T)
-    eig, vec = np.linalg.eigh(H)
+    n = H.shape[0]
+    live = np.flatnonzero(H.any(axis=1))
+    eig, vec = np.linalg.eigh(H[np.ix_(live, live)])
+    eig = np.concatenate([eig, np.zeros(n - live.size)])
     scale = max(1.0, float(np.max(np.abs(eig))))
     if np.any(eig > 1e-8 * scale) and np.any(eig < -1e-8 * scale):
         messages.add("indefinite curvature: state is not a one-sided extremum")
@@ -398,8 +423,8 @@ def ndarray_moments(H, phi0, family):
         if singular:
             messages.add("covariance matrix is numerically singular")
             eig = np.where(size > 1e-15 * size.max(), eig, math.inf)
-        G = (vec / eig) @ vec.T
-    n = H.shape[0]
+        G = np.zeros((n, n))
+        G[np.ix_(live, live)] = (vec / eig[:live.size]) @ vec.T
     variances = [scale * float(C[i, i]) for i in range(n)]
     flat_scale = max(1.0, float(np.max(np.abs(C))))
     intensive = [math.inf if singular and abs(C[i, i]) <= 1e-8 * flat_scale
@@ -426,6 +451,7 @@ def bits(v):
 @settings(deadline=None, max_examples=400, derandomize=True)
 @given(st.one_of(covariance_matrices(), subnormal_covariances()),
        st.sampled_from([(0.0, IDENT), (0.7, SqueezeFamily.tsallis(1.5)), (-2.5, SqueezeFamily.tsallis(0.4))]))
+@example(("zero_row", THREE_WITH_A_FLAT_MIDDLE), (0.7, SqueezeFamily.tsallis(1.5)))
 def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
     _, C = case
     phi0, family = at
@@ -506,11 +532,20 @@ def test_one_variable_moments_are_bit_identical_to_the_eigh_route(h, at):
 
 def test_one_variable_moments_make_no_eigh_call(monkeypatch):
     def no_eigh(H):
-        raise AssertionError("eigh called for a 1 x 1 curvature")
+        raise AssertionError("eigh called for one live direction")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     surface, env = two_level_surface()
     rep = moments(surface, env.values(), ["E"], IDENT)
     assert rep.variances["E"] == pytest.approx(2.0 / 9.0, abs=1e-12)
+    # E is identically 0 on the lattice gas: a flat direction, and one live one
+    env = EnsembleSpec(fixed_intensive={"E": 0.7, "N": 0.2})
+    surface = phi_surface_from_spectrum(lattice_gas(30), env, IDENT)
+    with pytest.warns(StabilityWarning, match="singular"):
+        rep = moments(surface, env.values(), ["E", "N"], IDENT)
+    p = 1.0 / (1.0 + math.exp(0.2))  # each site occupied independently
+    assert rep.variances == pytest.approx({"E": 0.0, "N": 30 * p * (1.0 - p)}, rel=1e-12)
+    assert rep.G[0].tolist() == rep.G[:, 0].tolist() == [0.0, 0.0]
+    assert rep.G[1, 1] == 1.0 / rep.G_inv[1, 1] and rep.intensive_variances["E"] == math.inf
     with pytest.raises(AssertionError, match="eigh called"):
         moments(FixedCurvature(np.eye(2)), {"a": 0.0, "b": 0.0}, ["a", "b"], IDENT)

@@ -15,9 +15,12 @@ flat direction (inf and -0 cells), ``compute`` at sites = 1e300 and N = 1e300 (l
 of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
 soft xi at q = 0.8, ``infer --reconstruct``, a 3-variable model file with
 a non-singular covariance through ``fluct`` and ``compute --rows``, the
-same file carrying a tsallis ``squeeze`` fragment through both, and ``fluct``
-in JSON and CSV at q = 1 and 1.5 over a 2-variable model file that lists its
-variables out of sorted order, so the CLI reads the curvature's columns permuted), once
+same file carrying a tsallis ``squeeze`` fragment through both, ``fluct`` in
+JSON and CSV over a 3-variable model file whose middle variable is 0 on every
+row (a flat direction: the 2 x 2 block of the other two is inverted alone), and
+``fluct`` in JSON and CSV at q = 1 and 1.5 over a 2-variable model file that
+lists its variables out of sorted order, so the CLI reads the curvature's
+columns permuted), once
 on the working tree's ``src`` and once on REF's, extracted with ``git
 archive``.  No argv writes a nan cell: the CLI refuses a NaN result (exit 5).  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
@@ -59,6 +62,16 @@ def _three_variable_model(**squeeze) -> bytes:
     doc = {"variables": [{"name": n, "kind": "exchanged"} for n in "abc"], "rows": rows,
            "environment": {"y": {"a": 0.4, "b": 0.7, "c": 0.2}, "X": {}}}
     return json.dumps({**doc, "squeeze": squeeze} if squeeze else doc).encode()
+
+
+def _flat_three_variable_model() -> bytes:
+    """Model file over a, b, c with b = 0 on every row: C has an exactly zero middle row and
+    column, a flat direction, so ``fluct`` inverts the 2 x 2 block of a and c."""
+    rows = [{"x": [float(a), 0.0, float(c)], "ln_g": 0.25 * a * c + 0.5 * c}
+            for a, c in itertools.product(range(4), range(5))]
+    doc = {"variables": [{"name": n, "kind": "exchanged"} for n in "abc"], "rows": rows,
+           "environment": {"y": {"a": 0.4, "b": 0.7, "c": 0.2}, "X": {}}}
+    return json.dumps(doc).encode()
 
 
 def _signed_zero_model() -> bytes:
@@ -142,6 +155,9 @@ def _fixed_cases() -> list[Case]:
         ("fluct 3var q=0.9 json", ["fluct", "--model", "model3.json", "--squeeze", "tsallis", "--q", "0.9"], three),
         ("compute 3var rows", ["compute", "--model", "model3.json", "--rows", "rows.csv"], three),
     ]
+    flat = {"model3flat.json": _flat_three_variable_model()}
+    for fmt in ("json", "csv"):
+        cases.append((f"fluct 3var flat middle {fmt}", ["fluct", "--model", "model3flat.json", "--format", fmt], flat))
     permuted = {"model_ne.json": _permuted_model()}
     for q in ("1", "1.5"):
         family = [] if q == "1" else ["--squeeze", "tsallis", "--q", q]
