@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -226,11 +227,13 @@ def cmd_kinetics(args) -> int:
     net = build_collision_network(lattice).with_xi(XI_CHOICES[args.xi])
     state = random_state(lattice, seed=args.seed)
     dt = args.dt if args.dt is not None else stability_dt(state, net, family)
+    trace_every, snap_every = args.trace_every, args.snapshot_every or 0
     trace, snaps = [], []
-    for k, s, row in run_trace(state, net, family, dt, args.steps, args.trace_every):
-        if row is not None:
+    # run_trace yields at the multiples of both periods' gcd; each list keeps its own steps
+    for k, s, row in run_trace(state, net, family, dt, args.steps, math.gcd(trace_every, snap_every)):
+        if k in (0, args.steps) or trace_every and k % trace_every == 0:
             trace.append(row)
-        if args.snapshot_every and (k % args.snapshot_every == 0 or k == args.steps):
+        if snap_every and (k % snap_every == 0 or k == args.steps):
             snaps.append(s)
     if args.snapshot_out is not None:
         v = lattice.velocities.astype(int)

@@ -479,24 +479,25 @@ class SpectrumSurface:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
         class total, P = c/T the row's probability, and <X> and the second sum the table's
         ``means`` and ``second_sums`` (``ClassTable``).  Where a = q T^(q-1) alone is beyond the
-        float range, each a <X_i><X_j> is a sum of logs.  An H beyond the float range raises
-        SqueezeDomainError."""
+        float range, or <X_i><X_j> alone underflows, a <X_i><X_j> is a sum of logs.  An H beyond
+        the float range raises SqueezeDomainError."""
         table, q = self._table(point), self.family.q
         cols = self._columns(table, names)
         ln_t = q * table.ln_total - table.ln_total  # ln T^(q-1)
         a = q * math.exp(ln_t) if ln_t <= _LN_MAX else math.inf
         m, s = table.means, table.second_sums
-        if math.isfinite(a):
-            H = [a * (m[i] * m[j]) + s[i][j] for i in cols for j in cols]
-        else:
-            H = [_product_in_logs(q, ln_t, m[i], m[j]) + s[i][j] for i in cols for j in cols]
+        H = [_a_product(a, q, ln_t, m[i], m[j]) + s[i][j] for i in cols for j in cols]
         if not all(map(math.isfinite, H)):
             raise SqueezeDomainError(f"curvature of phi exceeds the float range at {self.family.label()}")
         return table.phi, np.array(H).reshape(len(cols), len(cols))
 
 
-def _product_in_logs(q: float, ln_t: float, u: float, v: float) -> float:
-    """q e^ln_t u v for finite q, u and v as a sum of logs: inf only where the product itself is."""
+def _a_product(a: float, q: float, ln_t: float, u: float, v: float) -> float:
+    """a u v, a = q e^ln_t, for finite q, u and v: a (u v) where a is finite and u v is not below
+    DBL_MIN for nonzero u and v, else a sum of logs, inf or 0 only where a u v itself is."""
+    uv = u * v
+    if math.isfinite(a) and (abs(uv) >= sys.float_info.min or not (u and v)):
+        return a * uv
     if not (q and u and v):
         return q * u * v  # a signed zero
     ln = math.log(abs(q)) + ln_t + math.log(abs(u)) + math.log(abs(v))

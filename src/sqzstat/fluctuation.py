@@ -141,6 +141,7 @@ def moments(
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
             G = (vec / lam) @ vec.T  # V diag(1/lambda) V'
+        G = np.where(np.tri(len(lam), k=-1, dtype=bool), G.T, G)  # the upper triangle mirrored: G = G'
         g = G.tolist()
     if flat:  # G is zero on flat rows and columns and the live block's inverse elsewhere
         G = np.zeros((n, n))

@@ -207,38 +207,44 @@ def _check_bound(state: KineticState, net: CollisionNetwork, family: SqueezeFami
         raise StepSizeError(f"dt={dt:g} above the stability bound {bound:g}")
 
 
-def step(
-    state: KineticState,
-    net: CollisionNetwork,
-    family: SqueezeFamily,
-    dt: float,
-    enforce_bound: bool = True,
-) -> KineticState:
-    """One classical RK4 step.
-
-    Tiny negative excursions (|F| < 1e-14) are clamped to zero; larger
-    negativity or non-finite values raise naming the offending dt.  For
-    q < 1 an empty velocity still loses at a positive rate (h(0) > 0),
-    which no dt within ``stability_dt`` avoids: see there."""
+def _rk4(F: np.ndarray, t: float, net: CollisionNetwork, family: SqueezeFamily, dt: float, n: int,
+         tol: float = 0.0) -> tuple[np.ndarray, float, int]:
+    """(F, t, k) after k classical RK4 steps of dt from F at time t: k = n, or the first k whose
+    rate, the step's own k1, is below tol in the sup norm.  The one owner of a step's checks:
+    dt must be positive, a tiny negative excursion (|F| < 1e-14) is clamped to zero, and larger
+    negativity or a non-finite value raises, naming dt."""
     if not dt > 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        for k in range(n):
+            k1 = _rhs_from_F(F, net, family)
+            if tol and np.abs(k1).max() < tol:
+                return F, t, k
+            k2 = _rhs_from_F(np.maximum(F + 0.5 * dt * k1, 0.0), net, family)
+            k3 = _rhs_from_F(np.maximum(F + 0.5 * dt * k2, 0.0), net, family)
+            k4 = _rhs_from_F(np.maximum(F + dt * k3, 0.0), net, family)
+            F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(F).all():
+                raise StepSizeError(f"non-finite population after a step with dt={dt:g}")
+            low = F.min()
+            if low < -_NEG_CLAMP:
+                raise StepSizeError(f"population went negative ({low:g}) with dt={dt:g}")
+            if low < 0.0:
+                F = np.maximum(F, 0.0)
+            t += dt
+    return F, t, n
+
+
+def step(state: KineticState, net: CollisionNetwork, family: SqueezeFamily, dt: float,
+         enforce_bound: bool = True) -> KineticState:
+    """One classical RK4 step, with its checks (``_rk4``).
+
+    For q < 1 an empty velocity still loses at a positive rate (h(0) > 0),
+    which no dt within ``stability_dt`` avoids: see there."""
     if enforce_bound:
         _check_bound(state, net, family, dt)
-    F = state.F
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
-        k1 = _rhs_from_F(F, net, family)
-        k2 = _rhs_from_F(np.maximum(F + 0.5 * dt * k1, 0.0), net, family)
-        k3 = _rhs_from_F(np.maximum(F + 0.5 * dt * k2, 0.0), net, family)
-        k4 = _rhs_from_F(np.maximum(F + dt * k3, 0.0), net, family)
-        new_F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(new_F)):
-        raise StepSizeError(f"non-finite population after a step with dt={dt:g}")
-    low = new_F.min()
-    if low < -_NEG_CLAMP:
-        raise StepSizeError(f"population went negative ({low:g}) with dt={dt:g}")
-    if low < 0.0:
-        new_F = np.maximum(new_F, 0.0)
-    return KineticState(F=new_F, t=state.t + dt)
+    F, t, _ = _rk4(state.F, state.t, net, family, dt, 1)
+    return KineticState(F=F, t=t)
 
 
 def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
@@ -265,60 +271,43 @@ def entropy_functional(state: KineticState, family: SqueezeFamily) -> float:
     return float(total)
 
 
-def run_trace(
-    state: KineticState,
-    net: CollisionNetwork,
-    family: SqueezeFamily,
-    dt: float,
-    steps: int,
-    trace_every: int = 100,
-):
-    """Advance `steps` RK4 steps, yielding (k, state, row or None) after
-    k = 0..steps steps.
+def run_trace(state: KineticState, net: CollisionNetwork, family: SqueezeFamily, dt: float, steps: int,
+              trace_every: int = 100):
+    """Advance `steps` RK4 steps, yielding (k, state, row) after k steps at k = 0, at every
+    trace_every-th step and at the last step (for trace_every = 0 at k = 0 and the last only).
 
-    Rows are (t, S, sum F, sum F|v|^2, max|rhs|), the TRACE_COLUMNS, given
-    at k = 0, at every trace_every-th step and at the final step; other
-    steps yield None.  The step bound is validated once against the
-    initial state; later steps run unchecked (populations only relax, and
-    negativity still raises)."""
+    A row is (t, S, sum F, sum F|v|^2, max|rhs|), the TRACE_COLUMNS; one beyond the float range
+    raises SqueezeDomainError.  The step bound is validated once against the initial state;
+    later steps run unchecked (populations only relax, and negativity still raises)."""
+    if trace_every < 0:
+        raise ValueError(f"trace_every must be >= 0, got {trace_every}")
     if steps > 0:
         _check_bound(state, net, family, dt)
-    lattice = net.lattice
-
-    def row(s: KineticState):
-        rhs = collision_rhs(s, net, family)
-        return (
-            s.t,
-            entropy_functional(s, family),
-            s.number(),
-            s.energy(lattice),
-            float(np.max(np.abs(rhs))) if rhs.size else 0.0,
-        )
-
-    yield 0, state, row(state)
-    for k in range(1, steps + 1):
-        state = step(state, net, family, dt, enforce_bound=False)
-        traced = (trace_every and k % trace_every == 0) or k == steps
-        yield k, state, row(state) if traced else None
+    k = 0
+    while True:
+        rhs = collision_rhs(state, net, family)
+        with np.errstate(over="ignore"):  # a sum beyond the float range raises below
+            row = (state.t, entropy_functional(state, family), state.number(), state.energy(net.lattice),
+                   float(np.max(np.abs(rhs))) if rhs.size else 0.0)
+        if not all(map(math.isfinite, row)):
+            raise SqueezeDomainError(f"trace row beyond the float range at t={state.t:g}")
+        yield k, state, row
+        if k >= steps:
+            return
+        F, t, n = _rk4(state.F, state.t, net, family, dt, min(trace_every or steps, steps - k))
+        state, k = KineticState(F=F, t=t), k + n
 
 
-def run_to_stationarity(
-    state: KineticState,
-    net: CollisionNetwork,
-    family: SqueezeFamily,
-    dt: float,
-    tol: float = 1e-13,
-    max_steps: int = 200_000,
-) -> KineticState:
+def run_to_stationarity(state: KineticState, net: CollisionNetwork, family: SqueezeFamily, dt: float,
+                        tol: float = 1e-13, max_steps: int = 200_000) -> KineticState:
     """Step until the collision rate drops below tol in the sup norm.
 
     The step bound is validated once against the initial state."""
     _check_bound(state, net, family, dt)
-    for _ in range(max_steps):
-        if float(np.max(np.abs(collision_rhs(state, net, family)))) < tol:
-            return state
-        state = step(state, net, family, dt, enforce_bound=False)
-    raise StepSizeError(f"no stationary state within {max_steps} steps at dt={dt:g}")
+    F, t, k = _rk4(state.F, state.t, net, family, dt, max_steps, tol)
+    if k == max_steps:
+        raise StepSizeError(f"no stationary state within {max_steps} steps at dt={dt:g}")
+    return KineticState(F=F, t=t)
 
 
 def xi_soft(a: np.ndarray, b: np.ndarray) -> np.ndarray:

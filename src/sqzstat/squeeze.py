@@ -119,9 +119,9 @@ class SqueezeFamily:
     def h_of(self, x: np.ndarray) -> np.ndarray:
         """h applied to linear-domain populations (kinetics path); h(0) is
         the exact limit at zero (0 for q > 1, exp(-1/(1-q)) for q < 1).  The
-        identity returns x exactly, which keeps the collision operator the
-        classical bilinear one."""
+        identity returns x exactly, itself where it is a float array (no caller
+        writes into h), which keeps the collision operator the classical bilinear one."""
         if self.is_identity:
-            return np.array(x, dtype=float)
+            return np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; ln h may overflow to +-inf
             return np.exp(self.ln_squeeze(np.log(x)))

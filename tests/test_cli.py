@@ -260,14 +260,15 @@ def test_kinetics_one_pass_matches_two_pass_reference(tmp_path, capsys, monkeypa
         random_state, stability_dt, step,
     )
 
-    calls = []
+    taken, rk4 = [], kinetics._rk4
 
-    def counted_step(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
+    def counted_rk4(*args):
+        out = rk4(*args)
+        taken.append(out[2])
+        return out
 
-    # run_trace steps through the kinetics module's binding of step
-    monkeypatch.setattr(kinetics, "step", counted_step)
+    # every step runs in the kinetics module's one RK4 kernel: count the steps it takes
+    monkeypatch.setattr(kinetics, "_rk4", counted_rk4)
     steps, trace_every, snap_every = 30, 7, 4
     snap = tmp_path / "snap.csv"
     code, out, _ = run_cli(
@@ -277,7 +278,7 @@ def test_kinetics_one_pass_matches_two_pass_reference(tmp_path, capsys, monkeypa
         capsys,
     )
     assert code == 0
-    assert len(calls) == steps
+    assert sum(taken) == steps
     fam = SqueezeFamily.tsallis(1.5)
     lattice = make_lattice(2)
     net = build_collision_network(lattice).with_xi(None)

@@ -301,10 +301,12 @@ def test_overflowing_curvature_raises_only_when_read():
 @pytest.mark.parametrize("n, q, rel", [
     (2, 1026.0, 1e-11), (3, 648.0, 1e-11), (1_000_000, 60.0, 1e-11),
     (10_001, 80.0, 1e-3),  # its weights P^q ~ 1e-320 are subnormal, with ~11 bits
+    (10_001, 70.0, 1e-11),  # a is finite, but <E>^2 ~ 1e-545 underflows: a <E>^2 is a sum of logs
 ])
 def test_curvature_where_a_alone_leaves_the_float_range(n, q, rel):
     # n classes of 1 (ln g = 0 at y = 0): T = n, P = 1/n, and H = -q n^(1-q) Var(E) for E = 0 .. n-1,
-    # while a = q T^(q-1) is beyond the float range, where math.exp raised OverflowError
+    # while a = q T^(q-1) is beyond the float range, where math.exp raised OverflowError (at q = 70
+    # a is finite, and a <E>^2 read 0 from the underflowed <E>^2)
     spectrum = DegeneracySpectrum(("E",), np.arange(n, dtype=float)[:, None], np.zeros(n))
     env = EnsembleSpec(fixed_intensive={"E": 0.0})
     surface = phi_surface_from_spectrum(spectrum, env, SqueezeFamily.tsallis(q))

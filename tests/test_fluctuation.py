@@ -425,6 +425,7 @@ def ndarray_moments(H, phi0, family):
             eig = np.where(size > 1e-15 * size.max(), eig, math.inf)
         G = np.zeros((n, n))
         G[np.ix_(live, live)] = (vec / eig[:live.size]) @ vec.T
+    G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)  # the upper triangle mirrored
     variances = [scale * float(C[i, i]) for i in range(n)]
     flat_scale = max(1.0, float(np.max(np.abs(C))))
     intensive = [math.inf if singular and abs(C[i, i]) <= 1e-8 * flat_scale
@@ -470,6 +471,7 @@ def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
             assert [bits(v) for v in g] == [bits(v) for v in e]
         else:
             assert bits(g) == bits(e)
+    assert bits(rep.G) == bits(rep.G.T.copy())  # G is symmetric to the bit
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +530,7 @@ def test_one_variable_moments_are_bit_identical_to_the_eigh_route(h, at):
             assert [bits(v) for v in g] == [bits(v) for v in e]
         else:
             assert bits(g) == bits(e)
+    assert bits(rep.G) == bits(rep.G.T.copy())  # G is symmetric to the bit
 
 
 def test_one_variable_moments_make_no_eigh_call(monkeypatch):

@@ -579,3 +579,61 @@ def test_trace_steps_zero_reports_initial_state_only():
     rows = [row for _, _, row in run_trace(state, net, IDENT, 1e-3, steps=0, trace_every=5) if row]
     assert len(rows) == 1
     assert rows[0][0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one RK4 kernel: run_trace and run_to_stationarity step as step does
+
+def _stepped_to_stationarity(state, net, family, dt, tol):
+    """(state, steps) of a loop of step calls that stops where collision_rhs < tol."""
+    steps = 0
+    while np.max(np.abs(collision_rhs(state, net, family))) >= tol:
+        state, steps = step(state, net, family, dt, enforce_bound=False), steps + 1
+    return state, steps
+
+
+@pytest.mark.parametrize("family, xi", [
+    (IDENT, None), (SqueezeFamily.tsallis(0.7), None), (SqueezeFamily.tsallis(1.5), None),
+    (SqueezeFamily.tsallis(2.0), None), (IDENT, xi_soft),
+], ids=["identity", "q0.7", "q1.5", "q2", "identity-xi_soft"])
+def test_the_loops_equal_a_loop_of_step_calls_bit_for_bit(family, xi):
+    lat = make_lattice(2)
+    net = build_collision_network(lat).with_xi(xi)
+    state = random_state(lat, seed=3)
+    dt = stability_dt(state, net, family)
+    looped = [state]
+    for _ in range(30):
+        looped.append(step(looped[-1], net, family, dt, enforce_bound=False))
+    traced = list(run_trace(state, net, family, dt, 30, 7))
+    assert [k for k, _, _ in traced] == [0, 7, 14, 21, 28, 30]
+    for k, got, row in traced:
+        ref = looped[k]
+        assert (got.t, got.F.tobytes()) == (ref.t, ref.F.tobytes())
+        assert row == (ref.t, entropy_functional(ref, family), ref.number(), ref.energy(lat),
+                       float(np.max(np.abs(collision_rhs(ref, net, family)))))
+    ref, _ = _stepped_to_stationarity(state, net, family, dt, 1e-10)
+    got = run_to_stationarity(state, net, family, dt, tol=1e-10)
+    assert (got.t, got.F.tobytes()) == (ref.t, ref.F.tobytes())
+
+
+def test_run_to_stationarity_reads_its_stopping_rate_from_the_step(monkeypatch):
+    # four rates per step, and one more for the test that stops: the stopping rate is the
+    # step's own k1, not a fifth evaluation
+    from sqzstat import kinetics
+
+    lat = make_lattice(2)
+    net = build_collision_network(lat)
+    state = random_state(lat, seed=3)
+    dt = stability_dt(state, net, IDENT)
+    _, steps = _stepped_to_stationarity(state, net, IDENT, dt, 1e-10)
+    calls, rhs = [], kinetics._rhs_from_F
+    monkeypatch.setattr(kinetics, "_rhs_from_F", lambda *args: calls.append(1) or rhs(*args))
+    run_to_stationarity(state, net, IDENT, dt, tol=1e-10)
+    assert steps > 100 and len(calls) == 4 * steps + 1
+
+
+def test_run_trace_rejects_a_negative_period():
+    lat = make_lattice(1)
+    net = build_collision_network(lat)
+    with pytest.raises(ValueError, match="trace_every must be >= 0, got -2"):
+        next(run_trace(random_state(lat), net, IDENT, 1e-3, 4, -2))

@@ -11,9 +11,12 @@ a pinned ``--X``, ``compute --rows`` and ``--emit-model``, ``compute
 float range, over 100,001 rows, over a non-integer site count (non-integer
 g, and past 256 sites with its top rows as running sums) and over a model file with -0.0 cells, the two branches of the ``boltzmann_factor``
 column, ``compute`` in CSV with a pinned ``--X`` (an empty cell), ``fluct`` in CSV along a
-flat direction (inf and -0 cells), ``compute`` at sites = 1e300 and N = 1e300 (log-binomials
-of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots and under the
-soft xi at q = 0.8, ``infer --reconstruct``, a 3-variable model file with
+flat direction (inf and -0 cells), ``fluct`` at q = 70 over 10,001 rows of one state (the
+means' product underflows), ``compute`` at sites = 1e300 and N = 1e300 (log-binomials
+of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots, under the
+soft xi at q = 0.8, at q = 0.7, at q = 2 with a trace and a snapshot period of which neither
+divides the other, with no steps, with a trace period of 0 (alone and with snapshots) and at
+an explicit dt below the step bound, ``infer --reconstruct``, a 3-variable model file with
 a non-singular covariance through ``fluct`` and ``compute --rows``, the
 same file carrying a tsallis ``squeeze`` fragment through both, ``fluct`` in
 JSON and CSV over a 3-variable model file whose middle variable is 0 on every
@@ -131,6 +134,9 @@ def _fixed_cases() -> list[Case]:
         ("compute lattice_gas sites=1e300",
          ["compute", "--model", "lattice_gas", "--param", "sites=1e300", "--param", "N_max=3",
           "--y", "E=0", "--y", "N=0"], {}),
+        ("fluct einstein_solid q=70 csv",  # a finite a, and <E>^2 alone underflows
+         ["fluct", "--model", "einstein_solid", "--param", "N=1", "--param", "E_max=10000", "--y", "E=0",
+          "--squeeze", "tsallis", "--q", "70", "--format", "csv"], {}),
         ("compute einstein_solid N=1e300",
          ["compute", "--model", "einstein_solid", "--param", "N=1e300", "--param", "E_max=3", "--y", "E=1"], {}),
         ("sweep csv", [*sweep, "--format", "csv"], {}),
@@ -142,6 +148,17 @@ def _fixed_cases() -> list[Case]:
           "--snapshot-every", "20", "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "1.5"], {}),
         ("kinetics soft xi q=0.8",
          ["kinetics", "--lattice-radius", "3", "--xi", "soft", "--squeeze", "tsallis", "--q", "0.8"], {}),
+        ("kinetics coprime periods q=2",
+         ["kinetics", "--lattice-radius", "2", "--steps", "30", "--trace-every", "7", "--snapshot-every", "4",
+          "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "2"], {}),
+        ("kinetics steps=0", ["kinetics", "--lattice-radius", "2", "--steps", "0"], {}),
+        ("kinetics trace-every=0", ["kinetics", "--lattice-radius", "2", "--steps", "50", "--trace-every", "0"], {}),
+        ("kinetics trace-every=0 snapshots",
+         ["kinetics", "--lattice-radius", "2", "--steps", "50", "--trace-every", "0", "--snapshot-every", "20",
+          "--snapshot-out", "snaps.csv"], {}),
+        ("kinetics dt below the bound",
+         ["kinetics", "--lattice-radius", "2", "--dt", "0.002", "--steps", "200", "--trace-every", "25"], {}),
+        ("kinetics q=0.7", ["kinetics", "--lattice-radius", "2", "--squeeze", "tsallis", "--q", "0.7"], {}),
         ("infer reconstruct", ["infer", "--data", "ratios.csv", "--reconstruct", "ln_h.csv"],
          {"ratios.csv": _ratios_csv(1.3)}),
         ("compute tsallis q=1 emit-model",
