@@ -152,13 +152,8 @@ def _points_csv(rows: list[dict]) -> str:
 
 def _point_row(report, extra: dict | None = None) -> dict:
     p = report.point
-    row = dict(extra or {})
-    row["phi"] = p.phi
-    row["entropy_J"] = p.entropy_J
-    row["entropy_theta"] = p.entropy_theta
-    for name in sorted(p.observed):
-        row[f"observed_{name}"] = p.observed[name]
-    return row
+    return {**(extra or {}), "phi": p.phi, "entropy_J": p.entropy_J, "entropy_theta": p.entropy_theta,
+            **{f"observed_{name}": p.observed[name] for name in sorted(p.observed)}}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +286,7 @@ def cmd_infer(args) -> int:
         ln_g, ratio = _read_csv_columns(args.data, ("ln_g", "ratio"))
         data = EquilibriumDataset(ln_g=ln_g, ratio=ratio)
         est = estimate_q(data)
-        out_doc["q"] = est.q
-        out_doc["residual"] = est.residual
-        out_doc["power_law"] = est.power_law
+        out_doc.update(q=est.q, residual=est.residual, power_law=est.power_law)
         if args.reconstruct:
             grid, ln_h = reconstruct_squeeze(data)
             Path(args.reconstruct).write_text(_csv({"ln_g": grid, "ln_h": ln_h}))

@@ -78,7 +78,7 @@ class DegeneracySpectrum:
     has values ``x[r, :]`` and log-degeneracy ``ln_g[r]``; x is column-major, the layout whose
     ``x @ y`` the class pass rounds as it always has.  ``_last`` holds the last class table
     taken over it weakly, because a table refers to its spectrum: a freed report frees its
-    table without waiting for the cycle collector.  Copies drop it.
+    table without waiting for the cycle collector; ``restrict`` reads its rows.  Copies drop it.
     """
 
     variable_names: tuple[str, ...]
@@ -156,9 +156,13 @@ class DegeneracySpectrum:
         return self.x[:, j]
 
     def restrict(self, fixed: Mapping[str, float]) -> "DegeneracySpectrum":
-        """Drop pinned columns, keeping only rows that match the values."""
+        """Drop pinned columns, keeping only rows that match the values: the spectrum of the last
+        class table taken over this one (``_last``) while it lives, if it pinned equal values."""
         if not fixed:
             return self
+        table = self._last[1] and self._last[1]()
+        if table is not None and table.env.fixed_extensive == fixed:
+            return table.spectrum
         mask = np.ones(self.n_rows, dtype=bool)
         for name, value in fixed.items():
             mask &= np.isclose(self.column(name), value, rtol=_ROW_MATCH_RTOL, atol=_ROW_MATCH_ATOL)
@@ -199,19 +203,7 @@ class EnsembleSpec:
         )
 
     def values(self) -> dict[str, float]:
-        out = dict(self.fixed_extensive)
-        out.update(self.fixed_intensive)
-        return out
-
-    def validate_against(self, spectrum: DegeneracySpectrum) -> None:
-        names = set(spectrum.variable_names)
-        declared = set(self.fixed_intensive) | set(self.fixed_extensive)
-        missing = names - declared
-        if missing:
-            raise ModelValidationError(f"no environment value for spectrum variables {sorted(missing)}")
-        extra = declared - names
-        if extra:
-            raise ModelValidationError(f"environment names not in spectrum: {sorted(extra)}")
+        return {**self.fixed_extensive, **self.fixed_intensive}
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,17 +288,23 @@ def _ln_weights(ln_c: np.ndarray, q: float, ln_total: float) -> np.ndarray:
     return q * ln_c - q * ln_total
 
 
-def _weighted_sums(w: np.ndarray, columns) -> tuple[float, ...]:
-    """sum w v for each column v of live rows (np.sum's reduction, unwrapped)."""
-    return tuple(float(np.add.reduce(w * v)) for v in columns)
+def _weighted_sums(w: np.ndarray, columns, family: SqueezeFamily) -> tuple[float, ...]:
+    """sum w v for each column v of live rows (np.sum's reduction, unwrapped), under the caller's
+    errstate; a sum beyond the float range raises SqueezeDomainError."""
+    sums = tuple(float(np.add.reduce(w * v)) for v in columns)
+    if not all(map(math.isfinite, sums)):
+        raise SqueezeDomainError(f"an observed mean exceeds the float range at {family.label()}")
+    return sums
 
 
 def characteristic_class(
     spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily
 ) -> ClassTable:
     """Squeeze-and-rearrange pass producing the per-row class table."""
-    env.validate_against(spectrum)
-    working = spectrum.restrict(env.fixed_extensive)  # its columns are the exchanged variables
+    working = spectrum.restrict(env.fixed_extensive)  # its columns are the unpinned variables
+    if env.fixed_intensive.keys() != set(working.variable_names):
+        raise ModelValidationError(f"exchanged names {sorted(env.fixed_intensive)} are not the "
+                                   f"unpinned spectrum variables {sorted(working.variable_names)}")
     y = np.array([env.fixed_intensive[n] for n in working.variable_names])
     q, u = family.q, abs(1.0 - family.q)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below, or by curvature for the second sums
@@ -334,9 +332,7 @@ def characteristic_class(
                 f"(ln total = {ln_total:g} at {family.label()})"
             )
         ln_w = _ln_weights(ln_c, q, ln_total)
-        means = _weighted_sums(np.exp(ln_w), xt)
-        if not all(map(math.isfinite, means)):
-            raise SqueezeDomainError(f"an observed mean exceeds the float range at {family.label()}")
+        means = _weighted_sums(np.exp(ln_w), xt, family)
         ln_w *= 2.0  # b = -q T^(q-1) P^(2q-1) = -q w^2 / c * T^q, in ln w's buffer: no per-row temporary
         ln_w -= ln_c
         b = np.exp(np.add(ln_w, q * ln_total, out=ln_w), out=ln_w)
@@ -369,9 +365,9 @@ def observed_mean(
         if not np.all(np.isfinite(values)):
             raise ModelValidationError("all observable values must be finite")
     live = ~table.excluded
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean beyond the float range raises
         ln_w = _ln_weights(table.ln_row_class[live], table.family.q, table.ln_total)
-    return _weighted_sums(np.exp(ln_w), [values[live]])[0]
+        return _weighted_sums(np.exp(ln_w), [values[live]], table.family)[0]
 
 
 def phi_and_entropies(table: ClassTable) -> ThermoPoint:
@@ -453,8 +449,11 @@ class SpectrumSurface:
     _held: ClassTable | None = field(default=None, init=False, repr=False)
 
     def _table(self, values: Mapping[str, float]) -> ClassTable:
-        y = {n: values[n] for n in self.env.fixed_intensive}
-        X = {n: values[n] for n in self.env.fixed_extensive}
+        try:
+            y = {n: values[n] for n in self.env.fixed_intensive}
+            X = {n: values[n] for n in self.env.fixed_extensive}
+        except KeyError as exc:
+            raise ModelValidationError(f"the point has no value for {exc.args[0]!r}") from None
         object.__setattr__(self, "_held", _class_table(self.spectrum, y, X, self.family))
         return self._held
 
@@ -558,10 +557,8 @@ def _squeeze_from_json(cfg) -> SqueezeFamily:
 def model_to_json_dict(
     spectrum: DegeneracySpectrum, env: EnsembleSpec, family: SqueezeFamily
 ) -> dict:
-    variables = []
-    for n in spectrum.variable_names:
-        kind = "exchanged" if n in env.fixed_intensive else "fixed"
-        variables.append({"name": n, "kind": kind})
+    variables = [{"name": n, "kind": "exchanged" if n in env.fixed_intensive else "fixed"}
+                 for n in spectrum.variable_names]
     rows = [
         {"x": [float(v) for v in spectrum.x[r]], "ln_g": float(spectrum.ln_g[r])}
         for r in range(spectrum.n_rows)

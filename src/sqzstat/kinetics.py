@@ -155,14 +155,26 @@ class KineticState:
             raise ModelValidationError("negative population in kinetic state")
 
     def number(self) -> float:
-        return float(self.F.sum())
+        return self._finite("sum F", np.add.reduce, self.F)
 
     def energy(self, lattice: VelocityLattice) -> float:
-        return float(self.F @ lattice.speed_squared)
+        return self._finite("sum F|v|^2", np.matmul, self.F, lattice.speed_squared)
+
+    def _finite(self, label: str, reduce, *args) -> float:
+        """float(reduce(*args)), a sum over the populations; one beyond the float range raises."""
+        with np.errstate(over="ignore"):
+            total = float(reduce(*args))
+        if not math.isfinite(total):
+            raise SqueezeDomainError(f"{label} beyond the float range at t={self.t:g}")
+        return total
 
 
 def random_state(lattice: VelocityLattice, seed: int = 0) -> KineticState:
-    rng = np.random.default_rng(seed)
+    """Populations uniform in [0.2, 1.8); a seed numpy refuses (a negative one) raises."""
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(f"seed {seed!r} is not a numpy seed: {exc}") from None
     return KineticState(F=rng.uniform(0.2, 1.8, size=lattice.n), t=0.0)
 
 
@@ -286,10 +298,9 @@ def run_trace(state: KineticState, net: CollisionNetwork, family: SqueezeFamily,
     k = 0
     while True:
         rhs = collision_rhs(state, net, family)
-        with np.errstate(over="ignore"):  # a sum beyond the float range raises below
-            row = (state.t, entropy_functional(state, family), state.number(), state.energy(net.lattice),
-                   float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-        if not all(map(math.isfinite, row)):
+        row = (state.t, entropy_functional(state, family), state.number(), state.energy(net.lattice),
+               float(np.max(np.abs(rhs))) if rhs.size else 0.0)
+        if not all(map(math.isfinite, row)):  # t, the one field no call above checks
             raise SqueezeDomainError(f"trace row beyond the float range at t={state.t:g}")
         yield k, state, row
         if k >= steps:

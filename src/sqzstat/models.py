@@ -167,10 +167,8 @@ def build_model(name: str, params: dict) -> DegeneracySpectrum:
     if name not in MODELS:
         raise ModelValidationError(f"unknown model {name!r}; choices: {sorted(MODELS)}")
     signature = inspect.signature(MODELS[name]).parameters
-    unknown = set(params) - set(signature)
-    if unknown:
+    if unknown := set(params) - set(signature):
         raise ModelValidationError(f"model {name!r} does not take parameters {sorted(unknown)}")
-    missing = {k for k, p in signature.items() if p.default is p.empty} - set(params)
-    if missing:
+    if missing := {k for k, p in signature.items() if p.default is p.empty} - set(params):
         raise ModelValidationError(f"model {name!r} missing parameters {sorted(missing)}")
     return MODELS[name](**params)

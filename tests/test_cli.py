@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -137,6 +138,19 @@ def test_unknown_model_parameter_is_model_error(capsys):
     )
     assert code == 4
     assert json.loads(err)["error"]["type"] == "ModelValidationError"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--y", "E=0.7"], r"exchanged names \['E'\] are not the unpinned spectrum variables \['E', 'N'\]"),
+    (["--y", "E=0.7", "--y", "N=0.2", "--y", "Z=1"], r"exchanged names \['E', 'N', 'Z'\] are not the unpinned"),
+    (["--y", "E=0.7", "--y", "N=0.2", "--X", "Z=1"], r"no variable 'Z' in spectrum"),
+], ids=["missing-variable", "unknown-exchanged-name", "unknown-pinned-name"])
+def test_environment_names_are_checked_once_and_exit_4(flags, message, capsys):
+    code, _, err = run_cli(["compute", "--model", "lattice_gas", "--param", "sites=10", *flags], capsys)
+    assert code == 4
+    error = json.loads(err)["error"]
+    assert error["type"] == "ModelValidationError"
+    assert re.fullmatch(message + ".*", error["message"])
 
 
 def test_degenerate_ensemble_is_numeric_error(tmp_path, capsys):

@@ -208,6 +208,91 @@ def test_report_table_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+# ---------------------------------------------------------------------------
+# the lookup keeps the pinned rows: one restriction per spectrum and pinned values
+
+
+@pytest.fixture
+def spectra_built(monkeypatch):
+    """Counts the DegeneracySpectrum objects built (each validated in full)."""
+    calls = []
+    original = DegeneracySpectrum.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(DegeneracySpectrum, "__post_init__", counting)
+    return calls
+
+
+PINNED_SWEEP = ["sweep", "--model", "lattice_gas", "--param", "sites=200", "--y", "E=0.1", "--X", "N=2",
+                "--axis", "E", "--range", "0.1:0.5", "--steps", "20", "--squeeze", "tsallis", "--q", "1.5"]
+
+
+def test_a_pinned_sweep_restricts_its_spectrum_once(spectra_built, capsys):
+    assert main(PINNED_SWEEP) == 0
+    assert len(spectra_built) == 2  # the model's spectrum and its one restriction
+    spectrum, family = lattice_gas(200), SqueezeFamily.tsallis(1.5)
+    spectra_built.clear()
+    reports = [engine.report_for(spectrum, EnsembleSpec({"E": y}, {"N": 2.0}), family)
+               for y in np.linspace(0.1, 0.5, 20).tolist()]
+    assert len(spectra_built) == 1
+    assert all(r.table.spectrum is reports[0].table.spectrum for r in reports)
+    # the kept rows give every point's bits, as a fresh spectrum at each point does
+    for r in reports:
+        env = r.table.env
+        fresh = engine.report_for(lattice_gas(200), env, family)
+        assert fresh.point == r.point
+        assert fresh.table.ln_row_class.tobytes() == r.table.ln_row_class.tobytes()
+
+
+def test_a_new_pinned_value_or_another_spectrum_restricts_again(spectra_built):
+    a, b, family = lattice_gas(30), lattice_gas(30), SqueezeFamily.tsallis(1.5)
+    spectra_built.clear()
+
+    def at(spectrum, n):
+        return engine.report_for(spectrum, EnsembleSpec({"E": 0.7}, {"N": n}), family)
+
+    two, three = at(a, 2.0), at(a, 3.0)
+    assert len(spectra_built) == 2
+    assert two.table.spectrum.ln_g.tolist() != three.table.spectrum.ln_g.tolist()
+    other = at(b, 3.0)
+    assert len(spectra_built) == 3 and other.table.spectrum is not three.table.spectrum
+    zero, minus_zero = at(a, 0.0), at(a, -0.0)
+    assert len(spectra_built) == 4  # N = 0 and N = -0 select the same rows ...
+    assert minus_zero.table.spectrum is zero.table.spectrum
+    assert minus_zero.table is not zero.table  # ... and stay two points
+    assert minus_zero.table.env.fixed_extensive["N"] is not zero.table.env.fixed_extensive["N"]
+
+
+def test_a_restriction_to_equal_rows_is_still_rejected():
+    # N within 1e-9 of the pinned 1.0 on both rows, which are equal once N is dropped
+    spectrum = DegeneracySpectrum(("E", "N"), np.array([[0.0, 1.0], [0.0, 1.0 + 1e-10]]), np.zeros(2))
+    with pytest.raises(ModelValidationError, match="distinct"):
+        engine.report_for(spectrum, EnsembleSpec({"E": 0.7}, {"N": 1.0}), IDENT)
+
+
+SURFACE_READS = {
+    "phi": lambda surface, point: surface(point),
+    "gradient": lambda surface, point: surface.gradient(point, ["E"]),
+    "curvature": lambda surface, point: surface.curvature(point, ["E"]),
+    "moments": lambda surface, point: moments(surface, point, ["E"], surface.family),
+    "conjugates_from_phi": lambda surface, point: conjugates_from_phi(surface, surface.env.split, point),
+}
+
+
+@pytest.mark.parametrize("read", sorted(SURFACE_READS))
+def test_a_point_without_an_environment_name_is_a_model_error(read):
+    surface = phi_surface_from_spectrum(lattice_gas(10), EnsembleSpec({"E": 0.7, "N": 0.2}), IDENT)
+    with pytest.raises(ModelValidationError, match="the point has no value for 'N'"):
+        SURFACE_READS[read](surface, {"E": 0.7})
+    pinned = phi_surface_from_spectrum(lattice_gas(10), EnsembleSpec({"E": 0.7}, {"N": 2.0}), IDENT)
+    if read != "conjugates_from_phi":  # which takes exchanged names only
+        with pytest.raises(ModelValidationError, match="the point has no value for 'N'"):
+            SURFACE_READS[read](pinned, {"E": 0.7})
+
+
 @pytest.mark.parametrize("clone", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_spectrum_report_and_surface_copy_after_an_evaluation(clone):

@@ -415,6 +415,15 @@ def test_observed_mean_rejects_a_non_finite_observable(bad):
         observed_mean(two_level(1.0), env, IDENT, [1.0])
 
 
+@pytest.mark.parametrize("cell", [1.7e308, -1.7e308])
+def test_observed_mean_beyond_the_float_range_is_a_domain_error(cell):
+    # sum P^q v over two equal cells at q = 0.2: the class pass's own check of a column's mean
+    from sqzstat import SqueezeDomainError
+
+    with pytest.raises(SqueezeDomainError, match=r"observed mean exceeds the float range at tsallis\(q=0.2\)"):
+        observed_mean(two_level(1.0), EnsembleSpec({"E": 0.0}), SqueezeFamily.tsallis(0.2), [cell, cell])
+
+
 def phi_derivative(spec, env, fam, name):
     """(d phi/dy_name of the 50-digit ``mp_phi``, the error bound of the engine's mean of
     that column: 64 eps cond max(1, q) times its mean over |X|, from ``direct_sums``)."""

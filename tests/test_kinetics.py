@@ -306,6 +306,33 @@ def test_step_conserves_number_and_energy():
     assert np.max(np.abs(s.F @ lat.velocities - p0)) < 1e-10
 
 
+def test_population_sums_beyond_the_float_range_are_domain_errors():
+    lat = make_lattice(1)  # |v|^2 = 0, 1, 1, 1, 1
+    state = KineticState(F=np.array([1e308, 1e308, 0.5, 0.5, 0.5]), t=0.25)
+    with pytest.raises(SqueezeDomainError, match="sum F beyond the float range at t=0.25"):
+        state.number()
+    assert state.energy(lat) == 1e308 + 1.5
+    with pytest.raises(SqueezeDomainError, match=r"sum F\|v\|\^2 beyond the float range at t=0"):
+        KineticState(F=np.full(lat.n, 1e308)).energy(lat)
+    with pytest.raises(SqueezeDomainError, match="sum F beyond"):  # the trace's first row, S finite at q = 3
+        next(run_trace(state, build_collision_network(lat), SqueezeFamily.tsallis(3.0), 1e-3, 0))
+
+
+def test_a_trace_row_at_a_time_beyond_the_float_range_is_a_domain_error():
+    lat = make_lattice(1)
+    idle = CollisionNetwork(lat, np.zeros((0, 4), dtype=int))  # no quadruple, so no step bound
+    trace = run_trace(KineticState(F=np.ones(lat.n), t=1e308), idle, IDENT, 1e308, 1)
+    assert next(trace)[2][0] == 1e308
+    with pytest.raises(SqueezeDomainError, match="trace row beyond the float range at t=inf"):
+        next(trace)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "seven"])
+def test_random_state_rejects_a_seed_numpy_refuses(seed):
+    with pytest.raises(ModelValidationError, match=f"seed {seed!r} is not a numpy seed"):
+        random_state(make_lattice(1), seed=seed)
+
+
 def test_step_rejects_dt_above_bound():
     lat = make_lattice(2)
     net = build_collision_network(lat)

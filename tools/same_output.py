@@ -13,7 +13,9 @@ g, and past 256 sites with its top rows as running sums) and over a model file w
 column, ``compute`` in CSV with a pinned ``--X`` (an empty cell), ``fluct`` in CSV along a
 flat direction (inf and -0 cells), ``fluct`` at q = 70 over 10,001 rows of one state (the
 means' product underflows), ``compute`` at sites = 1e300 and N = 1e300 (log-binomials
-of k << n), ``sweep`` in CSV and JSON, ``kinetics`` with snapshots, under the
+of k << n), ``sweep`` in CSV and JSON along a pinned axis (new rows at every point), ``sweep``
+with a pinned ``--X`` along an exchanged axis (one restriction kept across the points) at
+q = 1.5 in CSV and JSON and along the pinned axis over 30 sites, ``kinetics`` with snapshots, under the
 soft xi at q = 0.8, at q = 0.7, at q = 2 with a trace and a snapshot period of which neither
 divides the other, with no steps, with a trace period of 0 (alone and with snapshots) and at
 an explicit dt below the step bound, ``infer --reconstruct``, a 3-variable model file with
@@ -106,6 +108,8 @@ def _fixed_cases() -> list[Case]:
             for fmt in ("json", "csv"):
                 cases.append((f"fluct {model} q={q} {fmt}", ["fluct", *flags, *family, "--format", fmt], {}))
     sweep = ["sweep", *pinned, "--axis", "N", "--range", "0:4", "--steps", "5"]
+    pinned_sweep = ["sweep", "--model", "lattice_gas", "--param", "sites=200", "--y", "E=0.1", "--X", "N=2",
+                    "--axis", "E", "--range", "0.1:0.5", "--steps", "16", "--squeeze", "tsallis", "--q", "1.5"]
     cases += [
         ("compute pinned X", ["compute", *pinned], {}),
         ("fluct pinned X", ["fluct", *pinned, "--squeeze", "tsallis", "--q", "0.9"], {}),
@@ -143,6 +147,11 @@ def _fixed_cases() -> list[Case]:
         ("sweep json", sweep, {}),
         ("sweep q=0.2 json", ["sweep", *two, "--squeeze", "tsallis", "--q", "0.2", "--axis", "E",
                               "--range", "0.1:2", "--steps", "7"], {}),
+        ("sweep pinned N along E q=1.5 csv", [*pinned_sweep, "--format", "csv"], {}),
+        ("sweep pinned N along E q=1.5 json", pinned_sweep, {}),
+        ("sweep along the pinned N",
+         ["sweep", "--model", "lattice_gas", "--param", "sites=30", "--y", "E=0.1", "--X", "N=2", "--axis", "N",
+          "--range", "2:20", "--steps", "10"], {}),
         ("kinetics snapshots",
          ["kinetics", "--lattice-radius", "2", "--steps", "60", "--trace-every", "10",
           "--snapshot-every", "20", "--snapshot-out", "snaps.csv", "--squeeze", "tsallis", "--q", "1.5"], {}),
