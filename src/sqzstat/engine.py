@@ -478,14 +478,15 @@ class SpectrumSurface:
         """(phi, H), H = d2 phi/dy dy' = q T^(q-1) (<X><X>' - sum P^(2q-1) X X'), with T the
         class total, P = c/T the row's probability, and <X> and the second sum the table's
         ``means`` and ``second_sums`` (``ClassTable``).  Where a = q T^(q-1) alone is beyond the
-        float range, or <X_i><X_j> alone underflows, a <X_i><X_j> is a sum of logs.  An H beyond
-        the float range raises SqueezeDomainError."""
+        float range, or <X_i><X_j> alone underflows, a <X_i><X_j> is a sum of logs.  An entry is
+        formed from its unordered pair of columns: H is symmetric to the bit in any order of names.
+        An H beyond the float range raises SqueezeDomainError."""
         table, q = self._table(point), self.family.q
         cols = self._columns(table, names)
         ln_t = q * table.ln_total - table.ln_total  # ln T^(q-1)
         a = q * math.exp(ln_t) if ln_t <= _LN_MAX else math.inf
         m, s = table.means, table.second_sums
-        H = [_a_product(a, q, ln_t, m[i], m[j]) + s[i][j] for i in cols for j in cols]
+        H = [_a_product(a, q, ln_t, m[i], m[j]) + (s[i][j] if i <= j else s[j][i]) for i in cols for j in cols]
         if not all(map(math.isfinite, H)):
             raise SqueezeDomainError(f"curvature of phi exceeds the float range at {self.family.label()}")
         return table.phi, np.array(H).reshape(len(cols), len(cols))
@@ -499,7 +500,8 @@ def _a_product(a: float, q: float, ln_t: float, u: float, v: float) -> float:
         return a * uv
     if not (q and u and v):
         return q * u * v  # a signed zero
-    ln = math.log(abs(q)) + ln_t + math.log(abs(u)) + math.log(abs(v))
+    ln_u, ln_v = sorted((math.log(abs(u)), math.log(abs(v))))  # one order for (u, v) and (v, u)
+    ln = math.log(abs(q)) + ln_t + ln_u + ln_v
     return math.copysign(math.exp(ln) if ln <= _LN_MAX else math.inf, q * u * v)
 
 

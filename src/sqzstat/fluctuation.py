@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from .errors import SqueezeDomainError
 from .squeeze import SqueezeFamily
 
 if TYPE_CHECKING:
@@ -88,17 +90,17 @@ def moments(
     ``family`` must equal the surface's own, at least one name is needed and no name may
     repeat (ValueError otherwise).
 
-    One read of the surface's ``curvature``, symmetrized, is H = -C.  An exactly zero row of C
-    is a flat direction, eigenvalue 0 along its own axis: it is left out, and G is zero on its
-    row and column.  One eigendecomposition of the live rows and columns gives the indefinite
-    check, the condition number max|lambda|/min|lambda| (inf at a flat direction or at a
-    |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops) and G = V diag(1/lambda) V' on
-    them; for one live direction it is the entry itself and V = 1, as LAPACK's dsyevd returns
-    them for n = 1 (NaN, inf, -0.0 and subnormals included), with no eigh call.  A singular C
-    (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping
-    runs on Python floats (``tolist``): n is 1 to 3 in practice, where a
-    numpy call costs more than its arithmetic, and floats round as the arrays did, so
-    results keep their bits.
+    One read of the surface's ``curvature`` is H = -C, taken as symmetric: the surface forms it
+    so, to the bit.  An exactly zero row of C is a flat direction, eigenvalue 0 along its own
+    axis: it is left out, and G is zero on its row and column.  One eigendecomposition of the
+    live rows and columns gives the indefinite check, the condition number max|lambda|/min|lambda|
+    (inf at a flat direction or at a |lambda| <= 1e-15 max|lambda|, which np.linalg.pinv drops)
+    and G = V diag(1/lambda) V' on them; for one live direction it is the entry itself and V = 1,
+    as LAPACK's dsyevd returns them for n = 1 (-0.0 and subnormals included), with no eigh call.
+    A singular C (cond > 1e8) is inverted as pinv does.  The n x n bookkeeping runs on Python
+    floats (``tolist``): n is 1 to 3 in practice, where a numpy call costs more than its
+    arithmetic, and floats round as the arrays did, so results keep their bits.  But for a
+    singular direction's intensive variance and cond, a value beyond the float range raises.
 
     Power law at q < 1/2: a row's curvature term grows like c**(2q - 1)
     as its class c nears the cutoff at 0, as the true curvature does; a
@@ -111,7 +113,6 @@ def moments(
     if len(set(names)) != len(names):
         raise ValueError(f"moments of repeated variables {names}: each name is one variable")
     phi0, H = phi_surface.curvature(point, names)
-    H = 0.5 * (H + H.T)
     G_inv = -H  # C, the extensive covariance matrix in the undeformed case, with H's eigenvectors
     c = G_inv.tolist()
     n = len(c)
@@ -136,10 +137,10 @@ def moments(
     if singular:
         warnings.warn("covariance matrix is numerically singular", StabilityWarning)
         lam = [v if s > _PINV_RCOND * top else math.inf for v, s in zip(lam, size)]
-    if vec is None:  # lambda is finite and nonzero here, or inf; Python's 1/lambda is IEEE's
+    if vec is None:  # lambda is finite and nonzero, or inf; 1/lambda is IEEE's, checked below
         g = [[1.0 / lam[0] + 0.0]]  # + 0.0: the matmul's sum reads -0.0 as 0.0
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # IEEE: 1/lambda is inf for a subnormal lambda
+        with np.errstate(over="ignore", invalid="ignore"):  # 1/lambda is inf for a subnormal lambda
             G = (vec / lam) @ vec.T  # V diag(1/lambda) V'
         G = np.where(np.tri(len(lam), k=-1, dtype=bool), G.T, G)  # the upper triangle mirrored: G = G'
         g = G.tolist()
@@ -153,9 +154,14 @@ def moments(
         G = np.array(g)
     zero = _REL_TOL * max(1.0, *[abs(v) for row in c for v in row]) if singular else -math.inf
     variances = {ni: scale * c[i][i] for i, ni in enumerate(names)}
-    intensive = {ni: math.inf if abs(c[i][i]) <= zero else scale * g[i][i] for i, ni in enumerate(names)}
+    intensive = {ni: scale * g[i][i] for i, ni in enumerate(names) if abs(c[i][i]) > zero}
     covariances = {(ni, nj): scale * c[i][j]
                    for i, ni in enumerate(names) for j, nj in enumerate(names) if j > i}
+    if not all(map(math.isfinite, [scale, *chain(*c, *g), *variances.values(), *covariances.values(),
+                                   *intensive.values()])):
+        raise SqueezeDomainError("fluctuation moments exceed the float range")
+    if len(intensive) < n:  # a singular direction's intensive variance reads inf
+        intensive = {ni: intensive.get(ni, math.inf) for ni in names}
     return FluctuationReport(
         variable_names=names,
         G=G,

@@ -33,6 +33,13 @@ __all__ = [
 POWER_LAW_RESIDUAL_THRESHOLD = 1e-6  # the verdict's tolerance, for noiseless synthetic data
 
 
+def _floats(values, what: str) -> np.ndarray:
+    try:  # what numpy cannot read as floats is a dataset error, not numpy's bare one
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{what} must be numbers: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class EquilibriumDataset:
     """Paired (ln count, thermometer-ratio) equilibrium measurements.
@@ -48,8 +55,7 @@ class EquilibriumDataset:
     ratio: np.ndarray
 
     def __post_init__(self):
-        ln_g = np.asarray(self.ln_g, dtype=float)
-        ratio = np.asarray(self.ratio, dtype=float)
+        ln_g, ratio = _floats(self.ln_g, "ln_g"), _floats(self.ratio, "ratio")
         object.__setattr__(self, "ln_g", ln_g)
         object.__setattr__(self, "ratio", ratio)
         if ln_g.ndim != 1 or ln_g.shape != ratio.shape:
@@ -124,8 +130,7 @@ def superstatistics_forward(
     at energy = 0 is exactly one).  The density must already be
     normalized to within 1e-6 or the call fails reporting the
     integral."""
-    b = np.asarray(beta_grid, dtype=float)
-    f = np.asarray(density, dtype=float)
+    b, f = _floats(beta_grid, "beta grid"), _floats(density, "density")
     if b.ndim != 1 or b.shape != f.shape or b.size < 2:
         raise DatasetError("grid and density must be matching 1-D arrays with >= 2 points")
     if np.any(b[1:] <= b[:-1]):  # not np.diff, which may overflow

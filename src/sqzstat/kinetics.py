@@ -178,11 +178,16 @@ def random_state(lattice: VelocityLattice, seed: int = 0) -> KineticState:
     return KineticState(F=rng.uniform(0.2, 1.8, size=lattice.n), t=0.0)
 
 
+def _h(F: np.ndarray, family: SqueezeFamily) -> np.ndarray:
+    """h(F) under the caller's errstate (divide and over ignored): F for the identity, else exp(ln h(F))."""
+    return F if family.is_identity else np.exp(family.ln_squeeze(np.log(F)))
+
+
 def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
     idx = net._flat_index
     if idx.size == 0:
         return np.zeros_like(F)  # np.bincount would return integer zeros
-    h = family.h_of(F)[idx].reshape(4, -1)
+    h = _h(F, family)[idx].reshape(4, -1)
     bracket = h[2] * h[3] - h[0] * h[1]
     if net.xi is not None:
         Fq = F[idx].reshape(4, -1)
@@ -192,7 +197,7 @@ def _rhs_from_F(F: np.ndarray, net: CollisionNetwork, family: SqueezeFamily) -> 
 
 def collision_rhs(state: KineticState, net: CollisionNetwork, family: SqueezeFamily) -> np.ndarray:
     """Time derivative of the populations; a rate beyond the float range raises."""
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rejected below
         rhs = _rhs_from_F(state.F, net, family)
     if not np.isfinite(rhs).all():
         raise StepSizeError(f"collision rate beyond the float range at t={state.t:g}")
@@ -208,8 +213,8 @@ def stability_dt(state: KineticState, net: CollisionNetwork, family: SqueezeFami
     at any practical dt, and ``step`` raises there."""
     if net.n_quadruples == 0:
         return math.inf
-    with np.errstate(over="ignore"):  # an h beyond the float range gives the bound 0
-        h_max = float(np.max(family.h_of(state.F)))
+    with np.errstate(divide="ignore", over="ignore"):  # an h beyond the float range gives the bound 0
+        h_max = float(np.max(_h(state.F, family)))
     return 0.1 / (max(h_max, 1e-30) * max(net.degree, 1))
 
 
@@ -227,7 +232,7 @@ def _rk4(F: np.ndarray, t: float, net: CollisionNetwork, family: SqueezeFamily, 
     negativity or a non-finite value raises, naming dt."""
     if not dt > 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite result raises below
         for k in range(n):
             k1 = _rhs_from_F(F, net, family)
             if tol and np.abs(k1).max() < tol:

@@ -10,12 +10,10 @@ materialized.  Three kernels hold a family's arithmetic: ln_squeeze
 (ln h), ln_unsqueeze (ln H and the mask of *excluded* values, whose
 inverse falls outside the deformed-exponential domain) and ln_row_class
 (ln H(h(g) e^(-x.y)), a row's squeezed class, in one expression).  Each
-kernel takes a float or an array, with the same bits either way; the
-linear-domain h_of wraps ln_squeeze.  Overflow gives inf here and
-SqueezeDomainError in the engine.  A family is its index q: general
-squeezing functions are out of scope, and the power law alone carries
-the paper's framework; the derivatives of phi are its closed sums in P^q
-(``engine.ClassTable``).
+kernel takes a float or an array, with the same bits either way.  Overflow gives inf here,
+under the caller's errstate, and SqueezeDomainError in the engine.  A family is its index
+q: general squeezing functions are out of scope, and the power law alone carries the
+paper's framework; the derivatives of phi are its closed sums in P^q (``engine.ClassTable``).
 """
 
 from __future__ import annotations
@@ -113,15 +111,3 @@ class SqueezeFamily:
             ln_1pz = np.where(v < 0.0, np.log1p(-np.exp(w)), np.logaddexp(0.0, w))
         excluded = ~(ln_1pz > -np.inf)  # log1p reads -inf at z = -1 and NaN below
         return np.where(excluded, -np.inf, x + ln_1pz / u), excluded
-
-    # -- the linear-domain wrapper over ln_squeeze -------------------------
-
-    def h_of(self, x: np.ndarray) -> np.ndarray:
-        """h applied to linear-domain populations (kinetics path); h(0) is
-        the exact limit at zero (0 for q > 1, exp(-1/(1-q)) for q < 1).  The
-        identity returns x exactly, itself where it is a float array (no caller
-        writes into h), which keeps the collision operator the classical bilinear one."""
-        if self.is_identity:
-            return np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; ln h may overflow to +-inf
-            return np.exp(self.ln_squeeze(np.log(x)))

@@ -228,6 +228,30 @@ def test_fluct_of_a_macroscopic_state_warns_nothing(capsys):
     assert out == dumps(rep.to_json_dict(), indent=2) + "\n"
 
 
+def pair_model(tmp_path, x):
+    """A model file of two rows E = +-x with ln g = 0 at y = 0, for which C = x * x."""
+    doc = {"variables": [{"name": "E", "kind": "exchanged"}], "rows": [{"x": [x], "ln_g": 0.0},
+           {"x": [-x], "ln_g": 0.0}], "environment": {"y": {"E": 0.0}, "X": {}}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fluct_reads_a_covariance_past_half_the_float_range(tmp_path, capsys, fmt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["fluct", "--model", pair_model(tmp_path, 1.3e154), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert repr(1.3e154 * 1.3e154) in out and "inf" not in out
+
+
+def test_fluct_of_a_subnormal_covariance_exits_5(tmp_path, capsys):
+    code, out, err = run_cli(["fluct", "--model", pair_model(tmp_path, 1e-160)], capsys)
+    assert (code, out) == (5, "")
+    assert "fluctuation moments exceed the float range" in err
+
+
 # ---------------------------------------------------------------------------
 # kinetics
 

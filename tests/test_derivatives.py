@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import fractions
 import gc
+import itertools
 import json
 import math
 import pickle
@@ -367,6 +368,42 @@ def test_reordered_and_subset_reads_are_the_full_read_permuted_bit_for_bit(q, na
     assert [bits(rep.variances[n]) for n in names] == [bits(rep_full.variances[n]) for n in names]
     if len(names) == 2:
         assert bits(rep.covariances["N", "E"]) == bits(rep_full.covariances["E", "N"])
+
+
+NE, ABC = list(itertools.product(range(4), range(5))), list(itertools.product(range(4), repeat=3))
+COUPLED = {  # coupled degeneracies, so every entry of C is nonzero and the second sums round apart
+    "permuted": (DegeneracySpectrum(("N", "E"), np.array(NE, float),
+                                    np.array([0.3 * n * e + 0.5 * n + 0.2 * e for n, e in NE])),
+                 {"N": 0.3, "E": 0.6}),
+    "three": (DegeneracySpectrum(("a", "b", "c"), np.array(ABC, float),
+                                 np.array([0.25 * (a * b + b * c) + 0.5 * c for a, b, c in ABC])),
+              {"a": 0.4, "b": 0.7, "c": 0.2}),
+}
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.5])
+@pytest.mark.parametrize("case", sorted(COUPLED))
+def test_curvature_is_symmetric_to_the_bit_in_any_order_of_names(case, q):
+    # each entry is formed from its unordered pair of columns, so no reader symmetrizes H
+    spectrum, y = COUPLED[case]
+    surface = phi_surface_from_spectrum(spectrum, EnsembleSpec(fixed_intensive=y), SqueezeFamily.tsallis(q))
+    full = spectrum.variable_names
+    _, H_full = surface.curvature(y, full)
+    ref = direct_sums(spectrum.x, spectrum.ln_g, np.array([y[n] for n in full]), q)
+    assert np.all(np.abs(H_full - ref["H"]) <= 64.0 * EPS * ref["cond"] * (1.0 + 3.0 * q) * ref["scale"])
+    for names in itertools.permutations(full):
+        _, H = surface.curvature(y, names)
+        cols = [full.index(n) for n in names]
+        assert bits(H) == bits(H.T)
+        assert bits(H) == bits(H_full[np.ix_(cols, cols)])
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.floats(-800.0, 800.0), st.sampled_from([0.5, 1.5, 3.0]),
+       *[st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from([v, -v]))] * 2)
+def test_a_product_is_the_same_for_either_order_of_its_factors(ln_t, q, u, v):
+    a = q * math.exp(ln_t) if ln_t <= 709.0 else math.inf
+    assert bits(engine._a_product(a, q, ln_t, u, v)) == bits(engine._a_product(a, q, ln_t, v, u))
 
 
 def test_overflowing_curvature_raises_only_when_read():

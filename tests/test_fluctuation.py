@@ -15,6 +15,7 @@ from sqzstat import (
     phi_surface_from_spectrum,
     probabilities,
 )
+from sqzstat.errors import SqueezeDomainError
 from sqzstat.fluctuation import StabilityWarning, moments
 from sqzstat.models import einstein_solid, lattice_gas, spin_half_paramagnet, two_level
 
@@ -218,6 +219,30 @@ def test_singular_direction_flagged_with_infinite_intensive_variance():
     assert math.isfinite(rep.intensive_variances["M"])
 
 
+def pair_surface(x):
+    """The identity surface of two rows E = +-x with g = 1, at y = 0: C = x * x, G = 1/C."""
+    env = EnsembleSpec(fixed_intensive={"E": 0.0})
+    return phi_surface_from_spectrum(DegeneracySpectrum(("E",), np.array([[x], [-x]]), np.zeros(2)), env, IDENT)
+
+
+def test_a_covariance_past_half_the_float_range_is_read():
+    # C = 1.69e308 is finite but C + C' is not: a second symmetrization read inf, warned twice
+    # and called the direction singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = moments(pair_surface(1.3e154), {"E": 0.0}, ["E"], IDENT)
+    C = 1.3e154 * 1.3e154
+    assert rep.variances["E"] == rep.G_inv[0, 0] == C
+    assert rep.G[0, 0] == rep.intensive_variances["E"] == 1.0 / C
+    assert rep.condition_number == 1.0 and not rep.singular
+
+
+def test_a_subnormal_covariance_is_a_domain_error():
+    # C = 1e-320 is a finite nonzero variance whose G = 1/C is beyond the float range
+    with pytest.raises(SqueezeDomainError, match="fluctuation moments exceed the float range"):
+        moments(pair_surface(1e-160), {"E": 0.0}, ["E"], IDENT)
+
+
 def test_grand_canonical_covariance_report():
     spec = correlated_spectrum()
     env = EnsembleSpec(fixed_intensive={"E": 0.5, "N": 0.3})
@@ -388,7 +413,13 @@ def test_eigendecomposition_matches_inv_pinv_and_cond(case):
 
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(st.floats(-1e6, 1e6).filter(lambda c: c != 0.0))
+@example(5e-324)
+@example(-1e-310)
 def test_one_variable_stability_is_exactly_the_reciprocal(c):
+    if math.isinf(1.0 / c):  # a subnormal c: G is beyond the float range
+        with pytest.raises(SqueezeDomainError, match="exceed the float range"):
+            moments_of(np.array([[c]]))
+        return
     rep, _ = moments_of(np.array([[c]]))
     assert rep.G[0, 0].hex() == (1.0 / c).hex()
     assert rep.condition_number == 1.0
@@ -403,9 +434,9 @@ def ndarray_moments(H, phi0, family):
     """moments' n x n bookkeeping on ndarrays, after its one eigh of the rows and
     columns of C that are not exactly zero (a zero row is a flat direction, an
     eigenvalue 0, and G is zero on it), as numpy calls on the eigenvalues and
-    on C: (report fields, warning messages)."""
+    on C: (report fields, warning messages); the fields are None where one of them is beyond
+    the float range, but for the inf intensive variance of a singular direction."""
     messages = set()
-    H = 0.5 * (H + H.T)
     n = H.shape[0]
     live = np.flatnonzero(H.any(axis=1))
     eig, vec = np.linalg.eigh(H[np.ix_(live, live)])
@@ -428,9 +459,12 @@ def ndarray_moments(H, phi0, family):
     G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)  # the upper triangle mirrored
     variances = [scale * float(C[i, i]) for i in range(n)]
     flat_scale = max(1.0, float(np.max(np.abs(C))))
-    intensive = [math.inf if singular and abs(C[i, i]) <= 1e-8 * flat_scale
-                 else scale * float(G[i, i]) for i in range(n)]
+    drop = [singular and abs(C[i, i]) <= 1e-8 * flat_scale for i in range(n)]
+    intensive = [math.inf if drop[i] else scale * float(G[i, i]) for i in range(n)]
     covariances = [scale * float(C[i, j]) for i in range(n) for j in range(i + 1, n)]
+    reported = [scale, *C.flat, *G.flat, *variances, *covariances, *(v for v, d in zip(intensive, drop) if not d)]
+    if not np.isfinite(reported).all():
+        return None, messages
     return (G, C, variances, intensive, covariances, cond, singular), messages
 
 
@@ -460,8 +494,14 @@ def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
     expected, messages_ref = ndarray_moments(-C, phi0, family)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = moments(FixedCurvature(-C, phi0, family), dict.fromkeys(names, 0.0), names, family)
+        try:
+            rep = moments(FixedCurvature(-C, phi0, family), dict.fromkeys(names, 0.0), names, family)
+        except SqueezeDomainError:  # a subnormal eigenvalue of a non-singular C: 1/lambda is inf
+            rep = None
     assert {str(w.message) for w in caught} == messages_ref
+    assert (rep is None) == (expected is None)
+    if rep is None:
+        return
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     got = (rep.G, rep.G_inv, [rep.variances[n] for n in names],
            [rep.intensive_variances[n] for n in names], [rep.covariances[p] for p in pairs],
@@ -479,8 +519,8 @@ def test_float_bookkeeping_is_bit_identical_to_ndarray_bookkeeping(case, at):
 
 
 def eigh_route_moments(H, phi0, family):
-    """moments as formed while every H, 1 x 1 included, went through np.linalg.eigh."""
-    H = 0.5 * (H + H.T)
+    """moments as formed while every H, 1 x 1 included, went through np.linalg.eigh; a value
+    beyond the float range, but for a singular direction's intensive variance, raises."""
     eig, vec = np.linalg.eigh(H)
     lam = eig.tolist()
     scale = max(1.0, *map(abs, lam))
@@ -499,7 +539,10 @@ def eigh_route_moments(H, phi0, family):
     with np.errstate(over="ignore", invalid="ignore"):
         G = (vec / eig) @ vec.T
     zero = 1e-8 * max(1.0, float(np.max(np.abs(C)))) if singular else -math.inf
-    intensive = math.inf if abs(c[0][0]) <= zero else ts * G.tolist()[0][0]
+    drop = abs(c[0][0]) <= zero
+    intensive = math.inf if drop else ts * G.tolist()[0][0]
+    if not np.isfinite([ts, c[0][0], *G.flat, ts * c[0][0], *([] if drop else [intensive])]).all():
+        raise SqueezeDomainError("fluctuation moments exceed the float range")
     return G, C, [ts * c[0][0]], [intensive], [], cond, singular
 
 
@@ -517,12 +560,18 @@ def test_one_variable_moments_are_bit_identical_to_the_eigh_route(h, at):
     def record(run):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = run()
+            try:
+                out = run()
+            except SqueezeDomainError as exc:
+                out = str(exc)
         return out, {(w.category, str(w.message)) for w in caught}
 
     expected, warned_ref = record(lambda: eigh_route_moments(H.copy(), phi0, family))
     rep, warned = record(lambda: moments(FixedCurvature(H, phi0, family), {"x": 0.0}, ["x"], family))
     assert warned == warned_ref
+    if isinstance(expected, str) or isinstance(rep, str):
+        assert rep == expected
+        return
     got = (rep.G, rep.G_inv, [rep.variances["x"]], [rep.intensive_variances["x"]],
            list(rep.covariances.values()), rep.condition_number, rep.singular)
     for g, e in zip(got, expected):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from sqzstat import ModelValidationError, SqueezeDomainError, SqueezeFamily, Ste
 from sqzstat.kinetics import (
     CollisionNetwork,
     KineticState,
+    _rk4,
     build_collision_network,
     collision_rhs,
     entropy_functional,
@@ -21,7 +23,7 @@ from sqzstat.kinetics import (
     xi_soft,
 )
 
-from families import detailed_balance_residual
+from families import deformed_log, detailed_balance_residual
 
 
 IDENT = SqueezeFamily.identity()
@@ -65,8 +67,9 @@ def network_as_velocity_sets(lat, net):
 
 
 def loop_rhs(F, net, family):
-    """Python-loop oracle: gain +rate on (i, j), loss -rate on (k, l)."""
-    h = family.h_of(F)
+    """Python-loop oracle: gain +rate on (i, j), loss -rate on (k, l), with h(F) from the
+    closed form of the power law at F > 0."""
+    h = [math.exp(deformed_log(f, family.q)) for f in F.tolist()]
     out = np.zeros(F.size)
     for i, j, k, l in net.quadruples:
         rate = h[k] * h[l] - h[i] * h[j]
@@ -259,6 +262,22 @@ def test_rhs_matches_the_loop_oracle(family, xi):
         ref = loop_rhs(F, net, family)
         got = collision_rhs(KineticState(F=F), net, family)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), radius
+
+
+def test_a_power_law_rk4_call_enters_one_errstate(monkeypatch):
+    # h(F) runs under the kernel's own errstate: none per rate evaluation
+    entered, errstate = [], np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    lat = make_lattice(2)
+    net, F = build_collision_network(lat), random_state(lat, seed=3).F
+    monkeypatch.setattr(np, "errstate", counting)
+    F2, t, k = _rk4(F, 0.0, net, SqueezeFamily.tsallis(1.5), 1e-3, 5)
+    assert (k, len(entered)) == (5, 1)
+    assert np.isfinite(F2).all() and not np.array_equal(F2, F)
 
 
 def test_empty_network_has_zero_rhs():

@@ -25,7 +25,8 @@ JSON and CSV over a 3-variable model file whose middle variable is 0 on every
 row (a flat direction: the 2 x 2 block of the other two is inverted alone), and
 ``fluct`` in JSON and CSV at q = 1 and 1.5 over a 2-variable model file that
 lists its variables out of sorted order, so the CLI reads the curvature's
-columns permuted), once
+columns permuted, and ``fluct`` in JSON and CSV over a model file of two rows E = +-1.3e154,
+whose variance 1.69e308 is finite but twice it is not), once
 on the working tree's ``src`` and once on REF's, extracted with ``git
 archive``.  No argv writes a nan cell: the CLI refuses a NaN result (exit 5).  Each run starts in a fresh directory that
 holds only its input files; the exit code, stdout and every file the run
@@ -94,6 +95,14 @@ def _permuted_model() -> bytes:
             for n, e in itertools.product(range(4), range(5))]
     doc = {"variables": [{"name": n, "kind": "exchanged"} for n in "NE"], "rows": rows,
            "environment": {"y": {"N": 0.3, "E": 0.6}, "X": {}}}
+    return json.dumps(doc).encode()
+
+
+def _huge_pair_model() -> bytes:
+    """Model file of two rows E = +-1.3e154 with ln g = 0 at y = 0: C = 1.69e308 is finite, C + C' is not."""
+    rows = [{"x": [x], "ln_g": 0.0} for x in (1.3e154, -1.3e154)]
+    doc = {"variables": [{"name": "E", "kind": "exchanged"}], "rows": rows,
+           "environment": {"y": {"E": 0.0}, "X": {}}}
     return json.dumps(doc).encode()
 
 
@@ -195,6 +204,10 @@ def _fixed_cases() -> list[Case]:
         ("compute 3var file q=1.2 rows", ["compute", "--model", "model3q.json", "--rows", "rows.csv"], fragment),
         ("fluct 3var file q=1.2", ["fluct", "--model", "model3q.json"], fragment),
     ]
+    huge = {"pair.json": _huge_pair_model()}
+    for fmt in ("json", "csv"):
+        cases.append((f"fluct variance past half the float range {fmt}",
+                      ["fluct", "--model", "pair.json", "--format", fmt], huge))
     return cases
 
 
